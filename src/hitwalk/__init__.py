@@ -8,7 +8,6 @@ cross-validated by brute-force and Monte Carlo oracles.
 """
 
 from .errors import (
-    ConditioningError,
     GroupTooLargeError,
     HitwalkError,
     HypothesisError,

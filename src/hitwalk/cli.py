@@ -84,11 +84,13 @@ def _abelian_structure(name: str | None, params: list[int]):
     return None
 
 
-def _pick_engine(requested: str, structure, graph: Graph) -> str:
+def _pick_engine(requested: str, structure, graph: Graph, preset: bool) -> str:
     if requested == "auto":
         if structure is not None:
             return "fourier"
-        if graph.regular_degree() is not None:
+        # every regular preset is vertex-transitive by construction; a
+        # regular graph file need not be, so it goes to the direct engine
+        if preset and graph.regular_degree() is not None:
             return "spectral"
         return "direct"
     if requested == "fourier" and structure is None:
@@ -96,8 +98,6 @@ def _pick_engine(requested: str, structure, graph: Graph) -> str:
             "fourier engine requires an abelian Cayley walk; applicable presets: "
             + ", ".join(sorted(_ABELIAN_LAWS))
         )
-    if requested == "spectral" and graph.regular_degree() is None:
-        raise HypothesisError("spectral engine requires a regular (vertex-transitive) graph")
     return requested
 
 
@@ -152,7 +152,7 @@ def _cmd_pmf(args) -> dict:
     if args.start == args.target:
         raise InvalidParameterError("--from must differ from --to")
     structure = _abelian_structure(name, params)
-    engine = _pick_engine(args.engine, structure, graph)
+    engine = _pick_engine(args.engine, structure, graph, name is not None)
     series = _pmf_series(engine, graph, structure, args.start, args.target, args.horizon)
     payload = {
         "table": {
@@ -348,8 +348,6 @@ def _cmd_gf(args) -> dict:
     _require_nodes(graph, args.start, args.target)
     if args.start == args.target:
         raise InvalidParameterError("--from must differ from --to")
-    if graph.regular_degree() is None:
-        raise HypothesisError("gf requires a regular (vertex-transitive) graph")
     ratio = sp.rational_gf(graph, args.start, args.target)
     series = sp.gf_series(graph, args.start, args.target, args.horizon)
     payload = {

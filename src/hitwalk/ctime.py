@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 from .hitting import AbsorbingSystem
 from .linalg import DEFAULT_TOLERANCES, Tolerances, matpow_apply, solve
 
@@ -31,20 +31,30 @@ def _poisson_weight(n: int, t: float) -> float:
     return math.exp(n * math.log(t) - t - math.lgamma(n + 1))
 
 
+# Poisson mass beyond N = t + 12*sqrt(t) + 60 (Chernoff bound, any t).
+_BEYOND_LIMIT = math.exp(-72.0)
+
+
 def _truncation_index(t: float, tol: float) -> int:
-    """Smallest N with Poisson(<= N; t) >= 1 - tol."""
+    """Smallest N with Poisson tail mass P(n > N; t) <= tol.
+
+    The tail is summed from the far end, where its terms are small, so
+    it stays accurate where 1 - P(n <= N) would round (1 - 1e-17 is 1.0
+    in float64).  Raises :class:`NumericalError` when tol is below the
+    mass left beyond the summed range.
+    """
+    if tol < _BEYOND_LIMIT:
+        raise NumericalError(
+            f"tol={tol} is below the Poisson mass {_BEYOND_LIMIT:.1e} beyond the summed range"
+        )
     if t == 0.0:
         return 0
-    total = 0.0
-    n = 0
-    # the mass between 0 and t + 12*sqrt(t) + 60 covers any tol >= 1e-16
-    limit = int(t + 12.0 * math.sqrt(t) + 60.0)
-    while n <= limit:
-        total += _poisson_weight(n, t)
-        if total >= 1.0 - tol:
+    tail = _BEYOND_LIMIT
+    for n in range(int(t + 12.0 * math.sqrt(t) + 60.0), 0, -1):
+        tail += _poisson_weight(n, t)
+        if tail > tol:
             return n
-        n += 1
-    return limit
+    return 0
 
 
 def ct_cdf(system: AbsorbingSystem, t: float, tol: float = 1e-9) -> np.ndarray:

@@ -39,7 +39,3 @@ class NumericalError(HitwalkError):
 
 class SingularMatrixError(NumericalError):
     """Linear system singular to working tolerance."""
-
-
-class ConditioningError(NumericalError):
-    """Interpolation problem too ill-conditioned to trust."""

@@ -17,7 +17,6 @@ from .errors import (
     InvalidParameterError,
     NotConnectedError,
     OracleTooLargeError,
-    SingularMatrixError,
 )
 from .graphs import TransitionKernel
 from .linalg import DEFAULT_TOLERANCES, Tolerances, matpow_apply, solve
@@ -127,14 +126,13 @@ class MomentReport:
 
 
 def make_absorbing(kernel: TransitionKernel, target: int) -> AbsorbingSystem:
-    """Delete the target row and column and certify absorption.
+    """Delete the target row and column, given that absorption is certain.
 
     Reachability of the target is decided exactly by a reverse search
-    over the kernel support; the spectral radius of Q is then certified
-    below 1 by the power test max(Q^m 1) < 1 for some m <= V (exact for
-    the substochastic matrix of a connected absorbing chain; absorption
-    mass below 1e-12 within V steps is indistinguishable from zero and
-    fails the certificate).
+    over the kernel support.  When every state reaches the target, the
+    finite chain is absorbed with probability 1 and the spectral radius
+    of Q is below 1 (Kemeny-Snell, Finite Markov Chains, 1960), so I - Q
+    is invertible.
     """
     v = kernel.node_count
     if not 0 <= target < v:
@@ -157,17 +155,6 @@ def make_absorbing(kernel: TransitionKernel, target: int) -> AbsorbingSystem:
     p1 = m[keep, target].copy()
     if np.max(np.abs(p1 + q.sum(axis=1) - 1.0)) > _IDENTITY_TOL:
         raise InvalidParameterError("rows of [Q | P1] must sum to 1")
-    vec = np.ones(len(keep))
-    certified = False
-    for _ in range(v):
-        vec = q @ vec
-        if vec.max() < 1.0 - 1e-12:
-            certified = True
-            break
-    if not certified:
-        raise NotConnectedError(
-            f"could not certify absorption to target {target} within {v} steps"
-        )
     q.setflags(write=False)
     p1.setflags(write=False)
     return AbsorbingSystem(target=target, q_matrix=q, first_step=p1, index_map=tuple(keep))
@@ -217,12 +204,10 @@ def moments(system: AbsorbingSystem, tolerances: Tolerances = DEFAULT_TOLERANCES
     eye = np.eye(n)
     a = eye - system.q_matrix
     ones = np.ones(n)
-    try:
-        mean = solve(a, ones, tolerances)
-        inner = solve(a, system.q_matrix @ ones, tolerances)
-        second = 2.0 * solve(a, inner, tolerances) + mean
-    except SingularMatrixError as exc:  # precluded for certified systems
-        raise NotConnectedError(str(exc)) from exc
+    # I - Q is invertible (see make_absorbing); a failed solve is numerical
+    mean = solve(a, ones, tolerances)
+    inner = solve(a, system.q_matrix @ ones, tolerances)
+    second = 2.0 * solve(a, inner, tolerances) + mean
     variance = second - mean**2
     if mean.min() < 1.0 - 1e-9:
         raise InvalidParameterError("every non-target start needs at least one step")

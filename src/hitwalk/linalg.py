@@ -1,9 +1,9 @@
 """Small dense linear-algebra kernel used by every engine.
 
-Only three primitives are needed: pivoted linear solves, repeated
-matrix-vector products, and Vandermonde polynomial fits.  There is
-deliberately no eigensolver; spectral quantities elsewhere are reached
-through trace power sums and interpolated characteristic polynomials.
+Only two primitives are needed: pivoted linear solves and repeated
+matrix-vector products.  There is deliberately no eigensolver; spectral
+quantities elsewhere are reached through trace power sums and Newton's
+identities.
 """
 from __future__ import annotations
 
@@ -11,20 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, InvalidParameterError, SingularMatrixError
+from .errors import InvalidParameterError, SingularMatrixError
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOLERANCES",
     "solve",
     "matpow_apply",
-    "PolyFit",
-    "interpolate_poly",
-    "chebyshev_abscissae",
 ]
-
-# Vandermonde condition numbers beyond this are treated as meaningless.
-_MAX_VANDERMONDE_COND = 1e13
 
 
 @dataclass(frozen=True)
@@ -102,64 +96,3 @@ def matpow_apply(m, v, n: int) -> np.ndarray:
         out = m @ out
     _require_finite(out, "matrix power product")
     return out
-
-
-@dataclass(frozen=True)
-class PolyFit:
-    """Least-squares polynomial fit with its achieved residual."""
-
-    coefficients: np.ndarray  # ascending powers, length degree+1
-    max_abs_residual: float
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, t):
-        return np.polynomial.polynomial.polyval(t, self.coefficients)
-
-
-def interpolate_poly(points, degree: int, tolerances: Tolerances = DEFAULT_TOLERANCES) -> PolyFit:
-    """Fit ``value = p(t)`` of the given degree through sample points.
-
-    ``points`` is a sequence of ``(t, value)`` pairs with at least
-    ``degree + 1`` distinct abscissae.  The fit is a Vandermonde least
-    squares solve; on exactly polynomial data the residual is bounded by
-    the solve tolerance.  Raises :class:`ConditioningError` when the
-    Vandermonde system is too ill-conditioned to trust.
-    """
-    pts = list(points)
-    if degree < 0:
-        raise InvalidParameterError("degree must be nonnegative")
-    ts = np.array([p[0] for p in pts], dtype=float)
-    values = np.array([p[1] for p in pts], dtype=float)
-    if len(set(ts.tolist())) < degree + 1:
-        raise InvalidParameterError(
-            f"need at least {degree + 1} distinct abscissae, got {len(set(ts.tolist()))}"
-        )
-    vander = np.vander(ts, degree + 1, increasing=True)
-    cond = np.linalg.cond(vander) if degree > 0 else 1.0
-    if not cond < _MAX_VANDERMONDE_COND:
-        raise ConditioningError(
-            f"Vandermonde condition number {cond:.3e} beyond tolerance"
-        )
-    coeffs, *_ = np.linalg.lstsq(vander, values, rcond=None)
-    residual = float(np.max(np.abs(vander @ coeffs - values)))
-    _require_finite(coeffs, "polynomial coefficients")
-    return PolyFit(coefficients=coeffs, max_abs_residual=residual)
-
-
-def chebyshev_abscissae(count: int, upper: float = 1.0 / 1.05) -> np.ndarray:
-    """Chebyshev-spaced sample points inside the open interval (0, upper).
-
-    Used for generating-function interpolation: points stay inside the
-    disk of convergence of the walk series and keep the Vandermonde
-    system well conditioned.
-    """
-    if count < 1:
-        raise InvalidParameterError("need at least one abscissa")
-    if not 0.0 < upper:
-        raise InvalidParameterError("upper must be positive")
-    k = np.arange(count)
-    nodes = np.cos((2 * k + 1) * np.pi / (2 * count))  # in (-1, 1)
-    return (nodes + 1.0) * 0.5 * upper

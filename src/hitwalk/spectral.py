@@ -12,7 +12,8 @@ sum_{k=0..n} t_k M_{n-k} = (A/d)^n, and generating functions
 sum_n (M_n)_{ij} t^n are rational with numerator V * adj(I - (t/d)A)_{ij}
 and denominator det(I - (t/d)A) * V * sum_k t_k t^k (a polynomial of
 degree V-1).  No eigenvalues are ever computed individually: everything
-flows through traces and interpolated characteristic polynomials.
+flows through traces, and det(I - (t/d)A) follows from them by Newton's
+identities.
 
 Vertex-transitivity is not verified algorithmically; it holds by
 construction for the Cayley presets and is otherwise asserted by the
@@ -26,15 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, InvalidParameterError
+from .errors import HypothesisError, InvalidParameterError, NumericalError
 from .graphs import Graph
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    chebyshev_abscissae,
-    interpolate_poly,
-    solve,
-)
+from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "TracePowerTable",
@@ -47,20 +42,24 @@ __all__ = [
     "rational_gf",
 ]
 
-_COEFF_TRIM = 1e-10
+# The rational pair must re-expand to the trace recursion this closely.
+_SELF_CHECK_ATOL = 1e-8
 
 
 class VertexTransitivityWarning(UserWarning):
     """Necessary condition for vertex-transitivity failed on some M_n."""
 
 
-def _regular_degree(graph: Graph) -> int:
+def _step_matrix(graph: Graph) -> tuple[np.ndarray, int]:
+    """A/d of the simple walk, and the degree d; a common edge weight cancels."""
     d = graph.regular_degree()
     if d is None:
         raise HypothesisError("graph is not regular; trace recursion does not apply")
     if d == 0:
         raise HypothesisError("graph has no edges")
-    return d
+    if len({w for _, _, w in graph.edges}) > 1:
+        raise HypothesisError("edge weights differ; trace recursion needs the simple walk")
+    return (graph.adjacency_matrix() != 0) / d, d
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,8 @@ def trace_powers(graph: Graph, n: int) -> TracePowerTable:
     """Iterated-product trace table for a regular graph."""
     if n < 0:
         raise InvalidParameterError("need n >= 0")
-    d = _regular_degree(graph)
+    b, d = _step_matrix(graph)
     v = graph.node_count
-    b = graph.adjacency_matrix() / d
     values = np.empty(n + 1)
     values[0] = 1.0
     power = np.eye(v)
@@ -124,9 +122,8 @@ def mn_sequence(graph: Graph, n: int, tolerances: Tolerances = DEFAULT_TOLERANCE
     """M_0..M_n by the trace recursion, with cached powers of A/d."""
     if n < 0:
         raise InvalidParameterError("need n >= 0")
-    d = _regular_degree(graph)
+    b, d = _step_matrix(graph)
     v = graph.node_count
-    b = graph.adjacency_matrix() / d
     traces = trace_powers(graph, n).values
     mats = np.empty((n + 1, v, v))
     mats[0] = np.eye(v)
@@ -193,11 +190,10 @@ class RationalGF:
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
-    out = np.where(np.abs(coeffs) < _COEFF_TRIM, 0.0, coeffs)
-    last = np.nonzero(out)[0]
+    last = np.nonzero(coeffs)[0]
     if len(last) == 0:
-        return out[:1]
-    return out[: last[-1] + 1]
+        return coeffs[:1]
+    return coeffs[: last[-1] + 1]
 
 
 def rational_gf(
@@ -205,35 +201,34 @@ def rational_gf(
 ) -> RationalGF:
     """Numerator/denominator polynomials of the hitting generating function.
 
-    Both are recovered by sampling: the numerator as the adjugate entry
-    V * det(I - (t/d)A) * (I - (t/d)A)^{-1}_{ij} at V+1 abscissae, the
-    denominator as the interpolated characteristic polynomial times the
-    truncated power-sum series V * sum_k t_k t^k.  Coefficients below
-    1e-10 are trimmed.
+    The power sums p_k = V t_k give c(t) = det(I - (t/d)A) by Newton's
+    identities, k c_k = -sum_{m=1..k} p_m c_{k-m}.  The denominator
+    c(t) * sum_k p_k t^k = V c(t) - t c'(t) has coefficients (V - k) c_k
+    and degree V-1; the numerator is the denominator times the series
+    sum_n (M_n)_{ij} t^n, truncated to degree V-1.  The pair must
+    re-expand to the trace recursion through degree 2V within 1e-8,
+    else :class:`NumericalError`.
     """
     v = graph.node_count
     if not (0 <= i < v and 0 <= j < v):
         raise InvalidParameterError("node indices out of range")
-    d = _regular_degree(graph)
-    a = graph.adjacency_matrix()
-    ts = chebyshev_abscissae(v + 1)
-    unit_j = np.zeros(v)
-    unit_j[j] = 1.0
-    num_samples = []
-    char_samples = []
-    for t in ts:
-        m = np.eye(v) - (t / d) * a
-        det = float(np.linalg.det(m))
-        x = solve(m, unit_j, tolerances)
-        num_samples.append((t, v * det * x[i]))
-        char_samples.append((t, det))
-    num_fit = interpolate_poly(num_samples, v - 1, tolerances)
-    char_fit = interpolate_poly(char_samples, v, tolerances)
-    power_sums = v * trace_powers(graph, v - 1).values  # sum (lambda/d)^k
-    den_full = np.convolve(char_fit.coefficients, power_sums)[:v]
-    return RationalGF(
-        numerator=_trim(num_fit.coefficients),
-        denominator=_trim(den_full),
+    power_sums = v * trace_powers(graph, v - 1).values
+    char = np.empty(v)
+    char[0] = 1.0
+    for k in range(1, v):
+        char[k] = -np.dot(power_sums[1 : k + 1], char[k - 1 :: -1]) / k
+    den = (v - np.arange(v)) * char
+    series = gf_series(graph, i, j, 2 * v, tolerances)
+    ratio = RationalGF(
+        numerator=_trim(np.convolve(den, series[:v])[:v]),
+        denominator=_trim(den),
         start=i,
         target=j,
     )
+    drift = float(np.max(np.abs(ratio.series(2 * v) - series)))
+    if not drift <= _SELF_CHECK_ATOL:
+        raise NumericalError(
+            f"rational generating function drifts {drift:.3e} from the trace "
+            f"recursion by degree {2 * v}"
+        )
+    return ratio

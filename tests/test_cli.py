@@ -92,6 +92,25 @@ def test_moments_cycle_mean(capsys):
     assert row[1] == pytest.approx(25.0, abs=1e-10)
 
 
+def test_moments_long_cycle_mean(capsys):
+    from hitwalk import cycle_mean
+
+    doc = run_json(capsys, "moments", "--preset", "cycle:210", "--from", "105", "--to", "0")
+    assert doc["payload"]["table"]["rows"][0][1] == pytest.approx(cycle_mean(210, 105, 0), rel=1e-9)
+
+
+def test_pmf_direct_on_long_path(capsys):
+    from hitwalk import path_endpoint_pmf
+
+    doc = run_json(
+        capsys, "pmf", "--preset", "path:300", "--from", "299", "--to", "0",
+        "--horizon", "400", "--engine", "direct",
+    )
+    rows = doc["payload"]["table"]["rows"]
+    assert rows[298][1] == pytest.approx(path_endpoint_pmf(300, 299, 299), rel=1e-9)
+    assert rows[399][1] == pytest.approx(path_endpoint_pmf(300, 299, 400), rel=1e-9)
+
+
 def test_moments_all_starts_when_from_omitted(capsys):
     doc = run_json(capsys, "moments", "--preset", "cycle:5", "--to", "0")
     assert len(doc["payload"]["table"]["rows"]) == 4
@@ -244,6 +263,67 @@ def test_gf_requires_regular(capsys):
 
 
 def test_exit_code_numerical_failure(capsys):
-    # 25 nodes force a degree-24 Vandermonde, beyond conditioning tolerance
-    code, _, err = run_cli(capsys, "gf", "--preset", "torus_std:5", "--from", "0", "--to", "12")
+    # the 64-cycle's float64 rational pair drifts from the recursion by degree 2V
+    code, _, err = run_cli(capsys, "gf", "--preset", "cycle:64", "--from", "0", "--to", "1")
     assert code == 4 and "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["cycle:13", "complete:17", "cycle:32", "complete:32", "bipartite:16:16",
+     "torus_std:5", "torus_std:9", "hypercube:6"],
+)
+def test_gf_pair_expands_to_series_through_2v(capsys, preset):
+    from hitwalk import preset_graph
+
+    name, *params = preset.split(":")
+    horizon = 2 * preset_graph(name, [int(p) for p in params]).node_count
+    doc = run_json(capsys, "gf", "--preset", preset, "--from", "0", "--to", "1", "--horizon", str(horizon))
+    num = np.array(doc["payload"]["numerator"])
+    den = np.array(doc["payload"]["denominator"])
+    series = np.array([row[1] for row in doc["payload"]["table"]["rows"]])
+    expanded = np.zeros(len(series))
+    for m in range(len(series)):
+        acc = num[m] if m < len(num) else 0.0
+        for k in range(1, min(m, len(den) - 1) + 1):
+            acc -= den[k] * expanded[m - k]
+        expanded[m] = acc / den[0]
+    assert np.max(np.abs(expanded - series)) < 1e-8
+
+
+# --- auto engine on graph files ---------------------------------------------------------------
+
+FRUCHT_LCF = (-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2)
+
+
+def _write_graph(tmp_path, nodes, edges):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": [list(e) for e in edges]}))
+    return str(path)
+
+
+def _pmf_rows(capsys, graph, *extra):
+    doc = run_json(capsys, "pmf", "--graph", graph, "--from", "1", "--to", "0", "--horizon", "12", *extra)
+    return doc["metadata"]["engine"], np.array(doc["payload"]["table"]["rows"])
+
+
+def test_auto_on_frucht_file_matches_direct(capsys, tmp_path):
+    # 3-regular but not vertex-transitive: the trace recursion does not apply
+    edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+    edges |= {tuple(sorted((i, (i + s) % 12))) for i, s in enumerate(FRUCHT_LCF)}
+    graph = _write_graph(tmp_path, 12, sorted(edges))
+    engine, auto = _pmf_rows(capsys, graph)
+    _, direct = _pmf_rows(capsys, graph, "--engine", "direct")
+    assert engine == "direct"
+    assert np.array_equal(auto, direct)
+
+
+def test_weighted_four_cycle_auto_and_spectral(capsys, tmp_path):
+    graph = _write_graph(tmp_path, 4, [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 1.0), (0, 3, 3.0)])
+    _, auto = _pmf_rows(capsys, graph)
+    _, direct = _pmf_rows(capsys, graph, "--engine", "direct")
+    assert np.array_equal(auto, direct)
+    code, _, err = run_cli(
+        capsys, "pmf", "--graph", graph, "--from", "1", "--to", "0", "--engine", "spectral"
+    )
+    assert code == 3 and "hypothesis" in err

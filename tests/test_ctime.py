@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import hitwalk as hw
-from hitwalk.errors import InvalidParameterError
+from hitwalk.errors import InvalidParameterError, NumericalError
 
 from conftest import preset_zoo
 
@@ -114,3 +114,21 @@ def test_ct_second_is_discrete_second_plus_mean():
 def test_c4_start_two_ct_mean():
     system = system_for(hw.build_cycle(4))
     assert hw.ct_moments(system, 1)[system.reduced_index(2)] == pytest.approx(4.0, abs=1e-12)
+
+
+def test_truncation_meets_tolerance_below_float_resolution():
+    # 1 - 1e-17 rounds to 1.0; the tail itself must still fall below tol
+    from scipy.stats import poisson
+
+    from hitwalk.ctime import _truncation_index
+
+    for t, tol in ((50.0, 1e-17), (50.0, 1e-9), (3744.0, 1e-12), (0.5, 1e-30)):
+        n = _truncation_index(t, tol)
+        assert poisson.sf(n, t) <= tol * (1 + 1e-6)
+        assert n == 0 or poisson.sf(n - 1, t) > tol * (1 - 1e-6)
+
+
+def test_unreachable_tolerance_raises():
+    # below the mass beyond the summed range, no truncation index can meet tol
+    with pytest.raises(NumericalError):
+        hw.ct_evaluate(system_for(hw.build_cycle(6)), [50.0], tol=1e-40)

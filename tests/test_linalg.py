@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hitwalk as hw
-from hitwalk.errors import ConditioningError, InvalidParameterError, SingularMatrixError
-from hitwalk.linalg import (
-    Tolerances,
-    chebyshev_abscissae,
-    interpolate_poly,
-    matpow_apply,
-    solve,
-)
+from hitwalk.errors import InvalidParameterError, SingularMatrixError
+from hitwalk.linalg import Tolerances, matpow_apply, solve
 
 DIAMOND_Q = np.array([[0, 1 / 3, 1 / 3], [1 / 3, 0, 1 / 3], [1 / 2, 1 / 2, 0]])
 
@@ -98,48 +92,3 @@ def test_matpow_power_additivity(a, b, seed):
     lhs = matpow_apply(m, v, a + b)
     rhs = matpow_apply(m, matpow_apply(m, v, b), a)
     assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_interpolate_linear():
-    pts = [(t, 1.0 - t) for t in (0.0, 0.5, 1.0)]
-    fit = interpolate_poly(pts, 1)
-    assert np.allclose(fit.coefficients, [1.0, -1.0], atol=1e-12)
-    assert fit.max_abs_residual < 1e-12
-
-
-def test_interpolate_quadratic():
-    pts = [(t, t * t) for t in (-1.0, 0.0, 0.5, 2.0)]
-    fit = interpolate_poly(pts, 2)
-    assert np.allclose(fit.coefficients, [0.0, 0.0, 1.0], atol=1e-12)
-
-
-def test_interpolate_needs_distinct_points():
-    with pytest.raises(InvalidParameterError):
-        interpolate_poly([(0.0, 1.0), (0.0, 2.0)], 1)
-
-
-def test_interpolate_conditioning_failure():
-    # nearly coincident abscissae blow up the Vandermonde condition number
-    ts = 1.0 + np.arange(9) * 1e-9
-    with pytest.raises(ConditioningError):
-        interpolate_poly([(t, t**2) for t in ts], 8)
-
-
-@given(
-    degree=st.integers(min_value=0, max_value=6),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_interpolate_recovers_random_polynomials(degree, seed):
-    rng = np.random.default_rng(seed)
-    coeffs = rng.uniform(-2, 2, size=degree + 1)
-    ts = chebyshev_abscissae(degree + 3, upper=1.5)
-    pts = [(t, np.polynomial.polynomial.polyval(t, coeffs)) for t in ts]
-    fit = interpolate_poly(pts, degree)
-    assert np.allclose(fit.coefficients, coeffs, atol=1e-8)
-
-
-def test_chebyshev_abscissae_inside_interval():
-    pts = chebyshev_abscissae(9)
-    assert len(pts) == 9
-    assert np.all(pts > 0.0) and np.all(pts < 1.0 / 1.05)
-    assert len(set(pts.tolist())) == 9

@@ -161,20 +161,35 @@ def test_rational_gf_expansion_matches_series():
 
 
 def test_rational_gf_interpolation_route_on_q3():
-    # sampling the (target, start) minor at 20 points and fitting degree 7
-    # reproduces the numerator that the adjugate route found
-    from hitwalk.linalg import chebyshev_abscissae, interpolate_poly
-
+    # the adjugate entry sampled at a few points, V * adj(I - (t/3)A)_{0,7}
+    # = 8 * (-1)^{0+7} * det(minor), is the numerator the series algebra found
     g = hw.build_hypercube(3)
     a = g.adjacency_matrix()
     ratio = hw.rational_gf(g, 0, 7)
-    pts = []
-    for t in chebyshev_abscissae(20):
+    for t in (-0.9, -0.3, 0.2, 0.7, 1.5):
         m = np.eye(8) - (t / 3) * a
         minor = np.delete(np.delete(m, 7, axis=0), 0, axis=1)
-        # adjugate entry (0,7) = (-1)^{0+7} * minor determinant
-        pts.append((t, 8.0 * (-1.0) ** 7 * np.linalg.det(minor)))
-    fit = interpolate_poly(pts, 7)
-    padded = np.zeros(8)
-    padded[: len(ratio.numerator)] = ratio.numerator
-    assert np.allclose(fit.coefficients, padded, atol=1e-8)
+        expected = 8.0 * (-1.0) ** 7 * np.linalg.det(minor)
+        assert np.polynomial.polynomial.polyval(t, ratio.numerator) == pytest.approx(
+            expected, abs=1e-10
+        )
+
+
+def test_rational_gf_denominator_is_newton_form():
+    # V c(t) - t c'(t) with c(t) = det(I - (t/d)A), degree V-1
+    for name, g in vt_graphs().items():
+        v = g.node_count
+        ratio = hw.rational_gf(g, 0, v - 1)
+        b = g.adjacency_matrix() / g.regular_degree()
+        for t in (-0.8, 0.3, 1.1):
+            c = np.linalg.det(np.eye(v) - t * b)
+            h = 1e-6
+            dc = (np.linalg.det(np.eye(v) - (t + h) * b) - np.linalg.det(np.eye(v) - (t - h) * b)) / (2 * h)
+            got = np.polynomial.polynomial.polyval(t, ratio.denominator)
+            assert got == pytest.approx(v * c - t * dc, abs=1e-6), (name, t)
+
+
+def test_spectral_common_edge_weight_cancels():
+    cycle = hw.build_cycle(6)
+    halved = hw.Graph(6, tuple((u, v, 0.5) for u, v, _ in cycle.edges))
+    assert np.array_equal(hw.gf_series(halved, 0, 3, 20), hw.gf_series(cycle, 0, 3, 20))
