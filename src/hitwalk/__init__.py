@@ -3,7 +3,7 @@
 Four interoperating engines compute hitting-time distributions, moments
 and variances: the absorbing-chain recurrence on arbitrary graphs, a
 character-sum engine on finite abelian groups, a trace recursion for
-vertex-transitive graphs, and a uniformized continuous-time engine, all
+walk-regular graphs, and a uniformized continuous-time engine, all
 cross-validated by brute-force and Monte Carlo oracles.
 """
 

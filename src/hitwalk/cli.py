@@ -18,7 +18,7 @@ from . import abelian as fr
 from . import hitting as ht
 from . import montecarlo as mc
 from . import spectral as sp
-from .ctime import ct_evaluate, ct_moments
+from .ctime import ct_evaluate
 from .errors import (
     HitwalkError,
     HypothesisError,
@@ -84,13 +84,20 @@ def _abelian_structure(name: str | None, params: list[int]):
     return None
 
 
-def _pick_engine(requested: str, structure, graph: Graph, preset: bool) -> str:
+def _transitive_preset(graph: Graph, name: str | None) -> bool:
+    """A regular preset, vertex-transitive by construction and so walk-regular.
+
+    A regular graph file need not be walk-regular; ``auto`` and
+    ``compare`` leave it to the direct engine.
+    """
+    return name is not None and graph.regular_degree() is not None
+
+
+def _pick_engine(requested: str, structure, graph: Graph, name: str | None) -> str:
     if requested == "auto":
         if structure is not None:
             return "fourier"
-        # every regular preset is vertex-transitive by construction; a
-        # regular graph file need not be, so it goes to the direct engine
-        if preset and graph.regular_degree() is not None:
+        if _transitive_preset(graph, name):
             return "spectral"
         return "direct"
     if requested == "fourier" and structure is None:
@@ -152,7 +159,7 @@ def _cmd_pmf(args) -> dict:
     if args.start == args.target:
         raise InvalidParameterError("--from must differ from --to")
     structure = _abelian_structure(name, params)
-    engine = _pick_engine(args.engine, structure, graph, name is not None)
+    engine = _pick_engine(args.engine, structure, graph, name)
     series = _pmf_series(engine, graph, structure, args.start, args.target, args.horizon)
     payload = {
         "table": {
@@ -238,9 +245,7 @@ def _cmd_simulate(args) -> dict:
     graph, spec, _, _ = _resolve_graph(args)
     _require_nodes(graph, args.start, args.target)
     kernel = simple_walk_kernel(graph)
-    config = mc.SimConfig(
-        trials=args.trials, master_seed=args.seed, step_cap=args.step_cap, workers=args.workers
-    )
+    config = mc.SimConfig(trials=args.trials, master_seed=args.seed, step_cap=args.step_cap)
     summary = mc.simulate(kernel, args.start, args.target, config)
     payload = {
         "mean": summary.mean,
@@ -260,7 +265,7 @@ def _cmd_simulate(args) -> dict:
     meta = _metadata(
         spec, "simulate",
         start=args.start, target=args.target, seed=args.seed,
-        trials=args.trials, step_cap=args.step_cap, workers=args.workers,
+        trials=args.trials, step_cap=args.step_cap,
     )
     return {"metadata": meta, "payload": payload}
 
@@ -275,7 +280,7 @@ def _cmd_compare(args) -> dict:
     engines = ["direct"]
     if structure is not None:
         engines.append("fourier")
-    if graph.regular_degree() is not None:
+    if _transitive_preset(graph, name):
         engines.append("spectral")
     series = {
         e: _pmf_series(e, graph, structure, args.start, args.target, horizon) for e in engines
@@ -300,9 +305,7 @@ def _cmd_compare(args) -> dict:
         moment_section["max_mean_discrepancy"] = abs(mean - f_mean)
         moment_section["max_variance_discrepancy"] = abs(variance - f_var)
 
-    config = mc.SimConfig(
-        trials=args.trials, master_seed=args.seed, step_cap=args.step_cap, workers=args.workers
-    )
+    config = mc.SimConfig(trials=args.trials, master_seed=args.seed, step_cap=args.step_cap)
     summary = mc.simulate(kernel, args.start, args.target, config)
     std_err = float(np.sqrt(variance / args.trials))
     mc_section = {
@@ -449,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=_DEF_TRIALS)
     p.add_argument("--seed", type=int, default=_DEF_SEED)
     p.add_argument("--step-cap", dest="step_cap", type=int, default=10**7)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="every applicable engine plus Monte Carlo")
@@ -460,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=_DEF_TRIALS)
     p.add_argument("--seed", type=int, default=_DEF_SEED)
     p.add_argument("--step-cap", dest="step_cap", type=int, default=10**7)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("gf", help="rational generating function and series")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
-from .hitting import AbsorbingSystem
-from .linalg import DEFAULT_TOLERANCES, Tolerances, matpow_apply, solve
+from .hitting import AbsorbingSystem, pmf
+from .linalg import DEFAULT_TOLERANCES, Tolerances, solve
 
 __all__ = ["CTimeEvaluation", "ct_cdf", "ct_pdf", "ct_moments", "ct_evaluate"]
 
@@ -105,10 +105,7 @@ def ct_evaluate(
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError("tol must be in (0, 1)")
     n_max = _truncation_index(float(times.max()), tol)
-    vectors = np.empty((n_max + 1, system.size))
-    vectors[0] = system.first_step
-    for n in range(1, n_max + 1):
-        vectors[n] = matpow_apply(system.q_matrix, vectors[n - 1], 1)
+    vectors = pmf(system, n_max + 1, stop_early=False).probs  # row n is Q^n P1
     # partial[n] = sum_{k=1..n} Q^{k-1} P1 = P(hit within n steps)
     partial = np.vstack([np.zeros(system.size), np.cumsum(vectors, axis=0)[:-1]])
     cdf_rows = np.empty((times.size, system.size))

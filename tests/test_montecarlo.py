@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hitwalk as hw
-from hitwalk.errors import InvalidParameterError
+from hitwalk.errors import InvalidParameterError, NotConnectedError
 from hitwalk.montecarlo import GAMMA, mix64, uniform_from_draw
 
 MASK = (1 << 64) - 1
@@ -68,15 +68,19 @@ def test_k2_every_sample_is_one():
     assert summary.min == summary.max == 1
 
 
-def test_deterministic_across_worker_counts():
+def test_trial_substreams_do_not_depend_on_trial_count():
     kernel = hw.simple_walk_kernel(hw.build_cycle(10))
-    base = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=4000, master_seed=99, workers=1))
-    for workers in (2, 3, 8):
-        other = hw.simulate(
-            kernel, 0, 5, hw.SimConfig(trials=4000, master_seed=99, workers=workers)
-        )
-        assert np.array_equal(base.samples, other.samples)
-        assert base.mean == other.mean and base.variance == other.variance
+    long = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=4000, master_seed=99))
+    short = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=1000, master_seed=99))
+    assert np.array_equal(long.samples[:1000], short.samples)
+
+
+def test_unreachable_target_rejected_before_walking():
+    # 0 -> 1, 1 -> 0, 2 -> 1: node 2 cannot be reached from 0 or 1
+    g = hw.build_path(3)
+    kernel = hw.TransitionKernel([[0, 1, 0], [1, 0, 0], [0, 1, 0]], g)
+    with pytest.raises(NotConnectedError):
+        hw.simulate(kernel, 0, 2, hw.SimConfig(trials=10, master_seed=1, step_cap=50))
 
 
 def test_different_seeds_differ():

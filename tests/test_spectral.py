@@ -3,7 +3,6 @@ import pytest
 
 import hitwalk as hw
 from hitwalk.errors import HypothesisError
-from hitwalk.spectral import VertexTransitivityWarning
 
 from conftest import preset_zoo
 
@@ -101,8 +100,9 @@ def test_cauchy_product_identity():
             power = power @ b
 
 
-def test_mn_row_multiset_warning_on_non_vertex_transitive():
-    # cubic connected graph where nodes 6, 7 sit in no triangle
+def test_mn_rejects_non_walk_regular_graph():
+    # cubic connected graph where nodes 6, 7 sit in no triangle, so the
+    # 3-step return probabilities differ
     g = hw.Graph(
         8,
         (
@@ -112,8 +112,15 @@ def test_mn_row_multiset_warning_on_non_vertex_transitive():
         ),
     )
     assert g.regular_degree() == 3
-    with pytest.warns(VertexTransitivityWarning):
+    with pytest.raises(HypothesisError, match="node 6 returns in 3 steps"):
         hw.mn_sequence(g, 6)
+    # through step 2 every node returns with probability 1/3: still exact
+    seq = hw.mn_sequence(g, 2)
+    kernel = hw.simple_walk_kernel(g)
+    for target in range(8):
+        direct = hw.pmf(hw.make_absorbing(kernel, target), 2, stop_early=False)
+        for start in direct.states:
+            assert np.allclose(seq.entry(start, target)[1:], direct.column(start), atol=1e-15)
 
 
 # --- series extraction ------------------------------------------------------------
