@@ -20,8 +20,21 @@ become character sums:
       v_n = diag(p^) v_{n-1} - (1/|G|) (sum_a p^_a v_{n-1,a}) * 1,
   whose inverse transform is m_n(g) = P(tau_{g,e} = n).
 
+The character table of G = G_1 x G_2 is the Kronecker product of the
+tables of G_1 and G_2 (Diaconis, *Group Representations in Probability
+and Statistics*, 1988, ch. 3), so the dense |G| x |G| table is never
+formed.  The factors are split into a prefix G_1 and a suffix G_2 of
+orders as even as possible; with f laid out as a |G_1| x |G_2| grid the
+transform is H f T and its inverse conj(H) f^ conj(T) / |G|, where H and
+T are the (cached) tables of G_1 and G_2.  A recurrence step then costs
+O(|G| (|G_1| + |G_2|)), and one character column rho_a(g), all a, is the
+outer product of a column of H and a column of T, O(|G|).
+
 Complex arithmetic is kept all the way through; realness of outputs is
-asserted at the end, never assumed mid-computation.
+asserted at the end, never assumed mid-computation.  A character sum
+may carry an imaginary part up to ``imaginary_discard`` times the sum of
+its terms' magnitudes, the scale of its round-off; a larger one raises
+:class:`NumericalError`.
 """
 from __future__ import annotations
 
@@ -32,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotErgodicError
+from .errors import InvalidParameterError, NotErgodicError, NumericalError
 from .graphs import Graph, TransitionKernel, simple_walk_kernel
 from .hitting import PmfTable, closed_cycle, make_absorbing, pmf, return_second_moment
 from .linalg import DEFAULT_TOLERANCES, Tolerances
@@ -177,7 +190,8 @@ class CharacterBasis:
     """Full character table of a finite abelian group.
 
     ``matrix[a, g] = rho_a(g)``, characters indexed lexicographically by
-    their index tuples with the trivial character in row 0.
+    their index tuples with the trivial character in row 0.  The table is
+    symmetric: rho_a(g) = rho_g(a).
     """
 
     def __init__(self, group: FiniteAbelianGroup):
@@ -202,12 +216,33 @@ def character_basis(group: FiniteAbelianGroup) -> CharacterBasis:
     return _cached_basis(group.factors)
 
 
+def _block_tables(group: FiniteAbelianGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Character tables (head, tail) of a prefix and a suffix of the factors
+    whose orders are as even as possible; a single factor has the 1x1
+    table of the trivial group as its tail."""
+    factors = group.factors
+    prefix_orders = np.cumprod(factors)
+    split = int(np.argmin(np.maximum(prefix_orders, group.order // prefix_orders))) + 1
+    head = character_basis(FiniteAbelianGroup(factors[:split])).matrix
+    if split == len(factors):
+        return head, np.ones((1, 1))
+    return head, character_basis(FiniteAbelianGroup(factors[split:])).matrix
+
+
+def _character_column(group: FiniteAbelianGroup, g) -> np.ndarray:
+    """rho_a(g) for every character a, in O(|G|)."""
+    head, tail = _block_tables(group)
+    g_head, g_tail = divmod(group.index(g), len(tail))
+    return np.outer(head[:, g_head], tail[:, g_tail]).ravel()
+
+
 def fourier(group: FiniteAbelianGroup, values) -> np.ndarray:
     """Transform f^(rho_a) = sum_g f(g) rho_a(g), indexed by character."""
     values = np.asarray(values)
     if values.shape != (group.order,):
         raise InvalidParameterError("function length must equal group order")
-    return character_basis(group).matrix @ values.astype(complex)
+    head, tail = _block_tables(group)
+    return (head @ values.reshape(len(head), len(tail)) @ tail).ravel()
 
 
 def inverse_fourier(group: FiniteAbelianGroup, transform) -> np.ndarray:
@@ -215,8 +250,9 @@ def inverse_fourier(group: FiniteAbelianGroup, transform) -> np.ndarray:
     transform = np.asarray(transform, dtype=complex)
     if transform.shape != (group.order,):
         raise InvalidParameterError("transform length must equal group order")
-    basis = character_basis(group).matrix
-    return basis.conj().T @ transform / group.order
+    head, tail = _block_tables(group)
+    grid = transform.reshape(len(head), len(tail))
+    return (head.conj() @ grid @ tail.conj()).ravel() / group.order
 
 
 def law_transform(
@@ -247,6 +283,20 @@ def _require_ergodic(p_hat: np.ndarray) -> None:
         )
 
 
+def _real_sum(terms: np.ndarray, tolerances: Tolerances) -> float:
+    """Sum of a character series whose exact value is real.
+
+    Round-off in a sum scales with the sum of its terms' magnitudes, so
+    the imaginary part is bounded relative to that scale, never below
+    ``imaginary_discard`` itself.
+    """
+    total = np.sum(terms)
+    bound = tolerances.imaginary_discard * max(1.0, float(np.sum(np.abs(terms))))
+    if abs(total.imag) > bound:
+        raise NumericalError(f"imaginary part {total.imag:.3e} beyond tolerance {bound:.3e}")
+    return float(total.real)
+
+
 def expected_hitting_abelian(
     group: FiniteAbelianGroup,
     law: StepLaw,
@@ -262,12 +312,8 @@ def expected_hitting_abelian(
     g = group.canonical(g)
     p_hat = law_transform(group, law, tolerances)
     _require_ergodic(p_hat)
-    basis = character_basis(group).matrix
-    chi = basis[1:, group.index(g)]
-    total = np.sum((1.0 - chi) / (1.0 - p_hat[1:]))
-    if abs(total.imag) > tolerances.imaginary_discard:
-        raise InvalidParameterError(f"imaginary part {total.imag:.3e} beyond tolerance")
-    return float(total.real)
+    chi = _character_column(group, g)[1:]
+    return _real_sum((1.0 - chi) / (1.0 - p_hat[1:]), tolerances)
 
 
 def variance_abelian(
@@ -293,20 +339,17 @@ def variance_abelian(
     if qstar is None:
         kernel = group_walk_kernel(group, law)
         qstar = return_second_moment(kernel, 0)
-    basis = character_basis(group).matrix
-    chi_inv = basis[1:, group.index(g)].conj()  # rho_a(g^{-1})
+    chi_inv = _character_column(group, g)[1:].conj()  # rho_a(g^{-1})
     nontrivial = p_hat[1:]
     bracket = 2.0 * group.order * nontrivial / (1.0 - nontrivial) ** 2 + qstar / (
         1.0 - nontrivial
     )
-    q_val = np.sum(bracket * (1.0 - chi_inv)) / group.order
-    if abs(q_val.imag) > tolerances.imaginary_discard:
-        raise InvalidParameterError(f"imaginary part {q_val.imag:.3e} beyond tolerance")
+    q_val = _real_sum(bracket * (1.0 - chi_inv) / group.order, tolerances)
     h_val = expected_hitting_abelian(group, law, g, tolerances)
-    variance = q_val.real - h_val**2
+    variance = q_val - h_val**2
     if variance < -1e-8:
         raise InvalidParameterError("negative variance beyond tolerance")
-    return float(q_val.real), float(variance)
+    return q_val, float(variance)
 
 
 def fourier_pmf(
@@ -326,10 +369,13 @@ def fourier_pmf(
         raise InvalidParameterError("horizon must be >= 1")
     p_hat = law_transform(group, law, tolerances)
     order = group.order
-    rows = []
+    head, tail = _block_tables(group)
+    inv_head, inv_tail = head.conj() / order, tail.conj()
+    shape = (len(head), len(tail))
+    probs = np.empty((horizon, order))
     v = p_hat.copy()  # transform of m_1 = p
     for n in range(horizon):
-        m_n = inverse_fourier(group, v)
+        m_n = (inv_head @ v.reshape(shape) @ inv_tail).ravel()
         if np.max(np.abs(m_n.imag)) > tolerances.imaginary_discard:
             raise InvalidParameterError("step distribution developed an imaginary part")
         real = m_n.real
@@ -337,10 +383,9 @@ def fourier_pmf(
             raise InvalidParameterError(f"m_{n + 1}(e) = {real[0]:.3e}, expected 0")
         if real.min() < -1e-10:
             raise InvalidParameterError("negative probability beyond tolerance")
-        rows.append(np.clip(real, 0.0, None))
+        np.clip(real, 0.0, None, out=probs[n])
         correction = np.sum(p_hat * v) / order
         v = p_hat * v - correction
-    probs = np.array(rows)
     residual = 1.0 - probs.sum(axis=0)
     residual[0] = 1.0  # the identity never "hits" in n >= 1 steps
     return PmfTable(

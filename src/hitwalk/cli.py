@@ -351,8 +351,8 @@ def _cmd_gf(args) -> dict:
     _require_nodes(graph, args.start, args.target)
     if args.start == args.target:
         raise InvalidParameterError("--from must differ from --to")
-    ratio = sp.rational_gf(graph, args.start, args.target)
-    series = sp.gf_series(graph, args.start, args.target, args.horizon)
+    ratio = sp.rational_gf(graph, args.start, args.target, horizon=args.horizon)
+    series = ratio.recursion[: args.horizon + 1]
     payload = {
         "numerator": [float(c) for c in ratio.numerator],
         "denominator": [float(c) for c in ratio.denominator],

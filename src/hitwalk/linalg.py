@@ -27,7 +27,10 @@ class Tolerances:
 
     solve_residual : max-norm residual allowed per solved system
     series_tail    : leftover mass at which series iterations may stop
-    imaginary_discard : largest imaginary part accepted on real outputs
+    imaginary_discard : largest imaginary part accepted on real outputs;
+                        a character sum (the fourier engine's mean and
+                        second moment) may carry this much times the sum
+                        of its terms' magnitudes, its round-off scale
     """
 
     solve_residual: float = 1e-10

@@ -22,6 +22,13 @@ regular graph.  The hypothesis itself is checked, to 1e-12: each power
 B^k is formed once, and the first k at which a diagonal entry differs
 from t_k raises :class:`HypothesisError`.  By Cayley-Hamilton, k < V
 covers every k.
+
+The recursion is a series division, M = B / T with T(t) = sum_k t_k t^k,
+and it acts entrywise.  So the one-pair functions (``gf_series``,
+``rational_gf``) keep only t_k and (B^k)_{ij} of each power, and their
+memory is O(N + V^2) rather than the O(N V^2) of the full stack
+``mn_sequence`` returns.  Forming B^k, which the check needs anyway,
+costs O(V^3) per step; the division itself one length-k dot product.
 """
 from __future__ import annotations
 
@@ -107,6 +114,31 @@ class MnSequence:
         return self.matrices[:, i, j]
 
 
+def _series_divide(b: np.ndarray, traces: np.ndarray) -> np.ndarray:
+    """Solve sum_{l=0..k} t_l m_{k-l} = b_k for m, in place over b's first axis.
+
+    t_0 = 1, so m_0 = b_0 and m_k = b_k - sum_{l=1..k} t_l m_{k-l}; each
+    step is one product over the trailing axes (a scalar series or a stack
+    of V x V matrices alike).
+    """
+    flat = b.reshape(len(b), -1)
+    for k in range(1, len(flat)):
+        flat[k] -= traces[k:0:-1] @ flat[:k]
+    return b
+
+
+def _entry_series(graph: Graph, i: int, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Traces t_0..t_n and the series (M_k)_{ij}, k = 0..n, from one pass over the powers."""
+    traces = np.empty(n + 1)
+    entries = np.empty(n + 1)
+    traces[0] = 1.0
+    entries[0] = float(i == j)
+    for k, (power, t) in enumerate(_walk_powers(graph, n), start=1):
+        traces[k] = t
+        entries[k] = power[i, j]
+    return traces, _series_divide(entries, traces)
+
+
 def trace_powers(graph: Graph, n: int) -> TracePowerTable:
     """t_0..t_n of a walk-regular graph, checked at every step."""
     if n < 0:
@@ -127,23 +159,26 @@ def mn_sequence(graph: Graph, n: int, tolerances: Tolerances = DEFAULT_TOLERANCE
     traces[0] = 1.0
     mats = np.empty((n + 1, v, v))
     mats[0] = np.eye(v)
-    for step, (power, t) in enumerate(_walk_powers(graph, n), start=1):
-        traces[step] = t
-        acc = power.copy()
-        for k in range(1, step + 1):
-            acc -= traces[k] * mats[step - k]
-        mats[step] = acc
-    return MnSequence(matrices=mats, traces=traces, node_count=v)
+    for k, (power, t) in enumerate(_walk_powers(graph, n), start=1):
+        traces[k] = t
+        mats[k] = power
+    return MnSequence(matrices=_series_divide(mats, traces), traces=traces, node_count=v)
+
+
+def _require_pair(graph: Graph, i: int, j: int) -> None:
+    v = graph.node_count
+    if not (0 <= i < v and 0 <= j < v):
+        raise InvalidParameterError("node indices out of range")
 
 
 def gf_series(
     graph: Graph, i: int, j: int, n: int, tolerances: Tolerances = DEFAULT_TOLERANCES
 ) -> np.ndarray:
     """Taylor coefficients of sum_n P(tau_{i,j} = n) t^n for n = 0..N."""
-    v = graph.node_count
-    if not (0 <= i < v and 0 <= j < v):
-        raise InvalidParameterError("node indices out of range")
-    return mn_sequence(graph, n, tolerances).entry(i, j).copy()
+    _require_pair(graph, i, j)
+    if n < 0:
+        raise InvalidParameterError("need n >= 0")
+    return _entry_series(graph, i, j, n)[1]
 
 
 @dataclass(frozen=True)
@@ -153,16 +188,20 @@ class RationalGF:
     Coefficient vectors are in ascending powers of t; denominator(0)
     equals the node count.  ``series(n)`` re-expands the Taylor series
     by long division for cross-checks against the trace recursion.
+    ``recursion`` holds the trace-recursion coefficients (M_n)_{ij},
+    n = 0..N with N >= 2V, that the pair was checked against.
     """
 
     numerator: np.ndarray
     denominator: np.ndarray
     start: int
     target: int
+    recursion: np.ndarray
 
     def __post_init__(self) -> None:
         self.numerator.setflags(write=False)
         self.denominator.setflags(write=False)
+        self.recursion.setflags(write=False)
 
     def series(self, n: int) -> np.ndarray:
         if abs(self.denominator[0]) < 1e-14:
@@ -186,7 +225,11 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
 
 
 def rational_gf(
-    graph: Graph, i: int, j: int, tolerances: Tolerances = DEFAULT_TOLERANCES
+    graph: Graph,
+    i: int,
+    j: int,
+    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    horizon: int = 0,
 ) -> RationalGF:
     """Numerator/denominator polynomials of the hitting generating function.
 
@@ -196,26 +239,29 @@ def rational_gf(
     and degree V-1; the numerator is the denominator times the series
     sum_n (M_n)_{ij} t^n, truncated to degree V-1.  The pair must
     re-expand to the trace recursion through degree 2V within 1e-8,
-    else :class:`NumericalError`.
+    else :class:`NumericalError`.  The recursion runs to
+    max(2V, horizon), so the series through ``horizon`` comes from the
+    same pass as ``recursion``.
     """
+    _require_pair(graph, i, j)
+    if horizon < 0:
+        raise InvalidParameterError("need horizon >= 0")
     v = graph.node_count
-    if not (0 <= i < v and 0 <= j < v):
-        raise InvalidParameterError("node indices out of range")
-    seq = mn_sequence(graph, 2 * v, tolerances)
-    power_sums = v * seq.traces[:v]
+    traces, series = _entry_series(graph, i, j, max(2 * v, horizon))
+    power_sums = v * traces[:v]
     char = np.empty(v)
     char[0] = 1.0
     for k in range(1, v):
         char[k] = -np.dot(power_sums[1 : k + 1], char[k - 1 :: -1]) / k
     den = (v - np.arange(v)) * char
-    series = seq.entry(i, j)
     ratio = RationalGF(
         numerator=_trim(np.convolve(den, series[:v])[:v]),
         denominator=_trim(den),
         start=i,
         target=j,
+        recursion=series,
     )
-    drift = float(np.max(np.abs(ratio.series(2 * v) - series)))
+    drift = float(np.max(np.abs(ratio.series(2 * v) - series[: 2 * v + 1])))
     if not drift <= _SELF_CHECK_ATOL:
         raise NumericalError(
             f"rational generating function drifts {drift:.3e} from the trace "

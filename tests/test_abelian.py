@@ -122,6 +122,21 @@ def test_plancherel_hundred_random_pairs():
         assert abs(lhs - rhs) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "factors", [(400,), (31,), (2,) * 10, (31, 31), (3, 4, 5), (2, 3, 2, 5)]
+)
+def test_transform_matches_dense_character_table(factors):
+    group = ab.FiniteAbelianGroup(factors)
+    dense = ab.CharacterBasis(group).matrix
+    rng = np.random.default_rng(len(factors) * 1000 + group.order)
+    f = rng.uniform(size=group.order) + 1j * rng.uniform(size=group.order)
+    f /= np.abs(f).sum()
+    transform = ab.fourier(group, f)
+    assert np.max(np.abs(transform - dense @ f)) < 1e-12
+    inverse = ab.inverse_fourier(group, transform)
+    assert np.max(np.abs(inverse - dense.conj().T @ transform / group.order)) < 1e-12
+
+
 # --- expected hitting time ----------------------------------------------------------
 
 def test_expected_hitting_cycle_displacements():
@@ -222,6 +237,21 @@ def test_fourier_pmf_hypercube_antipodal():
     idx = group.index((1, 1, 1))
     assert table.probs[2, idx] == pytest.approx(2 / 9, abs=1e-12)
     assert table.probs[0, idx] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_fourier_pmf_peak_memory_below_dense_table():
+    # the dense character table of (Z_2)^10 alone takes 16 MiB
+    import tracemalloc
+
+    group, law = ab.hypercube_step_law(10)
+    tracemalloc.start()
+    try:
+        table = hw.fourier_pmf(group, law, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.probs.shape == (500, 1024)
+    assert peak < 16 * 2**20
 
 
 # --- diagonal torus ------------------------------------------------------------------------

@@ -166,6 +166,22 @@ def test_compare_torus_diag_has_convolution_section(capsys):
     assert section["max_abs_discrepancy"] is not None
 
 
+@pytest.mark.parametrize(
+    "preset, start, target",
+    [("torus_std:16", 90, 220), ("torus_diag:11", 11, 0), ("cycle:137", 31, 33)],
+)
+def test_compare_fourier_moments_of_large_sums(capsys, preset, start, target):
+    # the character sums reach 1e5..1e7, so their round-off (imaginary
+    # part included) is far above an absolute 1e-9
+    doc = run_json(
+        capsys, "compare", "--preset", preset, "--from", str(start), "--to", str(target),
+        "--horizon", "16", "--trials", "200",
+    )
+    moments = doc["payload"]["moments"]
+    for key in ("mean", "second_moment", "variance"):
+        assert moments["fourier"][key] == pytest.approx(moments["direct"][key], rel=1e-9)
+
+
 # --- output formats ---------------------------------------------------------------------
 
 def test_csv_and_json_numbers_identical(capsys, tmp_path):
@@ -290,6 +306,24 @@ def test_gf_pair_expands_to_series_through_2v(capsys, preset):
             acc -= den[k] * expanded[m - k]
         expanded[m] = acc / den[0]
     assert np.max(np.abs(expanded - series)) < 1e-8
+
+
+def test_gf_takes_pair_and_series_from_one_pass(capsys, monkeypatch):
+    from hitwalk import preset_graph, spectral
+
+    entered = []
+    walk_powers = spectral._walk_powers
+
+    def counting(graph, n):
+        entered.append(n)
+        return walk_powers(graph, n)
+
+    monkeypatch.setattr(spectral, "_walk_powers", counting)
+    doc = run_json(capsys, "gf", "--preset", "torus_std:5", "--from", "3", "--to", "0", "--horizon", "60")
+    assert entered == [60]
+    series = [row[1] for row in doc["payload"]["table"]["rows"]]
+    monkeypatch.undo()
+    assert series == spectral.gf_series(preset_graph("torus_std", [5]), 3, 0, 60).tolist()
 
 
 # --- auto engine on graph files ---------------------------------------------------------------

@@ -144,6 +144,35 @@ def test_gf_series_zero_constant_term():
     assert series[0] == 0.0
 
 
+@pytest.mark.parametrize(
+    "graph, n",
+    [(hw.cayley_s3(), 1600), (hw.cayley_d8(), 1600), (hw.build_hypercube(3), 200),
+     (hw.build_torus_standard(4), 200)],
+    ids=["cayley_s3", "cayley_d8", "hypercube3", "torus_std4"],
+)
+def test_gf_series_matches_mn_sequence_entry(graph, n):
+    seq = hw.mn_sequence(graph, n)
+    for start in (0, graph.node_count - 1):
+        for target in range(graph.node_count):
+            series = hw.gf_series(graph, start, target, n)
+            assert np.max(np.abs(series - seq.entry(start, target))) < 1e-14, (start, target)
+
+
+def test_gf_series_peak_memory_is_one_entry():
+    # the (h+1) x V x V first-passage stack of torus_std:20 at h = 64 takes 84 MiB
+    import tracemalloc
+
+    g = hw.build_torus_standard(20)
+    tracemalloc.start()
+    try:
+        series = hw.gf_series(g, 0, 21, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series) == 65
+    assert peak < 10 * 2**20
+
+
 # --- rational generating function ---------------------------------------------------
 
 def test_rational_gf_denominator_at_zero_is_node_count():
