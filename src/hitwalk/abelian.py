@@ -275,9 +275,26 @@ def law_transform(
     return p_hat
 
 
-def _require_ergodic(p_hat: np.ndarray) -> None:
-    gaps = np.abs(1.0 - p_hat[1:])
-    if gaps.size and gaps.min() < 1e-12:
+def _spectral_gaps(group: FiniteAbelianGroup, law: StepLaw) -> np.ndarray:
+    """1 - p^(rho_a) for every nontrivial character a.
+
+    Formed as 2 sum_s p(s) sin^2(pi <a, s>), <a, s> = sum_l a_l s_l / n_l,
+    with <a, s> reduced exactly (in integers modulo the lcm of the moduli)
+    to the nearest whole number, so a gap near 0 keeps its relative
+    accuracy; 1 - p^ by subtraction loses it to cancellation.
+    """
+    factors = np.array(group.factors)
+    lcm = np.lcm.reduce(factors)
+    chars = np.stack(np.unravel_index(np.arange(1, group.order), group.factors), axis=1)
+    support = np.flatnonzero(law.table)
+    steps = np.stack(np.unravel_index(support, group.factors), axis=1)
+    turns = (chars * (lcm // factors)) @ steps.T % lcm
+    turns = np.where(2 * turns > lcm, turns - lcm, turns) / lcm
+    return 2.0 * np.sin(np.pi * turns) ** 2 @ law.table[support]
+
+
+def _require_ergodic(gaps: np.ndarray) -> None:
+    if not np.all(gaps > 0.0):
         raise NotErgodicError(
             "a nontrivial transform coefficient equals 1; the step law does not generate the group"
         )
@@ -310,10 +327,11 @@ def expected_hitting_abelian(
     coefficient at +1 (non-generating support) is rejected.
     """
     g = group.canonical(g)
-    p_hat = law_transform(group, law, tolerances)
-    _require_ergodic(p_hat)
+    law_transform(group, law, tolerances)
+    gaps = _spectral_gaps(group, law)
+    _require_ergodic(gaps)
     chi = _character_column(group, g)[1:]
-    return _real_sum((1.0 - chi) / (1.0 - p_hat[1:]), tolerances)
+    return _real_sum((1.0 - chi) / gaps, tolerances)
 
 
 def variance_abelian(
@@ -335,15 +353,13 @@ def variance_abelian(
     """
     g = group.canonical(g)
     p_hat = law_transform(group, law, tolerances)
-    _require_ergodic(p_hat)
+    gaps = _spectral_gaps(group, law)
+    _require_ergodic(gaps)
     if qstar is None:
         kernel = group_walk_kernel(group, law)
         qstar = return_second_moment(kernel, 0)
     chi_inv = _character_column(group, g)[1:].conj()  # rho_a(g^{-1})
-    nontrivial = p_hat[1:]
-    bracket = 2.0 * group.order * nontrivial / (1.0 - nontrivial) ** 2 + qstar / (
-        1.0 - nontrivial
-    )
+    bracket = 2.0 * group.order * p_hat[1:] / gaps**2 + qstar / gaps
     q_val = _real_sum(bracket * (1.0 - chi_inv) / group.order, tolerances)
     h_val = expected_hitting_abelian(group, law, g, tolerances)
     variance = q_val - h_val**2

@@ -31,6 +31,21 @@ def _poisson_weight(n: int, t: float) -> float:
     return math.exp(n * math.log(t) - t - math.lgamma(n + 1))
 
 
+def _poisson_weights(times: np.ndarray, n_max: int) -> np.ndarray:
+    """pois(n; t) for every t in ``times`` (rows) and n = 0..n_max (columns).
+
+    One log-space pass, with the same operations in the same order as
+    :func:`_poisson_weight`, so the two agree to the last bits of exp.
+    """
+    n = np.arange(n_max + 1, dtype=float)
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
+    positive = times > 0.0
+    log_t = np.array([math.log(t) if t > 0.0 else 0.0 for t in times])
+    weights = np.exp(n * log_t[:, None] - times[:, None] - log_factorial)
+    weights[~positive] = n == 0  # t = 0: all mass at n = 0
+    return weights
+
+
 # Poisson mass beyond N = t + 12*sqrt(t) + 60 (Chernoff bound, any t).
 _BEYOND_LIMIT = math.exp(-72.0)
 
@@ -108,14 +123,9 @@ def ct_evaluate(
     vectors = pmf(system, n_max + 1, stop_early=False).probs  # row n is Q^n P1
     # partial[n] = sum_{k=1..n} Q^{k-1} P1 = P(hit within n steps)
     partial = np.vstack([np.zeros(system.size), np.cumsum(vectors, axis=0)[:-1]])
-    cdf_rows = np.empty((times.size, system.size))
-    pdf_rows = np.empty((times.size, system.size))
-    for row, t in enumerate(times):
-        weights = np.array([_poisson_weight(n, t) for n in range(n_max + 1)])
-        cdf_rows[row] = weights @ partial
-        pdf_rows[row] = weights @ vectors
-    cdf_rows = np.clip(cdf_rows, 0.0, None)
-    pdf_rows = np.clip(pdf_rows, 0.0, None)
+    weights = _poisson_weights(times, n_max)
+    cdf_rows = np.clip(weights @ partial, 0.0, None)
+    pdf_rows = np.clip(weights @ vectors, 0.0, None)
     return CTimeEvaluation(
         times=times,
         cdf=cdf_rows,

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,20 +49,70 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _int_column(edges, pos: int) -> np.ndarray:
+    """``int(edge[pos])`` of every edge; Python ints beyond int64 stay exact
+    (object dtype), so they fail the range check, not the conversion."""
+    try:
+        return np.fromiter(map(int, map(itemgetter(pos), edges)), np.int64, len(edges))
+    except OverflowError:
+        return np.array([int(e[pos]) for e in edges], dtype=object)
 
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoints ``int(u)``, ``int(v)`` and weight ``float(w)`` (1.0 for a
+    pair) of each ``(u, v)`` pair and ``(u, v, w)`` triple."""
+    count = len(edges)
+    arity = np.fromiter(map(len, edges), np.intp, count)
+    if np.any((arity != 2) & (arity != 3)):
+        raise ValueError("an edge is (u, v) or (u, v, weight)")
+    triples = arity == 3
+    weights = np.ones(count)
+    weights[triples] = np.fromiter(
+        map(float, map(itemgetter(2), compress(edges, triples))), float, int(triples.sum())
+    )
+    return _int_column(edges, 0), _int_column(edges, 1), weights
+
+
+def _first_fault(node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> str | None:
+    """Message of the first faulty edge, checked in edge order and, within an
+    edge, for a self-loop, an endpoint out of range, a repeat of an earlier
+    edge, then a weight that is not positive and finite."""
+    loop = u == v
+    outside = (u < 0) | (u >= node_count) | (v < 0) | (v >= node_count)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # an edge out of range is reported as such, so its key only has to
+    # stay clear of every valid key
+    key = np.where(outside, -1, lo * node_count + hi).astype(np.int64)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    repeat = first[inverse] != np.arange(len(key))
+    bad_weight = ~(w > 0.0) | ~np.isfinite(w)
+    faulty = np.flatnonzero(loop | outside | repeat | bad_weight)
+    if not faulty.size:
+        return None
+    i = faulty[0]
+    if loop[i]:
+        return f"self-loop at node {u[i]}"
+    if outside[i]:
+        return f"edge ({u[i]},{v[i]}) endpoint out of range"
+    if repeat[i]:
+        return f"duplicate edge ({lo[i]},{hi[i]})"
+    return f"edge ({lo[i]},{hi[i]}) weight must be positive"
+
+
+def _reached(node_count: int, heads: np.ndarray, tails: np.ndarray, source: int) -> np.ndarray:
+    """Mask of the nodes reached from ``source`` along the arcs
+    ``heads[k] -> tails[k]``, by a breadth-first frontier search: each
+    level costs one pass over the arcs."""
+    seen = np.zeros(node_count, dtype=bool)
+    seen[source] = True
+    frontier = seen
+    while True:
+        step = np.zeros(node_count, dtype=bool)
+        step[tails[frontier[heads]]] = True
+        frontier = step & ~seen
+        if not frontier.any():
+            return seen
+        seen |= frontier
 
 
 @dataclass(frozen=True)
@@ -68,50 +120,42 @@ class Graph:
     """Finite undirected weighted graph.
 
     ``edges`` holds ``(u, v, weight)`` triples normalized to ``u < v``.
-    Self-loops, duplicate edges and nonpositive weights are rejected.
-    Connectivity is computed once at construction.
+    Self-loops, duplicate edges and nonpositive weights are rejected; the
+    first faulty edge in input order is reported.  Connectivity is
+    computed once at construction.
     """
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
     labels: tuple[str, ...] | None = None
     connected: bool = field(init=False)
+    # both directions of every edge, sorted by (head, tail): heads, tails, weights
+    _arcs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise InvalidParameterError("graph needs at least one node")
-        normalized = []
-        seen = set()
-        for edge in self.edges:
-            if len(edge) == 2:
-                u, v = edge
-                w = 1.0
-            else:
-                u, v, w = edge
-            u, v = int(u), int(v)
-            if u == v:
-                raise InvalidParameterError(f"self-loop at node {u}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise InvalidParameterError(f"edge ({u},{v}) endpoint out of range")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise InvalidParameterError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            w = float(w)
-            if not w > 0.0 or not np.isfinite(w):
-                raise InvalidParameterError(f"edge ({u},{v}) weight must be positive")
-            normalized.append((u, v, w))
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+        u, v, w = _edge_columns(self.edges)
+        fault = _first_fault(self.node_count, u, v, w)
+        if fault is not None:
+            raise InvalidParameterError(fault)
+        lo = np.minimum(u, v).astype(np.int64)
+        hi = np.maximum(u, v).astype(np.int64)
+        order = np.lexsort((hi, lo))
+        lo, hi, w = lo[order], hi[order], w[order]
+        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist())))
         if self.labels is not None:
             if len(self.labels) != self.node_count:
                 raise InvalidParameterError("label count must equal node count")
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        uf = _UnionFind(self.node_count)
-        for u, v, _ in self.edges:
-            uf.union(u, v)
-        roots = {uf.find(i) for i in range(self.node_count)}
-        object.__setattr__(self, "connected", len(roots) == 1)
+        heads, tails = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.lexsort((tails, heads))
+        arcs = (heads[order], tails[order], np.concatenate([w, w])[order])
+        for arr in arcs:
+            arr.setflags(write=False)
+        object.__setattr__(self, "_arcs", arcs)
+        reached = _reached(self.node_count, arcs[0], arcs[1], 0)
+        object.__setattr__(self, "connected", bool(reached.all()))
 
     @property
     def edge_count(self) -> int:
@@ -119,32 +163,24 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Weighted symmetric adjacency matrix."""
+        heads, tails, weights = self._arcs
         a = np.zeros((self.node_count, self.node_count))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
+        a[heads, tails] = weights
         return a
 
     def degrees(self) -> np.ndarray:
         """Number of incident edges per node (weights ignored)."""
-        d = np.zeros(self.node_count, dtype=int)
-        for u, v, _ in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
+        return np.bincount(self._arcs[0], minlength=self.node_count)
 
     def strengths(self) -> np.ndarray:
         """Sum of incident edge weights per node."""
-        s = np.zeros(self.node_count)
-        for u, v, w in self.edges:
-            s[u] += w
-            s[v] += w
-        return s
+        # each node's weights are added in edge order, as a loop over edges would
+        heads, _, weights = self._arcs
+        return np.bincount(heads, weights=weights, minlength=self.node_count)
 
     def neighbors(self, i: int) -> list[int]:
-        out = [v for u, v, _ in self.edges if u == i]
-        out += [u for u, v, _ in self.edges if v == i]
-        return sorted(out)
+        heads, tails, _ = self._arcs
+        return tails[heads == i].tolist()
 
     def regular_degree(self) -> int | None:
         """Common degree if the graph is regular, else None."""
@@ -166,7 +202,8 @@ class TransitionKernel:
     """Row-stochastic one-step law over a graph's nodes.
 
     Rows must sum to 1 within 1e-12 and positive entries are only allowed
-    across edges of the originating graph.
+    across edges of the originating graph.  ``support`` holds the row and
+    column indices of the positive entries, sorted by row, then column.
     """
 
     def __init__(self, matrix, origin: Graph):
@@ -179,12 +216,14 @@ class TransitionKernel:
         row_sums = m.sum(axis=1)
         if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
             raise InvalidParameterError("kernel rows must sum to 1 within 1e-12")
-        allowed = origin.adjacency_matrix() > 0.0
-        if np.any((m > 0.0) & ~allowed):
+        heads, tails, _ = origin._arcs
+        on_edges = m[heads, tails] > 0.0
+        if np.count_nonzero(on_edges) != np.count_nonzero(m):
             raise InvalidParameterError("kernel support must lie on graph edges")
         m.setflags(write=False)
         self.matrix = m
         self.origin = origin
+        self.support = (heads[on_edges], tails[on_edges])
 
     @property
     def node_count(self) -> int:
@@ -203,11 +242,9 @@ def simple_walk_kernel(g: Graph) -> TransitionKernel:
     """
     if not g.connected:
         raise NotConnectedError("graph is disconnected; hitting times may be infinite")
-    strength = g.strengths()
+    heads, tails, weights = g._arcs
     m = np.zeros((g.node_count, g.node_count))
-    for u, v, w in g.edges:
-        m[u, v] = w / strength[u]
-        m[v, u] = w / strength[v]
+    m[heads, tails] = weights / g.strengths()[heads]
     return TransitionKernel(m, g)
 
 

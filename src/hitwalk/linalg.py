@@ -1,9 +1,10 @@
 """Small dense linear-algebra kernel used by every engine.
 
-Only two primitives are needed: pivoted linear solves and repeated
-matrix-vector products.  There is deliberately no eigensolver; spectral
-quantities elsewhere are reached through trace power sums and Newton's
-identities.
+Two primitives: pivoted linear solves and repeated matrix-vector
+products (the direct engine steps through its own sparse-or-dense
+``AbsorbingSystem.step`` instead).  There is deliberately no
+eigensolver; spectral quantities elsewhere are reached through trace
+power sums and Newton's identities.
 """
 from __future__ import annotations
 

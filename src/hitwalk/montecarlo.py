@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .graphs import TransitionKernel
-from .hitting import PmfTable, _require_reachable
+from .hitting import PmfTable, _require_reachable, _row_table
 
 __all__ = [
     "GAMMA",
@@ -154,18 +154,14 @@ def simulate(
         raise InvalidParameterError("start/target out of range")
     if start == target:
         raise InvalidParameterError("start must differ from target")
-    m = kernel.matrix
-    _require_reachable(m, target)
-    max_deg = int(np.max(np.count_nonzero(m, axis=1)))
-    kernel_cum = np.ones((v, max_deg))
-    neighbor_table = np.zeros((v, max_deg), dtype=np.int64)
-    for i in range(v):
-        nbrs = np.nonzero(m[i])[0]
-        cum = np.cumsum(m[i, nbrs])
-        cum[-1] = 1.0
-        kernel_cum[i, : len(nbrs)] = cum
-        neighbor_table[i, : len(nbrs)] = nbrs
-        neighbor_table[i, len(nbrs) :] = nbrs[-1]
+    _require_reachable(kernel, target)
+    rows, cols = kernel.support
+    neighbor_table, probs = _row_table(rows, cols, kernel.matrix[rows, cols], v)
+    last = np.bincount(rows, minlength=v)[:, None] - 1
+    # from each row's last neighbour on, the bound is 1 and the move is to it
+    past_last = np.arange(probs.shape[1]) >= last
+    kernel_cum = np.where(past_last, 1.0, np.cumsum(probs, axis=1))
+    neighbor_table = np.where(past_last, np.take_along_axis(neighbor_table, last, axis=1), neighbor_table)
 
     samples = _simulate_trials(
         kernel_cum, neighbor_table, start, target, config.master_seed, config.trials, config.step_cap

@@ -202,6 +202,15 @@ def test_variance_z5_matches_direct():
         assert var == pytest.approx(variance, abs=1e-8)
 
 
+@pytest.mark.parametrize("k, d", [(5, 2), (40, 13), (378, 131)])
+def test_variance_cycle_closed_form(k, d):
+    # 1 - p^ near 0 must not come from a subtraction (was 6.7e-10 off at k = 378)
+    group, law = ab.cycle_step_law(k)
+    exact = d * (k - d) * (d**2 + (k - d) ** 2 - 2) / 3
+    _, var = hw.variance_abelian(group, law, (d,))
+    assert abs(var - exact) <= 1e-11 * exact
+
+
 def test_variance_accepts_external_qstar():
     group, law = ab.cycle_step_law(3)
     q, var = hw.variance_abelian(group, law, (1,), qstar=11.0)

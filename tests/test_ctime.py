@@ -128,6 +128,18 @@ def test_truncation_meets_tolerance_below_float_resolution():
         assert n == 0 or poisson.sf(n - 1, t) > tol * (1 - 1e-6)
 
 
+@pytest.mark.parametrize("t", [0.0, 3.0, 1200.0])
+def test_poisson_weights_match_scalar_formula(t):
+    from hitwalk.ctime import _poisson_weight, _poisson_weights
+
+    n_max = 1700
+    weights = _poisson_weights(np.array([t]), n_max)[0]
+    reference = np.array([_poisson_weight(n, t) for n in range(n_max + 1)])
+    normal = reference >= 1e-300  # below, exp lands in subnormals with few bits
+    assert np.all(np.abs(weights - reference)[normal] <= 1e-14 * reference[normal])
+    assert np.all(np.abs(weights - reference)[~normal] <= 1e-300)
+
+
 def test_unreachable_tolerance_raises():
     # below the mass beyond the summed range, no truncation index can meet tol
     with pytest.raises(NumericalError):

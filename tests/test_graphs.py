@@ -36,6 +36,25 @@ def test_graph_rejects_bad_weight():
         hw.Graph(2, ((0, 1, 0.0),))
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (((0, 1), (2, 2), (0, 9)), "self-loop at node 2"),
+        (((0, 9), (2, 2)), "edge (0,9) endpoint out of range"),
+        (((-1, 2), (1, 0), (0, 1)), "edge (-1,2) endpoint out of range"),
+        (((2, 1), (0, 1, -1.0), (1, 2)), "edge (0,1) weight must be positive"),
+        (((2, 1), (0, 1), (1, 2, -1.0)), "duplicate edge (1,2)"),
+        (((0, 1), (3, 2, float("nan")), (1, 0)), "edge (2,3) weight must be positive"),
+    ],
+)
+def test_graph_reports_first_faulty_edge(edges, message):
+    # two faults each: the first in edge order wins, and within an edge the
+    # checks run self-loop, range, duplicate, weight
+    with pytest.raises(InvalidParameterError) as info:
+        hw.Graph(4, edges)
+    assert str(info.value) == message
+
+
 def test_graph_connectivity_flag():
     assert hw.Graph(3, ((0, 1), (1, 2))).connected
     assert not hw.Graph(3, ((0, 1),)).connected
@@ -249,6 +268,31 @@ def test_weighted_walk_probabilities():
     kernel = hw.simple_walk_kernel(g)
     assert kernel.matrix[0, 1] == pytest.approx(0.75)
     assert kernel.matrix[0, 2] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_arrays_match_edge_loop(seed):
+    # reference: per-edge loops; sums are taken in the same order, so equal bits
+    rng = np.random.default_rng(seed)
+    n = 40
+    pairs = {tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(120)}
+    pairs |= {(i, i + 1) for i in range(n - 1)}
+    edges = [(v, u, float(rng.uniform(0.01, 5.0))) for u, v in pairs]
+    g = hw.Graph(n, tuple(edges))
+    adjacency, strengths, degrees = np.zeros((n, n)), np.zeros(n), np.zeros(n, dtype=int)
+    for u, v, w in g.edges:
+        adjacency[u, v] = adjacency[v, u] = w
+        strengths[u] += w
+        strengths[v] += w
+        degrees[u] += 1
+        degrees[v] += 1
+    kernel = adjacency / strengths[:, None]
+    assert g.edges == tuple(sorted((min(u, v), max(u, v), w) for u, v, w in edges))
+    assert np.array_equal(g.adjacency_matrix(), adjacency)
+    assert np.array_equal(g.strengths(), strengths)
+    assert np.array_equal(g.degrees(), degrees)
+    assert np.array_equal(hw.simple_walk_kernel(g).matrix, kernel)
+    assert g.neighbors(3) == sorted(np.flatnonzero(adjacency[3]).tolist())
 
 
 def test_kernel_rejects_off_edge_support(diamond):

@@ -1,12 +1,17 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import hitwalk as hw
+from hitwalk import hitting
 from hitwalk.errors import (
     InvalidParameterError,
     NotConnectedError,
     OracleTooLargeError,
 )
+from hitwalk.graphs import load_graph_file
 from hitwalk.hitting import return_second_moment_fundamental_claim
 
 from conftest import preset_zoo
@@ -92,6 +97,54 @@ def test_pmf_residual_small_at_quadratic_horizon():
         assert table.residual.max() < 1e-8
 
 
+def _weighted_cycle_file(tmp_path):
+    rng = np.random.default_rng(5)
+    edges = [[i, (i + 1) % 30, float(w)] for i, w in enumerate(rng.uniform(0.1, 3.0, 30))]
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps({"nodes": 30, "edges": edges}))
+    return load_graph_file(str(path))[0]
+
+
+@pytest.mark.parametrize(
+    "graph, target, table_chosen",
+    [
+        (lambda tmp: hw.build_torus_standard(21), 0, True),
+        (lambda tmp: hw.build_hypercube(9), 0, True),
+        (lambda tmp: hw.build_complete_bipartite(133, 267), 0, False),
+        # node 0's only neighbour is the target, so its row of Q is empty
+        (lambda tmp: hw.build_path(5), 1, False),
+        (_weighted_cycle_file, 7, True),
+    ],
+    ids=["torus_std:21", "hypercube:9", "bipartite:133:267", "path:5-to-1", "weighted-file"],
+)
+def test_neighbour_table_and_dense_steps_agree(graph, target, table_chosen, tmp_path):
+    system = hw.make_absorbing(hw.simple_walk_kernel(graph(tmp_path)), target)
+    assert (system.q_rows is not None) == table_chosen
+    q = system.q_matrix
+    rows, cols = np.nonzero(q)
+    table = dataclasses.replace(system, q_rows=hitting._row_table(rows, cols, q[rows, cols], system.size))
+    dense = dataclasses.replace(system, q_rows=None)
+    vectors = hw.pmf(dense, 40, stop_early=False).probs
+    for vec in vectors:
+        assert np.max(np.abs(table.step(vec) - q @ vec)) <= 1e-15
+    assert np.max(np.abs(hw.pmf(table, 40, stop_early=False).probs - vectors)) <= 1e-15
+    assert np.max(np.abs(hw.pmf(system, 40, stop_early=False).probs - vectors)) <= 1e-15
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("table", [False, True], ids=["dense", "table"])
+def test_pmf_step_with_non_finite_entries_raises(table):
+    q = np.diag(np.full(20, 1e200))
+    rows, cols = np.nonzero(q)
+    q_rows = hitting._row_table(rows, cols, q[rows, cols], 20) if table else None
+    system = hitting.AbsorbingSystem(
+        target=20, q_matrix=q, first_step=np.full(20, 1e200),
+        index_map=tuple(range(20)), q_rows=q_rows,
+    )
+    with pytest.raises(InvalidParameterError, match="non-finite"):
+        hw.pmf(system, 3, stop_early=False)
+
+
 # --- brute-force oracle ---------------------------------------------------------
 
 def test_brute_diamond(diamond):
@@ -132,6 +185,16 @@ def test_pmf_matches_brute_on_small_presets():
 
 
 # --- moments ---------------------------------------------------------------------
+
+def test_moments_factorise_i_minus_q_twice(monkeypatch):
+    # mean and Q 1 are solved together, then the second moment
+    calls = []
+    real_solve = hitting.solve
+    monkeypatch.setattr(hitting, "solve", lambda a, b, tol: calls.append(np.shape(b)) or real_solve(a, b, tol))
+    rep = hw.moments(hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(10)), 0))
+    assert calls == [(9, 2), (9,)]
+    assert rep.for_state(5)[0] == pytest.approx(25.0, abs=1e-9)
+
 
 def test_moments_k4():
     rep = hw.moments(hw.make_absorbing(hw.simple_walk_kernel(hw.build_complete(4)), 0))
