@@ -99,10 +99,37 @@ def _first_fault(node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -
     return f"edge ({lo[i]},{hi[i]}) weight must be positive"
 
 
+def _raise_first_fault_by_edge(node_count: int, edges) -> None:
+    """Convert and check the edges one at a time and raise at the first
+    fault, a value that does not convert included.  The slow path for
+    edges that ``_edge_columns`` cannot convert: an earlier faulty edge is
+    still the one reported."""
+    seen = set()
+    for edge in edges:
+        if len(edge) == 2:
+            u, v = edge
+            w = 1.0
+        else:
+            u, v, w = edge
+        u, v = int(u), int(v)
+        if u == v:
+            raise InvalidParameterError(f"self-loop at node {u}")
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise InvalidParameterError(f"edge ({u},{v}) endpoint out of range")
+        u, v = min(u, v), max(u, v)
+        if (u, v) in seen:
+            raise InvalidParameterError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        w = float(w)
+        if not w > 0.0 or not np.isfinite(w):
+            raise InvalidParameterError(f"edge ({u},{v}) weight must be positive")
+
+
 def _reached(node_count: int, heads: np.ndarray, tails: np.ndarray, source: int) -> np.ndarray:
     """Mask of the nodes reached from ``source`` along the arcs
     ``heads[k] -> tails[k]``, by a breadth-first frontier search: each
-    level costs one pass over the arcs."""
+    level costs one pass over the arcs, so the search is O(depth * arcs),
+    O(diameter * E) on a connected graph."""
     seen = np.zeros(node_count, dtype=bool)
     seen[source] = True
     frontier = seen
@@ -135,7 +162,11 @@ class Graph:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise InvalidParameterError("graph needs at least one node")
-        u, v, w = _edge_columns(self.edges)
+        try:
+            u, v, w = _edge_columns(self.edges)
+        except (ValueError, TypeError):
+            _raise_first_fault_by_edge(self.node_count, self.edges)
+            raise
         fault = _first_fault(self.node_count, u, v, w)
         if fault is not None:
             raise InvalidParameterError(fault)

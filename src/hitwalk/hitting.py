@@ -9,7 +9,7 @@ it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,16 +64,29 @@ class AbsorbingSystem:
     q_matrix is the kernel with the target's row and column removed,
     first_step[i] = P(tau_{i,j} = 1), and index_map maps reduced indices
     back to original node indices (original order, target excised).
-    q_rows, when given, holds Q as a padded neighbour table (ELL layout):
-    row i of Q has the values q_rows[1][i] at the columns q_rows[0][i],
-    padded with zeros to the widest row.
+    q_rows is derived from q_matrix: when Q's widest row is a small
+    fraction of the states (see ``_SPARSE_ROW_FRACTION``) it holds Q as a
+    padded neighbour table (ELL layout), row i of Q having the values
+    q_rows[1][i] at the columns q_rows[0][i], padded with zeros to the
+    widest row; otherwise it is None.
     """
 
     target: int
     q_matrix: np.ndarray
     first_step: np.ndarray
     index_map: tuple[int, ...]
-    q_rows: tuple[np.ndarray, np.ndarray] | None = None
+    q_rows: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        q = self.q_matrix
+        n = len(q)
+        nonzero = q != 0
+        table = None
+        if n and nonzero.sum(axis=1).max() * _SPARSE_ROW_FRACTION <= n:
+            # flatnonzero of the mask is ten times faster than nonzero(q)
+            rows, cols = np.divmod(np.flatnonzero(nonzero), n)
+            table = _row_table(rows, cols, q[rows, cols], n)
+        object.__setattr__(self, "q_rows", table)
 
     @property
     def size(self) -> int:
@@ -181,8 +194,7 @@ def make_absorbing(kernel: TransitionKernel, target: int) -> AbsorbingSystem:
     over the kernel support.  When every state reaches the target, the
     finite chain is absorbed with probability 1 and the spectral radius
     of Q is below 1 (Kemeny-Snell, Finite Markov Chains, 1960), so I - Q
-    is invertible.  Q also gets a padded neighbour table when its widest
-    row is a small fraction of the states (see ``_SPARSE_ROW_FRACTION``).
+    is invertible.
     """
     v = kernel.node_count
     if not 0 <= target < v:
@@ -198,18 +210,7 @@ def make_absorbing(kernel: TransitionKernel, target: int) -> AbsorbingSystem:
         raise InvalidParameterError("rows of [Q | P1] must sum to 1")
     q.setflags(write=False)
     p1.setflags(write=False)
-    rows, cols = kernel.support
-    inner = (rows != target) & (cols != target)
-    rows, cols = rows[inner], cols[inner]
-    vals = m[rows, cols]
-    rows, cols = rows - (rows > target), cols - (cols > target)
-    width = np.bincount(rows, minlength=len(keep)).max(initial=0)
-    q_rows = None
-    if width * _SPARSE_ROW_FRACTION <= len(keep):
-        q_rows = _row_table(rows, cols, vals, len(keep))
-    return AbsorbingSystem(
-        target=target, q_matrix=q, first_step=p1, index_map=tuple(keep), q_rows=q_rows
-    )
+    return AbsorbingSystem(target=target, q_matrix=q, first_step=p1, index_map=tuple(keep))
 
 
 def pmf(

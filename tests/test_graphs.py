@@ -45,6 +45,11 @@ def test_graph_rejects_bad_weight():
         (((2, 1), (0, 1, -1.0), (1, 2)), "edge (0,1) weight must be positive"),
         (((2, 1), (0, 1), (1, 2, -1.0)), "duplicate edge (1,2)"),
         (((0, 1), (3, 2, float("nan")), (1, 0)), "edge (2,3) weight must be positive"),
+        # a later weight does not convert; an edge's weight converts after
+        # its endpoints are checked
+        (((0, 0), (1, 2, "x")), "self-loop at node 0"),
+        (((0, 1), (2, 3), (1, 0, "x")), "duplicate edge (0,1)"),
+        (((0, 1), (2, 3), (3, 3, None)), "self-loop at node 3"),
     ],
 )
 def test_graph_reports_first_faulty_edge(edges, message):
@@ -53,6 +58,21 @@ def test_graph_reports_first_faulty_edge(edges, message):
     with pytest.raises(InvalidParameterError) as info:
         hw.Graph(4, edges)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        (((0, 1), (1, 2, None), (0, 1)), TypeError),
+        (((0, 1), ("a", 3), (1, 0)), ValueError),
+        (((1, 0), (2, 1, 1.0, 5), (0, 1)), ValueError),
+        (((0, 1), 7, (1, 0)), TypeError),
+    ],
+)
+def test_graph_raises_conversion_error_of_first_faulty_edge(edges, error):
+    # the edge that does not convert comes before any other fault
+    with pytest.raises(error):
+        hw.Graph(4, edges)
 
 
 def test_graph_connectivity_flag():

@@ -122,25 +122,39 @@ def test_neighbour_table_and_dense_steps_agree(graph, target, table_chosen, tmp_
     assert (system.q_rows is not None) == table_chosen
     q = system.q_matrix
     rows, cols = np.nonzero(q)
-    table = dataclasses.replace(system, q_rows=hitting._row_table(rows, cols, q[rows, cols], system.size))
-    dense = dataclasses.replace(system, q_rows=None)
-    vectors = hw.pmf(dense, 40, stop_early=False).probs
-    for vec in vectors:
-        assert np.max(np.abs(table.step(vec) - q @ vec)) <= 1e-15
-    assert np.max(np.abs(hw.pmf(table, 40, stop_early=False).probs - vectors)) <= 1e-15
-    assert np.max(np.abs(hw.pmf(system, 40, stop_early=False).probs - vectors)) <= 1e-15
+    table_cols, table_vals = hitting._row_table(rows, cols, q[rows, cols], system.size)
+    probs = hw.pmf(system, 40, stop_early=False).probs
+    vec = system.first_step
+    for row in probs:
+        assert np.max(np.abs(row - vec)) <= 1e-15
+        table_step = np.einsum("ij,ij->i", table_vals, vec[table_cols])
+        assert np.max(np.abs(table_step - q @ vec)) <= 1e-15
+        vec = q @ vec
+
+
+def test_neighbour_table_follows_q_matrix():
+    system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_torus_standard(21)), 0)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(system, q_rows=None)
+    # a replaced Q gets its own table, or none when its rows are wide
+    for q in (system.q_matrix / 2, np.full(system.q_matrix.shape, 0.5 / system.size)):
+        changed = dataclasses.replace(system, q_matrix=q)
+        vec = np.linspace(0.0, 1.0, system.size)
+        assert np.max(np.abs(changed.step(vec) - q @ vec)) <= 1e-15
+    assert changed.q_rows is None
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("table", [False, True], ids=["dense", "table"])
-def test_pmf_step_with_non_finite_entries_raises(table):
-    q = np.diag(np.full(20, 1e200))
-    rows, cols = np.nonzero(q)
-    q_rows = hitting._row_table(rows, cols, q[rows, cols], 20) if table else None
+@pytest.mark.parametrize(
+    "q, table_chosen",
+    [(np.full((20, 20), 1e200), False), (np.diag(np.full(20, 1e200)), True)],
+    ids=["dense", "table"],
+)
+def test_pmf_step_with_non_finite_entries_raises(q, table_chosen):
     system = hitting.AbsorbingSystem(
-        target=20, q_matrix=q, first_step=np.full(20, 1e200),
-        index_map=tuple(range(20)), q_rows=q_rows,
+        target=20, q_matrix=q, first_step=np.full(20, 1e200), index_map=tuple(range(20))
     )
+    assert (system.q_rows is not None) == table_chosen
     with pytest.raises(InvalidParameterError, match="non-finite"):
         hw.pmf(system, 3, stop_early=False)
 
