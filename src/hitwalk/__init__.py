@@ -46,7 +46,6 @@ from .hitting import (
     closed_complete,
     closed_cycle,
     cycle_mean,
-    fundamental_matrix,
     make_absorbing,
     moments,
     path_endpoint_pmf,
@@ -66,7 +65,7 @@ from .abelian import (
     variance_abelian,
 )
 from .spectral import MnSequence, RationalGF, TracePowerTable, gf_series, mn_sequence, rational_gf, trace_powers
-from .ctime import CTimeEvaluation, ct_cdf, ct_evaluate, ct_moments, ct_pdf
+from .ctime import CTimeEvaluation, ct_evaluate, ct_moments
 from .montecarlo import SampleSummary, SimConfig, empirical_vs_exact, simulate
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 

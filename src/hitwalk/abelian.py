@@ -16,6 +16,13 @@ become character sums:
       * (1 - rho_a(g^{-1}))
   with q* = E[(tau^+)^2] the return second moment, and the
   variance q(g) - h(g)^2
+* return second moment    q* = |G| (1 + 2 sum_{a != 0} 1 / (1 - p^(rho_a)))
+  The stationary law is uniform, so E_0 tau^+ = |G|, the eigentime
+  identity gives E_pi tau_0 = sum_{a != 0} 1 / (1 - p^(rho_a)), and
+  E_0[(tau^+)^2] = E_0 tau^+ (2 E_pi tau_0 + 1) (Aldous & Fill,
+  *Reversible Markov Chains and Random Walks on Graphs*, ch. 2 sec. 2.2
+  and ch. 3 sec. 3).  Every moment is thus a sum over the same spectral
+  gaps, and no absorbing chain is built.
 * the step-distribution recurrence in the transform domain,
       v_n = diag(p^) v_{n-1} - (1/|G|) (sum_a p^_a v_{n-1,a}) * 1,
   whose inverse transform is m_n(g) = P(tau_{g,e} = n).
@@ -39,7 +46,6 @@ its terms' magnitudes, the scale of its round-off; a larger one raises
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,7 +53,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NotErgodicError, NumericalError
 from .graphs import Graph, TransitionKernel, simple_walk_kernel
-from .hitting import PmfTable, closed_cycle, make_absorbing, pmf, return_second_moment
+from .hitting import PmfTable, closed_cycle
 from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
@@ -165,10 +171,10 @@ class StepLaw:
             raise InvalidParameterError("step law must sum to 1 within 1e-12")
         if table[0] != 0.0:
             raise InvalidParameterError("no self-loops: p(identity) must be 0")
-        for idx in range(self.group.order):
-            neg = self.group.index(self.group.neg(self.group.element(idx)))
-            if abs(table[idx] - table[neg]) > _SUM_TOL:
-                raise InvalidParameterError("step law must be symmetric: p(g) = p(-g)")
+        grid = table.reshape(self.group.factors)
+        negated = grid[np.ix_(*[-np.arange(n) % n for n in self.group.factors])]
+        if np.max(np.abs(grid - negated)) > _SUM_TOL:
+            raise InvalidParameterError("step law must be symmetric: p(g) = p(-g)")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
@@ -202,9 +208,6 @@ class CharacterBasis:
             phases += np.outer(elements[:, l], elements[:, l]) / n
         self.matrix = np.exp(2j * np.pi * phases)
         self.matrix.setflags(write=False)
-
-    def value(self, a, g) -> complex:
-        return self.matrix[self.group.index(a), self.group.index(g)]
 
 
 @lru_cache(maxsize=64)
@@ -293,6 +296,12 @@ def _spectral_gaps(group: FiniteAbelianGroup, law: StepLaw) -> np.ndarray:
     return 2.0 * np.sin(np.pi * turns) ** 2 @ law.table[support]
 
 
+def _return_second_moment(order: int, gaps: np.ndarray) -> float:
+    """q* = E[(tau^+)^2] = |G| (1 + 2 sum_{a != 0} 1 / gap_a), by the
+    eigentime identity (see the module docstring)."""
+    return order * (1.0 + 2.0 * float(np.sum(1.0 / gaps)))
+
+
 def _require_ergodic(gaps: np.ndarray) -> None:
     if not np.all(gaps > 0.0):
         raise NotErgodicError(
@@ -338,30 +347,29 @@ def variance_abelian(
     group: FiniteAbelianGroup,
     law: StepLaw,
     g,
-    qstar: float | None = None,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[float, float]:
     """Second moment q(g) and variance of the hitting time at displacement g.
 
-    q* defaults to the first-step return second moment computed on the
-    walk's own Cayley graph; the cited fundamental-matrix expression for
-    q* has the wrong scale (triangle truth is 11) and is exposed
-    separately for diagnostics.  Note the ``+ q*/(1 - p^)`` sign: the
-    printed ``-`` variant fails the two-node sanity check (it yields -3
-    where the truth is E[tau^2] = 1) while this form matches the
-    general-graph engine on every cross-checked family.
+    Every term is a character sum over the spectral gaps 1 - p^(rho_a),
+    with no linear solve, the return second moment included:
+    q* = |G| (1 + 2 sum_{a != 0} 1 / (1 - p^(rho_a))) by the eigentime
+    identity for a walk with uniform stationary law (Aldous & Fill,
+    *Reversible Markov Chains and Random Walks on Graphs*, ch. 2 sec. 2.2
+    and ch. 3 sec. 3).  Note the ``+ q*/(1 - p^)`` sign: the printed
+    ``-`` variant fails the two-node sanity check (it yields -3 where the
+    truth is E[tau^2] = 1) while this form matches the general-graph
+    engine on every cross-checked family.
     """
     g = group.canonical(g)
     p_hat = law_transform(group, law, tolerances)
     gaps = _spectral_gaps(group, law)
     _require_ergodic(gaps)
-    if qstar is None:
-        kernel = group_walk_kernel(group, law)
-        qstar = return_second_moment(kernel, 0)
-    chi_inv = _character_column(group, g)[1:].conj()  # rho_a(g^{-1})
+    qstar = _return_second_moment(group.order, gaps)
+    chi = _character_column(group, g)[1:]  # rho_a(g); rho_a(g^{-1}) is its conjugate
     bracket = 2.0 * group.order * p_hat[1:] / gaps**2 + qstar / gaps
-    q_val = _real_sum(bracket * (1.0 - chi_inv) / group.order, tolerances)
-    h_val = expected_hitting_abelian(group, law, g, tolerances)
+    q_val = _real_sum(bracket * (1.0 - chi.conj()) / group.order, tolerances)
+    h_val = _real_sum((1.0 - chi) / gaps, tolerances)
     variance = q_val - h_val**2
     if variance < -1e-8:
         raise InvalidParameterError("negative variance beyond tolerance")
@@ -414,7 +422,7 @@ def fourier_pmf(
 
 
 # ---------------------------------------------------------------------------
-# the walk's own Cayley graph (used for q* and for cross-engine checks)
+# the walk's own Cayley graph (the reference for q* and cross-engine checks)
 # ---------------------------------------------------------------------------
 
 def group_walk_graph(group: FiniteAbelianGroup, law: StepLaw) -> Graph:
@@ -496,9 +504,14 @@ def diag_torus_convolution_report(
     start,
     target,
     horizon: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
+    direct: np.ndarray | None,
 ) -> ConvolutionReport:
-    """Evaluate the diagonal-torus convolution claim against the direct engine."""
+    """Evaluate the diagonal-torus convolution claim against the direct engine.
+
+    ``direct`` is the direct engine's series P(tau = n), n = 1..horizon,
+    for this start and target on the diagonal torus of side p; it is None
+    when start equals target, a pair the direct engine has no series for.
+    """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
     if p < 3 or p % 2 == 0:
@@ -515,29 +528,17 @@ def diag_torus_convolution_report(
             "degenerate coordinate displacement: the convolution collapses to a"
             " single 1D series (c_0(0) = 1 convention)"
         )
+    discrepancy = None
     if start == target:
         notes.append(
             "start equals target: the convolution places all mass at step 0,"
             " which the direct engine excludes by definition"
         )
-        return ConvolutionReport(
-            p=p,
-            start=start,
-            target=target,
-            diagonal_displacement=(a_p, b_p),
-            convolution=convolution,
-            direct=None,
-            max_abs_discrepancy=None,
-            notes=tuple(notes),
-        )
-    from .graphs import build_torus_diagonal  # local import avoids a cycle at import time
-
-    graph = build_torus_diagonal(p)
-    kernel = simple_walk_kernel(graph)
-    system = make_absorbing(kernel, target[0] * p + target[1])
-    table = pmf(system, horizon, tolerances, stop_early=False)
-    direct = table.column(start[0] * p + start[1])
-    discrepancy = float(np.max(np.abs(direct - convolution)))
+        direct = None
+    else:
+        if direct is None or len(direct) != horizon:
+            raise InvalidParameterError(f"need the direct series over {horizon} steps")
+        discrepancy = float(np.max(np.abs(direct - convolution)))
     return ConvolutionReport(
         p=p,
         start=start,
@@ -614,11 +615,3 @@ def parse_group_spec(spec: dict) -> tuple[FiniteAbelianGroup, StepLaw]:
         pairs.append((tuple(g), float(prob)))
     return group, StepLaw.from_pairs(group, pairs)
 
-
-def load_group_file(path: str) -> tuple[FiniteAbelianGroup, StepLaw]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_group_spec(spec)

@@ -330,7 +330,7 @@ def _cmd_compare(args) -> dict:
         p = params[0]
         start_el = divmod(args.start, p)
         target_el = divmod(args.target, p)
-        conv = fr.diag_torus_convolution_report(p, start_el, target_el, horizon)
+        conv = fr.diag_torus_convolution_report(p, start_el, target_el, horizon, series["direct"])
         payload["diag_torus_convolution"] = {
             "diagonal_displacement": list(conv.diagonal_displacement),
             "convolution_series": [float(x) for x in conv.convolution],

@@ -22,7 +22,7 @@ from .errors import InvalidParameterError, NumericalError
 from .hitting import AbsorbingSystem, pmf
 from .linalg import DEFAULT_TOLERANCES, Tolerances, solve
 
-__all__ = ["CTimeEvaluation", "ct_cdf", "ct_pdf", "ct_moments", "ct_evaluate"]
+__all__ = ["CTimeEvaluation", "ct_moments", "ct_evaluate"]
 
 
 def _poisson_weight(n: int, t: float) -> float:
@@ -70,16 +70,6 @@ def _truncation_index(t: float, tol: float) -> int:
         if tail > tol:
             return n
     return 0
-
-
-def ct_cdf(system: AbsorbingSystem, t: float, tol: float = 1e-9) -> np.ndarray:
-    """P(tau_c <= t) per start, by Poisson-weighted partial sums."""
-    return ct_evaluate(system, [t], tol).cdf[0]
-
-
-def ct_pdf(system: AbsorbingSystem, t: float, tol: float = 1e-9) -> np.ndarray:
-    """Density of the absorption time per start: sum_n pois(n; t) Q^n P1."""
-    return ct_evaluate(system, [t], tol).pdf[0]
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,6 @@ __all__ = [
     "return_second_moment",
     "return_mean",
     "brute_pmf",
-    "fundamental_matrix",
-    "return_second_moment_fundamental_claim",
 ]
 
 _IDENTITY_TOL = 1e-12
@@ -446,25 +444,4 @@ def brute_pmf(
 
     explore(start, 0, 1.0)
     return probs
-
-
-def fundamental_matrix(kernel: TransitionKernel, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Kemeny-Snell fundamental matrix Z = (I - P + 11^T / V)^{-1}."""
-    v = kernel.node_count
-    a = np.eye(v) - kernel.matrix + np.ones((v, v)) / v
-    return solve(a, np.eye(v), tolerances)
-
-
-def return_second_moment_fundamental_claim(kernel: TransitionKernel, node: int) -> float:
-    """The cited fundamental-matrix expression -1/V + 2/V^2 + Z_jj.
-
-    Exposed for diagnostic reports only: its scale does not match the
-    first-passage second moment E[(tau^+)^2] on nontrivial graphs (the
-    triangle's truth is 11), so engines use
-    :func:`return_second_moment` instead.
-    """
-    v = kernel.node_count
-    z = fundamental_matrix(kernel)
-    return float(-1.0 / v + 2.0 / v**2 + z[node, node])
-
 

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import hitwalk as hw
 from hitwalk import abelian as ab
+from hitwalk import hitting, linalg
 from hitwalk.errors import InvalidParameterError, NotErgodicError
 
 Z4 = ab.FiniteAbelianGroup((4,))
@@ -34,6 +35,26 @@ def test_step_law_validation():
         ab.StepLaw.from_pairs(g, [((0,), 0.5), ((2,), 0.5)])  # self-loop mass
     with pytest.raises(InvalidParameterError):
         ab.StepLaw.from_pairs(g, [((1,), 0.3), ((3,), 0.3)])  # not normalized
+    with pytest.raises(InvalidParameterError):
+        # symmetric only if just the first coordinate were negated
+        ab.StepLaw.from_pairs(ab.FiniteAbelianGroup((3, 4)), [((1, 1), 0.5), ((2, 1), 0.5)])
+
+
+@pytest.mark.parametrize("factors", [(6,), (3, 4), (2, 3, 5)])
+def test_step_law_symmetry_matches_elementwise_negation(factors):
+    # a two-point law is symmetric exactly when group.neg maps its support onto itself
+    group = ab.FiniteAbelianGroup(factors)
+    elements = group.elements()[1:]
+    for g in elements:
+        for h in elements:
+            if h == g:
+                continue
+            pairs = [(g, 0.5), (h, 0.5)]
+            if {group.neg(g), group.neg(h)} == {g, h}:
+                ab.StepLaw.from_pairs(group, pairs)
+            else:
+                with pytest.raises(InvalidParameterError):
+                    ab.StepLaw.from_pairs(group, pairs)
 
 
 # --- characters -------------------------------------------------------------------
@@ -211,10 +232,65 @@ def test_variance_cycle_closed_form(k, d):
     assert abs(var - exact) <= 1e-11 * exact
 
 
-def test_variance_accepts_external_qstar():
-    group, law = ab.cycle_step_law(3)
-    q, var = hw.variance_abelian(group, law, (1,), qstar=11.0)
-    assert (q, var) == (pytest.approx(6.0), pytest.approx(2.0))
+ABELIAN_PRESETS = {
+    "cycle": (ab.cycle_step_law, hw.build_cycle),
+    "complete": (ab.complete_step_law, hw.build_complete),
+    "hypercube": (ab.hypercube_step_law, hw.build_hypercube),
+    "torus_std": (ab.torus_standard_step_law, hw.build_torus_standard),
+    "torus_diag": (ab.torus_diagonal_step_law, hw.build_torus_diagonal),
+}
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        ("torus_std", 5), ("cycle", 7), ("hypercube", 3), ("complete", 5),
+        ("torus_diag", 7), ("cycle", 378), ("torus_std", 20), ("hypercube", 8),
+    ],
+)
+def test_closed_return_second_moment_matches_first_step_analysis(name, n):
+    group, law = ABELIAN_PRESETS[name][0](n)
+    closed = ab._return_second_moment(group.order, ab._spectral_gaps(group, law))
+    reference = hw.return_second_moment(ab.group_walk_kernel(group, law), 0)
+    assert abs(closed - reference) <= 1e-12 * reference
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [
+        ("cycle", 40), ("cycle", 378), ("torus_std", 5), ("torus_std", 20),
+        ("torus_diag", 7), ("hypercube", 6), ("complete", 30),
+    ],
+)
+def test_variance_matches_direct_moments(name, n):
+    step_law, build = ABELIAN_PRESETS[name]
+    group, law = step_law(n)
+    rep = hw.moments(hw.make_absorbing(hw.simple_walk_kernel(build(n)), 0))
+    for idx in range(1, group.order):
+        q, var = hw.variance_abelian(group, law, group.element(idx))
+        _, second, variance = rep.for_state(idx)
+        assert abs(q - second) <= 1e-11 * second, idx
+        assert abs(var - variance) <= 1e-11 * variance, idx
+
+
+def _forbid_direct_engine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the character engine reached the direct engine")
+
+    monkeypatch.setattr(ab, "group_walk_kernel", refuse)
+    for module in (ab, hitting, linalg):
+        for name in ("make_absorbing", "moments", "pmf", "solve"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_variance_uses_no_absorbing_chain(monkeypatch):
+    group, law = ab.torus_standard_step_law(100)
+    mean = hw.expected_hitting_abelian(group, law, (3, 7))
+    _forbid_direct_engine(monkeypatch)
+    q, var = hw.variance_abelian(group, law, (3, 7))
+    assert q == pytest.approx(var + mean**2, rel=1e-12)
+    assert var > 0.0
 
 
 # --- transform-domain pmf ----------------------------------------------------------------
@@ -283,8 +359,15 @@ def test_diag_torus_map_is_inverse_of_basis_change(p):
             assert ((x + y) * half % p, (x - y) * half % p) == (a, b)
 
 
+def _diag_direct_series(p, start, target, horizon):
+    kernel = hw.simple_walk_kernel(hw.build_torus_diagonal(p))
+    system = hw.make_absorbing(kernel, target[0] * p + target[1])
+    return hw.pmf(system, horizon, stop_early=False).column(start[0] * p + start[1])
+
+
 def test_convolution_report_generic_displacement():
-    report = hw.diag_torus_convolution_report(3, (1, 0), (0, 0), 50)
+    direct = _diag_direct_series(3, (1, 0), (0, 0), 50)
+    report = hw.diag_torus_convolution_report(3, (1, 0), (0, 0), 50, direct)
     assert report.diagonal_displacement == (1, 1)
     assert report.direct is not None
     assert len(report.convolution) == 50
@@ -295,7 +378,7 @@ def test_convolution_report_generic_displacement():
 
 
 def test_convolution_report_degenerate_start_equals_target():
-    report = hw.diag_torus_convolution_report(3, (0, 0), (0, 0), 10)
+    report = hw.diag_torus_convolution_report(3, (0, 0), (0, 0), 10, None)
     assert report.direct is None
     assert report.max_abs_discrepancy is None
     assert any("start equals target" in note for note in report.notes)
@@ -303,9 +386,26 @@ def test_convolution_report_degenerate_start_equals_target():
 
 def test_convolution_report_degenerate_coordinate():
     # displacement (1, 1) maps to (2, 0): one coordinate already home
-    report = hw.diag_torus_convolution_report(3, (1, 1), (0, 0), 20)
+    direct = _diag_direct_series(3, (1, 1), (0, 0), 20)
+    report = hw.diag_torus_convolution_report(3, (1, 1), (0, 0), 20, direct)
     assert any("degenerate coordinate" in note for note in report.notes)
     assert report.direct is not None
+
+
+def test_convolution_report_needs_the_direct_series():
+    with pytest.raises(InvalidParameterError):
+        hw.diag_torus_convolution_report(3, (1, 0), (0, 0), 10, None)
+    short = _diag_direct_series(3, (1, 0), (0, 0), 9)
+    with pytest.raises(InvalidParameterError):
+        hw.diag_torus_convolution_report(3, (1, 0), (0, 0), 10, short)
+
+
+def test_convolution_report_uses_no_absorbing_chain(monkeypatch):
+    direct = _diag_direct_series(7, (3, 1), (0, 0), 64)
+    _forbid_direct_engine(monkeypatch)
+    report = hw.diag_torus_convolution_report(7, (3, 1), (0, 0), 64, direct)
+    assert report.direct is direct
+    assert report.max_abs_discrepancy == np.max(np.abs(direct - report.convolution)) > 0.0
 
 
 # --- group-spec files -------------------------------------------------------------------------

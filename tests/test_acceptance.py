@@ -227,7 +227,7 @@ def test_criterion_09_continuous_time():
         times = np.linspace(0.0, 3.0 * mean_max, 100)
         ev = hw.ct_evaluate(system, times, tol=1e-10)
         assert np.min(np.diff(ev.cdf, axis=0)) > -1e-12
-        assert np.min(hw.ct_cdf(system, 50.0 * mean_max, tol=1e-9)) > 1.0 - 1e-6
+        assert np.min(hw.ct_evaluate(system, [50.0 * mean_max], 1e-9).cdf[0]) > 1.0 - 1e-6
         assert np.max(np.abs(hw.ct_moments(system, 1) - rep.mean)) <= 1e-10
         assert np.max(np.abs(hw.ct_moments(system, 2) - (rep.second + rep.mean))) <= 1e-10
         h = 1e-3

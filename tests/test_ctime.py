@@ -21,13 +21,13 @@ def k2_system():
 def test_k2_pdf_is_unit_exponential():
     system = k2_system()
     for t in (0.0, 0.3, 1.0, 4.0):
-        assert hw.ct_pdf(system, t)[0] == pytest.approx(np.exp(-t), abs=1e-9)
+        assert hw.ct_evaluate(system, [t]).pdf[0, 0] == pytest.approx(np.exp(-t), abs=1e-9)
 
 
 def test_k2_cdf_is_unit_exponential():
     system = k2_system()
     for t in (0.3, 1.0, 4.0):
-        assert hw.ct_cdf(system, t)[0] == pytest.approx(1.0 - np.exp(-t), abs=1e-9)
+        assert hw.ct_evaluate(system, [t]).cdf[0, 0] == pytest.approx(1.0 - np.exp(-t), abs=1e-9)
 
 
 def test_k2_moments():
@@ -45,19 +45,19 @@ def test_moment_order_guard():
 
 def test_cdf_zero_at_time_zero():
     system = system_for(hw.build_cycle(6))
-    assert np.allclose(hw.ct_cdf(system, 0.0), 0.0)
+    assert np.allclose(hw.ct_evaluate(system, [0.0]).cdf[0], 0.0)
 
 
 def test_pdf_at_zero_is_first_step():
     system = system_for(hw.build_cycle(6))
-    assert np.allclose(hw.ct_pdf(system, 0.0), system.first_step)
+    assert np.allclose(hw.ct_evaluate(system, [0.0]).pdf[0], system.first_step)
 
 
 def test_cdf_approaches_one():
     for g in (hw.build_cycle(6), hw.build_hypercube(3), hw.build_complete(4)):
         system = system_for(g)
         mean = hw.moments(system).mean.max()
-        values = hw.ct_cdf(system, 50.0 * mean, tol=1e-9)
+        values = hw.ct_evaluate(system, [50.0 * mean], 1e-9).cdf[0]
         assert np.min(values) > 1.0 - 1e-6
 
 
@@ -88,7 +88,7 @@ def test_pdf_normalizes_by_quadrature():
     system = system_for(hw.build_cycle(4))
     start_col = system.reduced_index(1)
     total, err = quad(
-        lambda t: hw.ct_pdf(system, t, tol=1e-12)[start_col], 0.0, np.inf, limit=200
+        lambda t: hw.ct_evaluate(system, [t], 1e-12).pdf[0, start_col], 0.0, np.inf, limit=200
     )
     assert total == pytest.approx(1.0, abs=1e-6)
 

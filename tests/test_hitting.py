@@ -12,7 +12,6 @@ from hitwalk.errors import (
     OracleTooLargeError,
 )
 from hitwalk.graphs import load_graph_file
-from hitwalk.hitting import return_second_moment_fundamental_claim
 
 from conftest import preset_zoo
 
@@ -362,7 +361,7 @@ def test_path_endpoint_matches_pmf_all_paths():
             assert np.allclose(col, closed, atol=1e-10), (nodes, start)
 
 
-# --- return moments and the fundamental matrix -------------------------------------
+# --- return moments ---------------------------------------------------------------
 
 def test_return_second_moment_k2():
     kernel = hw.simple_walk_kernel(hw.build_complete(2))
@@ -379,19 +378,3 @@ def test_return_mean_equals_node_count_on_vertex_transitive():
         kernel = hw.simple_walk_kernel(g)
         assert hw.return_mean(kernel, 0) == pytest.approx(g.node_count, abs=1e-10)
 
-
-def test_fundamental_matrix_inverts_its_definition():
-    kernel = hw.simple_walk_kernel(hw.build_cycle(5))
-    z = hw.fundamental_matrix(kernel)
-    v = kernel.node_count
-    a = np.eye(v) - kernel.matrix + np.ones((v, v)) / v
-    assert np.allclose(z @ a, np.eye(v), atol=1e-10)
-
-
-def test_fundamental_claim_documented_discrepancy():
-    # the cited expression is far from the true return second moment;
-    # it stays exposed for diagnostics, engines use first-step analysis
-    kernel = hw.simple_walk_kernel(hw.build_cycle(3))
-    claim = return_second_moment_fundamental_claim(kernel, 0)
-    assert claim == pytest.approx(2 / 3, abs=1e-12)
-    assert abs(claim - hw.return_second_moment(kernel, 0)) > 1.0
