@@ -307,13 +307,14 @@ def _cmd_compare(args) -> dict:
 
     config = mc.SimConfig(trials=args.trials, master_seed=args.seed, step_cap=args.step_cap)
     summary = mc.simulate(kernel, args.start, args.target, config)
-    std_err = float(np.sqrt(variance / args.trials))
+    std_err = float(np.sqrt(variance / summary.completed))
     mc_section = {
         "trials": args.trials,
         "seed": args.seed,
         "mean": summary.mean,
         "variance": summary.variance,
         "capped_count": summary.capped_count,
+        "cap_warning": summary.cap_warning,
         "exact_mean": mean,
         "exact_variance": variance,
         "mean_standard_error": std_err,

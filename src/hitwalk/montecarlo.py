@@ -18,6 +18,12 @@ Because substreams are per-trial, a run of N trials reproduces the
 first N samples of any longer run with the same seed.  The same rules
 reproduce the streams in any language.
 
+The draws are counter-based, so the simulator forms them in blocks: the
+live walkers take up to 64 steps per block on one array of uniforms.
+The k-th draw of a trial follows the rule above whatever the block
+sizes, and step k of a trial uses its k-th draw, so every sample equals
+that of a walk that draws one step at a time.
+
 Trials that reach the step cap are counted and excluded from the
 statistics, never silently folded in: hitting times are heavy-tailed and
 silent truncation would bias the variance.
@@ -48,6 +54,10 @@ GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _CAP_WARNING_FRACTION = 0.01
+# a block walks at most _BLOCK_STEPS steps and, while fewer than
+# _BLOCK_CELLS walkers are alive, at most _BLOCK_CELLS walker-steps
+_BLOCK_STEPS = 64
+_BLOCK_CELLS = 2**16
 
 
 def mix64(z):
@@ -110,6 +120,21 @@ class SampleSummary:
         return len(self.samples) - self.capped_count
 
 
+def _step_tables(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative bounds and neighbours of each kernel row, padded to the
+    widest row: a step from x with uniform u moves to
+    ``neighbor_table[x, sum(u >= kernel_cum[x])]``."""
+    v = kernel.node_count
+    rows, cols = kernel.support
+    neighbor_table, probs = _row_table(rows, cols, kernel.matrix[rows, cols], v)
+    last = np.bincount(rows, minlength=v)[:, None] - 1
+    # from each row's last neighbour on, the bound is 1 and the move is to it
+    past_last = np.arange(probs.shape[1]) >= last
+    kernel_cum = np.where(past_last, 1.0, np.cumsum(probs, axis=1))
+    neighbor_table = np.where(past_last, np.take_along_axis(neighbor_table, last, axis=1), neighbor_table)
+    return kernel_cum, neighbor_table
+
+
 def _simulate_trials(
     kernel_cum: np.ndarray,
     neighbor_table: np.ndarray,
@@ -119,24 +144,38 @@ def _simulate_trials(
     count: int,
     step_cap: int,
 ) -> np.ndarray:
+    """Hitting time of each trial, or -1 at the step cap.
+
+    Live walkers advance a block of b steps at a time on the block's
+    draws k = step+1 .. step+b.  A walker that hits inside a block walks
+    on to its end on its own draws and those positions are discarded, so
+    every trial consumes exactly its own stream, as one step at a time.
+    """
+    width = kernel_cum.shape[1]
+    neighbors = neighbor_table.ravel()
     states = _stream_states(master_seed, count)
-    positions = np.full(count, start, dtype=np.int64)
+    trials = np.arange(count)
+    positions = np.full(count, start, dtype=np.intp)
     outcome = np.full(count, -1, dtype=np.int64)
-    active = np.arange(count)
+    with np.errstate(over="ignore"):
+        offsets = np.arange(1, _BLOCK_STEPS + 1, dtype=_U64)[:, None] * _U64(GAMMA)
     step = 0
-    gamma = _U64(GAMMA)
-    while active.size and step < step_cap:
-        step += 1
+    while trials.size and step < step_cap:
+        b = min(_BLOCK_STEPS, max(1, _BLOCK_CELLS // trials.size), step_cap - step)
         with np.errstate(over="ignore"):
-            states[active] += gamma
-        u = uniform_from_draw(mix64(states[active]))
-        rows = kernel_cum[positions[active]]
-        choice = np.sum(u[:, None] >= rows, axis=1)
-        positions[active] = neighbor_table[positions[active], choice]
-        hit = positions[active] == target
-        if np.any(hit):
-            outcome[active[hit]] = step
-            active = active[~hit]
+            u = uniform_from_draw(mix64(states + offsets[:b]))
+            states += offsets[b - 1]
+        history = np.empty(u.shape, dtype=np.intp)
+        for k in range(b):
+            choice = (u[k, :, None] >= kernel_cum.take(positions, axis=0)).sum(axis=1)
+            positions = history[k] = neighbors.take(positions * width + choice)
+        hit = history == target
+        first = hit.argmax(axis=0)
+        done = hit.any(axis=0)
+        outcome[trials[done]] = step + 1 + first[done]
+        live = ~done
+        trials, states, positions = trials[live], states[live], positions[live]
+        step += b
     return outcome
 
 
@@ -155,14 +194,7 @@ def simulate(
     if start == target:
         raise InvalidParameterError("start must differ from target")
     _require_reachable(kernel, target)
-    rows, cols = kernel.support
-    neighbor_table, probs = _row_table(rows, cols, kernel.matrix[rows, cols], v)
-    last = np.bincount(rows, minlength=v)[:, None] - 1
-    # from each row's last neighbour on, the bound is 1 and the move is to it
-    past_last = np.arange(probs.shape[1]) >= last
-    kernel_cum = np.where(past_last, 1.0, np.cumsum(probs, axis=1))
-    neighbor_table = np.where(past_last, np.take_along_axis(neighbor_table, last, axis=1), neighbor_table)
-
+    kernel_cum, neighbor_table = _step_tables(kernel)
     samples = _simulate_trials(
         kernel_cum, neighbor_table, start, target, config.master_seed, config.trials, config.step_cap
     )

@@ -155,6 +155,23 @@ def test_compare_cycle_engine_matrix(capsys):
     assert abs(doc["payload"]["montecarlo"]["mean_z"]) < 6
 
 
+@pytest.mark.parametrize("step_cap, capped", [("300", True), ("10000000", False)])
+def test_compare_standard_error_counts_completed_trials(capsys, step_cap, capped):
+    # capped trials are left out of the Monte Carlo mean, so its standard
+    # error and z are taken over the completed trials only
+    doc = run_json(
+        capsys, "compare", "--preset", "cycle:40", "--from", "0", "--to", "20",
+        "--trials", "200", "--step-cap", step_cap, "--horizon", "8",
+    )
+    mc = doc["payload"]["montecarlo"]
+    completed = mc["trials"] - mc["capped_count"]
+    assert (completed < mc["trials"]) == capped
+    assert mc["cap_warning"] == capped
+    std_err = np.sqrt(mc["exact_variance"] / completed)
+    assert mc["mean_standard_error"] == pytest.approx(std_err, rel=1e-12)
+    assert mc["mean_z"] == pytest.approx((mc["mean"] - mc["exact_mean"]) / std_err, rel=1e-12)
+
+
 def test_compare_torus_diag_has_convolution_section(capsys):
     doc = run_json(
         capsys, "compare", "--preset", "torus_diag:3", "--from", "3", "--to", "0",

@@ -1,7 +1,13 @@
+import hashlib
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hitwalk as hw
+from hitwalk import montecarlo as mc
 from hitwalk.errors import InvalidParameterError, NotConnectedError
 from hitwalk.montecarlo import GAMMA, mix64, uniform_from_draw
 
@@ -16,13 +22,35 @@ def reference_mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def reference_draws(master_seed: int, trial: int, count: int) -> list[float]:
+def reference_draws(master_seed: int, trial: int):
+    """The uniforms of one trial, in order, without end."""
     state = reference_mix64((master_seed + (trial + 1) * GAMMA) & MASK)
-    out = []
-    for k in range(1, count + 1):
+    for k in itertools.count(1):
         draw = reference_mix64((state + k * GAMMA) & MASK)
-        out.append((draw >> 11) * 2.0**-53)
-    return out
+        yield (draw >> 11) * 2.0**-53
+
+
+def reference_simulate_trials(kernel_cum, neighbor_table, start, target, master_seed, count, step_cap):
+    """The simulator's step loop as it was before blocks: one numpy pass per step."""
+    states = mc._stream_states(master_seed, count)
+    positions = np.full(count, start, dtype=np.int64)
+    outcome = np.full(count, -1, dtype=np.int64)
+    active = np.arange(count)
+    step = 0
+    gamma = np.uint64(GAMMA)
+    while active.size and step < step_cap:
+        step += 1
+        with np.errstate(over="ignore"):
+            states[active] += gamma
+        u = uniform_from_draw(mix64(states[active]))
+        rows = kernel_cum[positions[active]]
+        choice = np.sum(u[:, None] >= rows, axis=1)
+        positions[active] = neighbor_table[positions[active], choice]
+        hit = positions[active] == target
+        if np.any(hit):
+            outcome[active[hit]] = step
+            active = active[~hit]
+    return outcome
 
 
 # --- generator --------------------------------------------------------------------
@@ -38,24 +66,70 @@ def test_uniforms_in_unit_interval():
 
 
 def test_vectorized_stream_matches_reference_walk():
-    # re-run trial 3 of a K_2 + path walk by hand with the reference
-    # generator and check the simulator consumed the same uniforms
-    g = hw.build_path(3)
-    kernel = hw.simple_walk_kernel(g)
-    config = hw.SimConfig(trials=8, master_seed=12345)
-    summary = hw.simulate(kernel, 2, 0, config)
-    m = kernel.matrix
-    for trial in range(8):
-        uniforms = iter(reference_draws(12345, trial, 10_000))
-        pos, steps = 2, 0
-        while pos != 0:
-            u = next(uniforms)
-            nbrs = np.nonzero(m[pos])[0]
-            cum = np.cumsum(m[pos, nbrs])
-            cum[-1] = 1.0
-            pos = int(nbrs[int(np.sum(u >= cum))])
-            steps += 1
-        assert summary.samples[trial] == steps, trial
+    # re-run every trial by hand with the reference generator and check
+    # the simulator consumed the same uniforms; on cycle:40 the hitting
+    # times (mean 400) cross several blocks of steps
+    for g, start, target in ((hw.build_path(3), 2, 0), (hw.build_cycle(40), 0, 20)):
+        kernel = hw.simple_walk_kernel(g)
+        config = hw.SimConfig(trials=8, master_seed=12345)
+        summary = hw.simulate(kernel, start, target, config)
+        m = kernel.matrix
+        for trial in range(8):
+            uniforms = reference_draws(12345, trial)
+            pos, steps = start, 0
+            while pos != target:
+                u = next(uniforms)
+                nbrs = np.nonzero(m[pos])[0]
+                cum = np.cumsum(m[pos, nbrs])
+                cum[-1] = 1.0
+                pos = int(nbrs[int(np.sum(u >= cum))])
+                steps += 1
+            assert summary.samples[trial] == steps, (g.node_count, trial)
+        if g.node_count == 40:
+            assert summary.samples.max() > 2 * mc._BLOCK_STEPS
+
+
+@st.composite
+def connected_weighted_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    weight = st.floats(min_value=0.1, max_value=10.0)
+    # a random spanning tree keeps the graph connected; extra edges add cycles
+    edges = {(draw(st.integers(0, i - 1)), i): draw(weight) for i in range(1, n)}
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            edges.setdefault((min(u, v), max(u, v)), draw(weight))
+    return hw.Graph(n, tuple((u, v, w) for (u, v), w in edges.items()))
+
+
+@settings(max_examples=50)
+@given(
+    graph=connected_weighted_graphs(),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    trials=st.integers(min_value=1, max_value=300),
+    step_cap=st.one_of(
+        st.sampled_from([1, 63, 64, 65, 127, 128, 129, 300]), st.integers(1, 300)
+    ),
+    cells=st.sampled_from([2**16, 1, 50, 1000]),
+)
+def test_blocked_walk_matches_step_by_step_reference(graph, data, seed, trials, step_cap, cells):
+    # a small cell budget shrinks the blocks as it would with 2**16 walkers
+    n = graph.node_count
+    start = data.draw(st.integers(0, n - 1))
+    target = data.draw(st.integers(0, n - 1).filter(lambda t: t != start))
+    kernel = hw.simple_walk_kernel(graph)
+    kernel_cum, neighbor_table = mc._step_tables(kernel)
+    expected = reference_simulate_trials(
+        kernel_cum, neighbor_table, start, target, seed, trials, step_cap
+    )
+    config = hw.SimConfig(trials=trials, master_seed=seed, step_cap=step_cap)
+    with mock.patch.object(mc, "_BLOCK_CELLS", cells):
+        if np.all(expected < 0):
+            with pytest.raises(InvalidParameterError):
+                hw.simulate(kernel, start, target, config)
+        else:
+            assert np.array_equal(hw.simulate(kernel, start, target, config).samples, expected)
 
 
 # --- simulate -----------------------------------------------------------------------
@@ -73,6 +147,36 @@ def test_trial_substreams_do_not_depend_on_trial_count():
     long = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=4000, master_seed=99))
     short = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=1000, master_seed=99))
     assert np.array_equal(long.samples[:1000], short.samples)
+
+
+def test_trial_substreams_do_not_depend_on_block_sizes():
+    # with more than 2**16 walkers alive the blocks are one step long,
+    # with 1000 they are 64 steps long; the samples must not notice
+    kernel = hw.simple_walk_kernel(hw.build_cycle(10))
+    many = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=2**16 + 1, master_seed=99))
+    few = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=1000, master_seed=99))
+    assert np.array_equal(many.samples[:1000], few.samples)
+
+
+@pytest.mark.parametrize(
+    "preset, start, target, seed, step_cap, digest",
+    [
+        ("torus_std:17", 140, 36, 144451511, 10**7,
+         "b5e8898880003f4571fd5a2f69135a54539b957bbef2de39311d3a8e8496cda6"),
+        ("cycle:93", 28, 44, 1121811570, 10**7,
+         "bab034a74485b607f41330b5818daa5e2a4c1fb58d25ae068cd2d40435be935b"),
+        ("hypercube:8", 198, 71, 1613514992, 100,
+         "ea3e70651be09f24c01ad010e3baeb6a4eb21cdebccdd649cccf12cbbe1bb6b1"),
+    ],
+)
+def test_golden_sample_hashes(preset, start, target, seed, step_cap, digest):
+    # sha256 of the little-endian int64 samples of 1000 trials; any change
+    # to the streams or to the stepping rule changes it
+    name, param = preset.split(":")
+    kernel = hw.simple_walk_kernel(hw.preset_graph(name, [int(param)]))
+    config = hw.SimConfig(trials=1000, master_seed=seed, step_cap=step_cap)
+    samples = hw.simulate(kernel, start, target, config).samples
+    assert hashlib.sha256(samples.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_unreachable_target_rejected_before_walking():
