@@ -67,6 +67,5 @@ from .abelian import (
 from .spectral import MnSequence, RationalGF, TracePowerTable, gf_series, mn_sequence, rational_gf, trace_powers
 from .ctime import CTimeEvaluation, ct_evaluate, ct_moments
 from .montecarlo import SampleSummary, SimConfig, empirical_vs_exact, simulate
-from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ outer product of a column of H and a column of T, O(|G|).
 
 Complex arithmetic is kept all the way through; realness of outputs is
 asserted at the end, never assumed mid-computation.  A character sum
-may carry an imaginary part up to ``imaginary_discard`` times the sum of
+may carry an imaginary part up to ``IMAGINARY_DISCARD`` times the sum of
 its terms' magnitudes, the scale of its round-off; a larger one raises
 :class:`NumericalError`.
 """
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import InvalidParameterError, NotErgodicError, NumericalError
 from .graphs import Graph, TransitionKernel, simple_walk_kernel
 from .hitting import PmfTable, closed_cycle
-from .linalg import DEFAULT_TOLERANCES, Tolerances
+from .linalg import IMAGINARY_DISCARD
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -258,14 +258,12 @@ def inverse_fourier(group: FiniteAbelianGroup, transform) -> np.ndarray:
     return (head.conj() @ grid @ tail.conj()).ravel() / group.order
 
 
-def law_transform(
-    group: FiniteAbelianGroup, law: StepLaw, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def law_transform(group: FiniteAbelianGroup, law: StepLaw) -> np.ndarray:
     """Transform of the step law, with its contract checked.
 
     Stochasticity pins the trivial coefficient at 1, probabilities bound
     every magnitude by 1, and symmetry of the law makes every value real
-    (asserted within ``imaginary_discard``, then kept as complex for the
+    (asserted within ``IMAGINARY_DISCARD``, then kept as complex for the
     engines).
     """
     p_hat = fourier(group, law.table)
@@ -273,7 +271,7 @@ def law_transform(
         raise InvalidParameterError("trivial transform coefficient must be 1")
     if np.max(np.abs(p_hat)) > 1.0 + 1e-9:
         raise InvalidParameterError("transform magnitude exceeded 1")
-    if np.max(np.abs(p_hat.imag)) > tolerances.imaginary_discard:
+    if np.max(np.abs(p_hat.imag)) > IMAGINARY_DISCARD:
         raise InvalidParameterError("symmetric law must have a real transform")
     return p_hat
 
@@ -309,26 +307,21 @@ def _require_ergodic(gaps: np.ndarray) -> None:
         )
 
 
-def _real_sum(terms: np.ndarray, tolerances: Tolerances) -> float:
+def _real_sum(terms: np.ndarray) -> float:
     """Sum of a character series whose exact value is real.
 
     Round-off in a sum scales with the sum of its terms' magnitudes, so
     the imaginary part is bounded relative to that scale, never below
-    ``imaginary_discard`` itself.
+    ``IMAGINARY_DISCARD`` itself.
     """
     total = np.sum(terms)
-    bound = tolerances.imaginary_discard * max(1.0, float(np.sum(np.abs(terms))))
+    bound = IMAGINARY_DISCARD * max(1.0, float(np.sum(np.abs(terms))))
     if abs(total.imag) > bound:
         raise NumericalError(f"imaginary part {total.imag:.3e} beyond tolerance {bound:.3e}")
     return float(total.real)
 
 
-def expected_hitting_abelian(
-    group: FiniteAbelianGroup,
-    law: StepLaw,
-    g,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> float:
+def expected_hitting_abelian(group: FiniteAbelianGroup, law: StepLaw, g) -> float:
     """h(g) = E[tau] between any pair at displacement g.
 
     Character sum over the nontrivial characters; walks with some
@@ -336,19 +329,14 @@ def expected_hitting_abelian(
     coefficient at +1 (non-generating support) is rejected.
     """
     g = group.canonical(g)
-    law_transform(group, law, tolerances)
+    law_transform(group, law)
     gaps = _spectral_gaps(group, law)
     _require_ergodic(gaps)
     chi = _character_column(group, g)[1:]
-    return _real_sum((1.0 - chi) / gaps, tolerances)
+    return _real_sum((1.0 - chi) / gaps)
 
 
-def variance_abelian(
-    group: FiniteAbelianGroup,
-    law: StepLaw,
-    g,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> tuple[float, float]:
+def variance_abelian(group: FiniteAbelianGroup, law: StepLaw, g) -> tuple[float, float]:
     """Second moment q(g) and variance of the hitting time at displacement g.
 
     Every term is a character sum over the spectral gaps 1 - p^(rho_a),
@@ -362,26 +350,21 @@ def variance_abelian(
     engine on every cross-checked family.
     """
     g = group.canonical(g)
-    p_hat = law_transform(group, law, tolerances)
+    p_hat = law_transform(group, law)
     gaps = _spectral_gaps(group, law)
     _require_ergodic(gaps)
     qstar = _return_second_moment(group.order, gaps)
     chi = _character_column(group, g)[1:]  # rho_a(g); rho_a(g^{-1}) is its conjugate
     bracket = 2.0 * group.order * p_hat[1:] / gaps**2 + qstar / gaps
-    q_val = _real_sum(bracket * (1.0 - chi.conj()) / group.order, tolerances)
-    h_val = _real_sum((1.0 - chi) / gaps, tolerances)
+    q_val = _real_sum(bracket * (1.0 - chi.conj()) / group.order)
+    h_val = _real_sum((1.0 - chi) / gaps)
     variance = q_val - h_val**2
     if variance < -1e-8:
         raise InvalidParameterError("negative variance beyond tolerance")
     return q_val, float(variance)
 
 
-def fourier_pmf(
-    group: FiniteAbelianGroup,
-    law: StepLaw,
-    horizon: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> PmfTable:
+def fourier_pmf(group: FiniteAbelianGroup, law: StepLaw, horizon: int) -> PmfTable:
     """Hitting distribution to the identity for every start, by the
     transform-domain recurrence.
 
@@ -391,7 +374,7 @@ def fourier_pmf(
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    p_hat = law_transform(group, law, tolerances)
+    p_hat = law_transform(group, law)
     order = group.order
     head, tail = _block_tables(group)
     inv_head, inv_tail = head.conj() / order, tail.conj()
@@ -400,7 +383,7 @@ def fourier_pmf(
     v = p_hat.copy()  # transform of m_1 = p
     for n in range(horizon):
         m_n = (inv_head @ v.reshape(shape) @ inv_tail).ravel()
-        if np.max(np.abs(m_n.imag)) > tolerances.imaginary_discard:
+        if np.max(np.abs(m_n.imag)) > IMAGINARY_DISCARD:
             raise InvalidParameterError("step distribution developed an imaginary part")
         real = m_n.real
         if abs(real[0]) > 1e-10:

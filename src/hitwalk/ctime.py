@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .hitting import AbsorbingSystem, pmf
-from .linalg import DEFAULT_TOLERANCES, Tolerances, solve
+from .linalg import solve
 
 __all__ = ["CTimeEvaluation", "ct_moments", "ct_evaluate"]
 
@@ -125,11 +125,7 @@ def ct_evaluate(
     )
 
 
-def ct_moments(
-    system: AbsorbingSystem,
-    order: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def ct_moments(system: AbsorbingSystem, order: int) -> np.ndarray:
     """Exact continuous-time moments per start.
 
     order 1: (I-Q)^{-2} P1, which collapses to the discrete mean because
@@ -142,8 +138,8 @@ def ct_moments(
         raise InvalidParameterError("order must be 1 or 2")
     eye = np.eye(system.size)
     a = eye - system.q_matrix
-    x = solve(a, system.first_step, tolerances)
-    x = solve(a, x, tolerances)
+    x = solve(a, system.first_step)
+    x = solve(a, x)
     if order == 1:
         return x
-    return 2.0 * solve(a, x, tolerances)
+    return 2.0 * solve(a, x)

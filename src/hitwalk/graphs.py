@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-12
+# build_cayley enumerates at most this many group elements.
+_CLOSURE_BOUND = 10080
 
 
 def _int_column(edges, pos: int) -> np.ndarray:
@@ -457,7 +459,6 @@ class PermutationGroupSpec:
     degree: int
     generators: tuple[tuple[int, ...], ...]
     generator_weights: tuple[float, ...] | None = None
-    closure_bound: int = 10080
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -509,10 +510,8 @@ def build_cayley(spec: PermutationGroupSpec) -> Graph:
         for c in spec.generators:
             h = _compose(g, c)
             if h not in index:
-                if len(order) >= spec.closure_bound:
-                    raise GroupTooLargeError(
-                        f"group closure exceeds bound {spec.closure_bound}"
-                    )
+                if len(order) >= _CLOSURE_BOUND:
+                    raise GroupTooLargeError(f"group closure exceeds bound {_CLOSURE_BOUND}")
                 index[h] = len(order)
                 order.append(h)
                 queue.append(h)

@@ -19,7 +19,7 @@ from .errors import (
     OracleTooLargeError,
 )
 from .graphs import TransitionKernel, _reached
-from .linalg import DEFAULT_TOLERANCES, Tolerances, solve
+from .linalg import SERIES_TAIL, solve
 
 __all__ = [
     "AbsorbingSystem",
@@ -53,6 +53,11 @@ _IDENTITY_TOL = 1e-12
 # states (Q fits in cache), 0.15 at 1000 and 0.2 at 1700.  Below about
 # 200 states dense wins at any width, by at most 3 us a step.
 _SPARSE_ROW_FRACTION = 10
+
+# brute_pmf enumerates degree^n trajectories, so it only takes instances
+# this small.
+_BRUTE_MAX_STEPS = 10
+_BRUTE_MAX_NODES = 6
 
 
 @dataclass(frozen=True)
@@ -211,31 +216,24 @@ def make_absorbing(kernel: TransitionKernel, target: int) -> AbsorbingSystem:
     return AbsorbingSystem(target=target, q_matrix=q, first_step=p1, index_map=tuple(keep))
 
 
-def pmf(
-    system: AbsorbingSystem,
-    horizon: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    stop_early: bool = True,
-) -> PmfTable:
+def pmf(system: AbsorbingSystem, horizon: int, stop_early: bool = True) -> PmfTable:
     """Iterate P_n = Q^{n-1} P1 for n = 1..horizon.
 
     With ``stop_early`` the iteration ends once every start has residual
-    mass below ``tolerances.series_tail``; the table records how many
-    steps were actually produced.
+    mass below ``SERIES_TAIL``; the table records how many steps were
+    actually produced.
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    rows = []
-    vec = system.first_step
-    residual = np.ones(system.size)
-    for n in range(horizon):
-        if n:
-            vec = system.step(vec)
-        rows.append(vec)
-        residual -= vec
-        if stop_early and residual.max() < tolerances.series_tail:
+    probs = np.empty((horizon, system.size))
+    probs[0] = system.first_step
+    residual = 1.0 - probs[0]
+    for n in range(1, horizon):
+        if stop_early and residual.max() < SERIES_TAIL:
+            probs = probs[:n].copy()  # frees the rows never reached
             break
-    probs = np.array(rows)
+        probs[n] = system.step(probs[n - 1])
+        residual -= probs[n]
     if not np.all(np.isfinite(probs)):
         raise InvalidParameterError("Q step product contains non-finite entries")
     return PmfTable(
@@ -247,7 +245,7 @@ def pmf(
     )
 
 
-def moments(system: AbsorbingSystem, tolerances: Tolerances = DEFAULT_TOLERANCES) -> MomentReport:
+def moments(system: AbsorbingSystem) -> MomentReport:
     """Exact first two moments of the hitting time.
 
     mean = (I-Q)^{-1} 1 and second = 2 Q (I-Q)^{-2} 1 + mean, i.e. the
@@ -261,8 +259,8 @@ def moments(system: AbsorbingSystem, tolerances: Tolerances = DEFAULT_TOLERANCES
     ones = np.ones(n)
     # I - Q is invertible (see make_absorbing); a failed solve is numerical.
     # mean and inner share one factorisation of I - Q.
-    mean, inner = solve(a, np.column_stack([ones, system.q_matrix @ ones]), tolerances).T
-    second = 2.0 * solve(a, inner, tolerances) + mean
+    mean, inner = solve(a, np.column_stack([ones, system.q_matrix @ ones])).T
+    second = 2.0 * solve(a, inner) + mean
     variance = second - mean**2
     if mean.min() < 1.0 - 1e-9:
         raise InvalidParameterError("every non-target start needs at least one step")
@@ -271,13 +269,11 @@ def moments(system: AbsorbingSystem, tolerances: Tolerances = DEFAULT_TOLERANCES
     return MomentReport(mean=mean, second=second, variance=variance, states=system.index_map)
 
 
-def char_function(
-    system: AbsorbingSystem, t: float, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def char_function(system: AbsorbingSystem, t: float) -> np.ndarray:
     """E[e^{i t tau}] per start: solve (I - e^{it} Q) x = e^{it} P1."""
     phase = np.exp(1j * float(t))
     a = np.eye(system.size, dtype=complex) - phase * system.q_matrix
-    return solve(a, phase * system.first_step.astype(complex), tolerances)
+    return solve(a, phase * system.first_step.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +403,7 @@ def return_second_moment(kernel: TransitionKernel, node: int) -> float:
     return float(total)
 
 
-def brute_pmf(
-    kernel: TransitionKernel,
-    start: int,
-    target: int,
-    n_max: int,
-    max_steps: int = 10,
-    max_nodes: int = 6,
-) -> np.ndarray:
+def brute_pmf(kernel: TransitionKernel, start: int, target: int, n_max: int) -> np.ndarray:
     """Exact hitting pmf by exhaustive trajectory enumeration.
 
     Walks every target-avoiding trajectory of length <= n_max and sums
@@ -424,9 +413,9 @@ def brute_pmf(
     :class:`OracleTooLargeError`.
     """
     v = kernel.node_count
-    if n_max > max_steps or v > max_nodes:
+    if n_max > _BRUTE_MAX_STEPS or v > _BRUTE_MAX_NODES:
         raise OracleTooLargeError(
-            f"brute enumeration limited to {max_nodes} nodes / {max_steps} steps"
+            f"brute enumeration limited to {_BRUTE_MAX_NODES} nodes / {_BRUTE_MAX_STEPS} steps"
         )
     if start == target:
         raise InvalidParameterError("start must differ from target")

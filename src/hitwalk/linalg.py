@@ -5,46 +5,36 @@ products (the direct engine steps through its own sparse-or-dense
 ``AbsorbingSystem.step`` instead).  There is deliberately no
 eigensolver; spectral quantities elsewhere are reached through trace
 power sums and Newton's identities.
+
+It also holds the three numeric bounds the engines check their outputs
+against, printed in every CLI document's metadata:
+
+* ``SOLVE_RESIDUAL`` -- residual allowed per solved linear system;
+* ``SERIES_TAIL`` -- unabsorbed mass at which a pmf iteration may stop;
+* ``IMAGINARY_DISCARD`` -- imaginary part accepted on a real output of
+  the character engine.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularMatrixError
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "solve",
     "matpow_apply",
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances threaded through the engines.
-
-    solve_residual : max-norm residual allowed per solved system
-    series_tail    : leftover mass at which series iterations may stop
-    imaginary_discard : largest imaginary part accepted on real outputs;
-                        a character sum (the fourier engine's mean and
-                        second moment) may carry this much times the sum
-                        of its terms' magnitudes, its round-off scale
-    """
-
-    solve_residual: float = 1e-10
-    series_tail: float = 1e-12
-    imaginary_discard: float = 1e-9
-
-    def __post_init__(self) -> None:
-        for name in ("solve_residual", "series_tail", "imaginary_discard"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParameterError(f"{name} must be strictly positive")
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# solve: max|a @ x - b| may be at most this times (1 + max|b|).
+SOLVE_RESIDUAL = 1e-10
+# hitting.pmf with stop_early: the iteration ends once every start has
+# less unabsorbed mass than this.
+SERIES_TAIL = 1e-12
+# abelian: largest imaginary part accepted on a real output.  A character
+# sum (the fourier engine's mean and second moment) may carry this much
+# times the sum of its terms' magnitudes, its round-off scale.
+IMAGINARY_DISCARD = 1e-9
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -52,13 +42,13 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise InvalidParameterError(f"{what} contains non-finite entries")
 
 
-def solve(a, b, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` with partial pivoting and a residual guarantee.
 
     Accepts real or complex data; ``b`` may be a vector or a matrix of
     right-hand sides.  Raises :class:`SingularMatrixError` when the system
     is singular to tolerance or the residual bound
-    ``max|a@x - b| <= solve_residual * (1 + max|b|)`` cannot be met.
+    ``max|a@x - b| <= SOLVE_RESIDUAL * (1 + max|b|)`` cannot be met.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -73,7 +63,7 @@ def solve(a, b, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     residual = np.max(np.abs(a @ x - b))
-    bound = tolerances.solve_residual * (1.0 + np.max(np.abs(b)))
+    bound = SOLVE_RESIDUAL * (1.0 + np.max(np.abs(b)))
     if not residual <= bound:
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds bound {bound:.3e}"

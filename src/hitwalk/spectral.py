@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import HypothesisError, InvalidParameterError, NumericalError
 from .graphs import Graph, simple_walk_kernel
-from .linalg import DEFAULT_TOLERANCES, Tolerances
 
 __all__ = [
     "TracePowerTable",
@@ -150,7 +149,7 @@ def trace_powers(graph: Graph, n: int) -> TracePowerTable:
     return TracePowerTable(values=values, node_count=graph.node_count)
 
 
-def mn_sequence(graph: Graph, n: int, tolerances: Tolerances = DEFAULT_TOLERANCES) -> MnSequence:
+def mn_sequence(graph: Graph, n: int) -> MnSequence:
     """M_0..M_n by the trace recursion, checking walk-regularity through step n."""
     if n < 0:
         raise InvalidParameterError("need n >= 0")
@@ -171,9 +170,7 @@ def _require_pair(graph: Graph, i: int, j: int) -> None:
         raise InvalidParameterError("node indices out of range")
 
 
-def gf_series(
-    graph: Graph, i: int, j: int, n: int, tolerances: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def gf_series(graph: Graph, i: int, j: int, n: int) -> np.ndarray:
     """Taylor coefficients of sum_n P(tau_{i,j} = n) t^n for n = 0..N."""
     _require_pair(graph, i, j)
     if n < 0:
@@ -204,17 +201,13 @@ class RationalGF:
         self.recursion.setflags(write=False)
 
     def series(self, n: int) -> np.ndarray:
-        if abs(self.denominator[0]) < 1e-14:
+        den0 = self.denominator[0]
+        if abs(den0) < 1e-14:
             raise InvalidParameterError("denominator vanishes at t = 0")
-        num = self.numerator
-        den = self.denominator
-        out = np.zeros(n + 1)
-        for m in range(n + 1):
-            acc = num[m] if m < len(num) else 0.0
-            for k in range(1, min(m, len(den) - 1) + 1):
-                acc -= den[k] * out[m - k]
-            out[m] = acc / den[0]
-        return out
+        num, den = np.zeros((2, n + 1))
+        num[: len(self.numerator)] = self.numerator[: n + 1]
+        den[: len(self.denominator)] = self.denominator[: n + 1]
+        return _series_divide(num / den0, den / den0)
 
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
@@ -224,13 +217,7 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: last[-1] + 1]
 
 
-def rational_gf(
-    graph: Graph,
-    i: int,
-    j: int,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-    horizon: int = 0,
-) -> RationalGF:
+def rational_gf(graph: Graph, i: int, j: int, horizon: int = 0) -> RationalGF:
     """Numerator/denominator polynomials of the hitting generating function.
 
     The power sums p_k = V t_k give c(t) = det(I - tB) by Newton's

@@ -49,3 +49,36 @@ def preset_zoo(max_nodes=None):
     if max_nodes is not None:
         graphs = {k: g for k, g in graphs.items() if g.node_count <= max_nodes}
     return graphs
+
+
+def exact_first_passage(graph, start, target, horizon):
+    """P(tau = n), n = 1..horizon, of the simple walk on a regular graph
+    with unit weights, each correctly rounded.
+
+    c_n[x] counts the n-step walks from start to x that avoid the target,
+    c_n = A' c_{n-1} with A' the adjacency matrix without the target's row
+    and column, in Python ints.  f_n = sum_{x ~ target} c_{n-1}[x] counts
+    the walks that first reach the target at step n, so P(tau = n) is
+    f_n / d^n, rounded once by Python's int division.  O(N E) additions.
+    """
+    d = graph.regular_degree()
+    assert d is not None and all(w == 1.0 for _, _, w in graph.edges)
+    v = graph.node_count
+    neighbours = [[] for _ in range(v)]
+    for a, b, _ in graph.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    # slot v always holds 0: it stands in for the target in every row,
+    # and the target's own row reads only it
+    table = np.array([[v if y == target else y for y in row] for row in neighbours])
+    table[target] = v
+    into_target = np.array(neighbours[target])
+    counts = np.zeros(v + 1, dtype=object)
+    counts[start] = 1
+    walks = 1
+    out = []
+    for _ in range(horizon):
+        walks *= d
+        out.append(int(counts[into_target].sum()) / walks)
+        counts[:v] = counts[table].sum(axis=1)
+    return np.array(out)

@@ -4,7 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from hitwalk import cli, hitting
 from hitwalk.cli import main
+from hitwalk.graphs import preset_graph
+
+from conftest import exact_first_passage
 
 
 def run_cli(capsys, *args):
@@ -84,6 +88,26 @@ def test_preset_prefix_tolerated(capsys):
     assert doc["metadata"]["graph"] == {"preset": "cycle", "params": [5]}
 
 
+@pytest.mark.parametrize(
+    "preset, start, target, horizon",
+    [("cycle:339", 100, 0, 3000), ("torus_std:5", 12, 0, 2000), ("hypercube:6", 63, 0, 800)],
+)
+def test_pmf_direct_is_relatively_accurate(capsys, preset, start, target, horizon):
+    # the direct series only adds and multiplies nonnegative numbers, so
+    # every term keeps its relative accuracy, however small it is
+    doc = run_json(
+        capsys, "pmf", "--preset", preset, "--from", str(start), "--to", str(target),
+        "--horizon", str(horizon), "--engine", "direct",
+    )
+    got = np.array([p for _, p in doc["payload"]["table"]["rows"]])
+    name, *params = preset.split(":")
+    exact = exact_first_passage(preset_graph(name, [int(p) for p in params]), start, target, horizon)
+    assert np.array_equal(got == 0.0, exact == 0.0)
+    kept = exact >= 1e-300
+    assert kept.any()
+    assert np.max(np.abs(got[kept] - exact[kept]) / exact[kept]) <= 1e-13
+
+
 # --- moments / ctime ---------------------------------------------------------------
 
 def test_moments_cycle_mean(capsys):
@@ -157,8 +181,8 @@ def test_compare_cycle_engine_matrix(capsys):
 
 @pytest.mark.parametrize("step_cap, capped", [("300", True), ("10000000", False)])
 def test_compare_standard_error_counts_completed_trials(capsys, step_cap, capped):
-    # capped trials are left out of the Monte Carlo mean, so its standard
-    # error and z are taken over the completed trials only
+    # the completed trials of a capped run follow the law of tau given
+    # tau <= cap, so no z-score against the exact mean is printed for it
     doc = run_json(
         capsys, "compare", "--preset", "cycle:40", "--from", "0", "--to", "20",
         "--trials", "200", "--step-cap", step_cap, "--horizon", "8",
@@ -167,6 +191,9 @@ def test_compare_standard_error_counts_completed_trials(capsys, step_cap, capped
     completed = mc["trials"] - mc["capped_count"]
     assert (completed < mc["trials"]) == capped
     assert mc["cap_warning"] == capped
+    if capped:
+        assert mc["mean_standard_error"] is None and mc["mean_z"] is None
+        return
     std_err = np.sqrt(mc["exact_variance"] / completed)
     assert mc["mean_standard_error"] == pytest.approx(std_err, rel=1e-12)
     assert mc["mean_z"] == pytest.approx((mc["mean"] - mc["exact_mean"]) / std_err, rel=1e-12)
@@ -197,6 +224,50 @@ def test_compare_fourier_moments_of_large_sums(capsys, preset, start, target):
     moments = doc["payload"]["moments"]
     for key in ("mean", "second_moment", "variance"):
         assert moments["fourier"][key] == pytest.approx(moments["direct"][key], rel=1e-9)
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Counts of the kernels, absorbing systems and step laws the CLI builds."""
+    counts = {"kernel": 0, "absorbing": 0, "step_law": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "simple_walk_kernel", counted("kernel", cli.simple_walk_kernel))
+    monkeypatch.setattr(hitting, "make_absorbing", counted("absorbing", hitting.make_absorbing))
+    for name, builder in list(cli._ABELIAN_LAWS.items()):
+        monkeypatch.setitem(cli._ABELIAN_LAWS, name, counted("step_law", builder))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "engine, builds",
+    [
+        ("direct", {"kernel": 1, "absorbing": 1, "step_law": 0}),
+        ("spectral", {"kernel": 0, "absorbing": 0, "step_law": 0}),
+        ("fourier", {"kernel": 0, "absorbing": 0, "step_law": 1}),
+        ("auto", {"kernel": 0, "absorbing": 0, "step_law": 1}),
+    ],
+)
+def test_pmf_builds_only_what_its_engine_uses(capsys, build_counts, engine, builds):
+    run_json(
+        capsys, "pmf", "--preset", "torus_std:5", "--from", "7", "--to", "0",
+        "--horizon", "20", "--engine", engine,
+    )
+    assert build_counts == builds
+
+
+def test_compare_builds_one_kernel_and_one_absorbing_system(capsys, build_counts):
+    # the direct series, the moments and Monte Carlo share them
+    run_json(
+        capsys, "compare", "--preset", "torus_std:5", "--from", "7", "--to", "0",
+        "--horizon", "20", "--trials", "200",
+    )
+    assert build_counts == {"kernel": 1, "absorbing": 1, "step_law": 1}
 
 
 # --- output formats ---------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_moments_factorise_i_minus_q_twice(monkeypatch):
     # mean and Q 1 are solved together, then the second moment
     calls = []
     real_solve = hitting.solve
-    monkeypatch.setattr(hitting, "solve", lambda a, b, tol: calls.append(np.shape(b)) or real_solve(a, b, tol))
+    monkeypatch.setattr(hitting, "solve", lambda a, b: calls.append(np.shape(b)) or real_solve(a, b))
     rep = hw.moments(hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(10)), 0))
     assert calls == [(9, 2), (9,)]
     assert rep.for_state(5)[0] == pytest.approx(25.0, abs=1e-9)

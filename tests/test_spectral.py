@@ -196,6 +196,32 @@ def test_rational_gf_expansion_matches_series():
             assert np.max(np.abs(expanded - direct)) < 1e-8
 
 
+def reference_series(ratio, n):
+    """Long division of numerator by denominator, one coefficient at a time."""
+    num, den = ratio.numerator, ratio.denominator
+    out = np.zeros(n + 1)
+    for m in range(n + 1):
+        acc = num[m] if m < len(num) else 0.0
+        for k in range(1, min(m, len(den) - 1) + 1):
+            acc -= den[k] * out[m - k]
+        out[m] = acc / den[0]
+    return out
+
+
+@pytest.mark.parametrize(
+    "preset", ["cycle:12", "hypercube:4", "torus_std:5", "cayley_s3", "complete:2", "bipartite:3:3"]
+)
+def test_rational_gf_series_matches_long_division(preset):
+    # the vectorised division sums in another order, so it may differ from
+    # the loop by round-off
+    name, *params = preset.split(":")
+    g = hw.preset_graph(name, [int(p) for p in params])
+    for target in range(1, g.node_count):
+        ratio = hw.rational_gf(g, 0, target)
+        for n in (0, 1, 3 * g.node_count):
+            assert np.max(np.abs(ratio.series(n) - reference_series(ratio, n))) <= 64 * np.finfo(float).eps
+
+
 def test_rational_gf_interpolation_route_on_q3():
     # the adjugate entry sampled at a few points, V * adj(I - (t/3)A)_{0,7}
     # = 8 * (-1)^{0+7} * det(minor), is the numerator the series algebra found
