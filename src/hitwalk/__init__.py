@@ -46,6 +46,7 @@ from .hitting import (
     closed_complete,
     closed_cycle,
     cycle_mean,
+    lumped_absorbing,
     make_absorbing,
     moments,
     path_endpoint_pmf,

@@ -104,8 +104,8 @@ def _pick_engine(requested: str, graph: Graph, name: str | None) -> str:
 
 # P(tau = n), n = 1..horizon, by each engine.
 
-def _direct_series(system: ht.AbsorbingSystem, start: int, horizon: int) -> np.ndarray:
-    return ht.pmf(system, horizon, stop_early=False).column(start)
+def _direct_series(system: ht.AbsorbingSystem, row: int, horizon: int) -> np.ndarray:
+    return ht.pmf(system, horizon, stop_early=False).probs[:, row]
 
 
 def _fourier_series(structure, start: int, target: int, horizon: int) -> np.ndarray:
@@ -142,6 +142,16 @@ def _require_nodes(graph: Graph, *nodes) -> None:
             raise InvalidParameterError(f"node {n} out of range 0..{graph.node_count - 1}")
 
 
+def _starts(graph: Graph, start: int | None, target: int) -> list[int]:
+    """The --from node, checked, or else every node but the target."""
+    if start is None:
+        return [n for n in range(graph.node_count) if n != target]
+    _require_nodes(graph, start)
+    if start == target:
+        raise InvalidParameterError("--from must differ from --to")
+    return [start]
+
+
 # ---------------------------------------------------------------------------
 # subcommand payloads
 # ---------------------------------------------------------------------------
@@ -154,8 +164,8 @@ def _cmd_pmf(args) -> dict:
     engine = _pick_engine(args.engine, graph, name)
     if engine == "direct":
         # the kernel is freed once Q and P1 are cut from it, before any step
-        system = ht.make_absorbing(simple_walk_kernel(graph), args.target)
-        series = _direct_series(system, args.start, args.horizon)
+        system, rows = ht.lumped_absorbing(simple_walk_kernel(graph), args.target)
+        series = _direct_series(system, rows[args.start], args.horizon)
     elif engine == "fourier":
         structure = _ABELIAN_LAWS[name](*params)
         series = _fourier_series(structure, args.start, args.target, args.horizon)
@@ -177,21 +187,16 @@ def _cmd_pmf(args) -> dict:
 def _cmd_moments(args) -> dict:
     graph, spec, _, _ = _resolve_graph(args)
     _require_nodes(graph, args.target)
-    kernel = simple_walk_kernel(graph)
-    report = ht.moments(ht.make_absorbing(kernel, args.target))
-    rows = []
-    if args.start is not None:
-        _require_nodes(graph, args.start)
-        if args.start == args.target:
-            raise InvalidParameterError("--from must differ from --to")
-        mean, second, variance = report.for_state(args.start)
-        rows.append([args.start, mean, second, variance])
-    else:
-        for idx, node in enumerate(report.states):
-            rows.append(
-                [node, float(report.mean[idx]), float(report.second[idx]), float(report.variance[idx])]
-            )
-    payload = {"table": {"columns": ["start", "mean", "second_moment", "variance"], "rows": rows}}
+    system, rows = ht.lumped_absorbing(simple_walk_kernel(graph), args.target)
+    report = ht.moments(system)
+    starts = _starts(graph, args.start, args.target)
+    table = np.stack([report.mean, report.second, report.variance], axis=1)[rows[starts]]
+    payload = {
+        "table": {
+            "columns": ["start", "mean", "second_moment", "variance"],
+            "rows": [[s, *values] for s, values in zip(starts, table.tolist())],
+        }
+    }
     meta = _metadata(spec, "moments", start=args.start, target=args.target, engine="direct")
     return {"metadata": meta, "payload": payload}
 
@@ -210,29 +215,19 @@ def _parse_grid(text: str) -> np.ndarray:
 def _cmd_ctime(args) -> dict:
     graph, spec, _, _ = _resolve_graph(args)
     _require_nodes(graph, args.target)
-    kernel = simple_walk_kernel(graph)
-    system = ht.make_absorbing(kernel, args.target)
+    system, rows = ht.lumped_absorbing(simple_walk_kernel(graph), args.target)
     times = _parse_grid(args.t_grid)
     ev = ct_evaluate(system, times, args.tol)
+    starts = _starts(graph, args.start, args.target)
     columns = ["t"]
-    starts = list(ev.states)
-    if args.start is not None:
-        _require_nodes(graph, args.start)
-        if args.start == args.target:
-            raise InvalidParameterError("--from must differ from --to")
-        starts = [args.start]
     for s in starts:
         columns += [f"cdf_{s}", f"pdf_{s}"]
-    rows = []
-    for r, t in enumerate(ev.times):
-        row = [float(t)]
-        for s in starts:
-            c = ev.states.index(s)
-            row += [float(ev.cdf[r, c]), float(ev.pdf[r, c])]
-        rows.append(row)
+    # cdf and pdf columns interleaved, one pair per start
+    values = np.stack([ev.cdf[:, rows[starts]], ev.pdf[:, rows[starts]]], axis=2)
+    table = np.column_stack([ev.times, values.reshape(len(ev.times), -1)])
     payload = {
         "truncation": ev.truncation,
-        "table": {"columns": columns, "rows": rows},
+        "table": {"columns": columns, "rows": table.tolist()},
     }
     meta = _metadata(
         spec, "ctime",
@@ -282,9 +277,9 @@ def _cmd_compare(args) -> dict:
     if _transitive_preset(graph, name):
         spectral = _spectral_series(graph, args.start, args.target, horizon)
     kernel = simple_walk_kernel(graph)
-    system = ht.make_absorbing(kernel, args.target)
+    system, rows = ht.lumped_absorbing(kernel, args.target)
     structure = _ABELIAN_LAWS[name](*params) if name in _ABELIAN_LAWS else None
-    series = {"direct": _direct_series(system, args.start, horizon)}
+    series = {"direct": _direct_series(system, rows[args.start], horizon)}
     if structure is not None:
         series["fourier"] = _fourier_series(structure, args.start, args.target, horizon)
     if spectral is not None:
@@ -297,7 +292,9 @@ def _cmd_compare(args) -> dict:
                 [ea, eb, float(np.max(np.abs(series[ea] - series[eb])))]
             )
 
-    mean, second, variance = ht.moments(system).for_state(args.start)
+    report = ht.moments(system)
+    row = rows[args.start]
+    mean, second, variance = (float(x[row]) for x in (report.mean, report.second, report.variance))
     moment_section = {"direct": {"mean": mean, "second_moment": second, "variance": variance}}
     if structure is not None:
         group, law = structure

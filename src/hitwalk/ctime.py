@@ -74,10 +74,11 @@ def _truncation_index(t: float, tol: float) -> int:
 
 @dataclass(frozen=True)
 class CTimeEvaluation:
-    """CDF and PDF values on a time grid, one column per start state."""
+    """CDF and PDF values on a time grid, one column per row of the
+    absorbing system (a start state, or a class of them when lumped)."""
 
     times: np.ndarray
-    cdf: np.ndarray  # (len(times), V-1)
+    cdf: np.ndarray  # (len(times), system size)
     pdf: np.ndarray
     truncation: int
     states: tuple[int, ...]

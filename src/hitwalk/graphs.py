@@ -127,28 +127,43 @@ def _raise_first_fault_by_edge(node_count: int, edges) -> None:
             raise InvalidParameterError(f"edge ({u},{v}) weight must be positive")
 
 
-def _reached(node_count: int, heads: np.ndarray, tails: np.ndarray, source: int) -> np.ndarray:
-    """Mask of the nodes reached from ``source`` along the arcs
-    ``heads[k] -> tails[k]``, by a breadth-first frontier search: each
-    level costs one pass over the arcs, so the search is O(depth * arcs),
-    O(diameter * E) on a connected graph."""
-    seen = np.zeros(node_count, dtype=bool)
-    seen[source] = True
-    frontier = seen
-    while True:
-        step = np.zeros(node_count, dtype=bool)
-        step[tails[frontier[heads]]] = True
-        frontier = step & ~seen
-        if not frontier.any():
-            return seen
-        seen |= frontier
+def _arc_ranges(ptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ptr[n]..ptr[n+1]-1 of every node n in ``nodes``, one run per
+    node, and the length of each run."""
+    width = ptr[nodes + 1] - ptr[nodes]
+    ends = np.cumsum(width)
+    return np.arange(ends[-1]) + np.repeat(ptr[nodes] - (ends - width), width), width
+
+
+def _levels(ptr: np.ndarray, succ: np.ndarray, source: int) -> np.ndarray:
+    """Breadth-first level of each node from ``source``, -1 where unreached,
+    along the arcs n -> succ[ptr[n]:ptr[n+1]].  Each level reads only the
+    arcs out of its frontier, so the search is O(E) plus a few numpy calls
+    per level."""
+    node_count = len(ptr) - 1
+    level = np.full(node_count, -1, dtype=np.intp)
+    level[source] = 0
+    last = np.empty(node_count, dtype=np.intp)  # last position naming a node
+    frontier = np.array([source])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        reached = succ[_arc_ranges(ptr, frontier)[0]]
+        reached = reached[level[reached] < 0]
+        # keep one copy of each node: the copy that wrote its position last
+        at = np.arange(len(reached))
+        last[reached] = at
+        frontier = reached[last[reached] == at]
+        level[frontier] = depth
+    return level
 
 
 @dataclass(frozen=True)
 class Graph:
     """Finite undirected weighted graph.
 
-    ``edges`` holds ``(u, v, weight)`` triples normalized to ``u < v``.
+    ``edges`` holds ``(u, v, weight)`` triples normalized to ``u < v``,
+    sorted; no engine reads it, so it is built from the arcs on first read.
     Self-loops, duplicate edges and nonpositive weights are rejected; the
     first faulty edge in input order is reported.  Connectivity is
     computed once at construction.
@@ -174,9 +189,7 @@ class Graph:
             raise InvalidParameterError(fault)
         lo = np.minimum(u, v).astype(np.int64)
         hi = np.maximum(u, v).astype(np.int64)
-        order = np.lexsort((hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        object.__setattr__(self, "edges", tuple(zip(lo.tolist(), hi.tolist(), w.tolist())))
+        object.__delattr__(self, "edges")  # until it is read (see __getattr__)
         if self.labels is not None:
             if len(self.labels) != self.node_count:
                 raise InvalidParameterError("label count must equal node count")
@@ -187,12 +200,23 @@ class Graph:
         for arr in arcs:
             arr.setflags(write=False)
         object.__setattr__(self, "_arcs", arcs)
-        reached = _reached(self.node_count, arcs[0], arcs[1], 0)
-        object.__setattr__(self, "connected", bool(reached.all()))
+        ptr = np.searchsorted(arcs[0], np.arange(self.node_count + 1))
+        object.__setattr__(self, "connected", bool(_levels(ptr, arcs[1], 0).min() >= 0))
+
+    def __getattr__(self, name: str):
+        # only reached for an attribute the instance does not hold: edges
+        # before its first read
+        if name != "edges" or "_arcs" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        heads, tails, weights = self._arcs
+        forward = heads < tails  # sorted by (u, v), as the arcs are
+        edges = tuple(zip(heads[forward].tolist(), tails[forward].tolist(), weights[forward].tolist()))
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._arcs[0]) // 2
 
     def adjacency_matrix(self) -> np.ndarray:
         """Weighted symmetric adjacency matrix."""

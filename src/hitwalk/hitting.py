@@ -6,6 +6,20 @@ P(tau = n) = Q^{n-1} P1.  Everything here is built from that recurrence:
 step distributions, moments, the characteristic function, closed forms
 for the standard families, and brute-force oracles used to verify all of
 it.
+
+On a symmetric graph many starts share one law, and the recurrence can
+run on far fewer states.  Colour the target apart from the rest and
+split colour classes until the partition is equitable: in each class
+every node has the same multiset of (neighbour class, step probability)
+pairs.  Every node of a class then has the same probability of stepping
+into each class, which is strong lumpability (Kemeny & Snell, Finite
+Markov Chains, 1960, section 6.3): the classes form a Markov chain of
+their own whose absorbing system gives each member's hitting-time law
+exactly.  The classes are found by worklist refinement, re-signing only
+the nodes with an arc into a node that changed class (Paige & Tarjan,
+"Three partition refinement algorithms", SIAM J. Comput. 16(6), 1987).
+Probabilities are compared bit for bit, so no two nodes whose laws
+differ ever share a class.
 """
 from __future__ import annotations
 
@@ -18,7 +32,7 @@ from .errors import (
     NotConnectedError,
     OracleTooLargeError,
 )
-from .graphs import TransitionKernel, _reached
+from .graphs import TransitionKernel, _arc_ranges, _levels
 from .linalg import SERIES_TAIL, solve
 
 __all__ = [
@@ -26,6 +40,7 @@ __all__ = [
     "PmfTable",
     "MomentReport",
     "make_absorbing",
+    "lumped_absorbing",
     "pmf",
     "moments",
     "char_function",
@@ -66,7 +81,9 @@ class AbsorbingSystem:
 
     q_matrix is the kernel with the target's row and column removed,
     first_step[i] = P(tau_{i,j} = 1), and index_map maps reduced indices
-    back to original node indices (original order, target excised).
+    back to original node indices (original order, target excised).  In
+    a lumped system (:func:`lumped_absorbing`) each row stands for a class
+    of nodes with one law, and index_map holds each class's smallest node.
     q_rows is derived from q_matrix: when Q's widest row is a small
     fraction of the states (see ``_SPARSE_ROW_FRACTION``) it holds Q as a
     padded neighbour table (ELL layout), row i of Q having the values
@@ -166,14 +183,23 @@ class MomentReport:
         return float(self.mean[i]), float(self.second[i]), float(self.variance[i])
 
 
-def _require_reachable(kernel: TransitionKernel, target: int) -> None:
+def _require_reachable(
+    kernel: TransitionKernel, target: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Raise :class:`NotConnectedError` unless every state can reach the target.
 
-    Decided exactly by a reverse search over the kernel support.
+    Decided exactly by a reverse search over the kernel support.  Returns
+    its levels (the fewest steps from each state to the target) and the
+    predecessor table (ptr, pred) it searched: the states with an arc into
+    state n are pred[ptr[n]:ptr[n+1]].
     """
     rows, cols = kernel.support
-    if not _reached(kernel.node_count, cols, rows, target).all():
+    by_col = np.argsort(cols, kind="stable")
+    predecessors = np.searchsorted(cols[by_col], np.arange(kernel.node_count + 1)), rows[by_col]
+    levels = _levels(*predecessors, target)
+    if levels.min() < 0:
         raise NotConnectedError(f"target {target} unreachable from some state")
+    return levels, predecessors
 
 
 def _row_table(rows, cols, vals, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,21 +225,137 @@ def make_absorbing(kernel: TransitionKernel, target: int) -> AbsorbingSystem:
     of Q is below 1 (Kemeny-Snell, Finite Markov Chains, 1960), so I - Q
     is invertible.
     """
+    return _quotient(kernel, target, lump=False)[0]
+
+
+def lumped_absorbing(kernel: TransitionKernel, target: int) -> tuple[AbsorbingSystem, np.ndarray]:
+    """Absorbing system of the quotient chain on the coarsest equitable
+    partition that keeps the target alone (see the module docstring).
+
+    Returns the system and ``rows``: ``rows[node]`` is the system row of
+    the node's class, -1 at the target.  Rows are numbered in the order of
+    their smallest nodes, each row of Q and P1 is taken from that node,
+    and ``index_map`` lists those nodes; so when every class is a single
+    node, the system is :func:`make_absorbing`'s, bit for bit.
+    """
+    return _quotient(kernel, target, lump=True)
+
+
+def _quotient(kernel: TransitionKernel, target: int, lump: bool) -> tuple[AbsorbingSystem, np.ndarray]:
+    """Absorbing system of the classes of the coarsest equitable partition
+    with the target alone when ``lump``, of single nodes otherwise; and the
+    system row of each node."""
     v = kernel.node_count
     if not 0 <= target < v:
         raise InvalidParameterError(f"target {target} out of range")
-    keep = [i for i in range(v) if i != target]
-    if not keep:
+    if v < 2:
         raise InvalidParameterError("graph has no non-target states")
-    m = kernel.matrix
-    _require_reachable(kernel, target)
-    q = m[np.ix_(keep, keep)]
-    p1 = m[keep, target]
+    levels, predecessors = _require_reachable(kernel, target)
+    cells = _equitable_cells(kernel, levels, predecessors) if lump else np.arange(v)
+    reps = np.unique(cells, return_index=True)[1]
+    reps = np.delete(reps, cells[target])
+    rows = cells - (cells > cells[target])
+    rows[target] = -1
+    rows.setflags(write=False)
+    heads, tails = kernel.support
+    is_rep = np.zeros(v, dtype=bool)
+    is_rep[reps] = True
+    picked = is_rep[heads]
+    heads, tails = heads[picked], tails[picked]
+    probs = kernel.matrix[heads, tails]
+    row, col = rows[heads], rows[tails]
+    p1 = np.zeros(len(reps))
+    hit = col < 0
+    p1[row[hit]] = probs[hit]
+    # equal probabilities into one class add as one product, count * p,
+    # which rounds once where a running sum would round count times
+    k = len(reps)
+    entry, probs = row[~hit] * k + col[~hit], probs[~hit]
+    if np.any(entry[1:] <= entry[:-1]):  # some row has arcs into one class
+        order = np.lexsort((probs, entry))
+        entry, probs = entry[order], probs[order]
+    starts = np.ones(len(entry), dtype=bool)
+    starts[1:] = (entry[1:] != entry[:-1]) | (probs[1:] != probs[:-1])
+    first = np.flatnonzero(starts)
+    counts = np.diff(first, append=len(probs))
+    q = np.bincount(entry[first], weights=counts * probs[first], minlength=k * k).reshape(k, k)
     if np.max(np.abs(p1 + q.sum(axis=1) - 1.0)) > _IDENTITY_TOL:
         raise InvalidParameterError("rows of [Q | P1] must sum to 1")
     q.setflags(write=False)
     p1.setflags(write=False)
-    return AbsorbingSystem(target=target, q_matrix=q, first_step=p1, index_map=tuple(keep))
+    system = AbsorbingSystem(target=target, q_matrix=q, first_step=p1, index_map=tuple(reps.tolist()))
+    return system, rows
+
+
+def _equitable_cells(
+    kernel: TransitionKernel, levels: np.ndarray, predecessors: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Class of each node in the coarsest equitable partition that keeps
+    the target alone, classes numbered in the order of their smallest nodes.
+
+    ``levels`` and ``predecessors`` are :func:`_require_reachable`'s:
+    each node's fewest steps to the target (0 at the target alone) and the
+    nodes with an arc into each node.  Every equitable partition that
+    keeps the target alone is finer than the levels (the nodes within k
+    steps of the target are a union of classes, by induction on k), so
+    refining starts from them.
+
+    A node's signature is the sorted multiset of (neighbour class, step
+    probability) pairs, the probability compared bit for bit.  The first
+    round signs every node; after it, a round signs only the nodes with an
+    arc into a node that changed class.  Each class keeps the multiset its
+    unsigned members share, so a signed node stays when it matches it and
+    the others split off by signature; a class with no member left to
+    match is kept by its largest part.  A class of one node never splits
+    and is never signed.
+    """
+    v = kernel.node_count
+    heads, tails = kernel.support  # sorted by head, then tail
+    _, code = np.unique(kernel.matrix[heads, tails], return_inverse=True)
+    n_codes = int(code.max()) + 1
+    pred_ptr, pred = predecessors
+    out_ptr = np.searchsorted(heads, np.arange(v + 1))
+    colour = levels.copy()
+    size = np.bincount(colour, minlength=v + 1)
+    shared: list[bytes | None] = [None] * (colour.max() + 1)  # the multiset of each class
+    todo = np.flatnonzero(size[colour] > 1)
+    while todo.size:
+        arcs, width = _arc_ranges(out_ptr, todo)
+        # (signing node, neighbour class, probability code) as one key; it
+        # stays below V^4, within int64 while V < 55108, a dense kernel of 24 GB
+        span = len(shared) * n_codes
+        key = np.repeat(np.arange(todo.size) * span, width) + colour[tails[arcs]] * n_codes + code[arcs]
+        key, count = np.unique(key, return_counts=True)
+        owner, pair = np.divmod(key, span)
+        # one (class, probability, count) triple per distinct pair, 24 bytes each
+        blob = np.stack([*np.divmod(pair, n_codes), count], axis=1).astype(np.int64).tobytes()
+        cut = (24 * np.searchsorted(owner, np.arange(todo.size + 1))).tolist()
+        signed: dict[int, int] = {}
+        parts: dict[int, dict[bytes, list[int]]] = {}
+        for i, (node, c) in enumerate(zip(todo.tolist(), colour[todo].tolist())):
+            signed[c] = signed.get(c, 0) + 1
+            sig = blob[cut[i] : cut[i + 1]]
+            if sig != shared[c]:
+                parts.setdefault(c, {}).setdefault(sig, []).append(node)
+        changed = []
+        for c, split in parts.items():
+            if signed[c] == size[c] and sum(map(len, split.values())) == size[c]:
+                shared[c] = max(split, key=lambda sig: len(split[sig]))
+                del split[shared[c]]
+            for sig, nodes in split.items():
+                colour[nodes] = len(shared)
+                size[len(shared)] = len(nodes)
+                size[c] -= len(nodes)
+                shared.append(sig)
+                changed += nodes
+        if not changed:
+            break
+        todo = np.unique(pred[_arc_ranges(pred_ptr, np.array(changed))[0]])
+        todo = todo[size[colour[todo]] > 1]
+    _, first, cell = np.unique(colour, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[cell]
 
 
 def pmf(system: AbsorbingSystem, horizon: int, stop_early: bool = True) -> PmfTable:

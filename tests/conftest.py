@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import hitwalk as hw
+from hitwalk.graphs import preset_graph
 
 settings.register_profile("suite", max_examples=25, deadline=None)
 settings.load_profile("suite")
@@ -82,3 +85,92 @@ def exact_first_passage(graph, start, target, horizon):
         out.append(int(counts[into_target].sum()) / walks)
         counts[:v] = counts[table].sum(axis=1)
     return np.array(out)
+
+
+def _bipartite_sides(preset, target):
+    """(case, k2) of a start on ``bipartite:k1:k2`` with the target on the
+    side of size k2 (closed_bipartite's cases)."""
+    k1, k2 = (int(p) for p in preset.split(":")[1:])
+    assert target >= k1, "the target must lie on the second side"
+    return k2, lambda start: "same-side" if start >= k1 else "cross"
+
+
+def exact_pmf(preset, start, target, horizon):
+    """P(tau = n), n = 1..horizon, each correctly rounded: the closed form
+    in Fractions on ``bipartite`` presets, first-passage walk counts on the
+    other (regular) presets."""
+    name, *params = preset.split(":")
+    if name != "bipartite":
+        return exact_first_passage(preset_graph(name, [int(p) for p in params]), start, target, horizon)
+    k2, case = _bipartite_sides(preset, target)
+    # hits come every other step: each round of two steps hits with chance 1/k2
+    parity = 1 if case(start) == "cross" else 0
+    stay = Fraction(k2 - 1, k2)
+    return np.array([
+        float(stay ** ((n + parity) // 2 - 1) / k2) if n % 2 == parity else 0.0
+        for n in range(1, horizon + 1)
+    ])
+
+
+def exact_moments(preset, target):
+    """{start: (mean, second moment, variance)} of tau as Fractions, for every
+    start on a preset with unit weights.
+
+    ``bipartite``: tau = 2R - 1 (cross) or 2R (same side) with R geometric
+    of success 1/k2.  Otherwise (I - Q) mean = 1 and (I - Q) second =
+    1 + 2 Q mean (first-step analysis) are solved by Gaussian elimination
+    in Fractions over the sparse rows of I - Q.
+    """
+    name, *params = preset.split(":")
+    graph = preset_graph(name, [int(p) for p in params])
+    states = [n for n in range(graph.node_count) if n != target]
+    if name == "bipartite":
+        k2, case = _bipartite_sides(preset, target)
+        out = {}
+        for n in states:
+            shift = 1 if case(n) == "cross" else 0
+            mean = Fraction(2 * k2 - shift)
+            second = 4 * Fraction(2 * k2 * k2 - k2) - 4 * shift * k2 + shift
+            out[n] = (mean, second, second - mean * mean)
+        return out
+    neighbours = [[] for _ in range(graph.node_count)]
+    for a, b, w in graph.edges:
+        assert w == 1.0
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    index = {n: i for i, n in enumerate(states)}
+
+    def q_times(x):
+        return [
+            sum((x[index[m]] for m in neighbours[n] if m != target), Fraction(0)) / len(neighbours[n])
+            for n in states
+        ]
+
+    # I - Q as sparse rows, reduced to upper triangular form once; the
+    # recorded multipliers are replayed on each right-hand side
+    rows = [{index[n]: Fraction(1)} for n in states]
+    for n, row in zip(states, rows):
+        for m in neighbours[n]:
+            if m != target:
+                row[index[m]] = row.get(index[m], 0) - Fraction(1, len(neighbours[n]))
+    steps = []
+    for k, pivot_row in enumerate(rows):
+        for i in range(k + 1, len(rows)):
+            if rows[i].get(k):
+                f = rows[i][k] / pivot_row[k]
+                for j, x in pivot_row.items():
+                    rows[i][j] = rows[i].get(j, 0) - f * x
+                steps.append((i, k, f))
+
+    def solve(rhs):
+        b = list(rhs)
+        for i, k, f in steps:
+            b[i] -= f * b[k]
+        x = [Fraction(0)] * len(b)
+        for k in reversed(range(len(b))):
+            x[k] = (b[k] - sum(v * x[j] for j, v in rows[k].items() if j > k)) / rows[k][k]
+        return x
+
+    mean = solve([Fraction(1)] * len(states))
+    second = solve([1 + 2 * x for x in q_times(mean)])
+    return {n: (m, s, s - m * m) for n, m, s in zip(states, mean, second)}

@@ -1,14 +1,14 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hitwalk import cli, hitting
 from hitwalk.cli import main
-from hitwalk.graphs import preset_graph
 
-from conftest import exact_first_passage
+from conftest import exact_moments, exact_pmf
 
 
 def run_cli(capsys, *args):
@@ -90,7 +90,13 @@ def test_preset_prefix_tolerated(capsys):
 
 @pytest.mark.parametrize(
     "preset, start, target, horizon",
-    [("cycle:339", 100, 0, 3000), ("torus_std:5", 12, 0, 2000), ("hypercube:6", 63, 0, 800)],
+    [
+        ("cycle:339", 100, 0, 3000),
+        ("torus_std:5", 12, 0, 2000),
+        ("hypercube:6", 63, 0, 800),
+        ("bipartite:133:267", 5, 133, 2000),
+        ("bipartite:133:267", 200, 133, 2000),
+    ],
 )
 def test_pmf_direct_is_relatively_accurate(capsys, preset, start, target, horizon):
     # the direct series only adds and multiplies nonnegative numbers, so
@@ -100,8 +106,7 @@ def test_pmf_direct_is_relatively_accurate(capsys, preset, start, target, horizo
         "--horizon", str(horizon), "--engine", "direct",
     )
     got = np.array([p for _, p in doc["payload"]["table"]["rows"]])
-    name, *params = preset.split(":")
-    exact = exact_first_passage(preset_graph(name, [int(p) for p in params]), start, target, horizon)
+    exact = exact_pmf(preset, start, target, horizon)
     assert np.array_equal(got == 0.0, exact == 0.0)
     kept = exact >= 1e-300
     assert kept.any()
@@ -109,6 +114,17 @@ def test_pmf_direct_is_relatively_accurate(capsys, preset, start, target, horizo
 
 
 # --- moments / ctime ---------------------------------------------------------------
+
+@pytest.mark.parametrize("preset, target", [("bipartite:133:267", 133), ("torus_std:9", 0)])
+def test_moments_match_exact_rationals(capsys, preset, target):
+    doc = run_json(capsys, "moments", "--preset", preset, "--to", str(target))
+    exact = exact_moments(preset, target)
+    rows = doc["payload"]["table"]["rows"]
+    assert [row[0] for row in rows] == sorted(exact)
+    for start, *values in rows:
+        for got, want in zip(values, exact[start]):
+            assert abs(Fraction(got) - want) <= Fraction(1e-13) * want, (start, got, float(want))
+
 
 def test_moments_cycle_mean(capsys):
     doc = run_json(capsys, "moments", "--preset", "cycle:10", "--from", "5", "--to", "0")
@@ -238,7 +254,9 @@ def build_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cli, "simple_walk_kernel", counted("kernel", cli.simple_walk_kernel))
+    # both builders of an absorbing system count as one kind of build
     monkeypatch.setattr(hitting, "make_absorbing", counted("absorbing", hitting.make_absorbing))
+    monkeypatch.setattr(hitting, "lumped_absorbing", counted("absorbing", hitting.lumped_absorbing))
     for name, builder in list(cli._ABELIAN_LAWS.items()):
         monkeypatch.setitem(cli._ABELIAN_LAWS, name, counted("step_law", builder))
     return counts

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -313,6 +314,23 @@ def test_arrays_match_edge_loop(seed):
     assert np.array_equal(g.degrees(), degrees)
     assert np.array_equal(hw.simple_walk_kernel(g).matrix, kernel)
     assert g.neighbors(3) == sorted(np.flatnonzero(adjacency[3]).tolist())
+
+
+def test_edges_are_built_on_first_read():
+    g = hw.Graph(4, ((3, 1, 2.0), (0, 1), (2, 0, 0.5)), labels=("a", "b", "c", "d"))
+    assert "edges" not in vars(g)
+    assert g.edge_count == 3 and g.connected and "edges" not in vars(g)
+    assert g.edges == ((0, 1, 1.0), (0, 2, 0.5), (1, 3, 2.0))
+    assert "edges" in vars(g)
+    twin = hw.Graph(4, [(1, 0), (0, 2, 0.5), (1, 3, 2.0)], labels=["a", "b", "c", "d"])
+    assert "edges" not in vars(twin)
+    # equality, hashing and repr read the edges as fields
+    assert g == twin and hash(g) == hash(twin) and repr(g) == repr(twin)
+    assert g != hw.Graph(4, ((0, 1), (0, 2, 0.5), (1, 3, 3.0)), labels=g.labels)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.edges = ()
+    with pytest.raises(AttributeError, match="no attribute 'edge'"):
+        g.edge
 
 
 def test_kernel_rejects_off_edge_support(diamond):

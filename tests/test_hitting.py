@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hitwalk as hw
 from hitwalk import hitting
@@ -56,6 +57,120 @@ def test_make_absorbing_unreachable_target():
     )
     with pytest.raises(NotConnectedError):
         hw.make_absorbing(kernel, 0)
+
+
+# --- lumped systems -----------------------------------------------------------
+
+def _lumped(graph, target):
+    return hw.lumped_absorbing(hw.simple_walk_kernel(graph), target)
+
+
+def _cell_count(graph, target):
+    """Classes of the coarsest equitable partition, the target's included."""
+    return int(_lumped(graph, target)[1].max()) + 2
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_hypercube_cells_are_hamming_spheres(d):
+    assert _cell_count(hw.build_hypercube(d), 5 % 2**d) == d + 1
+
+
+@pytest.mark.parametrize("k1, k2", [(1, 2), (2, 3), (5, 9), (133, 267)])
+def test_bipartite_cells_with_target_on_larger_side(k1, k2):
+    # the target, the other side, and the target's own side without it
+    assert _cell_count(hw.build_complete_bipartite(k1, k2), k1 + k2 // 2) == 3
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_cycle_cells_pair_nodes_across_the_target(k):
+    assert _cell_count(hw.build_cycle(k), k // 3) == k // 2 + 1
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_complete_graph_has_two_cells(k):
+    assert _cell_count(hw.build_complete(k), k - 1) == 2
+
+
+def test_lumped_rows_map_every_node_to_its_class():
+    system, rows = _lumped(hw.build_cycle(8), 2)
+    assert rows.tolist() == [0, 1, -1, 1, 0, 2, 3, 2]
+    assert system.index_map == (0, 1, 5, 6)  # the smallest node of each class
+    assert not rows.flags.writeable
+
+
+def test_lumped_system_without_symmetry_is_make_absorbing_bit_for_bit(tmp_path):
+    kernel = hw.simple_walk_kernel(_weighted_cycle_file(tmp_path))
+    system, rows = hw.lumped_absorbing(kernel, 7)
+    plain = hw.make_absorbing(kernel, 7)
+    assert rows.tolist() == [*range(7), -1, *range(7, 29)]
+    assert np.array_equal(system.q_matrix, plain.q_matrix)
+    assert np.array_equal(system.first_step, plain.first_step)
+    assert system.index_map == plain.index_map
+    assert (system.q_rows is None) == (plain.q_rows is None)
+
+
+def _assert_lumped_matches_make_absorbing(kernel, target):
+    system, rows = hw.lumped_absorbing(kernel, target)
+    plain = hw.make_absorbing(kernel, target)
+    lumped_pmf = hw.pmf(system, 40, stop_early=False).probs
+    plain_pmf = hw.pmf(plain, 40, stop_early=False).probs
+    lumped_mom, plain_mom = hw.moments(system), hw.moments(plain)
+    for i, node in enumerate(plain.index_map):
+        r = rows[node]
+        got, want = lumped_pmf[:, r], plain_pmf[:, i]
+        assert np.array_equal(got == 0.0, want == 0.0)
+        kept = want > 0.0
+        assert np.all(np.abs(got[kept] - want[kept]) <= 1e-12 * want[kept])
+        second = plain_mom.second[i]
+        assert abs(lumped_mom.mean[r] - plain_mom.mean[i]) <= 1e-12 * plain_mom.mean[i]
+        assert abs(lumped_mom.second[r] - second) <= 1e-12 * second
+        # the variance is second - mean^2, so its error scales with the second moment
+        assert abs(lumped_mom.variance[r] - plain_mom.variance[i]) <= 1e-12 * second
+
+
+@given(
+    nodes=st.integers(min_value=2, max_value=12),
+    extra=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_lumped_system_matches_make_absorbing_on_random_weighted_graphs(nodes, extra, seed):
+    # a random spanning tree plus random extra edges, with weights from a
+    # set of one to three values so that equal step probabilities, and
+    # symmetries, occur (about a fifth of the graphs lump)
+    rng = np.random.default_rng(seed)
+    weights = (1.0, 2.0, 3.0)[: rng.integers(1, 4)]
+    edges = {(int(rng.integers(n)), n): rng.choice(weights) for n in range(1, nodes)}
+    for u in range(nodes):
+        for v in range(u + 1, nodes):
+            if (u, v) not in edges and rng.random() < extra:
+                edges[(u, v)] = rng.choice(weights)
+    graph = hw.Graph(nodes, tuple((u, v, w) for (u, v), w in edges.items()))
+    _assert_lumped_matches_make_absorbing(hw.simple_walk_kernel(graph), int(rng.integers(nodes)))
+
+
+def test_equal_sums_of_different_probabilities_stay_exact():
+    # nodes 1 and 2 both step into {3, 4, 5} with probability 0.3 and to 6
+    # with 0.7, but node 1 as 0.1 + 0.2 and node 2 as 0.3 (and 0.1 + 0.2 is
+    # not 0.3 in floating point); classes compare multisets of
+    # probabilities, never sums, so the two stay apart
+    graph = hw.Graph(7, (
+        (1, 3, 1.0), (1, 4, 2.0), (1, 6, 7.0), (2, 5, 3.0), (2, 6, 7.0),
+        (0, 3, 1.0), (0, 4, 2.0), (0, 5, 3.0), (0, 6, 14.0),
+    ))
+    kernel = hw.simple_walk_kernel(graph)
+    rows = hw.lumped_absorbing(kernel, 0)[1]
+    assert rows[1] != rows[2]
+    _assert_lumped_matches_make_absorbing(kernel, 0)
+
+
+def test_lumped_absorbing_rejects_what_make_absorbing_rejects():
+    kernel = hw.simple_walk_kernel(hw.build_cycle(5))
+    with pytest.raises(InvalidParameterError, match="out of range"):
+        hw.lumped_absorbing(kernel, 5)
+    g = hw.Graph(3, ((0, 1), (1, 2)))
+    one_way = hw.TransitionKernel(np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]]), g)
+    with pytest.raises(NotConnectedError):
+        hw.lumped_absorbing(one_way, 0)
 
 
 # --- pmf ----------------------------------------------------------------------
