@@ -8,6 +8,7 @@ cross-validated by brute-force and Monte Carlo oracles.
 """
 
 from .errors import (
+    GraphTooLargeError,
     GroupTooLargeError,
     HitwalkError,
     HypothesisError,

@@ -21,6 +21,10 @@ class OracleTooLargeError(InvalidParameterError):
     """Brute-force enumeration guard exceeded (too many nodes or steps)."""
 
 
+class GraphTooLargeError(InvalidParameterError):
+    """Graph too large for the exact integer keys of an engine."""
+
+
 class HypothesisError(HitwalkError):
     """A structural hypothesis of the requested method does not hold."""
 

@@ -4,6 +4,12 @@ Nodes are dense integer indices ``0..V-1``; group elements, bit vectors
 and torus coordinates are carried as display labels attached to indices.
 Graphs are immutable after construction and safe to share across
 threads.
+
+Everything is held per arc, in O(V + E) memory: a graph keeps both
+directions of each edge as sorted (head, tail, weight) columns, the
+preset builders emit their edges as integer columns, and a transition
+kernel keeps one value per arc of its support.  The dense V x V kernel
+(``TransitionKernel.matrix``) is built only when it is read.
 """
 from __future__ import annotations
 
@@ -75,30 +81,59 @@ def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _int_column(edges, 0), _int_column(edges, 1), weights
 
 
-def _first_fault(node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> str | None:
-    """Message of the first faulty edge, checked in edge order and, within an
-    edge, for a self-loop, an endpoint out of range, a repeat of an earlier
-    edge, then a weight that is not positive and finite."""
-    loop = u == v
-    outside = (u < 0) | (u >= node_count) | (v < 0) | (v >= node_count)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    # an edge out of range is reported as such, so its key only has to
-    # stay clear of every valid key
-    key = np.where(outside, -1, lo * node_count + hi).astype(np.int64)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    repeat = first[inverse] != np.arange(len(key))
-    bad_weight = ~(w > 0.0) | ~np.isfinite(w)
-    faulty = np.flatnonzero(loop | outside | repeat | bad_weight)
+def _first_fault(u, v, w, loop, outside, repeat) -> str | None:
+    """Message of the first faulty edge (u, v, w), checked in edge order
+    and, within an edge, for a self-loop, an endpoint out of range, a repeat
+    of an earlier edge, then a weight that is not positive and finite (w
+    None: unit weights).  ``loop``, ``outside`` and ``repeat`` flag the
+    first three faults per edge."""
+    faulty = loop | outside | repeat
+    if w is not None:
+        faulty |= ~(w > 0.0) | ~np.isfinite(w)
+    faulty = np.flatnonzero(faulty)
     if not faulty.size:
         return None
     i = faulty[0]
+    lo, hi = min(u[i], v[i]), max(u[i], v[i])
     if loop[i]:
         return f"self-loop at node {u[i]}"
     if outside[i]:
         return f"edge ({u[i]},{v[i]}) endpoint out of range"
     if repeat[i]:
-        return f"duplicate edge ({lo[i]},{hi[i]})"
-    return f"edge ({lo[i]},{hi[i]}) weight must be positive"
+        return f"duplicate edge ({lo},{hi})"
+    return f"edge ({lo},{hi}) weight must be positive"
+
+
+def _sorted_arcs(
+    node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of every edge (u, v, w), sorted by (head, tail):
+    heads, tails and weights (all 1 when ``w`` is None).  Raises
+    :class:`InvalidParameterError` with the first fault (see
+    ``_first_fault``)."""
+    count = len(u)
+    loop = u == v
+    outside = (u < 0) | (u >= node_count) | (v < 0) | (v >= node_count)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    # arc (head, tail) as head * V + tail: the arcs (lo, hi) in edge order,
+    # then (hi, lo)
+    key = np.concatenate([lo * node_count + hi, hi * node_count + lo])
+    if outside.any():
+        # an arc out of range is reported as such, so its key only has to
+        # stay clear of every valid key
+        key = np.where(np.concatenate([outside, outside]), -1, key)
+    key = key.astype(np.int64, copy=False)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # a stable sort puts a repeated edge's arc (lo, hi) right after an
+    # earlier copy's
+    later = np.zeros(2 * count, dtype=bool)
+    later[order[1:]] = key[1:] == key[:-1]
+    fault = _first_fault(u, v, w, loop, outside, later[:count])
+    if fault is not None:
+        raise InvalidParameterError(fault)
+    weights = np.ones(2 * count) if w is None else np.concatenate([w, w])[order]
+    return *np.divmod(key, node_count), weights
 
 
 def _raise_first_fault_by_edge(node_count: int, edges) -> None:
@@ -166,7 +201,9 @@ class Graph:
     sorted; no engine reads it, so it is built from the arcs on first read.
     Self-loops, duplicate edges and nonpositive weights are rejected; the
     first faulty edge in input order is reported.  Connectivity is
-    computed once at construction.
+    computed once at construction.  The preset builders skip the tuples
+    and hand their edges over as columns (``_from_columns``), which runs
+    the same checks.
     """
 
     node_count: int
@@ -184,19 +221,29 @@ class Graph:
         except (ValueError, TypeError):
             _raise_first_fault_by_edge(self.node_count, self.edges)
             raise
-        fault = _first_fault(self.node_count, u, v, w)
-        if fault is not None:
-            raise InvalidParameterError(fault)
-        lo = np.minimum(u, v).astype(np.int64)
-        hi = np.maximum(u, v).astype(np.int64)
         object.__delattr__(self, "edges")  # until it is read (see __getattr__)
+        self._set_arcs(u, v, w)
+
+    @classmethod
+    def _from_columns(
+        cls, node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None = None, labels=None
+    ) -> Graph:
+        """Graph with edges (u[i], v[i], w[i]), unit weights when ``w`` is
+        None; checked as the constructor checks a tuple of edges."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "node_count", node_count)
+        object.__setattr__(g, "labels", labels)
+        if node_count < 1:
+            raise InvalidParameterError("graph needs at least one node")
+        g._set_arcs(u, v, w)
+        return g
+
+    def _set_arcs(self, u: np.ndarray, v: np.ndarray, w: np.ndarray | None) -> None:
+        arcs = _sorted_arcs(self.node_count, u, v, w)
         if self.labels is not None:
             if len(self.labels) != self.node_count:
                 raise InvalidParameterError("label count must equal node count")
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        heads, tails = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-        order = np.lexsort((tails, heads))
-        arcs = (heads[order], tails[order], np.concatenate([w, w])[order])
         for arr in arcs:
             arr.setflags(write=False)
         object.__setattr__(self, "_arcs", arcs)
@@ -256,11 +303,14 @@ class Graph:
 
 
 class TransitionKernel:
-    """Row-stochastic one-step law over a graph's nodes.
+    """Row-stochastic one-step law over a graph's nodes, stored sparse.
 
+    ``support`` holds the row and column indices of the positive entries,
+    sorted by row, then column, and ``values`` the entries themselves.
     Rows must sum to 1 within 1e-12 and positive entries are only allowed
-    across edges of the originating graph.  ``support`` holds the row and
-    column indices of the positive entries, sorted by row, then column.
+    across edges of the originating graph.  ``matrix``, the dense V x V
+    array, is built on its first read; no engine that scales with V reads
+    it.
     """
 
     def __init__(self, matrix, origin: Graph):
@@ -268,19 +318,48 @@ class TransitionKernel:
         v = origin.node_count
         if m.shape != (v, v):
             raise InvalidParameterError("kernel shape must match node count")
-        if np.any(m < 0.0) or not np.all(np.isfinite(m)):
-            raise InvalidParameterError("kernel entries must be finite and nonnegative")
-        row_sums = m.sum(axis=1)
+        heads, tails, _ = origin._arcs
+        values = m[heads, tails]
+        m[heads, tails] = 0.0  # what is left lies off the edges
+        self._set_values(origin, values, m)
+
+    @classmethod
+    def _from_values(cls, origin: Graph, values: np.ndarray) -> TransitionKernel:
+        """Kernel with entry ``values[a]`` on each arc ``a`` of ``origin``
+        and 0 off the edges, checked as the constructor checks a matrix."""
+        kernel = cls.__new__(cls)
+        kernel._set_values(origin, values, np.zeros((origin.node_count, 0)))
+        return kernel
+
+    def _set_values(self, origin: Graph, values: np.ndarray, off_edges: np.ndarray) -> None:
+        # off_edges: one row per node, holding its entries off the arcs
+        heads, tails, _ = origin._arcs
+        for entries in (values, off_edges):
+            if not np.all((entries >= 0.0) & (entries < np.inf)):
+                raise InvalidParameterError("kernel entries must be finite and nonnegative")
+        row_sums = np.bincount(heads, weights=values, minlength=origin.node_count) + off_edges.sum(axis=1)
         if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
             raise InvalidParameterError("kernel rows must sum to 1 within 1e-12")
-        heads, tails, _ = origin._arcs
-        on_edges = m[heads, tails] > 0.0
-        if np.count_nonzero(on_edges) != np.count_nonzero(m):
+        if np.any(off_edges):
             raise InvalidParameterError("kernel support must lie on graph edges")
-        m.setflags(write=False)
-        self.matrix = m
+        positive = values > 0.0
+        if not positive.all():
+            heads, tails, values = heads[positive], tails[positive], values[positive]
+        values.setflags(write=False)
         self.origin = origin
-        self.support = (heads[on_edges], tails[on_edges])
+        self.support = (heads, tails)
+        self.values = values
+        self._matrix = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense V x V kernel, read-only; built on first read, O(V^2) memory."""
+        if self._matrix is None:
+            m = np.zeros((self.node_count, self.node_count))
+            m[self.support] = self.values
+            m.setflags(write=False)
+            self._matrix = m
+        return self._matrix
 
     @property
     def node_count(self) -> int:
@@ -299,10 +378,8 @@ def simple_walk_kernel(g: Graph) -> TransitionKernel:
     """
     if not g.connected:
         raise NotConnectedError("graph is disconnected; hitting times may be infinite")
-    heads, tails, weights = g._arcs
-    m = np.zeros((g.node_count, g.node_count))
-    m[heads, tails] = weights / g.strengths()[heads]
-    return TransitionKernel(m, g)
+    heads, _, weights = g._arcs
+    return TransitionKernel._from_values(g, weights / g.strengths()[heads])
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +390,23 @@ def build_cycle(k: int) -> Graph:
     """Cycle graph C_k (k >= 3), node i adjacent to (i +- 1) mod k."""
     if k < 3:
         raise InvalidParameterError("cycle needs k >= 3")
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    return Graph(k, tuple(edges))
+    nodes = np.arange(k)
+    return Graph._from_columns(k, nodes, (nodes + 1) % k)
 
 
 def build_path(k: int) -> Graph:
     """Path graph on k >= 2 sequentially connected nodes."""
     if k < 2:
         raise InvalidParameterError("path needs k >= 2")
-    edges = [(i, i + 1) for i in range(k - 1)]
-    return Graph(k, tuple(edges))
+    nodes = np.arange(k - 1)
+    return Graph._from_columns(k, nodes, nodes + 1)
 
 
 def build_complete(k: int) -> Graph:
     """Complete graph K_k (k >= 2)."""
     if k < 2:
         raise InvalidParameterError("complete graph needs k >= 2")
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    return Graph(k, tuple(edges))
+    return Graph._from_columns(k, *np.triu_indices(k, 1))
 
 
 def build_complete_bipartite(k1: int, k2: int) -> Graph:
@@ -339,8 +415,8 @@ def build_complete_bipartite(k1: int, k2: int) -> Graph:
         raise InvalidParameterError("bipartite sides must be nonempty")
     if k1 + k2 < 2:
         raise InvalidParameterError("need at least two nodes")
-    edges = [(i, k1 + j) for i in range(k1) for j in range(k2)]
-    return Graph(k1 + k2, tuple(edges))
+    side_a, side_b = np.repeat(np.arange(k1), k2), np.tile(np.arange(k1, k1 + k2), k1)
+    return Graph._from_columns(k1 + k2, side_a, side_b)
 
 
 def build_hypercube(dim: int) -> Graph:
@@ -352,34 +428,30 @@ def build_hypercube(dim: int) -> Graph:
     if dim < 1:
         raise InvalidParameterError("hypercube needs dim >= 1")
     n = 1 << dim
-    edges = []
-    for i in range(n):
-        for b in range(dim):
-            j = i ^ (1 << b)
-            if i < j:
-                edges.append((i, j))
+    # node i and bit b with the bit clear in i, so that i < i ^ (1 << b)
+    low, bit = np.nonzero(((np.arange(n)[:, None] >> np.arange(dim)) & 1) == 0)
     labels = tuple(format(i, f"0{dim}b") for i in range(n))
-    return Graph(n, tuple(edges), labels=labels)
+    return Graph._from_columns(n, low, low | (1 << bit), labels=labels)
 
 
 def _torus_graph(p: int, steps: list[tuple[int, int]]) -> Graph:
-    edges = set()
-    for a in range(p):
-        for b in range(p):
-            i = a * p + b
-            for da, db in steps:
-                j = ((a + da) % p) * p + (b + db) % p
-                if i != j:
-                    edges.add((min(i, j), max(i, j)))
+    """p x p torus, node (a,b) = a*p+b adjacent to (a,b) +- each step.
+
+    ``steps`` holds one step of each +- pair; for p >= 3 the two
+    directions never meet, so every edge is made once.
+    """
+    a, b = np.divmod(np.arange(p * p), p)
+    heads = np.tile(np.arange(p * p), len(steps))
+    tails = np.concatenate([(a + da) % p * p + (b + db) % p for da, db in steps])
     labels = tuple(f"({a},{b})" for a in range(p) for b in range(p))
-    return Graph(p * p, tuple(sorted(edges)), labels=labels)
+    return Graph._from_columns(p * p, heads, tails, labels=labels)
 
 
 def build_torus_standard(p: int) -> Graph:
     """p x p torus with axis steps (+-1, 0), (0, +-1); node (a,b) = a*p+b."""
     if p < 3:
         raise InvalidParameterError("torus needs p >= 3")
-    return _torus_graph(p, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+    return _torus_graph(p, [(1, 0), (0, 1)])
 
 
 def build_torus_diagonal(p: int) -> Graph:
@@ -392,7 +464,7 @@ def build_torus_diagonal(p: int) -> Graph:
         raise InvalidParameterError("torus needs p >= 3")
     if p % 2 == 0:
         raise InvalidParameterError("diagonal torus needs odd p (2 must be invertible)")
-    return _torus_graph(p, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    return _torus_graph(p, [(1, 1), (1, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +714,9 @@ def parse_graph_spec(spec: dict) -> Graph:
     Two shapes are accepted and unknown keys are rejected:
 
     ``{"nodes": N, "edges": [[u, v], [u, v, w], ...]}``
-        explicit edge list, optional per-edge weight;
+        explicit edge list, optional per-edge weight; N, u and v are
+        JSON integers and w a JSON number (an endpoint ``1.0`` or
+        ``true``, or a weight ``"2.5"``, is rejected, not converted);
     ``{"preset": "cycle", "params": [10]}``
         one of the named preset families.
     """
@@ -660,14 +734,23 @@ def parse_graph_spec(spec: dict) -> Graph:
     if "nodes" not in keys or "edges" not in keys:
         raise InvalidParameterError("graph spec needs 'nodes' and 'edges' (or 'preset')")
     nodes = spec["nodes"]
-    if not isinstance(nodes, int):
+    if not _is_json_int(nodes):
         raise InvalidParameterError("'nodes' must be an integer")
     edges = []
     for e in spec["edges"]:
         if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
             raise InvalidParameterError(f"bad edge entry {e!r}")
+        if not (_is_json_int(e[0]) and _is_json_int(e[1])):
+            raise InvalidParameterError(f"bad edge entry {e!r}: endpoints must be integers")
+        if len(e) == 3 and (isinstance(e[2], bool) or not isinstance(e[2], (int, float))):
+            raise InvalidParameterError(f"bad edge entry {e!r}: weight must be a number")
         edges.append(tuple(e))
     return Graph(nodes, tuple(edges))
+
+
+def _is_json_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def load_graph_file(path: str) -> tuple[Graph, dict]:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    GraphTooLargeError,
     InvalidParameterError,
     NotConnectedError,
     OracleTooLargeError,
@@ -73,6 +74,15 @@ _SPARSE_ROW_FRACTION = 10
 # this small.
 _BRUTE_MAX_STEPS = 10
 _BRUTE_MAX_NODES = 6
+
+# _equitable_cells packs (signing node, neighbour class, probability code)
+# into one int64 key, exact while the product of their ranges stays below
+# this; past it the refinement raises GraphTooLargeError.  The product is
+# at most V * V * (distinct step probabilities), so it takes ~10^6 nodes
+# with ~10^7 distinct probabilities to get there.  One lexsort of the three
+# columns would lift the bound, at about six times the cost of np.unique
+# on the key (418k arcs, bipartite:323:647).
+_SIGNATURE_KEY_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -194,8 +204,13 @@ def _require_reachable(
     state n are pred[ptr[n]:ptr[n+1]].
     """
     rows, cols = kernel.support
-    by_col = np.argsort(cols, kind="stable")
-    predecessors = np.searchsorted(cols[by_col], np.arange(kernel.node_count + 1)), rows[by_col]
+    if len(rows) == len(kernel.origin._arcs[0]):
+        # the support is every arc of an undirected graph: each state's
+        # predecessors are its successors, in the same (ascending) order
+        predecessors = np.searchsorted(rows, np.arange(kernel.node_count + 1)), cols
+    else:
+        by_col = np.argsort(cols, kind="stable")
+        predecessors = np.searchsorted(cols[by_col], np.arange(kernel.node_count + 1)), rows[by_col]
     levels = _levels(*predecessors, target)
     if levels.min() < 0:
         raise NotConnectedError(f"target {target} unreachable from some state")
@@ -262,7 +277,7 @@ def _quotient(kernel: TransitionKernel, target: int, lump: bool) -> tuple[Absorb
     is_rep[reps] = True
     picked = is_rep[heads]
     heads, tails = heads[picked], tails[picked]
-    probs = kernel.matrix[heads, tails]
+    probs = kernel.values[picked]
     row, col = rows[heads], rows[tails]
     p1 = np.zeros(len(reps))
     hit = col < 0
@@ -311,7 +326,7 @@ def _equitable_cells(
     """
     v = kernel.node_count
     heads, tails = kernel.support  # sorted by head, then tail
-    _, code = np.unique(kernel.matrix[heads, tails], return_inverse=True)
+    _, code = np.unique(kernel.values, return_inverse=True)
     n_codes = int(code.max()) + 1
     pred_ptr, pred = predecessors
     out_ptr = np.searchsorted(heads, np.arange(v + 1))
@@ -321,9 +336,14 @@ def _equitable_cells(
     todo = np.flatnonzero(size[colour] > 1)
     while todo.size:
         arcs, width = _arc_ranges(out_ptr, todo)
-        # (signing node, neighbour class, probability code) as one key; it
-        # stays below V^4, within int64 while V < 55108, a dense kernel of 24 GB
+        # (signing node, neighbour class, probability code) as one key, below
+        # todo.size * span (see _SIGNATURE_KEY_LIMIT)
         span = len(shared) * n_codes
+        if todo.size * span > _SIGNATURE_KEY_LIMIT:
+            raise GraphTooLargeError(
+                f"equitable partition of {v} nodes with {n_codes} distinct step probabilities "
+                "exceeds the int64 signature key"
+            )
         key = np.repeat(np.arange(todo.size) * span, width) + colour[tails[arcs]] * n_codes + code[arcs]
         key, count = np.unique(key, return_counts=True)
         owner, pair = np.divmod(key, span)

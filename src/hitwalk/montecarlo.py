@@ -126,7 +126,7 @@ def _step_tables(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     ``neighbor_table[x, sum(u >= kernel_cum[x])]``."""
     v = kernel.node_count
     rows, cols = kernel.support
-    neighbor_table, probs = _row_table(rows, cols, kernel.matrix[rows, cols], v)
+    neighbor_table, probs = _row_table(rows, cols, kernel.values, v)
     last = np.bincount(rows, minlength=v)[:, None] - 1
     # from each row's last neighbour on, the bound is 1 and the move is to it
     past_last = np.arange(probs.shape[1]) >= last

@@ -542,3 +542,11 @@ def test_spectral_on_chang_graph_matches_direct(capsys, tmp_path):
     doc = run_json(capsys, "pmf", "--graph", graph, "--from", "5", "--to", "0", "--horizon", "40",
                    "--engine", "direct")
     assert np.max(np.abs(spectral - np.array(doc["payload"]["table"]["rows"]))) <= 1e-12
+
+
+def test_exit_code_graph_file_with_converted_values(capsys, tmp_path):
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps({"nodes": 3, "edges": [[0, 1.7], [1, 2]]}))
+    code, out, err = run_cli(capsys, "moments", "--graph", str(path), "--to", "0")
+    assert code == 2 and out == ""
+    assert err == "hitwalk: invalid input: bad edge entry [0, 1.7]: endpoints must be integers\n"

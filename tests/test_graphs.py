@@ -374,3 +374,28 @@ def test_load_graph_file(tmp_path):
     g, spec = load_graph_file(str(path))
     assert g.edge_count == 6
     assert canonical_graph_spec(spec) == '{"params":[4],"preset":"complete"}'
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"nodes": 3, "edges": [[0, 1.7], [1, 2]]}, "bad edge entry [0, 1.7]: endpoints must be integers"),
+        ({"nodes": 3, "edges": [[1, 2], ["0", 1]]}, "bad edge entry ['0', 1]: endpoints must be integers"),
+        ({"nodes": 3, "edges": [[0, True], [1, 2]]}, "bad edge entry [0, True]: endpoints must be integers"),
+        ({"nodes": 3, "edges": [[0, 1, "2.5"], [1, 2]]}, "bad edge entry [0, 1, '2.5']: weight must be a number"),
+        ({"nodes": 3, "edges": [[0, 1], [1, 2, False]]}, "bad edge entry [1, 2, False]: weight must be a number"),
+        ({"nodes": 3, "edges": [[0, 1, None]]}, "bad edge entry [0, 1, None]: weight must be a number"),
+        ({"nodes": True, "edges": []}, "'nodes' must be an integer"),
+        ({"nodes": 2.0, "edges": [[0, 1]]}, "'nodes' must be an integer"),
+    ],
+)
+def test_parse_rejects_values_it_would_convert(spec, message):
+    # JSON that names a different graph once converted is refused, not coerced
+    with pytest.raises(InvalidParameterError) as info:
+        parse_graph_spec(spec)
+    assert str(info.value) == message
+
+
+def test_parse_keeps_json_numbers():
+    g = parse_graph_spec({"nodes": 3, "edges": [[0, 1, 2], [1, 2, 0.5]]})
+    assert g.edges == ((0, 1, 2.0), (1, 2, 0.5))
