@@ -1,16 +1,30 @@
-"""hitwalk command line: graph ingestion, engine dispatch, comparison.
+"""hitwalk command line: graph ingestion, the engine table, comparison.
 
-Subcommands: pmf, moments, ctime, simulate, compare, gf.  Every output
-document embeds the graph spec, its hash, the engine and all knobs
-needed to re-run it bit-identically.  Exit codes: 0 success, 2 invalid
-input, 3 violated engine hypothesis, 4 numerical failure.
+Subcommands: pmf, moments, ctime, simulate, compare, gf.  Each reads one
+problem, the graph and the (start, target) pair its options name; the
+problem builds the walk kernel, the lumped absorbing chain and the
+abelian structure only when a subcommand reads them, and then once.
+``pmf`` and ``compare`` take their series from one engine table.
+
+``--engine auto`` is ``direct``: the absorbing chain forms P(tau = n)
+from sums and products of non-negative numbers only, so every term keeps
+its relative accuracy however small it is.  The fourier and spectral
+engines sum signed terms, so their error is absolute; they run when
+named, and as legs of ``compare``.
+
+Every output document embeds the graph spec, its hash, the engine and
+all knobs needed to re-run it bit-identically.  Exit codes: 0 success,
+2 invalid input, 3 violated engine hypothesis, 4 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,66 +78,94 @@ def _parse_preset(text: str) -> tuple[str, list[int]]:
     return name, params
 
 
-def _resolve_graph(args) -> tuple[Graph, dict, str | None, list[int]]:
-    """Graph plus its canonical spec; preset name/params when known."""
+@dataclass(frozen=True)
+class _Problem:
+    """A graph, its spec and a target, with an optional start node."""
+
+    graph: Graph
+    spec: dict
+    preset: str | None  # the preset name; None for a graph file
+    params: list[int]
+    start: int | None
+    target: int
+
+    @cached_property
+    def kernel(self):
+        return simple_walk_kernel(self.graph)
+
+    @cached_property
+    def lumped(self) -> tuple[ht.AbsorbingSystem, np.ndarray]:
+        """The lumped absorbing chain and the row of each node in it."""
+        return ht.lumped_absorbing(self.kernel, self.target)
+
+    @cached_property
+    def abelian(self):
+        """(group, law, start - target) on an abelian Cayley preset, else None."""
+        if self.preset not in _ABELIAN_LAWS:
+            return None
+        group, law = _ABELIAN_LAWS[self.preset](*self.params)
+        return group, law, group.sub(group.element(self.start), group.element(self.target))
+
+
+def _problem(args) -> _Problem:
+    """The problem the options name, its nodes checked."""
     if args.graph and args.preset:
         raise InvalidParameterError("give either --graph or --preset, not both")
     if args.graph:
         graph, spec = load_graph_file(args.graph)
-        return graph, spec, None, []
-    if args.preset:
+        name, params = None, []
+    elif args.preset:
         name, params = _parse_preset(args.preset)
         graph = preset_graph(name, params)
-        return graph, {"preset": name, "params": params}, name, params
-    raise InvalidParameterError("a graph is required: --graph FILE or --preset NAME:ARGS")
+        spec = {"preset": name, "params": params}
+    else:
+        raise InvalidParameterError("a graph is required: --graph FILE or --preset NAME:ARGS")
+    for node in (args.start, args.target):
+        if node is not None and not 0 <= node < graph.node_count:
+            raise InvalidParameterError(f"node {node} out of range 0..{graph.node_count - 1}")
+    if args.start == args.target:
+        raise InvalidParameterError("--from must differ from --to")
+    return _Problem(graph, spec, name, params, args.start, args.target)
 
 
-def _transitive_preset(graph: Graph, name: str | None) -> bool:
-    """A regular preset, vertex-transitive by construction and so walk-regular.
-
-    A regular graph file need not be walk-regular; ``auto`` and
-    ``compare`` leave it to the direct engine.
-    """
-    return name is not None and graph.regular_degree() is not None
+def _starts(problem: _Problem) -> list[int]:
+    """The --from node, or else every node but the target."""
+    if problem.start is not None:
+        return [problem.start]
+    return [n for n in range(problem.graph.node_count) if n != problem.target]
 
 
-def _pick_engine(requested: str, graph: Graph, name: str | None) -> str:
-    if requested == "auto":
-        if name in _ABELIAN_LAWS:
-            return "fourier"
-        if _transitive_preset(graph, name):
-            return "spectral"
-        return "direct"
-    if requested == "fourier" and name not in _ABELIAN_LAWS:
+# P(tau = n), n = 1..horizon, from the problem's start, by each engine.
+
+def _direct(problem: _Problem, horizon: int) -> np.ndarray:
+    system, rows = problem.lumped
+    return ht.pmf(system, horizon, stop_early=False).probs[:, rows[problem.start]]
+
+
+def _fourier(problem: _Problem, horizon: int) -> np.ndarray:
+    if problem.abelian is None:
         raise HypothesisError(
             "fourier engine requires an abelian Cayley walk; applicable presets: "
             + ", ".join(sorted(_ABELIAN_LAWS))
         )
-    return requested
-
-
-# P(tau = n), n = 1..horizon, by each engine.
-
-def _direct_series(system: ht.AbsorbingSystem, row: int, horizon: int) -> np.ndarray:
-    return ht.pmf(system, horizon, stop_early=False).probs[:, row]
-
-
-def _fourier_series(structure, start: int, target: int, horizon: int) -> np.ndarray:
-    group, law = structure
-    displacement = group.sub(group.element(start), group.element(target))
+    group, law, displacement = problem.abelian
     return fr.fourier_pmf(group, law, horizon).probs[:, group.index(displacement)]
 
 
-def _spectral_series(graph: Graph, start: int, target: int, horizon: int) -> np.ndarray:
-    return sp.gf_series(graph, start, target, horizon)[1:]
+def _spectral(problem: _Problem, horizon: int) -> np.ndarray:
+    return sp.gf_series(problem.graph, problem.start, problem.target, horizon)[1:]
 
 
-def _metadata(spec: dict, command: str, **extra) -> dict:
-    canon = canonical_graph_spec(spec)
+_ENGINES = {"direct": _direct, "fourier": _fourier, "spectral": _spectral}
+
+
+def _metadata(problem: _Problem, command: str, **extra) -> dict:
     meta = {
         "command": command,
-        "graph": spec,
-        "graph_hash": hashlib.sha256(canon.encode()).hexdigest(),
+        "graph": problem.spec,
+        "graph_hash": hashlib.sha256(canonical_graph_spec(problem.spec).encode()).hexdigest(),
+        "start": problem.start,
+        "target": problem.target,
         "tolerances": {
             "solve_residual": SOLVE_RESIDUAL,
             "series_tail": SERIES_TAIL,
@@ -134,22 +176,9 @@ def _metadata(spec: dict, command: str, **extra) -> dict:
     return meta
 
 
-def _require_nodes(graph: Graph, *nodes) -> None:
-    for n in nodes:
-        if n is None:
-            raise InvalidParameterError("--from/--to node index required")
-        if not 0 <= n < graph.node_count:
-            raise InvalidParameterError(f"node {n} out of range 0..{graph.node_count - 1}")
-
-
-def _starts(graph: Graph, start: int | None, target: int) -> list[int]:
-    """The --from node, checked, or else every node but the target."""
-    if start is None:
-        return [n for n in range(graph.node_count) if n != target]
-    _require_nodes(graph, start)
-    if start == target:
-        raise InvalidParameterError("--from must differ from --to")
-    return [start]
+def _simulate(problem: _Problem, args) -> mc.SampleSummary:
+    config = mc.SimConfig(trials=args.trials, master_seed=args.seed, step_cap=args.step_cap)
+    return mc.simulate(problem.kernel, problem.start, problem.target, config)
 
 
 # ---------------------------------------------------------------------------
@@ -157,39 +186,26 @@ def _starts(graph: Graph, start: int | None, target: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_pmf(args) -> dict:
-    graph, spec, name, params = _resolve_graph(args)
-    _require_nodes(graph, args.start, args.target)
-    if args.start == args.target:
-        raise InvalidParameterError("--from must differ from --to")
-    engine = _pick_engine(args.engine, graph, name)
-    if engine == "direct":
-        # the kernel is freed once Q and P1 are cut from it, before any step
-        system, rows = ht.lumped_absorbing(simple_walk_kernel(graph), args.target)
-        series = _direct_series(system, rows[args.start], args.horizon)
-    elif engine == "fourier":
-        structure = _ABELIAN_LAWS[name](*params)
-        series = _fourier_series(structure, args.start, args.target, args.horizon)
-    else:
-        series = _spectral_series(graph, args.start, args.target, args.horizon)
+    problem = _problem(args)
+    if args.horizon < 1:
+        raise InvalidParameterError("horizon must be >= 1")
+    engine = "direct" if args.engine == "auto" else args.engine
+    series = _ENGINES[engine](problem, args.horizon)
     payload = {
         "table": {
             "columns": ["n", "probability"],
             "rows": [[n + 1, float(p)] for n, p in enumerate(series)],
         }
     }
-    meta = _metadata(
-        spec, "pmf",
-        engine=engine, start=args.start, target=args.target, horizon=args.horizon,
-    )
+    meta = _metadata(problem, "pmf", engine=engine, horizon=args.horizon)
     return {"metadata": meta, "payload": payload}
 
 
 def _cmd_moments(args) -> dict:
-    graph, spec, _, _ = _resolve_graph(args)
-    _require_nodes(graph, args.target)
-    system, rows = ht.lumped_absorbing(simple_walk_kernel(graph), args.target)
+    problem = _problem(args)
+    system, rows = problem.lumped
     report = ht.moments(system)
-    starts = _starts(graph, args.start, args.target)
+    starts = _starts(problem)
     table = np.stack([report.mean, report.second, report.variance], axis=1)[rows[starts]]
     payload = {
         "table": {
@@ -197,8 +213,7 @@ def _cmd_moments(args) -> dict:
             "rows": [[s, *values] for s, values in zip(starts, table.tolist())],
         }
     }
-    meta = _metadata(spec, "moments", start=args.start, target=args.target, engine="direct")
-    return {"metadata": meta, "payload": payload}
+    return {"metadata": _metadata(problem, "moments", engine="direct"), "payload": payload}
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -213,12 +228,10 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_ctime(args) -> dict:
-    graph, spec, _, _ = _resolve_graph(args)
-    _require_nodes(graph, args.target)
-    system, rows = ht.lumped_absorbing(simple_walk_kernel(graph), args.target)
-    times = _parse_grid(args.t_grid)
-    ev = ct_evaluate(system, times, args.tol)
-    starts = _starts(graph, args.start, args.target)
+    problem = _problem(args)
+    system, rows = problem.lumped
+    ev = ct_evaluate(system, _parse_grid(args.t_grid), args.tol)
+    starts = _starts(problem)
     columns = ["t"]
     for s in starts:
         columns += [f"cdf_{s}", f"pdf_{s}"]
@@ -229,19 +242,13 @@ def _cmd_ctime(args) -> dict:
         "truncation": ev.truncation,
         "table": {"columns": columns, "rows": table.tolist()},
     }
-    meta = _metadata(
-        spec, "ctime",
-        target=args.target, start=args.start, t_grid=args.t_grid, tol=args.tol, engine="uniformization",
-    )
+    meta = _metadata(problem, "ctime", t_grid=args.t_grid, tol=args.tol, engine="uniformization")
     return {"metadata": meta, "payload": payload}
 
 
 def _cmd_simulate(args) -> dict:
-    graph, spec, _, _ = _resolve_graph(args)
-    _require_nodes(graph, args.start, args.target)
-    kernel = simple_walk_kernel(graph)
-    config = mc.SimConfig(trials=args.trials, master_seed=args.seed, step_cap=args.step_cap)
-    summary = mc.simulate(kernel, args.start, args.target, config)
+    problem = _problem(args)
+    summary = _simulate(problem, args)
     payload = {
         "mean": summary.mean,
         "variance": summary.variance,
@@ -257,56 +264,40 @@ def _cmd_simulate(args) -> dict:
             ],
         },
     }
-    meta = _metadata(
-        spec, "simulate",
-        start=args.start, target=args.target, seed=args.seed,
-        trials=args.trials, step_cap=args.step_cap,
-    )
+    meta = _metadata(problem, "simulate", seed=args.seed, trials=args.trials, step_cap=args.step_cap)
     return {"metadata": meta, "payload": payload}
 
 
 def _cmd_compare(args) -> dict:
-    graph, spec, name, params = _resolve_graph(args)
-    _require_nodes(graph, args.start, args.target)
-    if args.start == args.target:
-        raise InvalidParameterError("--from must differ from --to")
+    problem = _problem(args)
     horizon = args.horizon
-    # The spectral leg runs first, so that its dense walk powers are freed
-    # before the kernel and Q that the rest of the comparison shares.
-    spectral = None
-    if _transitive_preset(graph, name):
-        spectral = _spectral_series(graph, args.start, args.target, horizon)
-    kernel = simple_walk_kernel(graph)
-    system, rows = ht.lumped_absorbing(kernel, args.target)
-    structure = _ABELIAN_LAWS[name](*params) if name in _ABELIAN_LAWS else None
-    series = {"direct": _direct_series(system, rows[args.start], horizon)}
-    if structure is not None:
-        series["fourier"] = _fourier_series(structure, args.start, args.target, horizon)
-    if spectral is not None:
-        series["spectral"] = spectral
-    engines = list(series)
-    discrepancies = []
-    for i, ea in enumerate(engines):
-        for eb in engines[i + 1 :]:
-            discrepancies.append(
-                [ea, eb, float(np.max(np.abs(series[ea] - series[eb])))]
-            )
+    engines = ["direct"]
+    if problem.abelian is not None:
+        engines.append("fourier")
+    # A regular preset is vertex-transitive by construction, so walk-regular;
+    # a regular graph file need not be, and is left to the direct engine.
+    if problem.preset is not None and problem.graph.regular_degree() is not None:
+        engines.append("spectral")
+    series = {engine: _ENGINES[engine](problem, horizon) for engine in engines}
+    discrepancies = [
+        [ea, eb, float(np.max(np.abs(series[ea] - series[eb])))]
+        for ea, eb in itertools.combinations(engines, 2)
+    ]
 
+    system, rows = problem.lumped
     report = ht.moments(system)
-    row = rows[args.start]
+    row = rows[problem.start]
     mean, second, variance = (float(x[row]) for x in (report.mean, report.second, report.variance))
     moment_section = {"direct": {"mean": mean, "second_moment": second, "variance": variance}}
-    if structure is not None:
-        group, law = structure
-        displacement = group.sub(group.element(args.start), group.element(args.target))
+    if problem.abelian is not None:
+        group, law, displacement = problem.abelian
         f_mean = fr.expected_hitting_abelian(group, law, displacement)
         f_q, f_var = fr.variance_abelian(group, law, displacement)
         moment_section["fourier"] = {"mean": f_mean, "second_moment": f_q, "variance": f_var}
         moment_section["max_mean_discrepancy"] = abs(mean - f_mean)
         moment_section["max_variance_discrepancy"] = abs(variance - f_var)
 
-    config = mc.SimConfig(trials=args.trials, master_seed=args.seed, step_cap=args.step_cap)
-    summary = mc.simulate(kernel, args.start, args.target, config)
+    summary = _simulate(problem, args)
     # The trials of a capped run that complete follow the law of tau given
     # tau <= cap, so testing their mean against the exact one says nothing.
     std_err = z = None
@@ -332,11 +323,11 @@ def _cmd_compare(args) -> dict:
         "moments": moment_section,
         "montecarlo": mc_section,
     }
-    if name == "torus_diag":
-        p = params[0]
-        start_el = divmod(args.start, p)
-        target_el = divmod(args.target, p)
-        conv = fr.diag_torus_convolution_report(p, start_el, target_el, horizon, series["direct"])
+    if problem.preset == "torus_diag":
+        p = problem.params[0]
+        conv = fr.diag_torus_convolution_report(
+            p, divmod(problem.start, p), divmod(problem.target, p), horizon, series["direct"]
+        )
         payload["diag_torus_convolution"] = {
             "diagonal_displacement": list(conv.diagonal_displacement),
             "convolution_series": [float(x) for x in conv.convolution],
@@ -345,19 +336,15 @@ def _cmd_compare(args) -> dict:
             "notes": list(conv.notes),
         }
     meta = _metadata(
-        spec, "compare",
-        start=args.start, target=args.target, horizon=horizon,
-        seed=args.seed, trials=args.trials, engine="all-applicable",
+        problem, "compare",
+        horizon=horizon, seed=args.seed, trials=args.trials, engine="all-applicable",
     )
     return {"metadata": meta, "payload": payload}
 
 
 def _cmd_gf(args) -> dict:
-    graph, spec, _, _ = _resolve_graph(args)
-    _require_nodes(graph, args.start, args.target)
-    if args.start == args.target:
-        raise InvalidParameterError("--from must differ from --to")
-    ratio = sp.rational_gf(graph, args.start, args.target, horizon=args.horizon)
+    problem = _problem(args)
+    ratio = sp.rational_gf(problem.graph, problem.start, problem.target, horizon=args.horizon)
     series = ratio.recursion[: args.horizon + 1]
     payload = {
         "numerator": [float(c) for c in ratio.numerator],
@@ -367,10 +354,7 @@ def _cmd_gf(args) -> dict:
             "rows": [[n, float(c)] for n, c in enumerate(series)],
         },
     }
-    meta = _metadata(
-        spec, "gf",
-        start=args.start, target=args.target, horizon=args.horizon, engine="spectral",
-    )
+    meta = _metadata(problem, "gf", horizon=args.horizon, engine="spectral")
     return {"metadata": meta, "payload": payload}
 
 
@@ -434,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=int, required=True)
     p.add_argument("--to", dest="target", type=int, required=True)
     p.add_argument("--horizon", type=int, default=_DEF_HORIZON)
-    p.add_argument("--engine", choices=["auto", "direct", "fourier", "spectral"], default="auto")
+    p.add_argument("--engine", choices=["auto", "direct", "fourier", "spectral"], default="direct",
+                   help="auto is direct")
     p.set_defaults(func=_cmd_pmf)
 
     p = sub.add_parser("moments", help="mean, second moment and variance")

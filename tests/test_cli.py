@@ -63,21 +63,14 @@ def test_pmf_complete_matches_geometric(capsys):
 
 
 def test_pmf_auto_engine_choice_is_recorded(capsys):
-    doc = run_json(
-        capsys, "pmf", "--preset", "cycle:6", "--from", "1", "--to", "0",
-        "--horizon", "4",
-    )
-    assert doc["metadata"]["engine"] == "fourier"
-    doc = run_json(
-        capsys, "pmf", "--preset", "cayley_s3", "--from", "0", "--to", "1",
-        "--horizon", "4",
-    )
-    assert doc["metadata"]["engine"] == "spectral"
-    doc = run_json(
-        capsys, "pmf", "--preset", "path:4", "--from", "3", "--to", "0",
-        "--horizon", "4",
-    )
-    assert doc["metadata"]["engine"] == "direct"
+    # auto is direct, with or without --engine, on abelian, Cayley and other presets
+    for preset, start, target in [("cycle:6", 1, 0), ("cayley_s3", 0, 1), ("path:4", 3, 0)]:
+        for extra in [(), ("--engine", "auto")]:
+            doc = run_json(
+                capsys, "pmf", "--preset", preset, "--from", str(start), "--to", str(target),
+                "--horizon", "4", *extra,
+            )
+            assert doc["metadata"]["engine"] == "direct"
 
 
 def test_preset_prefix_tolerated(capsys):
@@ -88,22 +81,31 @@ def test_preset_prefix_tolerated(capsys):
     assert doc["metadata"]["graph"] == {"preset": "cycle", "params": [5]}
 
 
+RELATIVE_CASES = [
+    ("cycle:339", 100, 0, 3000),
+    ("torus_std:5", 12, 0, 2000),
+    ("hypercube:6", 63, 0, 800),
+    ("bipartite:133:267", 5, 133, 2000),
+    ("bipartite:133:267", 200, 133, 2000),
+]
+
+
 @pytest.mark.parametrize(
-    "preset, start, target, horizon",
-    [
-        ("cycle:339", 100, 0, 3000),
-        ("torus_std:5", 12, 0, 2000),
-        ("hypercube:6", 63, 0, 800),
-        ("bipartite:133:267", 5, 133, 2000),
-        ("bipartite:133:267", 200, 133, 2000),
+    "engine, preset, start, target, horizon",
+    [pytest.param("direct", *case, id="-".join(map(str, case))) for case in RELATIVE_CASES]
+    + [
+        pytest.param("auto", *case, id="-".join(map(str, ("auto", *case))))
+        for case in RELATIVE_CASES + [("cayley_d8", 3, 0, 1600)]
     ],
 )
-def test_pmf_direct_is_relatively_accurate(capsys, preset, start, target, horizon):
+def test_pmf_direct_is_relatively_accurate(capsys, engine, preset, start, target, horizon):
     # the direct series only adds and multiplies nonnegative numbers, so
-    # every term keeps its relative accuracy, however small it is
+    # every term keeps its relative accuracy, however small it is; auto is
+    # direct, where fourier (cycle:339) and spectral (cayley_d8) were 1e57
+    # and 1e71 relatively off
     doc = run_json(
         capsys, "pmf", "--preset", preset, "--from", str(start), "--to", str(target),
-        "--horizon", str(horizon), "--engine", "direct",
+        "--horizon", str(horizon), "--engine", engine,
     )
     got = np.array([p for _, p in doc["payload"]["table"]["rows"]])
     exact = exact_pmf(preset, start, target, horizon)
@@ -268,7 +270,7 @@ def build_counts(monkeypatch):
         ("direct", {"kernel": 1, "absorbing": 1, "step_law": 0}),
         ("spectral", {"kernel": 0, "absorbing": 0, "step_law": 0}),
         ("fourier", {"kernel": 0, "absorbing": 0, "step_law": 1}),
-        ("auto", {"kernel": 0, "absorbing": 0, "step_law": 1}),
+        ("auto", {"kernel": 1, "absorbing": 1, "step_law": 0}),
     ],
 )
 def test_pmf_builds_only_what_its_engine_uses(capsys, build_counts, engine, builds):
@@ -277,6 +279,15 @@ def test_pmf_builds_only_what_its_engine_uses(capsys, build_counts, engine, buil
         "--horizon", "20", "--engine", engine,
     )
     assert build_counts == builds
+
+
+@pytest.mark.parametrize("engine", ["direct", "fourier", "spectral"])
+def test_pmf_horizon_zero_exits_2(capsys, engine):
+    code, out, err = run_cli(
+        capsys, "pmf", "--preset", "torus_std:5", "--from", "7", "--to", "0",
+        "--horizon", "0", "--engine", engine,
+    )
+    assert (code, out, err) == (2, "", "hitwalk: invalid input: horizon must be >= 1\n")
 
 
 def test_compare_builds_one_kernel_and_one_absorbing_system(capsys, build_counts):
