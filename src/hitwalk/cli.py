@@ -274,8 +274,8 @@ def _cmd_compare(args) -> dict:
     engines = ["direct"]
     if problem.abelian is not None:
         engines.append("fourier")
-    # A regular preset is vertex-transitive by construction, so walk-regular;
-    # a regular graph file need not be, and is left to the direct engine.
+    # The spectral series holds on every graph, but the leg runs on regular
+    # presets only, so a graph file's document keeps its engines.
     if problem.preset is not None and problem.graph.regular_degree() is not None:
         engines.append("spectral")
     series = {engine: _ENGINES[engine](problem, horizon) for engine in engines}

@@ -1,34 +1,46 @@
-"""Trace-recursion engine for walk-regular graphs.
+"""Trace-recursion engine: first-passage series by series division.
 
 Let B be the simple-walk matrix (each edge crossed with probability
-proportional to its weight).  When every node returns to itself in k
-steps with the same probability t_k = Trace(B^k)/V, for every k, the
-graph is walk-regular (Godsil and McKay, Linear Algebra Appl. 30, 1980)
-and the first-passage matrices M_n[i][j] = P(tau_{i,j} = n) satisfy
+proportional to its weight).  A walk from i that is at j after k steps
+first reached j at some step l <= k, so the first-passage probabilities
+f_l = P(tau_{i,j} = l) satisfy the renewal identity
+
+    (B^k)_{ij} = sum_{l=0..k} f_l (B^{k-l})_{jj},
+
+with f_0 = [i = j].  With r_k = (B^k)_{jj} (r_0 = 1) this is a series
+division, f = b / r with b_k = (B^k)_{ij}, exact on every connected
+graph.  When every node returns to itself in k steps with the same
+probability t_k = Trace(B^k)/V, for every k, the graph is walk-regular
+(Godsil and McKay, Linear Algebra Appl. 30, 1980), r_k = t_k for every
+j, and the first-passage matrices M_n[i][j] = P(tau_{i,j} = n) satisfy
+the paper's trace recursion
 
     M_0 = I,
     M_n = B^n - sum_{k=1..n} t_k M_{n-k}.
 
-Summing the recursion gives the Cauchy-product identity
-sum_{k=0..n} t_k M_{n-k} = B^n, and generating functions
-sum_n (M_n)_{ij} t^n are rational with numerator V * adj(I - tB)_{ij}
-and denominator det(I - tB) * sum_k V t_k t^k (a polynomial of degree
-V-1).  No eigenvalues are ever computed individually: everything flows
-through traces, and det(I - tB) follows from them by Newton's
-identities.
+Generating functions sum_n (M_n)_{ij} t^n of a walk-regular graph are
+then rational with numerator V * adj(I - tB)_{ij} and denominator
+det(I - tB) * sum_k V t_k t^k (a polynomial of degree V-1).  No
+eigenvalues are ever computed individually: det(I - tB) follows from the
+traces by Newton's identities.
 
-Vertex-transitive graphs are walk-regular, and so is every strongly
-regular graph.  The hypothesis itself is checked, to 1e-12: each power
-B^k is formed once, and the first k at which a diagonal entry differs
-from t_k raises :class:`HypothesisError`.  By Cayley-Hamilton, k < V
-covers every k.
+Only ``rational_gf``, ``mn_sequence`` and ``trace_powers`` need
+walk-regularity, and they check it, to 1e-12: each power B^k is formed
+densely, and the first k at which a diagonal entry differs from t_k
+raises :class:`HypothesisError`.  By Cayley-Hamilton B^k lies in the span
+of I, B, ..., B^{V-1}, so k < V covers every k, and ``rational_gf``
+forms only those powers.  Vertex-transitive graphs are walk-regular, and
+so is every strongly regular graph.
 
-The recursion is a series division, M = B / T with T(t) = sum_k t_k t^k,
-and it acts entrywise.  So the one-pair functions (``gf_series``,
-``rational_gf``) keep only t_k and (B^k)_{ij} of each power, and their
-memory is O(N + V^2) rather than the O(N V^2) of the full stack
-``mn_sequence`` returns.  Forming B^k, which the check needs anyway,
-costs O(V^3) per step; the division itself one length-k dot product.
+The one-pair series (``gf_series``, and the series ``rational_gf``
+checks its pair against) needs only b_k and r_k, the entries i and j of
+the target's column B^k e_j, and never forms B^k.  The coarsest
+equitable partition that keeps j alone (``hitting.lumped_absorbing``)
+has characteristic matrix S with BS = S B_pi, so B^k e_j = S B_pi^k e_[j]
+(Kemeny & Snell, Finite Markov Chains, 1960, section 6.3): both numbers
+are entries of one class vector w_k = B_pi w_{k-1}, w_0 = e_[j].  B_pi is
+the lumped absorbing chain [Q | P1] plus the target's own row, so a step
+costs O(classes * row width), and the division one length-k dot product.
 """
 from __future__ import annotations
 
@@ -36,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hitting
 from .errors import HypothesisError, InvalidParameterError, NumericalError
 from .graphs import Graph, simple_walk_kernel
 
@@ -126,16 +139,25 @@ def _series_divide(b: np.ndarray, traces: np.ndarray) -> np.ndarray:
     return b
 
 
-def _entry_series(graph: Graph, i: int, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Traces t_0..t_n and the series (M_k)_{ij}, k = 0..n, from one pass over the powers."""
-    traces = np.empty(n + 1)
-    entries = np.empty(n + 1)
-    traces[0] = 1.0
-    entries[0] = float(i == j)
-    for k, (power, t) in enumerate(_walk_powers(graph, n), start=1):
-        traces[k] = t
-        entries[k] = power[i, j]
-    return traces, _series_divide(entries, traces)
+def _target_column(graph: Graph, i: int, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B^k)_{ij} and r_k = (B^k)_{jj}, k = 0..n, from the target's column
+    of the lumped chain (see the module docstring)."""
+    kernel = simple_walk_kernel(graph)
+    system, rows = hitting.lumped_absorbing(kernel, j)
+    heads, tails = kernel.support
+    arcs = slice(*np.searchsorted(heads, [j, j + 1]))
+    # the target's row of B_pi: its arcs summed by class (a graph has no
+    # self-loops, so none returns to the target in one step)
+    target_row = np.bincount(rows[tails[arcs]], weights=kernel.values[arcs], minlength=system.size)
+    column, back = np.zeros(system.size), 1.0  # w_k off the target's class, and on it
+    row = rows[i]
+    entries, returns = np.empty((2, n + 1))
+    entries[0], returns[0] = 0.0, 1.0
+    for k in range(1, n + 1):
+        column, back = system.step(column) + back * system.first_step, target_row @ column
+        entries[k], returns[k] = column[row], back
+    # for i = j the entries are the returns (rows[j] = -1 read a stray class)
+    return (returns.copy() if i == j else entries), returns
 
 
 def trace_powers(graph: Graph, n: int) -> TracePowerTable:
@@ -175,7 +197,7 @@ def gf_series(graph: Graph, i: int, j: int, n: int) -> np.ndarray:
     _require_pair(graph, i, j)
     if n < 0:
         raise InvalidParameterError("need n >= 0")
-    return _entry_series(graph, i, j, n)[1]
+    return _series_divide(*_target_column(graph, i, j, n))
 
 
 @dataclass(frozen=True)
@@ -185,8 +207,8 @@ class RationalGF:
     Coefficient vectors are in ascending powers of t; denominator(0)
     equals the node count.  ``series(n)`` re-expands the Taylor series
     by long division for cross-checks against the trace recursion.
-    ``recursion`` holds the trace-recursion coefficients (M_n)_{ij},
-    n = 0..N with N >= 2V, that the pair was checked against.
+    ``recursion`` holds the series (M_n)_{ij}, n = 0..N with N >= 2V,
+    that the pair was checked against.
     """
 
     numerator: np.ndarray
@@ -220,22 +242,22 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
 def rational_gf(graph: Graph, i: int, j: int, horizon: int = 0) -> RationalGF:
     """Numerator/denominator polynomials of the hitting generating function.
 
-    The power sums p_k = V t_k give c(t) = det(I - tB) by Newton's
-    identities, k c_k = -sum_{m=1..k} p_m c_{k-m}.  The denominator
-    c(t) * sum_k p_k t^k = V c(t) - t c'(t) has coefficients (V - k) c_k
-    and degree V-1; the numerator is the denominator times the series
-    sum_n (M_n)_{ij} t^n, truncated to degree V-1.  The pair must
-    re-expand to the trace recursion through degree 2V within 1e-8,
-    else :class:`NumericalError`.  The recursion runs to
-    max(2V, horizon), so the series through ``horizon`` comes from the
-    same pass as ``recursion``.
+    The power sums p_k = V t_k, k < V, give c(t) = det(I - tB) by
+    Newton's identities, k c_k = -sum_{m=1..k} p_m c_{k-m}; forming them
+    checks walk-regularity, which k < V settles for every k.  The
+    denominator c(t) * sum_k p_k t^k = V c(t) - t c'(t) has coefficients
+    (V - k) c_k and degree V-1; the numerator is the denominator times
+    the series sum_n (M_n)_{ij} t^n, truncated to degree V-1.  The pair
+    must re-expand to the series through degree 2V within 1e-8, else
+    :class:`NumericalError`.  The series runs to max(2V, horizon), so the
+    series through ``horizon`` comes from the same pass as ``recursion``.
     """
     _require_pair(graph, i, j)
     if horizon < 0:
         raise InvalidParameterError("need horizon >= 0")
     v = graph.node_count
-    traces, series = _entry_series(graph, i, j, max(2 * v, horizon))
-    power_sums = v * traces[:v]
+    power_sums = v * trace_powers(graph, v - 1).values
+    series = _series_divide(*_target_column(graph, i, j, max(2 * v, horizon)))
     char = np.empty(v)
     char[0] = 1.0
     for k in range(1, v):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,19 @@ def preset_zoo(max_nodes=None):
     if max_nodes is not None:
         graphs = {k: g for k, g in graphs.items() if g.node_count <= max_nodes}
     return graphs
+
+
+def chang_graph():
+    """A Chang graph: the triangular graph T(8) switched on a perfect matching
+    of K_8.  Strongly regular (28, 12, 6, 4), hence walk-regular, but not
+    vertex-transitive: nodes lie in 32 or 36 copies of K_4."""
+    pairs = list(itertools.combinations(range(8), 2))
+    switched = {(0, 1), (2, 3), (4, 5), (6, 7)}
+    return hw.Graph(28, tuple(
+        (a, b)
+        for a, b in itertools.combinations(range(28), 2)
+        if bool(set(pairs[a]) & set(pairs[b])) != ((pairs[a] in switched) != (pairs[b] in switched))
+    ))
 
 
 def exact_first_passage(graph, start, target, horizon):

@@ -1,4 +1,3 @@
-import itertools
 import json
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ import pytest
 from hitwalk import cli, hitting
 from hitwalk.cli import main
 
-from conftest import exact_moments, exact_pmf
+from conftest import chang_graph, exact_moments, exact_pmf
 
 
 def run_cli(capsys, *args):
@@ -268,7 +267,8 @@ def build_counts(monkeypatch):
     "engine, builds",
     [
         ("direct", {"kernel": 1, "absorbing": 1, "step_law": 0}),
-        ("spectral", {"kernel": 0, "absorbing": 0, "step_law": 0}),
+        # the spectral engine lumps the chain itself, for the target's column
+        ("spectral", {"kernel": 0, "absorbing": 1, "step_law": 0}),
         ("fourier", {"kernel": 0, "absorbing": 0, "step_law": 1}),
         ("auto", {"kernel": 1, "absorbing": 1, "step_law": 0}),
     ],
@@ -291,12 +291,13 @@ def test_pmf_horizon_zero_exits_2(capsys, engine):
 
 
 def test_compare_builds_one_kernel_and_one_absorbing_system(capsys, build_counts):
-    # the direct series, the moments and Monte Carlo share them
+    # the direct series, the moments and Monte Carlo share them; the
+    # spectral leg lumps the chain once more, inside gf_series
     run_json(
         capsys, "compare", "--preset", "torus_std:5", "--from", "7", "--to", "0",
         "--horizon", "20", "--trials", "200",
     )
-    assert build_counts == {"kernel": 1, "absorbing": 1, "step_law": 1}
+    assert build_counts == {"kernel": 1, "absorbing": 2, "step_law": 1}
 
 
 # --- output formats ---------------------------------------------------------------------
@@ -363,10 +364,8 @@ def test_exit_code_hypothesis_violation(capsys):
         capsys, "pmf", "--preset", "cayley_d8", "--from", "0", "--to", "3", "--engine", "fourier"
     )
     assert code == 3
-    code, _, err = run_cli(
-        capsys, "pmf", "--preset", "path:4", "--from", "3", "--to", "0", "--engine", "spectral"
-    )
-    assert code == 3
+    code, _, err = run_cli(capsys, "gf", "--preset", "path:4", "--from", "3", "--to", "0")
+    assert code == 3 and "not walk-regular" in err
 
 
 def test_exit_code_unknown_json_key(capsys, tmp_path):
@@ -437,7 +436,7 @@ def test_gf_takes_pair_and_series_from_one_pass(capsys, monkeypatch):
 
     monkeypatch.setattr(spectral, "_walk_powers", counting)
     doc = run_json(capsys, "gf", "--preset", "torus_std:5", "--from", "3", "--to", "0", "--horizon", "60")
-    assert entered == [60]
+    assert entered == [24]  # walk-regularity through V - 1
     series = [row[1] for row in doc["payload"]["table"]["rows"]]
     monkeypatch.undo()
     assert series == spectral.gf_series(preset_graph("torus_std", [5]), 3, 0, 60).tolist()
@@ -467,17 +466,7 @@ def _frucht_file(tmp_path):
 
 
 def _chang_file(tmp_path):
-    # a Chang graph: the triangular graph T(8) switched on a perfect matching
-    # of K_8.  Strongly regular (28, 12, 6, 4), hence walk-regular, but not
-    # vertex-transitive: nodes lie in 32 or 36 copies of K_4.
-    pairs = list(itertools.combinations(range(8), 2))
-    switched = {(0, 1), (2, 3), (4, 5), (6, 7)}
-    edges = [
-        (a, b)
-        for a, b in itertools.combinations(range(28), 2)
-        if bool(set(pairs[a]) & set(pairs[b])) != ((pairs[a] in switched) != (pairs[b] in switched))
-    ]
-    return _write_graph(tmp_path, 28, edges)
+    return _write_graph(tmp_path, 28, [(a, b) for a, b, _ in chang_graph().edges])
 
 
 def test_auto_on_frucht_file_matches_direct(capsys, tmp_path):
@@ -489,14 +478,25 @@ def test_auto_on_frucht_file_matches_direct(capsys, tmp_path):
 
 
 def test_spectral_on_frucht_file_exits_3(capsys, tmp_path):
+    # the rational pair needs walk-regularity; the pmf series does not
     graph = _frucht_file(tmp_path)
     code, _, err = run_cli(capsys, "gf", "--graph", graph, "--from", "1", "--to", "0")
     assert code == 3 and "not walk-regular" in err
-    code, _, err = run_cli(
-        capsys, "pmf", "--graph", graph, "--from", "1", "--to", "0", "--horizon", "4",
-        "--engine", "spectral",
-    )
-    assert code == 3 and "returns in 3 steps" in err
+
+
+def _spectral_and_direct(capsys, graph, start, horizon):
+    args = ["pmf", "--graph", graph, "--from", str(start), "--to", "0", "--horizon", str(horizon)]
+    return [
+        np.array(run_json(capsys, *args, "--engine", engine)["payload"]["table"]["rows"])
+        for engine in ("spectral", "direct")
+    ]
+
+
+@pytest.mark.parametrize("start", range(1, 12))
+def test_spectral_pmf_on_frucht_file_matches_direct(capsys, tmp_path, start):
+    # the renewal identity on the target's column holds on every graph
+    spectral, direct = _spectral_and_direct(capsys, _frucht_file(tmp_path), start, 200)
+    assert np.max(np.abs(spectral - direct)) <= 1e-15
 
 
 def test_spectral_on_frucht_file_exact_before_first_triangle(capsys, tmp_path):
@@ -537,12 +537,11 @@ def test_weighted_four_cycle_auto_and_spectral(capsys, tmp_path):
     assert np.max(np.abs(spectral - direct)) <= 1e-12
 
 
-def test_spectral_exits_3_on_non_walk_regular_weights(capsys, tmp_path):
+def test_spectral_on_non_walk_regular_weights_matches_direct(capsys, tmp_path):
     graph = _write_graph(tmp_path, 4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0), (0, 3, 4.0)])
-    code, _, err = run_cli(
-        capsys, "pmf", "--graph", graph, "--from", "1", "--to", "0", "--engine", "spectral"
-    )
-    assert code == 3 and "hypothesis" in err
+    for start in (1, 2, 3):
+        spectral, direct = _spectral_and_direct(capsys, graph, start, 200)
+        assert np.max(np.abs(spectral - direct)) <= 1e-15, start
 
 
 def test_spectral_on_chang_graph_matches_direct(capsys, tmp_path):

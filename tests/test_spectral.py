@@ -3,8 +3,9 @@ import pytest
 
 import hitwalk as hw
 from hitwalk.errors import HypothesisError
+from hitwalk.graphs import TransitionKernel
 
-from conftest import preset_zoo
+from conftest import chang_graph, preset_zoo
 
 
 def vt_graphs():
@@ -159,18 +160,104 @@ def test_gf_series_matches_mn_sequence_entry(graph, n):
 
 
 def test_gf_series_peak_memory_is_one_entry():
-    # the (h+1) x V x V first-passage stack of torus_std:20 at h = 64 takes 84 MiB
+    # the (h+1) x V x V first-passage stack of torus_std:20 at h = 64 takes
+    # 84 MiB, and dense walk powers of hypercube:10 about 25 MiB; the
+    # target's column takes 1.25 and 0.53 MiB
     import tracemalloc
 
-    g = hw.build_torus_standard(20)
-    tracemalloc.start()
-    try:
-        series = hw.gf_series(g, 0, 21, 64)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(series) == 65
-    assert peak < 10 * 2**20
+    for g, target in ((hw.build_torus_standard(20), 21), (hw.build_hypercube(10), 1023)):
+        tracemalloc.start()
+        try:
+            series = hw.gf_series(g, 0, target, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 65
+        assert peak < 2 * 2**20, g.node_count
+
+
+# --- the target's column ------------------------------------------------------------
+
+def dense_columns(graph, target, n):
+    """(B^k)_{i,target} for k = 0..n (rows) and every node i (columns), by
+    products with the dense kernel."""
+    b = hw.simple_walk_kernel(graph).matrix
+    columns = np.empty((n + 1, graph.node_count))
+    columns[0] = np.eye(graph.node_count)[target]
+    for k in range(1, n + 1):
+        columns[k] = b @ columns[k - 1]
+    return columns
+
+
+def dense_series(graph, target, n):
+    """P(tau_{i,target} = k) for k = 0..n (rows) and every start i (columns):
+    the dense columns divided by their target entries, as the renewal
+    identity says."""
+    series = dense_columns(graph, target, n)
+    returns = series[:, target].copy()
+    for k in range(1, n + 1):
+        series[k] -= returns[k:0:-1] @ series[:k]
+    return series
+
+
+@pytest.mark.parametrize(
+    "preset, target, n",
+    [("torus_std:20", 21, 64), ("torus_diag:19", 40, 64), ("hypercube:8", 255, 64),
+     ("cycle:400", 200, 64), ("torus_std:7", 0, 400), ("hypercube:6", 63, 400)],
+)
+def test_gf_series_matches_dense_column(preset, target, n):
+    name, param = preset.split(":")
+    g = hw.preset_graph(name, [int(param)])
+    reference = dense_series(g, target, n)
+    for start in (0, 1, g.node_count // 3, g.node_count - 1):
+        if start != target:
+            assert np.max(np.abs(hw.gf_series(g, start, target, n) - reference[:, start])) <= 1e-15
+
+
+@pytest.mark.parametrize("graph", [hw.build_path(30), chang_graph()], ids=["path30", "chang"])
+def test_gf_series_matches_direct(graph):
+    # neither graph is vertex-transitive, and the path is not walk-regular
+    kernel = hw.simple_walk_kernel(graph)
+    for target in (0, 13):
+        direct = hw.pmf(hw.make_absorbing(kernel, target), 200, stop_early=False)
+        for start in direct.states:
+            series = hw.gf_series(graph, start, target, 200)
+            assert series[0] == 0.0
+            assert np.max(np.abs(series[1:] - direct.column(start))) <= 1e-15, (start, target)
+
+
+@pytest.mark.parametrize(
+    "graph", [hw.build_torus_standard(5), hw.build_path(30), chang_graph()], ids=["torus_std5", "path30", "chang"]
+)
+def test_gf_series_from_the_target_is_e0(graph):
+    for target in (0, 13):
+        assert np.array_equal(hw.gf_series(graph, target, target, 50), np.eye(51)[0])
+
+
+@pytest.mark.parametrize(
+    "graph, target", [(hw.build_torus_standard(7), 0), (hw.build_path(30), 13), (chang_graph(), 5)],
+    ids=["torus_std7", "path30", "chang"],
+)
+def test_target_column_holds_walk_powers(graph, target):
+    # the division undoes any return sequence the column steps with (even
+    # none, which leaves the direct engine's series), so only these entries
+    # show that the spectral route divides (B^k)_ij by (B^k)_jj
+    from hitwalk.spectral import _target_column
+
+    columns = dense_columns(graph, target, 100)
+    for start in (target, 0, graph.node_count - 1):
+        entries, returns = _target_column(graph, start, target, 100)
+        assert np.max(np.abs(returns - columns[:, target])) <= 1e-15
+        assert np.max(np.abs(entries - columns[:, start])) <= 1e-15
+
+
+def test_gf_series_never_reads_the_dense_kernel(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense kernel was read")
+
+    monkeypatch.setattr(TransitionKernel, "matrix", property(refuse))
+    for graph in (hw.build_torus_standard(7), hw.build_path(9), chang_graph()):
+        assert len(hw.gf_series(graph, 1, 0, 40)) == 41
 
 
 # --- rational generating function ---------------------------------------------------
