@@ -24,7 +24,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -153,7 +153,9 @@ def _fourier(problem: _Problem, horizon: int) -> np.ndarray:
 
 
 def _spectral(problem: _Problem, horizon: int) -> np.ndarray:
-    return sp.gf_series(problem.graph, problem.start, problem.target, horizon)[1:]
+    # gf_series on the problem's own kernel and lumped chain
+    column = sp._lumped_column(problem.kernel, problem.lumped, problem.start, horizon)
+    return sp._series_divide(*column)[1:]
 
 
 _ENGINES = {"direct": _direct, "fourier": _fourier, "spectral": _spectral}
@@ -465,9 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves no state in it,
+    and each subcommand reads the module's functions when it runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = args.func(args)
         _emit(doc, args.format, args.output)

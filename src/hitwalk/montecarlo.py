@@ -24,6 +24,22 @@ The k-th draw of a trial follows the rule above whatever the block
 sizes, and step k of a trial uses its k-th draw, so every sample equals
 that of a walk that draws one step at a time.
 
+A step from x with uniform u moves to the j-th neighbour of x, where j
+counts the cumulative bounds of row x that u reaches (u >= bound).  The
+simulator makes that one gather per step, in the manner of the guide
+tables of discrete inversion (Devroye, Non-Uniform Random Variate
+Generation, 1986, section III.2.4), made exact: the distinct bounds
+below 1 of all rows form one sorted list S', and each block's uniforms
+are ranked in S' once, r = #{s in S' : s <= u}.  Every bound of every
+row below 1 lies in S', and u < 1 reaches no bound of 1, so the rank
+settles every comparison of u with every row: the successor table entry
+M[x, r] is the move that counting in row x picks, and the samples are
+those of the count.  M has V * (|S'| + 1) entries; it is built only when
+that is no more than the two padded V * width row tables hold,
+|S'| + 1 <= 2 width.  A regular simple walk has |S'| + 1 = width and a
+path 2; kernels with many distinct bounds, such as weighted graph files,
+count in each walker's row at every step instead.
+
 Trials that reach the step cap are counted and excluded from the
 statistics, never silently folded in: hitting times are heavy-tailed and
 silent truncation would bias the variance.
@@ -135,6 +151,38 @@ def _step_tables(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     return kernel_cum, neighbor_table
 
 
+def _successor_table(
+    kernel_cum: np.ndarray, neighbor_table: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(S', M): the distinct bounds below 1 of every row, sorted, and the
+    move from each node for a draw of each rank in S'.
+
+    A draw u of rank r = #{s in S' : s <= u} passes exactly the bounds
+    of S'[:r], so ``M[x, r] = neighbor_table[x, sum(u >= kernel_cum[x])]``
+    for every u of that rank.  Moves are scaled by the row length
+    |S'| + 1, so that a walker's position plus its rank indexes M.ravel().
+    None when M would be larger than the two row tables, |S'| + 1 > 2 width.
+    """
+    v, width = kernel_cum.shape
+    below = kernel_cum < 1.0
+    values = kernel_cum[below]
+    bounds = np.unique(values)
+    size = bounds.size + 1
+    if size > 2 * width:
+        return None
+    # a bound at index i of S' counts for the draws of rank > i, so cell
+    # (x, r) of the cumulative count is the choice in row x at rank r
+    cells = np.repeat(np.arange(0, v * size, size), below.sum(axis=1))
+    cells += np.searchsorted(bounds, values, side="right")
+    del below, values  # freed before the table is built
+    choice = np.bincount(cells, minlength=v * size).reshape(v, size)
+    choice.cumsum(axis=1, out=choice)
+    choice += np.arange(0, v * width, width)[:, None]  # flat index into neighbor_table
+    successors = neighbor_table.take(choice, out=choice)
+    successors *= size
+    return bounds, successors.ravel()
+
+
 def _simulate_trials(
     kernel_cum: np.ndarray,
     neighbor_table: np.ndarray,
@@ -150,12 +198,25 @@ def _simulate_trials(
     draws k = step+1 .. step+b.  A walker that hits inside a block walks
     on to its end on its own draws and those positions are discarded, so
     every trial consumes exactly its own stream, as one step at a time.
+
+    Positions are held scaled by the length of a successor-table row
+    (by the row-table width when there is no table).  With a table
+    (``_successor_table``) the block's draws are ranked in S' once, and a
+    step is one gather, ``M[position + rank]``: the rank settles every
+    comparison of u with the walker's bounds, so the move is the one
+    that counting them picks.  Without a table a step counts the bounds
+    u reaches in the walker's row.
     """
-    width = kernel_cum.shape[1]
-    neighbors = neighbor_table.ravel()
+    table = _successor_table(kernel_cum, neighbor_table)
+    if table is None:
+        scale = kernel_cum.shape[1]
+        successors = neighbor_table.ravel() * scale
+    else:
+        bounds, successors = table
+        scale = bounds.size + 1
     states = _stream_states(master_seed, count)
     trials = np.arange(count)
-    positions = np.full(count, start, dtype=np.intp)
+    positions = np.full(count, start * scale, dtype=np.intp)
     outcome = np.full(count, -1, dtype=np.int64)
     with np.errstate(over="ignore"):
         offsets = np.arange(1, _BLOCK_STEPS + 1, dtype=_U64)[:, None] * _U64(GAMMA)
@@ -163,13 +224,18 @@ def _simulate_trials(
     while trials.size and step < step_cap:
         b = min(_BLOCK_STEPS, max(1, _BLOCK_CELLS // trials.size), step_cap - step)
         with np.errstate(over="ignore"):
-            u = uniform_from_draw(mix64(states + offsets[:b]))
+            draws = uniform_from_draw(mix64(states + offsets[:b]))
             states += offsets[b - 1]
-        history = np.empty(u.shape, dtype=np.intp)
+        if table is not None:
+            draws = np.searchsorted(bounds, draws, side="right")  # ranks in S'
+        history = np.empty(draws.shape, dtype=np.intp)
         for k in range(b):
-            choice = (u[k, :, None] >= kernel_cum.take(positions, axis=0)).sum(axis=1)
-            positions = history[k] = neighbors.take(positions * width + choice)
-        hit = history == target
+            if table is None:
+                choice = (draws[k, :, None] >= kernel_cum.take(positions // scale, axis=0)).sum(axis=1)
+            else:
+                choice = draws[k]
+            positions = history[k] = successors.take(positions + choice)
+        hit = history == target * scale
         first = hit.argmax(axis=0)
         done = hit.any(axis=0)
         outcome[trials[done]] = step + 1 + first[done]

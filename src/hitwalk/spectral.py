@@ -143,7 +143,14 @@ def _target_column(graph: Graph, i: int, j: int, n: int) -> tuple[np.ndarray, np
     """(B^k)_{ij} and r_k = (B^k)_{jj}, k = 0..n, from the target's column
     of the lumped chain (see the module docstring)."""
     kernel = simple_walk_kernel(graph)
-    system, rows = hitting.lumped_absorbing(kernel, j)
+    return _lumped_column(kernel, hitting.lumped_absorbing(kernel, j), i, n)
+
+
+def _lumped_column(kernel, lumped, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_target_column`` on a walk kernel and its target's lumped chain,
+    ``lumped = hitting.lumped_absorbing(kernel, j)``, built already."""
+    system, rows = lumped
+    j = system.target
     heads, tails = kernel.support
     arcs = slice(*np.searchsorted(heads, [j, j + 1]))
     # the target's row of B_pi: its arcs summed by class (a graph has no

@@ -267,8 +267,8 @@ def build_counts(monkeypatch):
     "engine, builds",
     [
         ("direct", {"kernel": 1, "absorbing": 1, "step_law": 0}),
-        # the spectral engine lumps the chain itself, for the target's column
-        ("spectral", {"kernel": 0, "absorbing": 1, "step_law": 0}),
+        # the spectral engine steps the target's column on the problem's lumped chain
+        ("spectral", {"kernel": 1, "absorbing": 1, "step_law": 0}),
         ("fourier", {"kernel": 0, "absorbing": 0, "step_law": 1}),
         ("auto", {"kernel": 1, "absorbing": 1, "step_law": 0}),
     ],
@@ -291,13 +291,72 @@ def test_pmf_horizon_zero_exits_2(capsys, engine):
 
 
 def test_compare_builds_one_kernel_and_one_absorbing_system(capsys, build_counts):
-    # the direct series, the moments and Monte Carlo share them; the
-    # spectral leg lumps the chain once more, inside gf_series
+    # the direct and spectral series, the moments and Monte Carlo share them
     run_json(
         capsys, "compare", "--preset", "torus_std:5", "--from", "7", "--to", "0",
         "--horizon", "20", "--trials", "200",
     )
-    assert build_counts == {"kernel": 1, "absorbing": 2, "step_law": 1}
+    assert build_counts == {"kernel": 1, "absorbing": 1, "step_law": 1}
+
+
+# --- the parser -------------------------------------------------------------------------
+
+# every subcommand, two exit-2 errors (one from argparse, one from a node
+# out of range) and two CSV documents, in one mixed sequence
+PARSER_SEQUENCE = [
+    ["pmf", "--preset", "cycle:7", "--from", "2", "--to", "0", "--horizon", "12"],
+    ["moments", "--preset", "complete:4", "--to", "0", "--format", "csv"],
+    ["ctime", "--preset", "cycle:6", "--to", "0", "--t-grid", "0:10:5"],
+    ["simulate", "--preset", "cycle:6", "--from", "0", "--to", "3", "--trials", "50", "--seed", "1"],
+    ["pmf", "--preset", "cycle:7", "--from", "2"],
+    ["compare", "--preset", "cycle:5", "--from", "1", "--to", "0", "--horizon", "10", "--trials", "50"],
+    ["gf", "--preset", "cycle:6", "--from", "1", "--to", "0", "--horizon", "8"],
+    ["pmf", "--preset", "cycle:7", "--from", "2", "--to", "0", "--engine", "spectral", "--format", "csv"],
+    ["moments", "--preset", "cycle:5", "--from", "7", "--to", "0"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        outcomes = [_outcome(capsys, argv) for argv in PARSER_SEQUENCE]
+        assert len(built) == 1
+        assert [code for code, _, _ in outcomes] == [0, 0, 0, 0, 2, 0, 0, 0, 2]
+        # each call answers as it does on a parser of its own
+        for argv, outcome in zip(PARSER_SEQUENCE, outcomes):
+            cli._parser.cache_clear()
+            assert _outcome(capsys, argv) == outcome, argv
+        assert len(built) == 1 + len(PARSER_SEQUENCE)
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_spectral_pmf_is_gf_series(capsys):
+    from hitwalk import preset_graph, spectral
+
+    doc = run_json(
+        capsys, "pmf", "--preset", "torus_std:5", "--from", "7", "--to", "0",
+        "--horizon", "60", "--engine", "spectral",
+    )
+    series = [row[1] for row in doc["payload"]["table"]["rows"]]
+    assert series == spectral.gf_series(preset_graph("torus_std", [5]), 7, 0, 60)[1:].tolist()
 
 
 # --- output formats ---------------------------------------------------------------------

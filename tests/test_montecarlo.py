@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -89,10 +90,19 @@ def test_vectorized_stream_matches_reference_walk():
             assert summary.samples.max() > 2 * mc._BLOCK_STEPS
 
 
+def distinct_weight_graph(n, steps=(1, 7)):
+    """The circulant graph on n nodes with offsets ``steps``, every edge of
+    its own weight, so that no two rows share a cumulative bound."""
+    pairs = sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+    return hw.Graph(n, tuple((u, v, 1.0 + k / len(pairs)) for k, (u, v) in enumerate(pairs)))
+
+
 @st.composite
 def connected_weighted_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=12))
-    weight = st.floats(min_value=0.1, max_value=10.0)
+    # unit weights give rows few distinct bounds, so the walk takes the
+    # successor table; random weights give each row its own bounds
+    weight = draw(st.sampled_from([st.just(1.0), st.floats(min_value=0.1, max_value=10.0)]))
     # a random spanning tree keeps the graph connected; extra edges add cycles
     edges = {(draw(st.integers(0, i - 1)), i): draw(weight) for i in range(1, n)}
     for _ in range(draw(st.integers(0, 2 * n))):
@@ -177,6 +187,90 @@ def test_golden_sample_hashes(preset, start, target, seed, step_cap, digest):
     config = hw.SimConfig(trials=1000, master_seed=seed, step_cap=step_cap)
     samples = hw.simulate(kernel, start, target, config).samples
     assert hashlib.sha256(samples.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "graph, start, target, seed, digest",
+    [
+        # two degrees: the bounds 1/2 and 1, a table two wide
+        ("path:50", 10, 40, 5150,
+         "cf7345cb6a0bee084a8864b5ec2aa95f2643f3d96879d37ffcb5bd5762ceb64f"),
+        # bounds k/133 and k/267: a table 399 wide
+        ("bipartite:133:267", 3, 200, 90210,
+         "e492e8585b62526d27ee00e7c4016e2cd6d50a46e158632027b65051b369ac26"),
+        # every row its own bounds: no table, each step counts in its row
+        ("distinct:60", 0, 31, 4242,
+         "38bbe40914891b3df794b85fd9b812ffacc90461039a090a820677da06b0c9c5"),
+    ],
+)
+def test_golden_sample_hashes_with_and_without_successor_table(graph, start, target, seed, digest):
+    # sha256 as above, recorded when every kernel stepped by the per-row count
+    name, *params = graph.split(":")
+    params = [int(p) for p in params]
+    g = distinct_weight_graph(*params) if name == "distinct" else hw.preset_graph(name, params)
+    kernel = hw.simple_walk_kernel(g)
+    assert (mc._successor_table(*mc._step_tables(kernel)) is None) == (name == "distinct")
+    samples = hw.simulate(kernel, start, target, hw.SimConfig(trials=1000, master_seed=seed)).samples
+    assert hashlib.sha256(samples.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["cycle:9", "path:7", "complete:2", "complete:6", "bipartite:3:5", "hypercube:4",
+     "torus_std:5", "torus_diag:5", "cayley_s3", "cayley_d8"],
+)
+def test_successor_table_moves_as_the_row_count(preset):
+    # a draw's rank in S' settles every comparison with every row's bounds
+    name, *params = preset.split(":")
+    kernel = hw.simple_walk_kernel(hw.preset_graph(name, [int(p) for p in params]))
+    kernel_cum, neighbor_table = mc._step_tables(kernel)
+    bounds, successors = mc._successor_table(kernel_cum, neighbor_table)
+    size = bounds.size + 1
+    assert size <= 2 * kernel_cum.shape[1]
+    assert np.all(np.diff(bounds) > 0) and np.all(bounds < 1.0)
+    # every bound, a point between each pair of bounds, and the ends of [0, 1)
+    u = np.unique(np.concatenate([bounds, (bounds[1:] + bounds[:-1]) / 2, [0.0, 1.0 - 2.0**-53]]))
+    ranks = np.searchsorted(bounds, u, side="right")
+    for x in range(kernel.node_count):
+        expected = neighbor_table[x, (u[:, None] >= kernel_cum[x]).sum(axis=1)]
+        assert np.array_equal(successors[x * size + ranks], expected * size)
+
+
+def _coarse_uniform(draw):
+    # eighths: the draws land on the bounds 1/4, 1/2 and 3/4 exactly
+    return (np.asarray(draw, dtype=np.uint64) >> np.uint64(61)).astype(np.float64) / 8
+
+
+@pytest.mark.parametrize("with_table", [True, False], ids=["table", "rows"])
+@pytest.mark.parametrize("preset", ["cycle:8", "path:6", "complete:5", "torus_std:4"])
+def test_draw_equal_to_a_bound_passes_it(monkeypatch, preset, with_table):
+    name, param = preset.split(":")
+    kernel = hw.simple_walk_kernel(hw.preset_graph(name, [int(param)]))
+    kernel_cum, neighbor_table = mc._step_tables(kernel)
+    # the reference reads this module's binding, the simulator its own
+    monkeypatch.setitem(globals(), "uniform_from_draw", _coarse_uniform)
+    monkeypatch.setattr(mc, "uniform_from_draw", _coarse_uniform)
+    expected = reference_simulate_trials(kernel_cum, neighbor_table, 1, 0, 7, 200, 500)
+    if not with_table:
+        monkeypatch.setattr(mc, "_successor_table", lambda *tables: None)
+    samples = mc._simulate_trials(kernel_cum, neighbor_table, 1, 0, 7, 200, 500)
+    assert np.array_equal(samples, expected)
+    assert np.all(expected > 0)
+
+
+def test_simulate_without_table_keeps_memory_of_the_row_tables():
+    # 3000 rows, each with its own bound below 1: a successor table would be
+    # 3000 x 3001 moves (72 MB), so the walk counts in each row instead
+    kernel = hw.simple_walk_kernel(distinct_weight_graph(3000, steps=(1,)))
+    config = hw.SimConfig(trials=200, master_seed=3, step_cap=200)
+    tracemalloc.start()
+    try:
+        summary = hw.simulate(kernel, 1, 0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.completed > 0
+    assert peak < 4 * 2**20, peak
 
 
 def test_unreachable_target_rejected_before_walking():
