@@ -153,9 +153,7 @@ def _fourier(problem: _Problem, horizon: int) -> np.ndarray:
 
 
 def _spectral(problem: _Problem, horizon: int) -> np.ndarray:
-    # gf_series on the problem's own kernel and lumped chain
-    column = sp._lumped_column(problem.kernel, problem.lumped, problem.start, horizon)
-    return sp._series_divide(*column)[1:]
+    return sp.lumped_series(problem.kernel, problem.lumped, problem.start, horizon)[1:]
 
 
 _ENGINES = {"direct": _direct, "fourier": _fourier, "spectral": _spectral}

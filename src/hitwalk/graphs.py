@@ -10,6 +10,9 @@ directions of each edge as sorted (head, tail, weight) columns, the
 preset builders emit their edges as integer columns, and a transition
 kernel keeps one value per arc of its support.  The dense V x V kernel
 (``TransitionKernel.matrix``) is built only when it is read.
+
+Building a graph or a kernel runs no search; an answer that needs the
+target reachable checks it where it is used (``hitting._require_reachable``).
 """
 from __future__ import annotations
 
@@ -21,11 +24,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    GroupTooLargeError,
-    InvalidParameterError,
-    NotConnectedError,
-)
+from .errors import GroupTooLargeError, InvalidParameterError
 
 __all__ = [
     "Graph",
@@ -200,16 +199,15 @@ class Graph:
     ``edges`` holds ``(u, v, weight)`` triples normalized to ``u < v``,
     sorted; no engine reads it, so it is built from the arcs on first read.
     Self-loops, duplicate edges and nonpositive weights are rejected; the
-    first faulty edge in input order is reported.  Connectivity is
-    computed once at construction.  The preset builders skip the tuples
-    and hand their edges over as columns (``_from_columns``), which runs
-    the same checks.
+    first faulty edge in input order is reported.  Construction runs no
+    search: ``connected`` searches the graph each time it is read.  The
+    preset builders skip the tuples and hand their edges over as columns
+    (``_from_columns``), which runs the same checks.
     """
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
     labels: tuple[str, ...] | None = None
-    connected: bool = field(init=False)
     # both directions of every edge, sorted by (head, tail): heads, tails, weights
     _arcs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -247,8 +245,6 @@ class Graph:
         for arr in arcs:
             arr.setflags(write=False)
         object.__setattr__(self, "_arcs", arcs)
-        ptr = np.searchsorted(arcs[0], np.arange(self.node_count + 1))
-        object.__setattr__(self, "connected", bool(_levels(ptr, arcs[1], 0).min() >= 0))
 
     def __getattr__(self, name: str):
         # only reached for an attribute the instance does not hold: edges
@@ -260,6 +256,12 @@ class Graph:
         edges = tuple(zip(heads[forward].tolist(), tails[forward].tolist(), weights[forward].tolist()))
         object.__setattr__(self, "edges", edges)
         return edges
+
+    @property
+    def connected(self) -> bool:
+        """Whether every node reaches node 0: searched on each read, not stored."""
+        ptr = np.searchsorted(self._arcs[0], np.arange(self.node_count + 1))
+        return bool(_levels(ptr, self._arcs[1], 0).min() >= 0)
 
     @property
     def edge_count(self) -> int:
@@ -365,19 +367,14 @@ class TransitionKernel:
     def node_count(self) -> int:
         return self.origin.node_count
 
-    def regular_degree(self) -> int | None:
-        return self.origin.regular_degree()
-
 
 def simple_walk_kernel(g: Graph) -> TransitionKernel:
     """Walk that crosses each incident edge with probability proportional
     to its weight (uniform over neighbors for unit weights).
 
-    Requires a connected graph: on a disconnected one some hitting times
-    are infinite.
+    Builds on a disconnected graph too: an answer that needs the target
+    reachable checks it (``hitting._require_reachable``, ``Graph.connected``).
     """
-    if not g.connected:
-        raise NotConnectedError("graph is disconnected; hitting times may be infinite")
     heads, _, weights = g._arcs
     return TransitionKernel._from_values(g, weights / g.strengths()[heads])
 

@@ -32,9 +32,9 @@ of I, B, ..., B^{V-1}, so k < V covers every k, and ``rational_gf``
 forms only those powers.  Vertex-transitive graphs are walk-regular, and
 so is every strongly regular graph.
 
-The one-pair series (``gf_series``, and the series ``rational_gf``
-checks its pair against) needs only b_k and r_k, the entries i and j of
-the target's column B^k e_j, and never forms B^k.  The coarsest
+The one-pair series (``lumped_series``, behind ``gf_series`` and
+``rational_gf``) needs only b_k and r_k, the entries i and j of the
+target's column B^k e_j, and never forms B^k.  The coarsest
 equitable partition that keeps j alone (``hitting.lumped_absorbing``)
 has characteristic matrix S with BS = S B_pi, so B^k e_j = S B_pi^k e_[j]
 (Kemeny & Snell, Finite Markov Chains, 1960, section 6.3): both numbers
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hitting
-from .errors import HypothesisError, InvalidParameterError, NumericalError
+from .errors import HypothesisError, InvalidParameterError, NotConnectedError, NumericalError
 from .graphs import Graph, simple_walk_kernel
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "RationalGF",
     "trace_powers",
     "mn_sequence",
+    "lumped_series",
     "gf_series",
     "rational_gf",
 ]
@@ -73,9 +74,12 @@ _WALK_REGULAR_ATOL = 1e-12
 def _walk_powers(graph: Graph, n: int):
     """Yield (B^k, t_k) for k = 1..n, B the simple-walk matrix.
 
-    Raises :class:`HypothesisError` at the first k where some node's
-    k-step return probability differs from t_k = Trace(B^k)/V.
+    Raises :class:`NotConnectedError` on a disconnected graph, and
+    :class:`HypothesisError` at the first k where some node's k-step
+    return probability differs from t_k = Trace(B^k)/V.
     """
+    if not graph.connected:
+        raise NotConnectedError("graph is disconnected; hitting times may be infinite")
     b = simple_walk_kernel(graph).matrix
     v = graph.node_count
     power = np.eye(v)
@@ -139,16 +143,9 @@ def _series_divide(b: np.ndarray, traces: np.ndarray) -> np.ndarray:
     return b
 
 
-def _target_column(graph: Graph, i: int, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B^k)_{ij} and r_k = (B^k)_{jj}, k = 0..n, from the target's column
-    of the lumped chain (see the module docstring)."""
-    kernel = simple_walk_kernel(graph)
-    return _lumped_column(kernel, hitting.lumped_absorbing(kernel, j), i, n)
-
-
 def _lumped_column(kernel, lumped, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_target_column`` on a walk kernel and its target's lumped chain,
-    ``lumped = hitting.lumped_absorbing(kernel, j)``, built already."""
+    """(B^k)_{ij} and r_k = (B^k)_{jj}, k = 0..n, from the target's column of
+    its lumped chain ``lumped = hitting.lumped_absorbing(kernel, j)``."""
     system, rows = lumped
     j = system.target
     heads, tails = kernel.support
@@ -199,12 +196,18 @@ def _require_pair(graph: Graph, i: int, j: int) -> None:
         raise InvalidParameterError("node indices out of range")
 
 
+def lumped_series(kernel, lumped, i: int, n: int) -> np.ndarray:
+    """``gf_series`` on a built walk kernel and its target's lumped chain."""
+    return _series_divide(*_lumped_column(kernel, lumped, i, n))
+
+
 def gf_series(graph: Graph, i: int, j: int, n: int) -> np.ndarray:
     """Taylor coefficients of sum_n P(tau_{i,j} = n) t^n for n = 0..N."""
     _require_pair(graph, i, j)
     if n < 0:
         raise InvalidParameterError("need n >= 0")
-    return _series_divide(*_target_column(graph, i, j, n))
+    kernel = simple_walk_kernel(graph)
+    return lumped_series(kernel, hitting.lumped_absorbing(kernel, j), i, n)
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,8 @@ def rational_gf(graph: Graph, i: int, j: int, horizon: int = 0) -> RationalGF:
         raise InvalidParameterError("need horizon >= 0")
     v = graph.node_count
     power_sums = v * trace_powers(graph, v - 1).values
-    series = _series_divide(*_target_column(graph, i, j, max(2 * v, horizon)))
+    kernel = simple_walk_kernel(graph)
+    series = lumped_series(kernel, hitting.lumped_absorbing(kernel, j), i, max(2 * v, horizon))
     char = np.empty(v)
     char[0] = 1.0
     for k in range(1, v):

@@ -1,10 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hitwalk import cli, hitting
+from hitwalk import cli, graphs, hitting
 from hitwalk.cli import main
 
 from conftest import chang_graph, exact_moments, exact_pmf
@@ -619,3 +620,80 @@ def test_exit_code_graph_file_with_converted_values(capsys, tmp_path):
     code, out, err = run_cli(capsys, "moments", "--graph", str(path), "--to", "0")
     assert code == 2 and out == ""
     assert err == "hitwalk: invalid input: bad edge entry [0, 1.7]: endpoints must be integers\n"
+
+
+# --- disconnected graph files and the searches per query -----------------------------------
+
+DISCONNECTED_QUERIES = {
+    "pmf_direct": ["pmf", "--from", "1", "--to", "0", "--horizon", "5", "--engine", "direct"],
+    "pmf_fourier": ["pmf", "--from", "1", "--to", "0", "--horizon", "5", "--engine", "fourier"],
+    "pmf_spectral": ["pmf", "--from", "1", "--to", "0", "--horizon", "5", "--engine", "spectral"],
+    "moments": ["moments", "--from", "1", "--to", "0"],
+    "ctime": ["ctime", "--from", "1", "--to", "0", "--t-grid", "0:5:3"],
+    "simulate": ["simulate", "--from", "1", "--to", "0", "--trials", "10"],
+    "compare": ["compare", "--from", "1", "--to", "0", "--horizon", "5", "--trials", "10"],
+    "gf": ["gf", "--from", "1", "--to", "0", "--horizon", "5"],
+}
+
+
+@pytest.mark.parametrize("query", DISCONNECTED_QUERIES)
+def test_disconnected_graph_file_exits_3(capsys, tmp_path, query):
+    # two triangles: regular and walk-regular, so only the target's
+    # reachability (or, for fourier, the missing group) stops the query
+    graph = _write_graph(tmp_path, 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    command, *options = DISCONNECTED_QUERIES[query]
+    code, out, err = run_cli(capsys, command, "--graph", graph, *options)
+    assert (code, out) == (3, "")
+    assert err.startswith("hitwalk: hypothesis violation: ")
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Sources of the breadth-first searches run (``graphs._levels``), in
+    every hitwalk module that binds the search."""
+    sources = []
+    search = graphs._levels
+
+    def counting(ptr, succ, source):
+        sources.append(source)
+        return search(ptr, succ, source)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hitwalk") and getattr(module, "_levels", None) is search:
+            monkeypatch.setattr(module, "_levels", counting)
+    return sources
+
+
+PAIR = ["--preset", "torus_std:5", "--from", "7", "--to", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["pmf", *PAIR, "--horizon", "20", "--engine", "direct"], 1),
+        (["pmf", *PAIR, "--horizon", "20", "--engine", "spectral"], 1),
+        (["moments", *PAIR], 1),
+        (["ctime", *PAIR, "--t-grid", "0:10:5"], 1),
+        (["simulate", *PAIR, "--trials", "50"], 1),
+        (["pmf", *PAIR, "--horizon", "20", "--engine", "fourier"], 0),
+        # the lumped chain for the series and moments, and Monte Carlo's own check
+        (["compare", *PAIR, "--horizon", "20", "--trials", "50"], 2),
+        # the dense walk powers' connectivity check, and the lumped chain
+        (["gf", *PAIR, "--horizon", "20"], 2),
+    ],
+    ids=["pmf_direct", "pmf_spectral", "moments", "ctime", "simulate", "pmf_fourier", "compare", "gf"],
+)
+def test_each_query_searches_its_graph_only_where_an_answer_needs_it(capsys, searches, argv, count):
+    run_json(capsys, *argv)
+    assert len(searches) == count
+
+
+def test_graph_builds_run_no_search(searches, tmp_path):
+    params = {"bipartite": [3, 4], "cayley_s3": [], "cayley_d8": []}
+    built = [graphs.preset_graph(name, params.get(name, [5])) for name in graphs.PRESET_NAMES]
+    built.append(graphs.load_graph_file(_write_graph(tmp_path, 4, [(0, 1), (2, 3)]))[0])
+    built.append(graphs.Graph(3, ((0, 1), (1, 2))))
+    assert searches == []
+    assert [g.connected for g in built] == [True] * len(graphs.PRESET_NAMES) + [False, True]
+    assert len(searches) == len(built)  # read on demand, never stored
+    assert not any("connected" in vars(g) for g in built)

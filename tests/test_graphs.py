@@ -279,9 +279,26 @@ def test_kernel_symmetric_iff_regular():
         assert not np.allclose(m, m.T)
 
 
-def test_kernel_requires_connected():
-    with pytest.raises(NotConnectedError):
-        hw.simple_walk_kernel(hw.Graph(4, ((0, 1), (2, 3))))
+def test_disconnected_walk_rejected_where_it_is_used():
+    # the kernel of a disconnected graph builds; each answer that needs the
+    # target reachable refuses it (two edges: walk-regular, so only the
+    # connectivity check stops the dense spectral functions)
+    g = hw.Graph(4, ((0, 1), (2, 3)))
+    assert not g.connected
+    kernel = hw.simple_walk_kernel(g)
+    answers = {
+        "make_absorbing": lambda: hw.make_absorbing(kernel, 0),
+        "lumped_absorbing": lambda: hw.lumped_absorbing(kernel, 0),
+        "simulate": lambda: hw.simulate(kernel, 1, 0, hw.SimConfig(trials=10, master_seed=1, step_cap=50)),
+        "gf_series": lambda: hw.gf_series(g, 1, 0, 10),
+        "rational_gf": lambda: hw.rational_gf(g, 1, 0),
+        "trace_powers": lambda: hw.trace_powers(g, 5),
+        "mn_sequence": lambda: hw.mn_sequence(g, 5),
+    }
+    for name, answer in answers.items():
+        with pytest.raises(NotConnectedError):
+            answer()
+            pytest.fail(f"{name} answered")
 
 
 def test_weighted_walk_probabilities():

@@ -242,11 +242,13 @@ def test_target_column_holds_walk_powers(graph, target):
     # the division undoes any return sequence the column steps with (even
     # none, which leaves the direct engine's series), so only these entries
     # show that the spectral route divides (B^k)_ij by (B^k)_jj
-    from hitwalk.spectral import _target_column
+    from hitwalk.spectral import _lumped_column
 
     columns = dense_columns(graph, target, 100)
+    kernel = hw.simple_walk_kernel(graph)
+    lumped = hw.lumped_absorbing(kernel, target)
     for start in (target, 0, graph.node_count - 1):
-        entries, returns = _target_column(graph, start, target, 100)
+        entries, returns = _lumped_column(kernel, lumped, start, 100)
         assert np.max(np.abs(returns - columns[:, target])) <= 1e-15
         assert np.max(np.abs(entries - columns[:, start])) <= 1e-15
 
