@@ -41,10 +41,9 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    PRESET_NAMES,
     canonical_graph_spec,
     load_graph_file,
-    preset_graph,
+    parse_graph_spec,
     simple_walk_kernel,
 )
 from .linalg import IMAGINARY_DISCARD, SERIES_TAIL, SOLVE_RESIDUAL
@@ -62,32 +61,37 @@ _ABELIAN_LAWS = {
 }
 
 
-def _parse_preset(text: str) -> tuple[str, list[int]]:
-    parts = text.split(":")
-    if parts and parts[0] == "preset":
-        parts = parts[1:]
-    if not parts or parts[0] not in PRESET_NAMES:
-        raise InvalidParameterError(
-            f"unknown preset {text!r}; names: {', '.join(PRESET_NAMES)}"
-        )
-    name = parts[0]
+def _parse_preset(text: str) -> dict:
+    """The graph spec ``{"preset": name, "params": [...]}`` of ``NAME:ARGS``
+    text, checked later as a preset file's spec is."""
+    name, *args = text.removeprefix("preset:").split(":")
     try:
-        params = [int(p) for p in parts[1:]]
+        params = [int(p) for p in args]
     except ValueError:
         raise InvalidParameterError(f"non-integer preset parameter in {text!r}") from None
-    return name, params
+    return {"preset": name, "params": params}
 
 
 @dataclass(frozen=True)
 class _Problem:
-    """A graph, its spec and a target, with an optional start node."""
+    """A graph, its spec and a target, with an optional start node.
+
+    The engines a query gets follow from the spec alone: ``--preset``
+    and a preset file with the same spec are one problem."""
 
     graph: Graph
     spec: dict
-    preset: str | None  # the preset name; None for a graph file
-    params: list[int]
     start: int | None
     target: int
+
+    @property
+    def preset(self) -> str | None:
+        """The spec's preset name; None for an edge-list spec."""
+        return self.spec.get("preset")
+
+    @property
+    def params(self) -> list[int]:
+        return self.spec.get("params", [])
 
     @cached_property
     def kernel(self):
@@ -113,11 +117,9 @@ def _problem(args) -> _Problem:
         raise InvalidParameterError("give either --graph or --preset, not both")
     if args.graph:
         graph, spec = load_graph_file(args.graph)
-        name, params = None, []
     elif args.preset:
-        name, params = _parse_preset(args.preset)
-        graph = preset_graph(name, params)
-        spec = {"preset": name, "params": params}
+        spec = _parse_preset(args.preset)
+        graph = parse_graph_spec(spec)
     else:
         raise InvalidParameterError("a graph is required: --graph FILE or --preset NAME:ARGS")
     for node in (args.start, args.target):
@@ -125,7 +127,7 @@ def _problem(args) -> _Problem:
             raise InvalidParameterError(f"node {node} out of range 0..{graph.node_count - 1}")
     if args.start == args.target:
         raise InvalidParameterError("--from must differ from --to")
-    return _Problem(graph, spec, name, params, args.start, args.target)
+    return _Problem(graph, spec, args.start, args.target)
 
 
 def _starts(problem: _Problem) -> list[int]:
@@ -222,7 +224,7 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
         raise InvalidParameterError("--t-grid must be 'a:b:steps'") from None
-    if steps < 1 or hi < lo or lo < 0:
+    if steps < 1 or not 0 <= lo <= hi < np.inf:
         raise InvalidParameterError("bad --t-grid range")
     return np.linspace(lo, hi, steps)
 
@@ -274,8 +276,10 @@ def _cmd_compare(args) -> dict:
     engines = ["direct"]
     if problem.abelian is not None:
         engines.append("fourier")
-    # The spectral series holds on every graph, but the leg runs on regular
-    # presets only, so a graph file's document keeps its engines.
+    # The legs follow the spec, named by --preset or a preset file alike:
+    # fourier on abelian presets, spectral on regular presets.  The spectral
+    # series holds on every graph, but an edge-list file gets the direct leg
+    # alone, so its documents keep their engines.
     if problem.preset is not None and problem.graph.regular_degree() is not None:
         engines.append("spectral")
     series = {engine: _ENGINES[engine](problem, horizon) for engine in engines}
@@ -483,7 +487,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"hitwalk: numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (InvalidParameterError, HitwalkError, OSError) as exc:
+    # MemoryError: a horizon, trial count or node count too large to allocate
+    except (InvalidParameterError, HitwalkError, OSError, MemoryError) as exc:
         print(f"hitwalk: invalid input: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -16,6 +16,7 @@ target reachable checks it where it is used (``hitting._require_reachable``).
 """
 from __future__ import annotations
 
+import inspect
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -650,59 +651,40 @@ def cayley_d8() -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph-spec files
+# the preset table and graph-spec files
 # ---------------------------------------------------------------------------
 
-PRESET_NAMES = (
-    "cycle",
-    "path",
-    "complete",
-    "bipartite",
-    "hypercube",
-    "torus_std",
-    "torus_diag",
-    "cayley_s3",
-    "cayley_d8",
-)
-
-_PRESET_ARITY = {
-    "cycle": 1,
-    "path": 1,
-    "complete": 1,
-    "bipartite": 2,
-    "hypercube": 1,
-    "torus_std": 1,
-    "torus_diag": 1,
-    "cayley_s3": 0,
-    "cayley_d8": 0,
+# each preset family once: its name and its builder, whose positional
+# parameters are the family's parameters
+_PRESETS = {
+    "cycle": build_cycle,
+    "path": build_path,
+    "complete": build_complete,
+    "bipartite": build_complete_bipartite,
+    "hypercube": build_hypercube,
+    "torus_std": build_torus_standard,
+    "torus_diag": build_torus_diagonal,
+    "cayley_s3": cayley_s3,
+    "cayley_d8": cayley_d8,
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_graph(name: str, params: list[int]) -> Graph:
-    """Build one of the named preset families."""
-    if name not in PRESET_NAMES:
-        raise InvalidParameterError(f"unknown preset {name!r}; known: {PRESET_NAMES}")
-    arity = _PRESET_ARITY[name]
-    params = [int(p) for p in params]
-    if len(params) != arity:
-        raise InvalidParameterError(f"preset {name} takes {arity} parameter(s)")
-    if name == "cycle":
-        return build_cycle(params[0])
-    if name == "path":
-        return build_path(params[0])
-    if name == "complete":
-        return build_complete(params[0])
-    if name == "bipartite":
-        return build_complete_bipartite(params[0], params[1])
-    if name == "hypercube":
-        return build_hypercube(params[0])
-    if name == "torus_std":
-        return build_torus_standard(params[0])
-    if name == "torus_diag":
-        return build_torus_diagonal(params[0])
-    if name == "cayley_s3":
-        return cayley_s3()
-    return cayley_d8()
+    """Build one of the named preset families; the one check of a preset.
+
+    ``name`` must be a key of the preset table and ``params`` a list of
+    exactly as many JSON integers as its builder takes (a bool, float,
+    string or None is rejected, not converted); the builder checks their
+    range.  Raises :class:`InvalidParameterError` otherwise.
+    """
+    builder = _PRESETS.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise InvalidParameterError(f"unknown preset {name!r}; names: {', '.join(PRESET_NAMES)}")
+    arity = len(inspect.signature(builder).parameters)
+    if not isinstance(params, (list, tuple)) or len(params) != arity or not all(map(_is_json_int, params)):
+        raise InvalidParameterError(f"preset {name} takes {arity} integer parameter(s)")
+    return builder(*params)
 
 
 def parse_graph_spec(spec: dict) -> Graph:
@@ -715,7 +697,10 @@ def parse_graph_spec(spec: dict) -> Graph:
         JSON integers and w a JSON number (an endpoint ``1.0`` or
         ``true``, or a weight ``"2.5"``, is rejected, not converted);
     ``{"preset": "cycle", "params": [10]}``
-        one of the named preset families.
+        one of the named preset families, checked by ``preset_graph``;
+        ``params`` is a JSON array of integers and may be left out for a
+        family without parameters.  The CLI builds ``--preset NAME:ARGS``
+        through this same shape.
     """
     if not isinstance(spec, dict):
         raise InvalidParameterError("graph spec must be a JSON object")
@@ -724,7 +709,7 @@ def parse_graph_spec(spec: dict) -> Graph:
         extra = keys - {"preset", "params"}
         if extra:
             raise InvalidParameterError(f"unknown graph-spec keys: {sorted(extra)}")
-        return preset_graph(spec["preset"], list(spec.get("params", [])))
+        return preset_graph(spec["preset"], spec.get("params", []))
     extra = keys - {"nodes", "edges"}
     if extra:
         raise InvalidParameterError(f"unknown graph-spec keys: {sorted(extra)}")

@@ -169,6 +169,13 @@ def test_ctime_grid_monotone(capsys):
     assert cdf[-1] > 0.95
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "nan:nan:3", "inf:1:3", "0:inf:3", "inf:inf:3", "-inf:1:3"])
+def test_ctime_grid_bound_not_finite_exits_2(capsys, grid):
+    code, out, err = run_cli(capsys, "ctime", "--preset", "cycle:6", "--to", "0", f"--t-grid={grid}")
+    assert (code, out) == (2, "")
+    assert err == "hitwalk: invalid input: bad --t-grid range\n"
+
+
 # --- simulate ------------------------------------------------------------------------
 
 def test_simulate_deterministic_and_near_exact(capsys):
@@ -440,6 +447,24 @@ def test_exit_code_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pmf", "--preset", "cycle:10", "--from", "1", "--to", "0", "--horizon", "100000000000000"],
+        ["simulate", "--preset", "cycle:10", "--from", "1", "--to", "0", "--trials", "100000000000000"],
+        ["pmf", "--graph", "NODES_1E12", "--from", "1", "--to", "0"],
+    ],
+    ids=["pmf_horizon", "simulate_trials", "graph_file_nodes"],
+)
+def test_request_too_large_to_allocate_exits_2(capsys, tmp_path, argv):
+    # each asks for TiB to PiB at once, so numpy refuses before touching memory
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"nodes": 10**12, "edges": [[0, 1]]}))
+    code, out, err = run_cli(capsys, *[str(path) if a == "NODES_1E12" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("hitwalk: invalid input: ")
+
+
 # --- gf -------------------------------------------------------------------------------------
 
 def test_gf_document(capsys):
@@ -697,3 +722,73 @@ def test_graph_builds_run_no_search(searches, tmp_path):
     assert [g.connected for g in built] == [True] * len(graphs.PRESET_NAMES) + [False, True]
     assert len(searches) == len(built)  # read on demand, never stored
     assert not any("connected" in vars(g) for g in built)
+
+
+# --- a preset file is its --preset -----------------------------------------------------------
+
+PRESET_FILE_PRESETS = ["cycle:10", "torus_diag:5", "hypercube:3", "bipartite:3:4", "path:6", "cayley_s3", "cayley_d8"]
+PRESET_FILE_QUERIES = {
+    "pmf_auto": ["pmf", "--from", "1", "--to", "0", "--horizon", "30", "--engine", "auto"],
+    "pmf_direct": ["pmf", "--from", "1", "--to", "0", "--horizon", "30", "--engine", "direct"],
+    "pmf_fourier": ["pmf", "--from", "1", "--to", "0", "--horizon", "30", "--engine", "fourier"],
+    "pmf_spectral": ["pmf", "--from", "1", "--to", "0", "--horizon", "30", "--engine", "spectral"],
+    "moments": ["moments", "--to", "0"],
+    "ctime": ["ctime", "--to", "0", "--t-grid", "0:8:5"],
+    "simulate": ["simulate", "--from", "1", "--to", "0", "--trials", "200", "--seed", "3"],
+    "compare": ["compare", "--from", "1", "--to", "0", "--horizon", "20", "--trials", "200", "--seed", "3"],
+    "gf": ["gf", "--from", "1", "--to", "0", "--horizon", "12"],
+}
+
+
+def _preset_file(tmp_path, preset):
+    name, *params = preset.split(":")
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps({"preset": name, "params": [int(p) for p in params]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("query", PRESET_FILE_QUERIES)
+@pytest.mark.parametrize("preset", PRESET_FILE_PRESETS)
+def test_preset_file_is_its_preset(capsys, tmp_path, preset, query):
+    # the engines follow the spec, not the option that named it: same exit
+    # code, stdout and stderr, hypothesis violations included
+    command, *options = PRESET_FILE_QUERIES[query]
+    by_option = run_cli(capsys, command, "--preset", preset, *options)
+    by_file = run_cli(capsys, command, "--graph", _preset_file(tmp_path, preset), *options)
+    assert by_file == by_option
+
+
+def test_preset_file_compare_runs_every_leg(capsys, tmp_path):
+    doc = run_json(capsys, "compare", "--graph", _preset_file(tmp_path, "cycle:10"), "--from", "1", "--to", "0",
+                   "--horizon", "20", "--trials", "200")
+    assert doc["payload"]["engines"] == ["direct", "fourier", "spectral"]
+    assert "fourier" in doc["payload"]["moments"]
+
+
+MALFORMED_PRESET_SPECS = {
+    "float": ({"preset": "cycle", "params": [10.7]}, "preset cycle takes 1 integer parameter(s)"),
+    "string": ({"preset": "cycle", "params": "9"}, "preset cycle takes 1 integer parameter(s)"),
+    "bare_int": ({"preset": "cycle", "params": 5}, "preset cycle takes 1 integer parameter(s)"),
+    "null": ({"preset": "cycle", "params": [None]}, "preset cycle takes 1 integer parameter(s)"),
+    "string_item": ({"preset": "cycle", "params": ["x"]}, "preset cycle takes 1 integer parameter(s)"),
+    "bool": ({"preset": "cycle", "params": [True]}, "preset cycle takes 1 integer parameter(s)"),
+    "object": ({"preset": "cycle", "params": {"k": 5}}, "preset cycle takes 1 integer parameter(s)"),
+    "too_many": ({"preset": "cycle", "params": [10, 3]}, "preset cycle takes 1 integer parameter(s)"),
+    "too_few": ({"preset": "bipartite", "params": [3]}, "preset bipartite takes 2 integer parameter(s)"),
+    "missing": ({"preset": "hypercube"}, "preset hypercube takes 1 integer parameter(s)"),
+    "none_taken": ({"preset": "cayley_s3", "params": [3]}, "preset cayley_s3 takes 0 integer parameter(s)"),
+    "unknown": ({"preset": "moebius", "params": [5]}, "unknown preset 'moebius'; names: " + ", ".join(graphs.PRESET_NAMES)),
+    "name_not_string": ({"preset": ["cycle"], "params": [5]}, "unknown preset ['cycle']; names: " + ", ".join(graphs.PRESET_NAMES)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PRESET_SPECS)
+@pytest.mark.parametrize("query", [["pmf", "--from", "1"], ["compare", "--from", "1", "--trials", "10"]], ids=["pmf", "compare"])
+def test_malformed_preset_file_exits_2(capsys, tmp_path, case, query):
+    # refused, never converted to another graph and never a traceback
+    spec, message = MALFORMED_PRESET_SPECS[case]
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, *query, "--to", "0", "--graph", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"hitwalk: invalid input: {message}\n"

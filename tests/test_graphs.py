@@ -7,6 +7,7 @@ import pytest
 import hitwalk as hw
 from hitwalk.errors import GroupTooLargeError, InvalidParameterError, NotConnectedError
 from hitwalk.graphs import (
+    PRESET_NAMES,
     PermutationGroupSpec,
     canonical_graph_spec,
     cycle_notation,
@@ -384,6 +385,28 @@ def test_parse_rejects_bad_shapes():
     with pytest.raises(InvalidParameterError):
         preset_graph("moebius", [5])
 
+
+PRESET_PARAMS = {"bipartite": [3, 4], "cayley_s3": [], "cayley_d8": []}
+
+
+def test_preset_table_names_and_arity():
+    assert PRESET_NAMES == (
+        "cycle", "path", "complete", "bipartite", "hypercube", "torus_std", "torus_diag", "cayley_s3", "cayley_d8",
+    )
+    for name in PRESET_NAMES:
+        params = PRESET_PARAMS.get(name, [5])
+        assert parse_graph_spec({"preset": name, "params": params}) == preset_graph(name, params)
+        for wrong in (params + [5], params[1:]):
+            if wrong != params:
+                with pytest.raises(InvalidParameterError, match=f"takes {len(params)} integer"):
+                    preset_graph(name, wrong)
+
+
+@pytest.mark.parametrize("params", [[5.0], [5.5], [True], [None], ["5"], "5", 5, {"k": 5}, [np.int64(5)]])
+def test_preset_params_must_be_json_integers(params):
+    # a value that would convert to an integer is refused, not converted
+    with pytest.raises(InvalidParameterError, match="preset cycle takes 1 integer parameter"):
+        preset_graph("cycle", params)
 
 def test_load_graph_file(tmp_path):
     path = tmp_path / "g.json"
