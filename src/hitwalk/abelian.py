@@ -369,8 +369,9 @@ def fourier_pmf(group: FiniteAbelianGroup, law: StepLaw, horizon: int) -> PmfTab
     transform-domain recurrence.
 
     Column g of the table is P(tau_{g,e} = n) for n = 1..horizon.  The
-    identity's own column must vanish for n >= 1 (asserted within
-    1e-10), as must all imaginary parts.
+    identity's own column must vanish for n >= 1 and no entry may fall
+    below 0 (both within 1e-10), and every imaginary part must stay within
+    ``IMAGINARY_DISCARD``; a breach raises :class:`NumericalError`.
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
@@ -384,12 +385,12 @@ def fourier_pmf(group: FiniteAbelianGroup, law: StepLaw, horizon: int) -> PmfTab
     for n in range(horizon):
         m_n = (inv_head @ v.reshape(shape) @ inv_tail).ravel()
         if np.max(np.abs(m_n.imag)) > IMAGINARY_DISCARD:
-            raise InvalidParameterError("step distribution developed an imaginary part")
+            raise NumericalError("step distribution developed an imaginary part")
         real = m_n.real
         if abs(real[0]) > 1e-10:
-            raise InvalidParameterError(f"m_{n + 1}(e) = {real[0]:.3e}, expected 0")
+            raise NumericalError(f"m_{n + 1}(e) = {real[0]:.3e}, expected 0")
         if real.min() < -1e-10:
-            raise InvalidParameterError("negative probability beyond tolerance")
+            raise NumericalError("negative probability beyond tolerance")
         np.clip(real, 0.0, None, out=probs[n])
         correction = np.sum(p_hat * v) / order
         v = p_hat * v - correction

@@ -384,10 +384,21 @@ def simple_walk_kernel(g: Graph) -> TransitionKernel:
 # preset families
 # ---------------------------------------------------------------------------
 
+def _require_array_size(entries: int, family: str) -> None:
+    """Refuse a preset whose largest array, its arcs (two per edge) or
+    the bit table or mask it builds them from, has more entries than an
+    intp array can hold: numpy cannot size it at all.  Below that, a
+    graph too large for memory raises MemoryError when it is allocated."""
+    limit = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
+    if entries > limit:
+        raise InvalidParameterError(f"{family} too large: {entries} array entries, numpy holds at most {limit}")
+
+
 def build_cycle(k: int) -> Graph:
     """Cycle graph C_k (k >= 3), node i adjacent to (i +- 1) mod k."""
     if k < 3:
         raise InvalidParameterError("cycle needs k >= 3")
+    _require_array_size(2 * k, "cycle")
     nodes = np.arange(k)
     return Graph._from_columns(k, nodes, (nodes + 1) % k)
 
@@ -396,6 +407,7 @@ def build_path(k: int) -> Graph:
     """Path graph on k >= 2 sequentially connected nodes."""
     if k < 2:
         raise InvalidParameterError("path needs k >= 2")
+    _require_array_size(2 * k, "path")
     nodes = np.arange(k - 1)
     return Graph._from_columns(k, nodes, nodes + 1)
 
@@ -404,6 +416,7 @@ def build_complete(k: int) -> Graph:
     """Complete graph K_k (k >= 2)."""
     if k < 2:
         raise InvalidParameterError("complete graph needs k >= 2")
+    _require_array_size(k * k, "complete graph")
     return Graph._from_columns(k, *np.triu_indices(k, 1))
 
 
@@ -413,6 +426,7 @@ def build_complete_bipartite(k1: int, k2: int) -> Graph:
         raise InvalidParameterError("bipartite sides must be nonempty")
     if k1 + k2 < 2:
         raise InvalidParameterError("need at least two nodes")
+    _require_array_size(2 * k1 * k2, "bipartite graph")
     side_a, side_b = np.repeat(np.arange(k1), k2), np.tile(np.arange(k1, k1 + k2), k1)
     return Graph._from_columns(k1 + k2, side_a, side_b)
 
@@ -425,6 +439,7 @@ def build_hypercube(dim: int) -> Graph:
     """
     if dim < 1:
         raise InvalidParameterError("hypercube needs dim >= 1")
+    _require_array_size(dim << min(dim, 64), "hypercube")
     n = 1 << dim
     # node i and bit b with the bit clear in i, so that i < i ^ (1 << b)
     low, bit = np.nonzero(((np.arange(n)[:, None] >> np.arange(dim)) & 1) == 0)
@@ -438,6 +453,7 @@ def _torus_graph(p: int, steps: list[tuple[int, int]]) -> Graph:
     ``steps`` holds one step of each +- pair; for p >= 3 the two
     directions never meet, so every edge is made once.
     """
+    _require_array_size(2 * len(steps) * p * p, "torus")
     a, b = np.divmod(np.arange(p * p), p)
     heads = np.tile(np.arange(p * p), len(steps))
     tails = np.concatenate([(a + da) % p * p + (b + db) % p for da, db in steps])

@@ -19,26 +19,39 @@ first N samples of any longer run with the same seed.  The same rules
 reproduce the streams in any language.
 
 The draws are counter-based, so the simulator forms them in blocks: the
-live walkers take up to 64 steps per block on one array of uniforms.
-The k-th draw of a trial follows the rule above whatever the block
-sizes, and step k of a trial uses its k-th draw, so every sample equals
-that of a walk that draws one step at a time.
+live walkers take about 64 steps per block on one array of draws, in
+groups of at most 2^16 draws.  The k-th draw of a trial follows the rule
+above whatever the block and group sizes, and step k of a trial uses its
+k-th draw, so every sample equals that of a walk that draws one step at
+a time.
 
 A step from x with uniform u moves to the j-th neighbour of x, where j
 counts the cumulative bounds of row x that u reaches (u >= bound).  The
-simulator makes that one gather per step, in the manner of the guide
-tables of discrete inversion (Devroye, Non-Uniform Random Variate
-Generation, 1986, section III.2.4), made exact: the distinct bounds
-below 1 of all rows form one sorted list S', and each block's uniforms
-are ranked in S' once, r = #{s in S' : s <= u}.  Every bound of every
-row below 1 lies in S', and u < 1 reaches no bound of 1, so the rank
-settles every comparison of u with every row: the successor table entry
-M[x, r] is the move that counting in row x picks, and the samples are
-those of the count.  M has V * (|S'| + 1) entries; it is built only when
-that is no more than the two padded V * width row tables hold,
-|S'| + 1 <= 2 width.  A regular simple walk has |S'| + 1 = width and a
-path 2; kernels with many distinct bounds, such as weighted graph files,
-count in each walker's row at every step instead.
+simulator ranks each draw once, in the manner of the guide tables of
+discrete inversion (Devroye, Non-Uniform Random Variate Generation,
+1986, section III.2.4), made exact: the distinct bounds below 1 of all
+rows form one sorted list S', and a draw's rank is r = #{s in S' :
+s <= u}.  Every bound of every row below 1 lies in S', and u < 1 reaches
+no bound of 1, so the rank settles every comparison of u with every
+row: the successor table entry M[x, r] is the move that counting in row
+x picks, and the samples are those of the count.  The rank needs no
+float: u >= s exactly when draw >> 11 >= ceil(s 2^53), so it counts the
+integer thresholds that the draw's top 53 bits reach.
+
+As a multi-stride automaton consumes k symbols per lookup (Brodie,
+Taylor and Cytron, ISCA 2006), the walk consumes k ranks per lookup:
+the stride table M_k[x, R], R = r_1 + size r_2 + ... + size^(k-1) r_k
+with size = |S'| + 1, is the node that k steps with those ranks reach
+from x, and H_k[x, R] the step at which they first meet the target (0
+if none).  k is the longest stride whose table has at most 2^16 cells
+(8 on a 169-cycle, 3 on torus_std:19, 2 on hypercube:8, 1 when even M
+is larger), so a stride of k steps is two gathers.  A hit is step +
+stride * k + H_k, and one past the step cap is dropped: the trial stays
+capped.  M has V * (|S'| + 1) entries; it is built only when that is no
+more than the two padded V * width row tables hold, |S'| + 1 <= 2 width.
+A regular simple walk has |S'| + 1 = width and a path 2; kernels with
+many distinct bounds, such as weighted graph files, count in each
+walker's row at every step instead.
 
 Trials that reach the step cap are counted and excluded from the
 statistics, never silently folded in: hitting times are heavy-tailed and
@@ -70,8 +83,9 @@ GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 _CAP_WARNING_FRACTION = 0.01
-# a block walks at most _BLOCK_STEPS steps and, while fewer than
-# _BLOCK_CELLS walkers are alive, at most _BLOCK_CELLS walker-steps
+# a block walks _BLOCK_STEPS steps (whole strides, fewer at the step cap),
+# its walkers in groups of at most _BLOCK_CELLS draws; a stride table has
+# at most _BLOCK_CELLS cells and a stride at most _BLOCK_STEPS steps
 _BLOCK_STEPS = 64
 _BLOCK_CELLS = 2**16
 
@@ -183,6 +197,64 @@ def _successor_table(
     return bounds, successors.ravel()
 
 
+def _stride_table(
+    successors: np.ndarray, size: int, target: int
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k, M_k, H_k): the walk of k steps from each node for each k-tuple
+    of ranks, k the longest stride whose table fits the block budget,
+    V * size**k <= _BLOCK_CELLS with k <= _BLOCK_STEPS (at least 1).
+
+    The ranks r_1..r_k of a stride index cell R = r_1 + size r_2 + ...
+    + size**(k-1) r_k of a node's row.  ``M_k[x * size**k + R]`` is the
+    node the ranks lead to from x, scaled by size**k, and ``H_k`` the
+    1-based step of the stride at which that walk first meets the
+    target, 0 if it does not.  Row j+1 extends row j by one step: cell
+    (x, r, R) continues from M_j[x, R] with rank r, so no temporary is
+    larger than the table.
+    """
+    v = successors.size // size
+    stride = 1
+    while stride < _BLOCK_STEPS and v * size ** (stride + 1) <= _BLOCK_CELLS:
+        stride += 1
+    goal = target * size
+    moves = successors
+    first_hit = (moves == goal).astype(np.int8)
+    for step in range(2, stride + 1):
+        cells = moves.reshape(v, 1, -1) + np.arange(size).reshape(size, 1)
+        moves = successors.take(cells, out=cells, mode="clip").ravel()  # unbuffered
+        met = (moves == goal).reshape(cells.shape) * np.int8(step)
+        before = first_hit.reshape(v, 1, -1)
+        first_hit = np.where(before > 0, before, met).ravel()
+    if stride > 1:
+        moves *= size ** (stride - 1)
+    return stride, moves, first_hit
+
+
+def _thresholds(bounds: np.ndarray) -> np.ndarray:
+    """t = ceil(s 2^53) for each bound s in (0, 1): a draw's uniform
+    u = (draw >> 11) 2^-53 reaches s exactly when draw >> 11 >= t, since
+    s 2^53 is exact and draw >> 11 an integer."""
+    return np.ceil(bounds * 2.0**53).astype(_U64)
+
+
+def _stride_ranks(draws: np.ndarray, thresholds: np.ndarray, stride: int) -> np.ndarray:
+    """Cell R = r_1 + size r_2 + ... of each stride of draws, as intp.
+
+    ``draws`` holds strides * k rows of 64-bit draws (shifted in place).
+    A draw's rank in S' is the number of thresholds (``_thresholds``)
+    its top 53 bits reach; no draw is turned into a float.
+    """
+    draws >>= _U64(11)
+    if thresholds.size <= 16:  # summed compares beat a binary search here
+        ranks = np.zeros(draws.shape, dtype=np.uint8)
+        for t in thresholds:
+            ranks += draws >= t
+    else:
+        ranks = np.searchsorted(thresholds, draws, side="right")
+    digits = (thresholds.size + 1) ** np.arange(stride)
+    return digits @ ranks.reshape(-1, stride, draws.shape[1])
+
+
 def _simulate_trials(
     kernel_cum: np.ndarray,
     neighbor_table: np.ndarray,
@@ -194,51 +266,72 @@ def _simulate_trials(
 ) -> np.ndarray:
     """Hitting time of each trial, or -1 at the step cap.
 
-    Live walkers advance a block of b steps at a time on the block's
-    draws k = step+1 .. step+b.  A walker that hits inside a block walks
-    on to its end on its own draws and those positions are discarded, so
-    every trial consumes exactly its own stream, as one step at a time.
+    Live walkers advance a block of whole strides at a time on the
+    block's draws step+1 .. step+b, in groups of at most _BLOCK_CELLS
+    draws.  A walker that hits inside a block walks on to its end on its
+    own draws and those positions are discarded, so every trial consumes
+    exactly its own stream, as one step at a time.  A hit past the step
+    cap is dropped; the draws past the cap are pure functions of the
+    counter, so walking to the end of the stride consumes nothing.
 
-    Positions are held scaled by the length of a successor-table row
-    (by the row-table width when there is no table).  With a table
-    (``_successor_table``) the block's draws are ranked in S' once, and a
-    step is one gather, ``M[position + rank]``: the rank settles every
-    comparison of u with the walker's bounds, so the move is the one
-    that counting them picks.  Without a table a step counts the bounds
-    u reaches in the walker's row.
+    With a successor table (``_successor_table``) a stride of k steps is
+    two gathers from the stride table (``_stride_table``): each draw is
+    ranked in S' once by integer thresholds, each stride's k ranks form
+    one cell R, and the walker moves to ``M_k[position + R]`` and reads
+    the step of its first hit, if any, from ``H_k``.  The ranks settle
+    every comparison of u with the walker's bounds, so each step is the
+    one that counting them picks.  Without a table k = 1 and a step
+    counts the bounds u reaches in the walker's row.  Positions are held
+    scaled by the length of a table row.
     """
     table = _successor_table(kernel_cum, neighbor_table)
     if table is None:
+        stride = 1
         scale = kernel_cum.shape[1]
-        successors = neighbor_table.ravel() * scale
+        moves = neighbor_table.ravel() * scale
+        first_hit = (moves == target * scale).astype(np.int8)
     else:
         bounds, successors = table
-        scale = bounds.size + 1
+        stride, moves, first_hit = _stride_table(successors, bounds.size + 1, target)
+        scale = (bounds.size + 1) ** stride
+        thresholds = _thresholds(bounds)
     states = _stream_states(master_seed, count)
     trials = np.arange(count)
     positions = np.full(count, start * scale, dtype=np.intp)
     outcome = np.full(count, -1, dtype=np.int64)
+    longest = -(-_BLOCK_STEPS // stride) * stride
     with np.errstate(over="ignore"):
-        offsets = np.arange(1, _BLOCK_STEPS + 1, dtype=_U64)[:, None] * _U64(GAMMA)
+        offsets = np.arange(1, longest + 1, dtype=_U64)[:, None] * _U64(GAMMA)
     step = 0
     while trials.size and step < step_cap:
-        b = min(_BLOCK_STEPS, max(1, _BLOCK_CELLS // trials.size), step_cap - step)
-        with np.errstate(over="ignore"):
-            draws = uniform_from_draw(mix64(states + offsets[:b]))
-            states += offsets[b - 1]
-        if table is not None:
-            draws = np.searchsorted(bounds, draws, side="right")  # ranks in S'
-        history = np.empty(draws.shape, dtype=np.intp)
-        for k in range(b):
+        strides = -(-min(_BLOCK_STEPS, step_cap - step) // stride)
+        b = strides * stride
+        found = np.zeros(trials.size, dtype=np.int64)  # step of the first hit in the block
+        group = max(1, _BLOCK_CELLS // b)
+        for lo in range(0, trials.size, group):
+            part = slice(lo, lo + group)
+            with np.errstate(over="ignore"):
+                draws = mix64(states[part] + offsets[:b])
+                states[part] += offsets[b - 1]
             if table is None:
-                choice = (draws[k, :, None] >= kernel_cum.take(positions // scale, axis=0)).sum(axis=1)
+                draws = uniform_from_draw(draws)
+                cells = np.empty(draws.shape, dtype=np.intp)
             else:
-                choice = draws[k]
-            positions = history[k] = successors.take(positions + choice)
-        hit = history == target * scale
-        first = hit.argmax(axis=0)
-        done = hit.any(axis=0)
-        outcome[trials[done]] = step + 1 + first[done]
+                cells = _stride_ranks(draws, thresholds, stride)
+            walkers = positions[part]
+            for j in range(strides):
+                if table is None:
+                    rows = kernel_cum.take(walkers // scale, axis=0)
+                    cells[j] = (draws[j, :, None] >= rows).sum(axis=1)
+                cells[j] += walkers
+                walkers = moves.take(cells[j])
+            positions[part] = walkers
+            met = first_hit.take(cells)
+            first = met.astype(bool).argmax(axis=0)
+            found[part] = first * stride + met[first, np.arange(first.size)]
+        # a hit past the step cap is dropped: the trial stays capped
+        done = (found > 0) & (step + found <= step_cap)
+        outcome[trials[done]] = step + found[done]
         live = ~done
         trials, states, positions = trials[live], states[live], positions[live]
         step += b

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import hitwalk as hw
 from hitwalk import abelian as ab
 from hitwalk import hitting, linalg
-from hitwalk.errors import InvalidParameterError, NotErgodicError
+from hitwalk.errors import InvalidParameterError, NotErgodicError, NumericalError
 
 Z4 = ab.FiniteAbelianGroup((4,))
 
@@ -305,6 +305,32 @@ def test_fourier_pmf_identity_column_zero():
     group, law = ab.torus_standard_step_law(3)
     table = hw.fourier_pmf(group, law, 50)
     assert np.max(table.probs[:, 0]) < 1e-10
+
+
+def _faulty_law_transform(fault):
+    """A law transform that puts one numerical fault into m_1 = p."""
+    real = ab.law_transform
+    if fault == "imaginary":
+        return lambda group, law: real(group, law) + 1e-6j
+    if fault == "identity":  # a constant 1e-6 in every coefficient is 1e-6 at e
+        return lambda group, law: real(group, law) + 1e-6
+
+    def negative(group, law):  # move 1e-6 of the mass at step +2 to step +1
+        table = law.table.copy()
+        table[1] += 1e-6
+        table[2] -= 1e-6
+        return ab.fourier(group, table)
+
+    return negative
+
+
+@pytest.mark.parametrize("fault", ["imaginary", "identity", "negative"])
+def test_fourier_pmf_numerical_fault_is_numerical_error(monkeypatch, fault):
+    # each check of the recurrence's output is a numerical failure, not a bad input
+    group, law = ab.cycle_step_law(7)
+    monkeypatch.setattr(ab, "law_transform", _faulty_law_transform(fault))
+    with pytest.raises(NumericalError):
+        hw.fourier_pmf(group, law, 5)
 
 
 def test_fourier_pmf_matches_direct_on_z7():

@@ -465,6 +465,38 @@ def test_request_too_large_to_allocate_exits_2(capsys, tmp_path, argv):
     assert err.startswith("hitwalk: invalid input: ")
 
 
+@pytest.mark.parametrize(
+    "preset",
+    ["hypercube:64", "hypercube:63", "cycle:100000000000000000000", "path:9223372036854775807",
+     "complete:100000000000000000000", "bipartite:2:1000000000000000000", "torus_std:10000000000",
+     "torus_diag:3037000501"],
+)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_preset_too_large_for_an_array_exits_2(capsys, tmp_path, preset, source):
+    # numpy cannot size these arrays at all (it raised ValueError or
+    # TypeError, exit 1); the builder refuses them before allocating
+    name, *params = preset.split(":")
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps({"preset": name, "params": [int(p) for p in params]}))
+    graph = ["--preset", preset] if source == "flag" else ["--graph", str(path)]
+    code, out, err = run_cli(capsys, "pmf", *graph, "--from", "1", "--to", "0", "--horizon", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("hitwalk: invalid input: ") and "too large" in err
+
+
+def test_fourier_numerical_fault_exits_4(capsys, monkeypatch):
+    # a fault in the transform-domain recurrence is a numerical failure
+    from hitwalk import abelian
+
+    real = abelian.law_transform
+    monkeypatch.setattr(abelian, "law_transform", lambda group, law: real(group, law) + 1e-6j)
+    code, out, err = run_cli(
+        capsys, "pmf", "--preset", "cycle:7", "--from", "3", "--to", "0", "--engine", "fourier", "--horizon", "5"
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("hitwalk: numerical failure: ")
+
+
 # --- gf -------------------------------------------------------------------------------------
 
 def test_gf_document(capsys):

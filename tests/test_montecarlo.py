@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -160,8 +161,8 @@ def test_trial_substreams_do_not_depend_on_trial_count():
 
 
 def test_trial_substreams_do_not_depend_on_block_sizes():
-    # with more than 2**16 walkers alive the blocks are one step long,
-    # with 1000 they are 64 steps long; the samples must not notice
+    # with more than 2**16 walkers alive a block goes in many groups of
+    # walkers, with 1000 in one; the samples must not notice
     kernel = hw.simple_walk_kernel(hw.build_cycle(10))
     many = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=2**16 + 1, master_seed=99))
     few = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=1000, master_seed=99))
@@ -177,6 +178,12 @@ def test_trial_substreams_do_not_depend_on_block_sizes():
          "bab034a74485b607f41330b5818daa5e2a4c1fb58d25ae068cd2d40435be935b"),
         ("hypercube:8", 198, 71, 1613514992, 100,
          "ea3e70651be09f24c01ad010e3baeb6a4eb21cdebccdd649cccf12cbbe1bb6b1"),
+        # recorded before the walk took strides: strides of 8 steps, and a
+        # step cap of 37 that ends inside a stride of 9
+        ("cycle:169", 139, 28, 140443208, 10**7,
+         "499f383d0213e28cb206ff42e29578b6f003ad8b8e401670eef0d52f78142f6f"),
+        ("cycle:93", 28, 44, 1121811570, 37,
+         "58fe87b37d0a47de5c1567c5960de9752d1e39ccbd9f9ac32d9dd1f5c6154f51"),
     ],
 )
 def test_golden_sample_hashes(preset, start, target, seed, step_cap, digest):
@@ -234,6 +241,103 @@ def test_successor_table_moves_as_the_row_count(preset):
     for x in range(kernel.node_count):
         expected = neighbor_table[x, (u[:, None] >= kernel_cum[x]).sum(axis=1)]
         assert np.array_equal(successors[x * size + ranks], expected * size)
+
+
+def _preset_kernel(preset):
+    name, *params = preset.split(":")
+    return hw.simple_walk_kernel(hw.preset_graph(name, [int(p) for p in params]))
+
+
+@pytest.mark.parametrize(
+    "preset, stride",
+    [("cycle:9", 12), ("path:7", 13), ("complete:2", 64), ("hypercube:4", 6),
+     ("torus_diag:5", 5), ("cayley_d8", 8), ("bipartite:3:5", 4)],
+)
+def test_stride_table_walks_its_ranks_one_step_at_a_time(preset, stride):
+    # cell (x, R) of the stride table against k single steps of the successor
+    # table with the digits r_1..r_k of R, first meeting of the target included
+    kernel = _preset_kernel(preset)
+    bounds, successors = mc._successor_table(*mc._step_tables(kernel))
+    size, v = bounds.size + 1, kernel.node_count
+    for target in (0, v - 1):
+        k, moves, first_hit = mc._stride_table(successors, size, target)
+        assert k == stride
+        assert v * size**k <= mc._BLOCK_CELLS and (k == mc._BLOCK_STEPS or v * size ** (k + 1) > mc._BLOCK_CELLS)
+        cells = np.arange(v * size**k)
+        x, ranks = np.divmod(cells, size**k)
+        position, met = x * size, np.zeros(cells.size, dtype=np.int64)
+        for step in range(1, k + 1):
+            position = successors[position + ranks // size ** (step - 1) % size]
+            met[(met == 0) & (position == target * size)] = step
+        assert np.array_equal(moves, position // size * size**k)
+        assert np.array_equal(first_hit, met)
+
+
+@pytest.mark.parametrize("cells, stride", [(1, 1), (50, 2), (1000, 6), (2**16, 12)])
+def test_block_budget_sets_the_stride(cells, stride):
+    # the budgets of test_blocked_walk_matches_step_by_step_reference give
+    # strides of 1 to 12 steps on a 9-cycle
+    _, successors = mc._successor_table(*mc._step_tables(_preset_kernel("cycle:9")))
+    with mock.patch.object(mc, "_BLOCK_CELLS", cells):
+        assert mc._stride_table(successors, 2, 0)[0] == stride
+
+
+@pytest.mark.parametrize("cells", [1, 50, 1000, 2**16])
+def test_walk_without_bounds_below_one(cells):
+    # rows [[1.], [1.]]: S' is empty, every rank is 0 and a stride is any length
+    kernel = hw.simple_walk_kernel(hw.build_complete(2))
+    bounds, successors = mc._successor_table(*mc._step_tables(kernel))
+    assert bounds.size == 0 and mc._thresholds(bounds).size == 0
+    with mock.patch.object(mc, "_BLOCK_CELLS", cells):
+        assert mc._stride_table(successors, 1, 1)[0] == (1 if cells == 1 else mc._BLOCK_STEPS)
+        samples = hw.simulate(kernel, 0, 1, hw.SimConfig(trials=300, master_seed=cells)).samples
+    assert np.all(samples == 1)
+
+
+def test_thresholds_bracket_their_bounds():
+    # (t - 1) 2^-53 < s <= t 2^-53, exactly: the top 53 bits of a draw reach
+    # t exactly when its uniform reaches s
+    bounds = [mc._successor_table(*mc._step_tables(_preset_kernel(p)))[0]
+              for p in ("cycle:9", "complete:7", "bipartite:133:267", "hypercube:4", "cayley_d8")]
+    rng = np.random.default_rng(5)
+    bounds += [rng.random(200), rng.random(50) * 2.0**-40, np.array([2.0**-53, 2.0**-60, 0.5, 1 - 2.0**-53])]
+    bounds = np.concatenate(bounds)
+    for s, t in zip(bounds.tolist(), mc._thresholds(bounds).tolist()):
+        assert Fraction(t - 1, 2**53) < Fraction(s) <= Fraction(t, 2**53)
+
+
+def _draw_on_an_eighth(z, mix=mix64):
+    # the top three bits of each draw only: every uniform is a multiple of 1/8
+    return mix(z) & np.uint64(7 << 61)
+
+
+@pytest.mark.parametrize("preset", ["cycle:8", "path:6", "complete:5", "torus_std:4"])
+def test_draw_on_a_threshold_passes_it(monkeypatch, preset):
+    # draws whose top 53 bits equal a threshold: 2^51, 2^52 and 3 2^51 are
+    # the thresholds of the bounds 1/4, 1/2 and 3/4
+    kernel = _preset_kernel(preset)
+    kernel_cum, neighbor_table = mc._step_tables(kernel)
+    monkeypatch.setitem(globals(), "mix64", _draw_on_an_eighth)
+    monkeypatch.setattr(mc, "mix64", _draw_on_an_eighth)
+    expected = reference_simulate_trials(kernel_cum, neighbor_table, 1, 0, 7, 200, 500)
+    samples = mc._simulate_trials(kernel_cum, neighbor_table, 1, 0, 7, 200, 500)
+    assert np.array_equal(samples, expected)
+    assert np.all(expected > 0)
+
+
+def test_simulate_block_memory_does_not_grow_with_the_stride():
+    # 2**17 walkers on a 10-cycle take strides of 12 steps; each block goes
+    # in groups of at most _BLOCK_CELLS draws, so the peak is the per-trial
+    # arrays, not 12 draws for every live walker
+    kernel = hw.simple_walk_kernel(hw.build_cycle(10))
+    tracemalloc.start()
+    try:
+        summary = hw.simulate(kernel, 0, 5, hw.SimConfig(trials=2**17, master_seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.completed == 2**17
+    assert peak < 12 * 2**20, peak
 
 
 def _coarse_uniform(draw):
