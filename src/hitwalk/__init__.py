@@ -42,7 +42,6 @@ from .hitting import (
     MomentReport,
     PmfTable,
     brute_pmf,
-    char_function,
     closed_bipartite,
     closed_complete,
     closed_cycle,
@@ -52,7 +51,6 @@ from .hitting import (
     moments,
     path_endpoint_pmf,
     pmf,
-    return_mean,
     return_second_moment,
 )
 from .abelian import (
@@ -68,6 +66,6 @@ from .abelian import (
 )
 from .spectral import MnSequence, RationalGF, TracePowerTable, gf_series, mn_sequence, rational_gf, trace_powers
 from .ctime import CTimeEvaluation, ct_evaluate, ct_moments
-from .montecarlo import SampleSummary, SimConfig, empirical_vs_exact, simulate
+from .montecarlo import SampleSummary, SimConfig, simulate
 
 __version__ = "0.1.0"

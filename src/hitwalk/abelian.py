@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameterError, NotErgodicError, NumericalError
-from .graphs import Graph, TransitionKernel, simple_walk_kernel
+from .graphs import Graph, TransitionKernel, _require_array_size, simple_walk_kernel
 from .hitting import PmfTable, closed_cycle
 from .linalg import IMAGINARY_DISCARD
 
@@ -72,7 +72,6 @@ __all__ = [
     "diag_torus_map",
     "diag_torus_convolution_report",
     "ConvolutionReport",
-    "parse_group_spec",
     "cycle_step_law",
     "complete_step_law",
     "hypercube_step_law",
@@ -375,6 +374,7 @@ def fourier_pmf(group: FiniteAbelianGroup, law: StepLaw, horizon: int) -> PmfTab
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
+    _require_array_size(horizon * group.order, "fourier table")
     p_hat = law_transform(group, law)
     order = group.order
     head, tail = _block_tables(group)
@@ -536,7 +536,7 @@ def diag_torus_convolution_report(
 
 
 # ---------------------------------------------------------------------------
-# step laws of the preset walks and the group-spec file format
+# step laws of the preset walks
 # ---------------------------------------------------------------------------
 
 def cycle_step_law(k: int) -> tuple[FiniteAbelianGroup, StepLaw]:
@@ -574,28 +574,3 @@ def torus_diagonal_step_law(p: int) -> tuple[FiniteAbelianGroup, StepLaw]:
     group = FiniteAbelianGroup((p, p))
     steps = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     return group, StepLaw.from_pairs(group, [(s, 0.25) for s in steps])
-
-
-def parse_group_spec(spec: dict) -> tuple[FiniteAbelianGroup, StepLaw]:
-    """Group and step law from a spec mapping.
-
-    Shape: ``{"factors": [n1, n2, ...], "step_law": [[[g1, g2, ...], prob], ...]}``.
-    Symmetry and normalization of the law are validated; unknown keys
-    are rejected.
-    """
-    if not isinstance(spec, dict):
-        raise InvalidParameterError("group spec must be a JSON object")
-    extra = set(spec) - {"factors", "step_law"}
-    if extra:
-        raise InvalidParameterError(f"unknown group-spec keys: {sorted(extra)}")
-    if "factors" not in spec or "step_law" not in spec:
-        raise InvalidParameterError("group spec needs 'factors' and 'step_law'")
-    group = FiniteAbelianGroup(tuple(spec["factors"]))
-    pairs = []
-    for entry in spec["step_law"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InvalidParameterError(f"bad step-law entry {entry!r}")
-        g, prob = entry
-        pairs.append((tuple(g), float(prob)))
-    return group, StepLaw.from_pairs(group, pairs)
-

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _require_array_size,
     canonical_graph_spec,
     load_graph_file,
     parse_graph_spec,
@@ -226,6 +227,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise InvalidParameterError("--t-grid must be 'a:b:steps'") from None
     if steps < 1 or not 0 <= lo <= hi < np.inf:
         raise InvalidParameterError("bad --t-grid range")
+    _require_array_size(steps, "--t-grid")
     return np.linspace(lo, hi, steps)
 
 

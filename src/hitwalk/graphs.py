@@ -384,14 +384,16 @@ def simple_walk_kernel(g: Graph) -> TransitionKernel:
 # preset families
 # ---------------------------------------------------------------------------
 
-def _require_array_size(entries: int, family: str) -> None:
-    """Refuse a preset whose largest array, its arcs (two per edge) or
-    the bit table or mask it builds them from, has more entries than an
-    intp array can hold: numpy cannot size it at all.  Below that, a
-    graph too large for memory raises MemoryError when it is allocated."""
+def _require_array_size(entries: int, what: str) -> None:
+    """Refuse a request whose largest array has more entries than an
+    intp array can hold: numpy cannot size it at all.  A preset passes
+    its arcs (two per edge) or the bit table or mask it builds them from,
+    an engine the table that a horizon, trial count or grid sizes.  Below
+    that, an array too large for memory raises MemoryError when it is
+    allocated."""
     limit = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
     if entries > limit:
-        raise InvalidParameterError(f"{family} too large: {entries} array entries, numpy holds at most {limit}")
+        raise InvalidParameterError(f"{what} too large: {entries} array entries, numpy holds at most {limit}")
 
 
 def build_cycle(k: int) -> Graph:

@@ -3,9 +3,8 @@
 Fixing a target node j and deleting its row and column from the walk
 kernel leaves a substochastic matrix Q and a first-step vector P1 with
 P(tau = n) = Q^{n-1} P1.  Everything here is built from that recurrence:
-step distributions, moments, the characteristic function, closed forms
-for the standard families, and brute-force oracles used to verify all of
-it.
+step distributions, moments, closed forms for the standard families,
+and brute-force oracles used to verify all of it.
 
 On a symmetric graph many starts share one law, and the recurrence can
 run on far fewer states.  Colour the target apart from the rest and
@@ -33,7 +32,7 @@ from .errors import (
     NotConnectedError,
     OracleTooLargeError,
 )
-from .graphs import TransitionKernel, _arc_ranges, _levels
+from .graphs import TransitionKernel, _arc_ranges, _levels, _require_array_size
 from .linalg import SERIES_TAIL, solve
 
 __all__ = [
@@ -44,14 +43,12 @@ __all__ = [
     "lumped_absorbing",
     "pmf",
     "moments",
-    "char_function",
     "closed_complete",
     "closed_bipartite",
     "closed_cycle",
     "cycle_mean",
     "path_endpoint_pmf",
     "return_second_moment",
-    "return_mean",
     "brute_pmf",
 ]
 
@@ -387,6 +384,7 @@ def pmf(system: AbsorbingSystem, horizon: int, stop_early: bool = True) -> PmfTa
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
+    _require_array_size(horizon * system.size, "pmf table")
     probs = np.empty((horizon, system.size))
     probs[0] = system.first_step
     residual = 1.0 - probs[0]
@@ -429,13 +427,6 @@ def moments(system: AbsorbingSystem) -> MomentReport:
     if variance.min() < -1e-9:
         raise InvalidParameterError("negative variance beyond tolerance")
     return MomentReport(mean=mean, second=second, variance=variance, states=system.index_map)
-
-
-def char_function(system: AbsorbingSystem, t: float) -> np.ndarray:
-    """E[e^{i t tau}] per start: solve (I - e^{it} Q) x = e^{it} P1."""
-    phase = np.exp(1j * float(t))
-    a = np.eye(system.size, dtype=complex) - phase * system.q_matrix
-    return solve(a, phase * system.first_step.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -532,22 +523,6 @@ def path_endpoint_pmf(path_nodes: int, start: int, n: int) -> float:
 # ---------------------------------------------------------------------------
 # return moments and oracles
 # ---------------------------------------------------------------------------
-
-def return_mean(kernel: TransitionKernel, node: int) -> float:
-    """E[tau^+], the expected first return time to ``node``.
-
-    First-step analysis over the absorbing system at the node; equals
-    the node count on any vertex-transitive graph (uniform stationary
-    law).
-    """
-    system = make_absorbing(kernel, node)
-    rep = moments(system)
-    row = kernel.matrix[node]
-    total = row[node] * 1.0
-    for reduced, orig in enumerate(system.index_map):
-        total += row[orig] * (1.0 + rep.mean[reduced])
-    return float(total)
-
 
 def return_second_moment(kernel: TransitionKernel, node: int) -> float:
     """q* = E[(tau^+)^2], second moment of the first return time.

@@ -64,8 +64,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graphs import TransitionKernel
-from .hitting import PmfTable, _require_reachable, _row_table
+from .graphs import TransitionKernel, _require_array_size
+from .hitting import _require_reachable, _row_table
 
 __all__ = [
     "GAMMA",
@@ -74,8 +74,6 @@ __all__ = [
     "SimConfig",
     "SampleSummary",
     "simulate",
-    "GoodnessReport",
-    "empirical_vs_exact",
 ]
 
 _U64 = np.uint64
@@ -352,6 +350,7 @@ def simulate(
         raise InvalidParameterError("start/target out of range")
     if start == target:
         raise InvalidParameterError("start must differ from target")
+    _require_array_size(config.trials, "trial table")
     _require_reachable(kernel, target)
     kernel_cum, neighbor_table = _step_tables(kernel)
     samples = _simulate_trials(
@@ -375,83 +374,4 @@ def simulate(
         capped_count=capped,
         cap_warning=capped > _CAP_WARNING_FRACTION * config.trials,
         empirical_pmf=counts,
-    )
-
-
-@dataclass(frozen=True)
-class GoodnessReport:
-    """Chi-squared style distance between empirical and exact pmfs.
-
-    Bins are the steps whose expected count is at least 5; rows hold
-    (step, expected count, observed count, z score) for plotting.
-    """
-
-    bins: tuple[int, ...]
-    expected: np.ndarray
-    observed: np.ndarray
-    z_scores: np.ndarray
-    chi_squared: float
-    max_abs_z: float
-    trials: int
-
-    def rows(self) -> list[tuple[int, float, float, float]]:
-        return [
-            (n, float(e), float(o), float(z))
-            for n, e, o, z in zip(self.bins, self.expected, self.observed, self.z_scores)
-        ]
-
-
-def empirical_vs_exact(
-    kernel: TransitionKernel,
-    start: int,
-    target: int,
-    config: SimConfig,
-    horizon: int,
-    exact: PmfTable | None = None,
-) -> GoodnessReport:
-    """Compare simulated hitting counts against the exact distribution.
-
-    ``exact`` defaults to the absorbing-chain iteration on the same
-    kernel; passing a table lets callers reuse one or substitute a
-    closed form.
-    """
-    from .hitting import make_absorbing, pmf  # late import keeps module load light
-
-    summary = simulate(kernel, start, target, config)
-    if exact is None:
-        exact = pmf(make_absorbing(kernel, target), horizon, stop_early=False)
-    column = exact.column(start)
-    bins = []
-    expected = []
-    observed = []
-    for n in range(1, min(horizon, exact.horizon) + 1):
-        p = float(column[n - 1])
-        exp_count = config.trials * p
-        if exp_count >= 5.0:
-            obs = float(summary.empirical_pmf[n]) if n < len(summary.empirical_pmf) else 0.0
-            bins.append(n)
-            expected.append(exp_count)
-            observed.append(obs)
-    expected_arr = np.array(expected)
-    observed_arr = np.array(observed)
-    if expected_arr.size:
-        ps = expected_arr / config.trials
-        sd = np.sqrt(config.trials * ps * (1.0 - ps))
-        diff = observed_arr - expected_arr
-        # a degenerate bin (p = 1) has zero spread; any deviation is infinite
-        z = np.divide(diff, sd, out=np.where(diff == 0.0, 0.0, np.inf), where=sd > 0.0)
-        chi = float(np.sum(diff**2 / expected_arr))
-        max_z = float(np.max(np.abs(z)))
-    else:
-        z = np.zeros(0)
-        chi = 0.0
-        max_z = 0.0
-    return GoodnessReport(
-        bins=tuple(bins),
-        expected=expected_arr,
-        observed=observed_arr,
-        z_scores=z,
-        chi_squared=chi,
-        max_abs_z=max_z,
-        trials=config.trials,
     )

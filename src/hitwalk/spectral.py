@@ -50,7 +50,7 @@ import numpy as np
 
 from . import hitting
 from .errors import HypothesisError, InvalidParameterError, NotConnectedError, NumericalError
-from .graphs import Graph, simple_walk_kernel
+from .graphs import Graph, _require_array_size, simple_walk_kernel
 
 __all__ = [
     "TracePowerTable",
@@ -146,6 +146,7 @@ def _series_divide(b: np.ndarray, traces: np.ndarray) -> np.ndarray:
 def _lumped_column(kernel, lumped, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(B^k)_{ij} and r_k = (B^k)_{jj}, k = 0..n, from the target's column of
     its lumped chain ``lumped = hitting.lumped_absorbing(kernel, j)``."""
+    _require_array_size(2 * (n + 1), "spectral series")
     system, rows = lumped
     j = system.target
     heads, tails = kernel.support

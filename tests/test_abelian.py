@@ -432,23 +432,3 @@ def test_convolution_report_uses_no_absorbing_chain(monkeypatch):
     report = hw.diag_torus_convolution_report(7, (3, 1), (0, 0), 64, direct)
     assert report.direct is direct
     assert report.max_abs_discrepancy == np.max(np.abs(direct - report.convolution)) > 0.0
-
-
-# --- group-spec files -------------------------------------------------------------------------
-
-def test_parse_group_spec_round_trip():
-    group, law = ab.parse_group_spec(
-        {"factors": [4], "step_law": [[[1], 0.5], [[3], 0.5]]}
-    )
-    assert group.order == 4
-    assert law.table[1] == 0.5
-
-
-def test_parse_group_spec_rejects_unknown_keys():
-    with pytest.raises(InvalidParameterError):
-        ab.parse_group_spec({"factors": [4], "step_law": [], "name": "bad"})
-
-
-def test_parse_group_spec_validates_law():
-    with pytest.raises(InvalidParameterError):
-        ab.parse_group_spec({"factors": [4], "step_law": [[[1], 1.0]]})

@@ -11,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
-from spans import metric_source  # noqa: E402
+from spans import LAYERS, metric_source  # noqa: E402
 
 PER_LAYER = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 SOURCES = sorted({s for s in map(metric_source, PER_LAYER) if s is not None})
@@ -30,6 +30,16 @@ def test_metric_source_is_a_public_function_of_its_module(source):
     assert attr in public
     obj = getattr(mod, attr)
     assert inspect.isfunction(obj) and obj.__module__ == mod.__name__
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_exported_name_resolves(layer):
+    # spans.instrument skips a name it cannot find, so a stale __all__
+    # entry would silently lose its span; a star import raises on one
+    namespace = {}
+    exec(f"from hitwalk.{layer} import *", namespace)
+    mod = importlib.import_module(f"hitwalk.{layer}")
+    assert set(getattr(mod, "__all__", ())) <= set(namespace)
 
 
 def test_character_basis_cache_is_observable():

@@ -484,6 +484,35 @@ def test_preset_too_large_for_an_array_exits_2(capsys, tmp_path, preset, source)
     assert err.startswith("hitwalk: invalid input: ") and "too large" in err
 
 
+_HUGE = "100000000000000000000"  # 10^20
+
+
+@pytest.mark.parametrize(
+    ("argv", "table"),
+    [
+        (["pmf", "--horizon", _HUGE, "--engine", "direct"], "pmf table"),
+        (["pmf", "--horizon", _HUGE, "--engine", "spectral"], "spectral series"),
+        (["pmf", "--horizon", _HUGE, "--engine", "fourier"], "fourier table"),
+        (["pmf", "--horizon", "1000000000000000000"], "pmf table"),
+        (["gf", "--horizon", _HUGE], "spectral series"),
+        (["simulate", "--trials", _HUGE], "trial table"),
+        (["compare", "--horizon", _HUGE], "pmf table"),
+        (["compare", "--trials", _HUGE], "trial table"),
+        (["ctime", "--t-grid", f"0:{_HUGE}:2"], "pmf table"),
+        (["ctime", "--t-grid", f"0:1:{_HUGE}"], "--t-grid"),
+    ],
+    ids=["direct", "spectral", "fourier", "auto_1e18", "gf", "simulate", "compare_horizon",
+         "compare_trials", "ctime_time", "ctime_points"],
+)
+def test_count_too_large_for_an_array_exits_2(capsys, argv, table):
+    # numpy cannot size the table these counts ask for (ValueError, exit
+    # 1); the engine refuses the count before allocating
+    command, *options = argv
+    code, out, err = run_cli(capsys, command, "--preset", "cycle:5", "--from", "1", "--to", "0", *options)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"hitwalk: invalid input: {table} too large: ")
+
+
 def test_fourier_numerical_fault_exits_4(capsys, monkeypatch):
     # a fault in the transform-domain recurrence is a numerical failure
     from hitwalk import abelian

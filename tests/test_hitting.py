@@ -357,25 +357,6 @@ def test_moments_nonnegative_variance_everywhere():
         assert rep.mean.min() >= 1.0 - 1e-12, name
 
 
-# --- characteristic function ------------------------------------------------------
-
-def test_char_function_at_zero_is_one(diamond_system):
-    assert np.allclose(hw.char_function(diamond_system, 0.0), 1.0, atol=1e-12)
-
-
-def test_char_function_k2_is_phase():
-    system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_complete(2)), 1)
-    for t in (0.3, 1.0, 2.5):
-        assert hw.char_function(system, t)[0] == pytest.approx(np.exp(1j * t))
-
-
-def test_char_function_derivative_matches_mean(diamond_system):
-    rep = hw.moments(diamond_system)
-    h = 1e-5
-    derivative = (hw.char_function(diamond_system, h) - hw.char_function(diamond_system, -h)) / (2 * h)
-    assert np.allclose(derivative, 1j * rep.mean, atol=1e-6)
-
-
 # --- closed forms ------------------------------------------------------------------
 
 def test_closed_complete_values():
@@ -486,10 +467,3 @@ def test_return_second_moment_k2():
 def test_return_second_moment_triangle():
     kernel = hw.simple_walk_kernel(hw.build_cycle(3))
     assert hw.return_second_moment(kernel, 0) == pytest.approx(11.0, abs=1e-12)
-
-
-def test_return_mean_equals_node_count_on_vertex_transitive():
-    for g in (hw.build_cycle(5), hw.build_hypercube(3), hw.build_complete(4), hw.cayley_s3()):
-        kernel = hw.simple_walk_kernel(g)
-        assert hw.return_mean(kernel, 0) == pytest.approx(g.node_count, abs=1e-10)
-

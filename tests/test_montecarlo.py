@@ -435,34 +435,32 @@ def test_simulate_weighted_walk_matches_exact_moments():
     assert abs(summary.mean - mean) <= 4 * np.sqrt(variance / trials)
 
 
-# --- goodness of fit ------------------------------------------------------------------
+# --- the sample law ------------------------------------------------------------------
 
-def test_empirical_vs_exact_c10():
-    kernel = hw.simple_walk_kernel(hw.build_cycle(10))
-    config = hw.SimConfig(trials=100_000, master_seed=314)
-    report = hw.empirical_vs_exact(kernel, 0, 5, config, horizon=400)
-    assert len(report.bins) > 20
-    assert report.max_abs_z <= 5.0
-    assert all(e >= 5.0 for e in report.expected)
-
-
-def test_empirical_vs_exact_k4_against_closed_form():
-    kernel = hw.simple_walk_kernel(hw.build_complete(4))
-    config = hw.SimConfig(trials=100_000, master_seed=2718)
-    report = hw.empirical_vs_exact(kernel, 1, 0, config, horizon=60)
-    assert report.max_abs_z <= 5.0
-    # the exact reference for K_4 is the geometric closed form
-    for n, expected, _, _ in report.rows():
-        assert expected == pytest.approx(config.trials * hw.closed_complete(4, n), rel=1e-12)
-
-
-def test_empirical_vs_exact_k2_single_bin():
-    kernel = hw.simple_walk_kernel(hw.build_complete(2))
-    report = hw.empirical_vs_exact(
-        kernel, 0, 1, hw.SimConfig(trials=200, master_seed=7), horizon=10
-    )
-    assert report.bins == (1,)
-    assert report.chi_squared == pytest.approx(0.0)
+@pytest.mark.parametrize(
+    ("family", "k", "start", "target", "trials", "seed", "horizon", "bins"),
+    [("cycle", 10, 0, 5, 100_000, 314, 400, 76), ("complete", 4, 1, 0, 100_000, 2718, 60, 22),
+     ("complete", 2, 0, 1, 200, 7, 10, 1)],
+    ids=["c10", "k4", "k2"],
+)
+def test_empirical_pmf_follows_the_exact_law(family, k, start, target, trials, seed, horizon, bins):
+    kernel = hw.simple_walk_kernel(hw.preset_graph(family, [k]))
+    if (family, k) == ("complete", 4):
+        law = np.array([hw.closed_complete(4, n) for n in range(1, horizon + 1)])
+    else:
+        law = hw.pmf(hw.make_absorbing(kernel, target), horizon, stop_early=False).column(start)
+    summary = hw.simulate(kernel, start, target, hw.SimConfig(trials=trials, master_seed=seed))
+    assert summary.capped_count == 0
+    counts = summary.empirical_pmf[1 : horizon + 1]
+    observed = np.pad(counts, (0, horizon - counts.size)).astype(float)
+    expected = trials * law
+    # each step expected at least 5 times lies within 5 sd of its expected
+    # count; on K_2 the one such step is n = 1, with sd 0, so every trial
+    # hits at n = 1
+    tested = expected >= 5.0
+    assert tested.sum() == bins
+    sd = np.sqrt(expected * (1.0 - law))
+    assert np.all(np.abs(observed - expected)[tested] <= 5.0 * sd[tested])
 
 
 @pytest.mark.slow
