@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
+from .graphs import _require_array_size
 from .hitting import AbsorbingSystem, pmf
 from .linalg import solve
 
@@ -110,7 +111,16 @@ def ct_evaluate(
         raise InvalidParameterError("times must be nonnegative")
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError("tol must be in (0, 1)")
-    n_max = _truncation_index(float(times.max()), tol)
+    t_max = float(times.max())
+    if tol < 0.5:
+        # a tail of at most tol < 1/2 starts past the Poisson median, which
+        # is at least t - ln 2 (Choi, Proc. AMS 121(1), 1994): the pmf table
+        # holds at least that many rows, so claim them (np.empty touches no
+        # page) before the search for the truncation index
+        rows = max(math.ceil(t_max - math.log(2.0)), 0) + 1
+        _require_array_size(rows * system.size, "pmf table")
+        np.empty((rows, system.size))
+    n_max = _truncation_index(t_max, tol)
     vectors = pmf(system, n_max + 1, stop_early=False).probs  # row n is Q^n P1
     # partial[n] = sum_{k=1..n} Q^{k-1} P1 = P(hit within n steps)
     partial = np.vstack([np.zeros(system.size), np.cumsum(vectors, axis=0)[:-1]])

@@ -164,10 +164,11 @@ def _raise_first_fault_by_edge(node_count: int, edges) -> None:
 
 def _arc_ranges(ptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions ptr[n]..ptr[n+1]-1 of every node n in ``nodes``, one run per
-    node, and the length of each run."""
-    width = ptr[nodes + 1] - ptr[nodes]
-    ends = np.cumsum(width)
-    return np.arange(ends[-1]) + np.repeat(ptr[nodes] - (ends - width), width), width
+    node, and where each run starts among them."""
+    lo = ptr[nodes]
+    width = ptr[nodes + 1] - lo
+    at = np.add.accumulate(width) - width
+    return np.arange(at[-1] + width[-1]) + (lo - at).repeat(width), at
 
 
 def _levels(ptr: np.ndarray, succ: np.ndarray, source: int) -> np.ndarray:
@@ -191,6 +192,28 @@ def _levels(ptr: np.ndarray, succ: np.ndarray, source: int) -> np.ndarray:
         frontier = reached[last[reached] == at]
         level[frontier] = depth
     return level
+
+
+# SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): the stream increment, and the finalizer's
+# multipliers and shifts as uint64 scalars
+GAMMA = 0x9E3779B97F4A7C15
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def mix64(z):
+    """SplitMix64 finalizer, vectorized over uint64 arrays: a bijection of
+    the 64-bit words, so it sends 0, and 0 alone, to 0."""
+    # in place on a copy: array products wrap silently, where a scalar
+    # product would warn of the overflow
+    z = np.array(z, dtype=np.uint64)
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z[()]
 
 
 @dataclass(frozen=True)
@@ -353,6 +376,7 @@ class TransitionKernel:
         self.support = (heads, tails)
         self.values = values
         self._matrix = None
+        self._search = None  # hitting._require_reachable's last (target, result)
 
     @property
     def matrix(self) -> np.ndarray:

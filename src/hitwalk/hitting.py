@@ -14,14 +14,23 @@ pairs.  Every node of a class then has the same probability of stepping
 into each class, which is strong lumpability (Kemeny & Snell, Finite
 Markov Chains, 1960, section 6.3): the classes form a Markov chain of
 their own whose absorbing system gives each member's hitting-time law
-exactly.  The classes are found by worklist refinement, re-signing only
-the nodes with an arc into a node that changed class (Paige & Tarjan,
-"Three partition refinement algorithms", SIAM J. Comput. 16(6), 1987).
-Probabilities are compared bit for bit, so no two nodes whose laws
-differ ever share a class.
+exactly.  The classes are found by worklist refinement of the target's
+distance levels, re-signing only the nodes with an arc into a node that
+changed class (Paige & Tarjan, "Three partition refinement algorithms",
+SIAM J. Comput. 16(6), 1987); on cycles, hypercubes and complete
+bipartite graphs the levels are equitable already.  A round signs its nodes in a few whole-array passes: a node's signature
+is a 64-bit sum of hashes of its (neighbour class, step probability)
+pairs, as in colour refinement by hashed multisets (Shervashidze et al.,
+"Weisfeiler-Lehman graph kernels", JMLR 12, 2011).  A hash collision can
+only leave a class unsplit, so when the rounds settle one exact check
+compares the multisets themselves, probabilities bit for bit.  A failed
+check refines again under the next salt, and after the last one raises
+NumericalError (exit 4): no two nodes whose laws differ ever share a
+class.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +39,10 @@ from .errors import (
     GraphTooLargeError,
     InvalidParameterError,
     NotConnectedError,
+    NumericalError,
     OracleTooLargeError,
 )
-from .graphs import TransitionKernel, _arc_ranges, _levels, _require_array_size
+from .graphs import GAMMA, TransitionKernel, _arc_ranges, _levels, _require_array_size, mix64
 from .linalg import SERIES_TAIL, solve
 
 __all__ = [
@@ -72,14 +82,24 @@ _SPARSE_ROW_FRACTION = 10
 _BRUTE_MAX_STEPS = 10
 _BRUTE_MAX_NODES = 6
 
-# _equitable_cells packs (signing node, neighbour class, probability code)
-# into one int64 key, exact while the product of their ranges stays below
-# this; past it the refinement raises GraphTooLargeError.  The product is
-# at most V * V * (distinct step probabilities), so it takes ~10^6 nodes
-# with ~10^7 distinct probabilities to get there.  One lexsort of the three
-# columns would lift the bound, at about six times the cost of np.unique
-# on the key (418k arcs, bipartite:323:647).
+# The exact check of a partition (_is_equitable) packs (node, neighbour
+# class, probability code) into one int64 key per arc, exact while the
+# product of their ranges stays below this; past it the check raises
+# GraphTooLargeError.  It counts or sorts the keys once for the levels,
+# and once more only when they are not equitable (and again after each
+# hash collision).  The product is at most V * V * (distinct step
+# probabilities), so it takes ~10^6 nodes with ~10^7 distinct
+# probabilities to get there.  One lexsort of the three columns would
+# lift the bound, at about five times the cost of sorting the key (418k
+# arcs, bipartite:323:647: 19 ms against 3.5 ms).
 _SIGNATURE_KEY_LIMIT = 2**63
+
+# The hashed refinement runs at most this many times, each under its own
+# salt: a partition that fails the exact check is refined again under the
+# next.  Salt s hashes with draws s * 2^40 + 1, s * 2^40 + 2, ... of one
+# SplitMix64 stream.
+_SALTS = 3
+_SALT_DRAWS = 2**40
 
 
 @dataclass(frozen=True)
@@ -198,8 +218,12 @@ def _require_reachable(
     Decided exactly by a reverse search over the kernel support.  Returns
     its levels (the fewest steps from each state to the target) and the
     predecessor table (ptr, pred) it searched: the states with an arc into
-    state n are pred[ptr[n]:ptr[n+1]].
+    state n are pred[ptr[n]:ptr[n+1]].  The kernel keeps the result for
+    the last target searched, so the answers of one query (the lumped
+    chain and Monte Carlo's check in ``compare``) share one search.
     """
+    if kernel._search is not None and kernel._search[0] == target:
+        return kernel._search[1]
     rows, cols = kernel.support
     if len(rows) == len(kernel.origin._arcs[0]):
         # the support is every arc of an undirected graph: each state's
@@ -211,6 +235,9 @@ def _require_reachable(
     levels = _levels(*predecessors, target)
     if levels.min() < 0:
         raise NotConnectedError(f"target {target} unreachable from some state")
+    for array in (levels, *predecessors):
+        array.setflags(write=False)
+    kernel._search = target, (levels, predecessors)
     return levels, predecessors
 
 
@@ -312,67 +339,145 @@ def _equitable_cells(
     steps of the target are a union of classes, by induction on k), so
     refining starts from them.
 
-    A node's signature is the sorted multiset of (neighbour class, step
-    probability) pairs, the probability compared bit for bit.  The first
-    round signs every node; after it, a round signs only the nodes with an
-    arc into a node that changed class.  Each class keeps the multiset its
-    unsigned members share, so a signed node stays when it matches it and
-    the others split off by signature; a class with no member left to
-    match is kept by its largest part.  A class of one node never splits
-    and is never signed.
+    A step probability is coded by its rank among the distinct values,
+    compared bit for bit.  The exact check (:func:`_is_equitable`) first
+    tries the levels themselves, which are equitable on cycles, hypercubes
+    and complete bipartite graphs.  Otherwise the refinement
+    (:func:`_hashed_rounds`) splits classes by a 64-bit hash of each
+    node's multiset of (neighbour class, code) pairs.  Equal multisets
+    hash equal, so it never splits a class of the coarsest equitable
+    partition; a hash collision can only leave a class unsplit.  The check
+    then accepts the settled partition, which makes it the coarsest
+    equitable one.  A failed check refines again from the levels under
+    the next salt, and raises :class:`NumericalError` (exit 4) when every
+    salt fails, so no unchecked partition is ever returned.
     """
-    v = kernel.node_count
-    heads, tails = kernel.support  # sorted by head, then tail
-    _, code = np.unique(kernel.values, return_inverse=True)
-    n_codes = int(code.max()) + 1
+    values = kernel.values  # sorted by head: one run per node under unit weights
+    runs = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    _, run_code = np.unique(values[runs], return_inverse=True)
+    code = np.repeat(run_code, np.diff(runs, append=len(values)))
+    n_codes = int(run_code.max()) + 1
+    out_ptr = np.searchsorted(kernel.support[0], np.arange(kernel.node_count + 1))
+    refined = (_hashed_rounds(kernel, levels, predecessors, out_ptr, code, n_codes, salt) for salt in range(_SALTS))
+    for colour in itertools.chain([levels], refined):
+        if _is_equitable(kernel, colour, out_ptr, code, n_codes):
+            _, first, cell = np.unique(colour, return_index=True, return_inverse=True)
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(len(first))
+            return rank[cell]
+    raise NumericalError(f"equitable partition not settled: hash collisions under {_SALTS} salts")
+
+
+def _hashed_rounds(kernel, levels, predecessors, out_ptr, code, n_codes: int, salt: int) -> np.ndarray:
+    """Refine the levels by hashed signatures until no class splits; the
+    class of each node, in no particular numbering.
+
+    A (class, code) pair hashes to SplitMix64 draw number class * n_codes
+    + code + 1 past the salt's first draw, mix64(number * GAMMA), which is
+    0 only at number 0 (mod 2^64): no pair drops out of a node's
+    signature, the wrapping 64-bit sum of its arcs' pair hashes.  The
+    first round signs every node of a class of more than one node; after
+    it, a round signs only such nodes with an arc into a node that changed
+    class, so its cost is that of the arcs it reads.
+    Each class records the signature its unsigned members share.  The
+    signed nodes are sorted by (class, signature); the part with the
+    recorded signature keeps the class, or the largest part when every
+    member was signed, and every other part becomes a new class.
+    """
+    tails = kernel.support[1]
     pred_ptr, pred = predecessors
-    out_ptr = np.searchsorted(heads, np.arange(v + 1))
+    # pair hash = mix64(class * step + draw[arc]), in wrapping int64 arithmetic
+    step = np.uint64(n_codes * GAMMA % 2**64).astype(np.int64)
+    draw = ((code.astype(np.uint64) + np.uint64(salt * _SALT_DRAWS + 1)) * np.uint64(GAMMA)).astype(np.int64)
     colour = levels.copy()
-    size = np.bincount(colour, minlength=v + 1)
-    shared: list[bytes | None] = [None] * (colour.max() + 1)  # the multiset of each class
+    size = np.zeros(kernel.node_count, dtype=np.intp)
+    classes = int(levels.max()) + 1
+    size[:classes] = np.bincount(levels)
+    shared = np.zeros(kernel.node_count, dtype=np.uint64)  # the signature of each class's unsigned members
     todo = np.flatnonzero(size[colour] > 1)
+    # the first round hashes every arc (each node has one), and keeps the
+    # sums of the nodes it signs
+    pair = colour[tails]
+    pair *= step
+    pair += draw
+    sig = np.add.reduceat(mix64(pair), out_ptr[:-1])[todo]
     while todo.size:
-        arcs, width = _arc_ranges(out_ptr, todo)
-        # (signing node, neighbour class, probability code) as one key, below
-        # todo.size * span (see _SIGNATURE_KEY_LIMIT)
-        span = len(shared) * n_codes
-        if todo.size * span > _SIGNATURE_KEY_LIMIT:
-            raise GraphTooLargeError(
-                f"equitable partition of {v} nodes with {n_codes} distinct step probabilities "
-                "exceeds the int64 signature key"
-            )
-        key = np.repeat(np.arange(todo.size) * span, width) + colour[tails[arcs]] * n_codes + code[arcs]
-        key, count = np.unique(key, return_counts=True)
-        owner, pair = np.divmod(key, span)
-        # one (class, probability, count) triple per distinct pair, 24 bytes each
-        blob = np.stack([*np.divmod(pair, n_codes), count], axis=1).astype(np.int64).tobytes()
-        cut = (24 * np.searchsorted(owner, np.arange(todo.size + 1))).tolist()
-        signed: dict[int, int] = {}
-        parts: dict[int, dict[bytes, list[int]]] = {}
-        for i, (node, c) in enumerate(zip(todo.tolist(), colour[todo].tolist())):
-            signed[c] = signed.get(c, 0) + 1
-            sig = blob[cut[i] : cut[i + 1]]
-            if sig != shared[c]:
-                parts.setdefault(c, {}).setdefault(sig, []).append(node)
-        changed = []
-        for c, split in parts.items():
-            if signed[c] == size[c] and sum(map(len, split.values())) == size[c]:
-                shared[c] = max(split, key=lambda sig: len(split[sig]))
-                del split[shared[c]]
-            for sig, nodes in split.items():
-                colour[nodes] = len(shared)
-                size[len(shared)] = len(nodes)
-                size[c] -= len(nodes)
-                shared.append(sig)
-                changed += nodes
-        if not changed:
+        cls = colour[todo]
+        order = np.lexsort((sig, cls))
+        todo, cls, sig = todo[order], cls[order], sig[order]
+        # runs of one class, and within them parts: runs of one signature
+        head = np.empty(len(todo) + 1, dtype=bool)
+        head[0] = head[-1] = True
+        head[1:-1] = cls[1:] != cls[:-1]
+        cut = head.nonzero()[0]
+        signed = cls[cut[:-1]]
+        whole = cut[1:] - cut[:-1] == size[signed]
+        head[1:-1] |= sig[1:] != sig[:-1]
+        edges = head.nonzero()[0]
+        if whole.any():
+            # a class whose every member was signed is kept by its largest part
+            part_size = edges[1:] - edges[:-1]
+            score = part_size * len(part_size) - np.arange(len(part_size))
+            largest = -np.maximum.reduceat(score, edges.searchsorted(cut[:-1]))[whole] % len(part_size)
+            shared[signed[whole]] = sig[edges[largest]]
+        go = sig != shared[cls]
+        if not go.any():
             break
-        todo = np.unique(pred[_arc_ranges(pred_ptr, np.array(changed))[0]])
-        todo = todo[size[colour[todo]] > 1]
-    _, first, cell = np.unique(colour, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return rank[cell]
+        changed = todo[go]
+        moved = head[:-1] & go  # the first node of each part that moves
+        new = (classes - 1 + moved.cumsum())[go]
+        colour[changed] = new
+        moved = moved.nonzero()[0]
+        size[classes : classes + len(moved)] = np.bincount(new - classes)
+        size[signed] -= np.add.reduceat(go.astype(np.intp), cut[:-1])
+        shared[classes : classes + len(moved)] = sig[moved]
+        classes += len(moved)
+        reached = pred[_arc_ranges(pred_ptr, changed)[0]]
+        reached = reached[size[colour[reached]] > 1]
+        reached.sort()
+        first = np.empty(len(reached), dtype=bool)
+        first[:1] = True
+        first[1:] = reached[1:] != reached[:-1]
+        todo = reached[first]
+        if todo.size:
+            arcs, at = _arc_ranges(out_ptr, todo)
+            sig = np.add.reduceat(mix64(colour[tails[arcs]] * step + draw[arcs]), at)
+    return colour
+
+
+def _is_equitable(kernel, colour, out_ptr, code, n_codes: int) -> bool:
+    """Whether each node has the same multiset of (neighbour class, code)
+    pairs as its class's first node, compared exactly."""
+    heads, tails = kernel.support
+    _, lead, cell = np.unique(colour, return_index=True, return_inverse=True)
+    if len(lead) == len(colour):
+        return True  # every class a single node
+    # (node, neighbour class, code) as one key, below V * span (see
+    # _SIGNATURE_KEY_LIMIT)
+    span = (int(colour.max()) + 1) * n_codes
+    if len(colour) * span > _SIGNATURE_KEY_LIMIT:
+        raise GraphTooLargeError(
+            f"equitable partition of {kernel.node_count} nodes with {n_codes} distinct step probabilities "
+            "exceeds the int64 signature key"
+        )
+    lead = lead[cell]  # each node's class's first node
+    key = colour[tails]
+    key *= n_codes
+    key += code
+    if len(colour) * span <= len(key):
+        # few pairs: compare each node's count of every pair with its lead's
+        key += heads * span
+        counts = np.bincount(key, minlength=len(colour) * span).reshape(len(colour), span)
+        return np.array_equal(counts, counts[lead])
+    # many: sort each node's pairs, and compare them with its lead's
+    if not np.array_equal(np.diff(out_ptr), np.diff(out_ptr)[lead]):
+        return False
+    offset = heads * span
+    key += offset
+    key.sort()
+    key -= offset
+    first = out_ptr[:-1]
+    return np.array_equal(key, key[np.arange(len(key)) + (first[lead] - first)[heads]])
 
 
 def pmf(system: AbsorbingSystem, horizon: int, stop_early: bool = True) -> PmfTable:

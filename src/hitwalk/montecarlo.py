@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graphs import TransitionKernel, _require_array_size
+from .graphs import GAMMA, TransitionKernel, _require_array_size, mix64
 from .hitting import _require_reachable, _row_table
 
 __all__ = [
@@ -77,24 +77,12 @@ __all__ = [
 ]
 
 _U64 = np.uint64
-GAMMA = 0x9E3779B97F4A7C15
-_M1 = 0xBF58476D1CE4E5B9
-_M2 = 0x94D049BB133111EB
 _CAP_WARNING_FRACTION = 0.01
 # a block walks _BLOCK_STEPS steps (whole strides, fewer at the step cap),
 # its walkers in groups of at most _BLOCK_CELLS draws; a stride table has
 # at most _BLOCK_CELLS cells and a stride at most _BLOCK_STEPS steps
 _BLOCK_STEPS = 64
 _BLOCK_CELLS = 2**16
-
-
-def mix64(z):
-    """SplitMix64 finalizer, vectorized over uint64 arrays."""
-    z = np.asarray(z, dtype=_U64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> _U64(30))) * _U64(_M1)
-        z = (z ^ (z >> _U64(27))) * _U64(_M2)
-        return z ^ (z >> _U64(31))
 
 
 def uniform_from_draw(draw) -> np.ndarray:

@@ -55,6 +55,26 @@ def preset_zoo(max_nodes=None):
     return graphs
 
 
+def coarsest_equitable_partition(kernel, target):
+    """Class of each node in the coarsest equitable partition that keeps
+    the target alone, classes numbered by their smallest nodes: plain
+    synchronous refinement from {target} and the rest, splitting every
+    class by each node's exact multiset of (neighbour class, step
+    probability) until no class splits."""
+    arcs = [[] for _ in range(kernel.node_count)]
+    heads, tails = kernel.support
+    for head, tail, prob in zip(heads.tolist(), tails.tolist(), kernel.values.tolist()):
+        arcs[head].append((tail, prob))
+    cells = [int(node != target) for node in range(kernel.node_count)]
+    while True:
+        ids = {}
+        signatures = [(cells[n], tuple(sorted((cells[t], p) for t, p in arcs[n]))) for n in range(kernel.node_count)]
+        refined = [ids.setdefault(sig, len(ids)) for sig in signatures]
+        if len(ids) == len(set(cells)):
+            return refined
+        cells = refined
+
+
 def chang_graph():
     """A Chang graph: the triangular graph T(8) switched on a perfect matching
     of K_8.  Strongly regular (28, 12, 6, 4), hence walk-regular, but not

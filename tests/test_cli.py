@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -513,6 +514,18 @@ def test_count_too_large_for_an_array_exits_2(capsys, argv, table):
     assert err.startswith(f"hitwalk: invalid input: {table} too large: ")
 
 
+def test_ctime_grid_past_memory_is_refused_before_the_truncation_search(capsys):
+    # t = 10^13 needs at least 10^13 pmf rows (146 TiB); searching for the
+    # exact truncation index first would loop ~4 * 10^7 times (about 12 s)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "ctime", "--preset", "cycle:5", "--from", "1", "--to", "0", "--t-grid", "0:10000000000000:2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("hitwalk: invalid input: ")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_fourier_numerical_fault_exits_4(capsys, monkeypatch):
     # a fault in the transform-domain recurrence is a numerical failure
     from hitwalk import abelian
@@ -762,8 +775,8 @@ PAIR = ["--preset", "torus_std:5", "--from", "7", "--to", "0"]
         (["ctime", *PAIR, "--t-grid", "0:10:5"], 1),
         (["simulate", *PAIR, "--trials", "50"], 1),
         (["pmf", *PAIR, "--horizon", "20", "--engine", "fourier"], 0),
-        # the lumped chain for the series and moments, and Monte Carlo's own check
-        (["compare", *PAIR, "--horizon", "20", "--trials", "50"], 2),
+        # one search for the lumped chain, which Monte Carlo's check reuses
+        (["compare", *PAIR, "--horizon", "20", "--trials", "50"], 1),
         # the dense walk powers' connectivity check, and the lumped chain
         (["gf", *PAIR, "--horizon", "20"], 2),
     ],

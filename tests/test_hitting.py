@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -6,15 +7,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hitwalk as hw
-from hitwalk import hitting
+from hitwalk import cli, hitting
 from hitwalk.errors import (
     InvalidParameterError,
     NotConnectedError,
+    NumericalError,
     OracleTooLargeError,
 )
 from hitwalk.graphs import load_graph_file
 
-from conftest import preset_zoo
+from conftest import coarsest_equitable_partition, preset_zoo
 
 EXPECTED_DIAMOND_Q = np.array([[0, 1 / 3, 1 / 3], [1 / 3, 0, 1 / 3], [1 / 2, 1 / 2, 0]])
 
@@ -128,15 +130,18 @@ def _assert_lumped_matches_make_absorbing(kernel, target):
         assert abs(lumped_mom.variance[r] - plain_mom.variance[i]) <= 1e-12 * second
 
 
-@given(
+# a random spanning tree plus random extra edges, with weights from a set
+# of one to three values so that equal step probabilities, and symmetries,
+# occur (about a fifth of the graphs lump)
+random_weighted_walks = given(
     nodes=st.integers(min_value=2, max_value=12),
     extra=st.floats(min_value=0.0, max_value=0.6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_lumped_system_matches_make_absorbing_on_random_weighted_graphs(nodes, extra, seed):
-    # a random spanning tree plus random extra edges, with weights from a
-    # set of one to three values so that equal step probabilities, and
-    # symmetries, occur (about a fifth of the graphs lump)
+
+
+def _random_weighted_walk(nodes, extra, seed):
+    """A kernel and a target drawn for ``random_weighted_walks``."""
     rng = np.random.default_rng(seed)
     weights = (1.0, 2.0, 3.0)[: rng.integers(1, 4)]
     edges = {(int(rng.integers(n)), n): rng.choice(weights) for n in range(1, nodes)}
@@ -145,7 +150,112 @@ def test_lumped_system_matches_make_absorbing_on_random_weighted_graphs(nodes, e
             if (u, v) not in edges and rng.random() < extra:
                 edges[(u, v)] = rng.choice(weights)
     graph = hw.Graph(nodes, tuple((u, v, w) for (u, v), w in edges.items()))
-    _assert_lumped_matches_make_absorbing(hw.simple_walk_kernel(graph), int(rng.integers(nodes)))
+    return hw.simple_walk_kernel(graph), int(rng.integers(nodes))
+
+
+def _first_seen(labels):
+    """Labels renumbered in the order they first occur."""
+    ids = {}
+    return [ids.setdefault(label, len(ids)) for label in labels]
+
+
+@random_weighted_walks
+def test_lumped_system_matches_make_absorbing_on_random_weighted_graphs(nodes, extra, seed):
+    _assert_lumped_matches_make_absorbing(*_random_weighted_walk(nodes, extra, seed))
+
+
+@random_weighted_walks
+def test_lumped_partition_is_the_coarsest_equitable_one(nodes, extra, seed):
+    # an exact but finer partition would pass the test above
+    kernel, target = _random_weighted_walk(nodes, extra, seed)
+    rows = hw.lumped_absorbing(kernel, target)[1]
+    assert _first_seen(rows.tolist()) == coarsest_equitable_partition(kernel, target)
+
+
+# --- hash collisions in the refinement ----------------------------------------------
+
+def _collide(monkeypatch, calls=None):
+    """Patch the refinement's mixer to send every word to 0, so that every
+    signature collides: on its first ``calls`` calls, or on all of them.
+    Returns the list of calls made."""
+    real, made = hitting.mix64, []
+
+    def mix(z):
+        made.append(np.size(z))
+        if calls is None or len(made) <= calls:
+            return np.zeros(np.shape(z), dtype=np.uint64)
+        return real(z)
+
+    monkeypatch.setattr(hitting, "mix64", mix)
+    return made
+
+
+# levels that are not equitable, which the exact check refuses by sorted
+# keys on the path and by pair counts on the denser graph
+UNEVEN_LEVELS = {
+    "path6": (hw.build_path(6), 2),
+    "complete8_minus_an_edge": (hw.Graph(8, tuple(e for e in itertools.combinations(range(8), 2) if e != (0, 1))), 7),
+}
+
+
+@pytest.mark.parametrize("name", UNEVEN_LEVELS)
+def test_a_collision_under_the_first_salt_is_refined_again(monkeypatch, name):
+    # a colliding first salt leaves the levels unsplit; the exact check
+    # refuses them, and the second salt splits them
+    graph, target = UNEVEN_LEVELS[name]
+    kernel = hw.simple_walk_kernel(graph)
+    want, want_rows = hw.lumped_absorbing(kernel, target)
+    made = _collide(monkeypatch, calls=1)
+    system, rows = hw.lumped_absorbing(kernel, target)
+    assert len(made) > 1
+    assert _first_seen(rows.tolist()) == coarsest_equitable_partition(kernel, target)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(system.q_matrix, want.q_matrix)
+    assert np.array_equal(system.first_step, want.first_step)
+
+
+@pytest.mark.parametrize("name", UNEVEN_LEVELS)
+def test_collisions_under_every_salt_raise_numerical_error(monkeypatch, name):
+    graph, target = UNEVEN_LEVELS[name]
+    _collide(monkeypatch)
+    with pytest.raises(NumericalError, match="hash collisions"):
+        hw.lumped_absorbing(hw.simple_walk_kernel(graph), target)
+
+
+def test_collisions_under_every_salt_exit_4(monkeypatch, capsys):
+    _collide(monkeypatch)
+    code = cli.main(["pmf", "--preset", "path:6", "--from", "0", "--to", "2", "--horizon", "5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err.startswith("hitwalk: numerical failure: ")
+
+
+@random_weighted_walks
+def test_a_weak_mixer_gives_the_coarsest_partition_or_numerical_error(nodes, extra, seed):
+    # one bit of hash: signatures collide often (about a quarter of these
+    # graphs need a second salt, and one in fourteen fails all three), and
+    # the exact check must refuse every partition they leave unsplit
+    kernel, target = _random_weighted_walk(nodes, extra, seed)
+    real = hitting.mix64
+    hitting.mix64 = lambda z: real(z) & np.uint64(1)
+    try:
+        rows = hw.lumped_absorbing(kernel, target)[1]
+    except NumericalError:
+        return
+    finally:
+        hitting.mix64 = real
+    assert _first_seen(rows.tolist()) == coarsest_equitable_partition(kernel, target)
+
+
+def test_refinement_rounds_hash_each_arc_a_few_times(monkeypatch):
+    # path:10000 to node 3000 splits one level pair per round, about 3000
+    # rounds; re-signing only the nodes next to a split keeps every round's
+    # hashing to the arcs it reads (a round over all arcs would hash ~3000 E)
+    kernel = hw.simple_walk_kernel(hw.build_path(10000))
+    hashed = _collide(monkeypatch, calls=0)
+    cells = hitting._equitable_cells(kernel, *hitting._require_reachable(kernel, 3000))
+    assert len(hashed) >= 2999 and sum(hashed) <= 4 * len(kernel.values)
+    assert len(np.unique(cells)) == 10000  # every node alone: the far end breaks each pair
 
 
 def test_equal_sums_of_different_probabilities_stay_exact():
