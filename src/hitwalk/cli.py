@@ -13,8 +13,10 @@ engines sum signed terms, so their error is absolute; they run when
 named, and as legs of ``compare``.
 
 Every output document embeds the graph spec, its hash, the engine and
-all knobs needed to re-run it bit-identically.  Exit codes: 0 success,
-2 invalid input, 3 violated engine hypothesis, 4 numerical failure.
+all knobs needed to re-run it bit-identically.  A JSON document is
+exactly the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus
+a newline.  Exit codes: 0 success, 2 invalid input, 3 violated engine
+hypothesis, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -197,7 +200,7 @@ def _cmd_pmf(args) -> dict:
     payload = {
         "table": {
             "columns": ["n", "probability"],
-            "rows": [[n + 1, float(p)] for n, p in enumerate(series)],
+            "rows": [[n, p] for n, p in enumerate(series.tolist(), 1)],
         }
     }
     meta = _metadata(problem, "pmf", engine=engine, horizon=args.horizon)
@@ -253,6 +256,8 @@ def _cmd_ctime(args) -> dict:
 def _cmd_simulate(args) -> dict:
     problem = _problem(args)
     summary = _simulate(problem, args)
+    counts = summary.empirical_pmf
+    steps = np.flatnonzero(counts)
     payload = {
         "mean": summary.mean,
         "variance": summary.variance,
@@ -263,9 +268,7 @@ def _cmd_simulate(args) -> dict:
         "completed": summary.completed,
         "table": {
             "columns": ["n", "count"],
-            "rows": [
-                [n, int(c)] for n, c in enumerate(summary.empirical_pmf) if c > 0
-            ],
+            "rows": [[n, c] for n, c in zip(steps.tolist(), counts[steps].tolist())],
         },
     }
     meta = _metadata(problem, "simulate", seed=args.seed, trials=args.trials, step_cap=args.step_cap)
@@ -353,11 +356,11 @@ def _cmd_gf(args) -> dict:
     ratio = sp.rational_gf(problem.graph, problem.start, problem.target, horizon=args.horizon)
     series = ratio.recursion[: args.horizon + 1]
     payload = {
-        "numerator": [float(c) for c in ratio.numerator],
-        "denominator": [float(c) for c in ratio.denominator],
+        "numerator": ratio.numerator.tolist(),
+        "denominator": ratio.denominator.tolist(),
         "table": {
             "columns": ["n", "coefficient"],
-            "rows": [[n, float(c)] for n, c in enumerate(series)],
+            "rows": [[n, c] for n, c in enumerate(series.tolist())],
         },
     }
     meta = _metadata(problem, "gf", horizon=args.horizon, engine="spectral")
@@ -392,9 +395,52 @@ def _emit_csv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_chunks(value, out: list, newline: str = "\n") -> list:
+    """Append to ``out`` the text of ``json.dumps(value, indent=2,
+    sort_keys=True)``, byte for byte, for a document whose keys are
+    strings, and return ``out``; ``newline`` is the line break and indent
+    of the line ``value`` starts on.
+
+    The stdlib writes indented JSON with its pure-Python encoder.  Here
+    each list goes through the C encoder first: when its text holds no
+    string, every ``, `` and bracket in it is structure, so a flat list,
+    or a table of flat rows, is re-indented from that text by a few
+    replaces.  Dicts, and lists with strings or deeper nesting, recurse.
+    """
+    inner = newline + "  "
+    if isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            out.append(("," if i else "{") + inner + _json_str(key) + ": ")
+            _json_chunks(value[key], out, inner)
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        text = json.dumps(value)
+        if '"' not in text:
+            body = text[1:-1]
+            opens = body.count("[")
+            if opens == body.count("[]"):  # items are numbers, constants, [] and {}
+                out += "[" + inner, body.replace(", ", "," + inner), newline + "]"
+                return out
+            # rows of such items: the first and last bracket open and close
+            # the rows, and every other one is in a "], [" between two rows
+            if opens == body.count("], [") + 1 and body[0] == "[" and body[-1] == "]" and "[]" not in body:
+                row = inner + "  "
+                rows = body[1:-1].replace(", ", "," + row)
+                rows = rows.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+                out += "[" + inner + "[" + row, rows, inner + "]" + newline + "]"
+                return out
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _json_chunks(item, out, inner)
+        out.append(newline + "]")
+    else:  # scalars, {} and []
+        out.append(json.dumps(value))
+    return out
+
+
 def _emit(doc: dict, fmt: str, output: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = "".join(_json_chunks(doc, []) + ["\n"])
     else:
         text = _emit_csv(doc)
     if output:

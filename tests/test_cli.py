@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hitwalk import cli, graphs, hitting
 from hitwalk.cli import main
@@ -410,6 +411,82 @@ def test_graph_file_input(capsys, tmp_path):
     doc = run_json(capsys, "pmf", "--graph", str(path), "--from", "2", "--to", "0", "--horizon", "4")
     assert doc["metadata"]["graph"] == spec
     assert doc["payload"]["table"]["rows"][1][1] == pytest.approx(0.5)
+
+
+# Strings with the characters a re-indenting writer could take for structure,
+# escapes, and characters outside ASCII (a lone surrogate included).
+_JSON_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.lists(
+        st.sampled_from([", ", "[", "]", "[]", "{}", '"', "\\", ": ", "\x00", "\n", "\x1f", "é", "€", "\ud800", "a"]),
+        max_size=6,
+    ).map("".join),
+)
+_JSON_NUMBERS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200).map(lambda n: -n if n % 2 else n),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16]),
+)
+# What a string-free list holds: numbers, constants and empty containers.
+_JSON_ATOMS = st.one_of(_JSON_NUMBERS, st.booleans(), st.none(), st.just([]), st.just({}), st.just(()))
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children, max_size=5),
+    )
+
+
+_JSON_DOCUMENTS = st.one_of(
+    st.recursive(st.one_of(_JSON_ATOMS, _JSON_STRINGS), _json_containers, max_leaves=30),
+    # string-free nesting, and tables of rows, as the documents' tables are
+    st.recursive(_JSON_ATOMS, lambda kids: st.lists(kids, max_size=5), max_leaves=30),
+    st.lists(st.lists(_JSON_ATOMS, min_size=1, max_size=4), min_size=1, max_size=6),
+    st.dictionaries(_JSON_STRINGS, st.lists(st.lists(_JSON_NUMBERS, max_size=3), max_size=4), max_size=3),
+)
+
+
+@settings(max_examples=400)
+@given(_JSON_DOCUMENTS)
+@example([[1, 0.5], [2, float("nan")], [3, np.float64(-0.0)]])
+@example({"rows": [[1, float("inf")]], "empty": [[], {}], "columns": ["n", "p, [q]"]})
+@example([[], [1, 2]])
+@example([[1, [2]], [3]])
+@example([1, [2], [3]])
+@example([[1], [2], 3])
+@example({"b": {}, "a": ()})
+@example([[[1], [2]], [[3]]])
+@example(["a, [b]", '"', "\\"])
+def test_json_writer_is_the_stdlib_indent_2_writer(doc):
+    assert "".join(cli._json_chunks(doc, [])) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["pmf", "--preset", preset, "--from", "3", "--to", "0", "--horizon", "40", "--engine", engine]
+      for preset in ("cycle:9", "torus_std:4", "hypercube:3")
+      for engine in ("auto", "direct", "fourier", "spectral")),
+    ["pmf", "--preset", "bipartite:3:5", "--from", "4", "--to", "0", "--horizon", "30"],
+    *(["pmf", "--graph", "GRAPH", "--from", "2", "--to", "0", "--horizon", "30", "--engine", engine]
+      for engine in ("auto", "direct", "spectral")),
+    *(["moments", source, graph, "--to", "0"] for source, graph in [("--preset", "path:7"), ("--graph", "GRAPH")]),
+    *(["ctime", source, graph, "--to", "0", "--t-grid", "0:6:13"]
+      for source, graph in [("--preset", "cycle:6"), ("--graph", "GRAPH")]),
+    *(["simulate", source, graph, "--from", "2", "--to", "0", "--trials", "300", "--seed", "3"]
+      for source, graph in [("--preset", "cycle:12"), ("--graph", "GRAPH")]),
+    *(["compare", source, graph, "--from", "2", "--to", "0", "--horizon", "20", "--trials", "200"]
+      for source, graph in [("--preset", "torus_diag:3"), ("--preset", "cayley_d8"), ("--graph", "GRAPH")]),
+    *(["gf", source, graph, "--from", "3", "--to", "0", "--horizon", "20"]
+      for source, graph in [("--preset", "hypercube:3"), ("--graph", "GRAPH")]),
+], ids=lambda argv: " ".join(argv))
+def test_json_documents_are_the_stdlib_indent_2_bytes(capsys, tmp_path, argv):
+    graph = _write_graph(tmp_path, 4, WEIGHTED_FOUR_CYCLE)
+    code, out, err = run_cli(capsys, *(graph if a == "GRAPH" else a for a in argv))
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 # --- exit codes ----------------------------------------------------------------------------
