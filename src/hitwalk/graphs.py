@@ -11,6 +11,10 @@ preset builders emit their edges as integer columns, and a transition
 kernel keeps one value per arc of its support.  The dense V x V kernel
 (``TransitionKernel.matrix``) is built only when it is read.
 
+An edge list is converted to columns in one pass (``_edge_columns``), and
+``_first_fault`` is the one check of any graph's columns.  Arcs are keyed
+head * V + tail in int64, so V is at most 3,037,000,499.
+
 Building a graph or a kernel runs no search; an answer that needs the
 target reachable checks it where it is used (``hitting._require_reachable``).
 """
@@ -20,8 +24,6 @@ import inspect
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import itemgetter
 
 import numpy as np
 
@@ -55,30 +57,37 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 # build_cayley enumerates at most this many group elements.
 _CLOSURE_BOUND = 10080
+# the most nodes whose arc keys head * V + tail fit in int64: isqrt(2**63 - 1)
+_NODE_LIMIT = 3_037_000_499
 
 
-def _int_column(edges, pos: int) -> np.ndarray:
-    """``int(edge[pos])`` of every edge; Python ints beyond int64 stay exact
-    (object dtype), so they fail the range check, not the conversion."""
+def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, Exception | None]:
+    """Columns ``int(u)``, ``int(v)``, ``float(w)`` (1.0 for a pair) of the
+    ``(u, v)`` pairs and ``(u, v, w)`` triples, in one pass that stops at the
+    first edge that does not convert, and that edge's error (else None); its
+    endpoints are kept, weight 1.0, when only its weight fails.  Endpoints
+    past int64 make object columns, so the range check reports them."""
+    heads, tails, weights = [], [], []
+    error = None
     try:
-        return np.fromiter(map(int, map(itemgetter(pos), edges)), np.int64, len(edges))
+        for edge in edges:
+            if len(edge) == 2:
+                u, v = edge
+                w = 1.0
+            else:
+                u, v, w = edge
+            heads.append(int(u))
+            tails.append(int(v))
+            weights.append(float(w))
+    except (TypeError, ValueError, OverflowError) as exc:
+        error = exc
+        del heads[len(tails):]
+        weights += [1.0] * (len(tails) - len(weights))
+    try:
+        u, v = np.array(heads, np.int64), np.array(tails, np.int64)
     except OverflowError:
-        return np.array([int(e[pos]) for e in edges], dtype=object)
-
-
-def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoints ``int(u)``, ``int(v)`` and weight ``float(w)`` (1.0 for a
-    pair) of each ``(u, v)`` pair and ``(u, v, w)`` triple."""
-    count = len(edges)
-    arity = np.fromiter(map(len, edges), np.intp, count)
-    if np.any((arity != 2) & (arity != 3)):
-        raise ValueError("an edge is (u, v) or (u, v, weight)")
-    triples = arity == 3
-    weights = np.ones(count)
-    weights[triples] = np.fromiter(
-        map(float, map(itemgetter(2), compress(edges, triples))), float, int(triples.sum())
-    )
-    return _int_column(edges, 0), _int_column(edges, 1), weights
+        u, v = np.array(heads, object), np.array(tails, object)
+    return u, v, np.array(weights), error
 
 
 def _first_fault(u, v, w, loop, outside, repeat) -> str | None:
@@ -109,8 +118,12 @@ def _sorted_arcs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both directions of every edge (u, v, w), sorted by (head, tail):
     heads, tails and weights (all 1 when ``w`` is None).  Raises
-    :class:`InvalidParameterError` with the first fault (see
-    ``_first_fault``)."""
+    :class:`InvalidParameterError` for a node count out of 1.._NODE_LIMIT,
+    then with the first fault (see ``_first_fault``)."""
+    if node_count < 1:
+        raise InvalidParameterError("graph needs at least one node")
+    if node_count > _NODE_LIMIT:
+        raise InvalidParameterError(f"graph too large: {node_count} nodes, at most {_NODE_LIMIT} supported")
     count = len(u)
     loop = u == v
     outside = (u < 0) | (u >= node_count) | (v < 0) | (v >= node_count)
@@ -134,32 +147,6 @@ def _sorted_arcs(
         raise InvalidParameterError(fault)
     weights = np.ones(2 * count) if w is None else np.concatenate([w, w])[order]
     return *np.divmod(key, node_count), weights
-
-
-def _raise_first_fault_by_edge(node_count: int, edges) -> None:
-    """Convert and check the edges one at a time and raise at the first
-    fault, a value that does not convert included.  The slow path for
-    edges that ``_edge_columns`` cannot convert: an earlier faulty edge is
-    still the one reported."""
-    seen = set()
-    for edge in edges:
-        if len(edge) == 2:
-            u, v = edge
-            w = 1.0
-        else:
-            u, v, w = edge
-        u, v = int(u), int(v)
-        if u == v:
-            raise InvalidParameterError(f"self-loop at node {u}")
-        if not (0 <= u < node_count and 0 <= v < node_count):
-            raise InvalidParameterError(f"edge ({u},{v}) endpoint out of range")
-        u, v = min(u, v), max(u, v)
-        if (u, v) in seen:
-            raise InvalidParameterError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        w = float(w)
-        if not w > 0.0 or not np.isfinite(w):
-            raise InvalidParameterError(f"edge ({u},{v}) weight must be positive")
 
 
 def _arc_ranges(ptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,13 +207,14 @@ def mix64(z):
 class Graph:
     """Finite undirected weighted graph.
 
-    ``edges`` holds ``(u, v, weight)`` triples normalized to ``u < v``,
-    sorted; no engine reads it, so it is built from the arcs on first read.
-    Self-loops, duplicate edges and nonpositive weights are rejected; the
-    first faulty edge in input order is reported.  Construction runs no
-    search: ``connected`` searches the graph each time it is read.  The
-    preset builders skip the tuples and hand their edges over as columns
-    (``_from_columns``), which runs the same checks.
+    ``edges``, given as ``(u, v)`` pairs and ``(u, v, weight)`` triples, is
+    rebuilt on first read (no engine reads it) as triples with ``u < v``,
+    sorted.  Self-loops, endpoints out of range, duplicate edges, weights
+    not positive and over 3,037,000,499 nodes are rejected: the first faulty
+    edge in input order is reported, and an edge that does not convert
+    raises its own error if no edge before it is faulty.  Construction runs
+    no search: ``connected`` searches the graph each time it is read.  The
+    preset builders hand over columns (``_from_columns``), checked alike.
     """
 
     node_count: int
@@ -236,13 +224,11 @@ class Graph:
     _arcs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise InvalidParameterError("graph needs at least one node")
-        try:
-            u, v, w = _edge_columns(self.edges)
-        except (ValueError, TypeError):
-            _raise_first_fault_by_edge(self.node_count, self.edges)
-            raise
+        u, v, w, error = _edge_columns(self.edges)
+        if error is not None:
+            # a fault before the edge that does not convert is the first
+            _sorted_arcs(self.node_count, u, v, w)
+            raise error
         object.__delattr__(self, "edges")  # until it is read (see __getattr__)
         self._set_arcs(u, v, w)
 
@@ -255,8 +241,6 @@ class Graph:
         g = cls.__new__(cls)
         object.__setattr__(g, "node_count", node_count)
         object.__setattr__(g, "labels", labels)
-        if node_count < 1:
-            raise InvalidParameterError("graph needs at least one node")
         g._set_arcs(u, v, w)
         return g
 
@@ -587,14 +571,12 @@ class PermutationGroupSpec:
     """Connection set for a Cayley graph.
 
     Generators act on {1..degree} (stored as 0-based image tuples), must
-    exclude the identity and be closed under inverses.  Optional weights
-    are step probabilities; they must sum to 1 and match on inverse
-    pairs so the walk stays symmetric across each undirected edge.
+    exclude the identity and be closed under inverses; each is one
+    unit-weight step, so the simple walk takes each with equal probability.
     """
 
     degree: int
     generators: tuple[tuple[int, ...], ...]
-    generator_weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.degree < 1:
@@ -613,19 +595,6 @@ class PermutationGroupSpec:
                 raise InvalidParameterError(
                     f"connection set not symmetric: inverse of {g} missing"
                 )
-        if self.generator_weights is not None:
-            w = tuple(float(x) for x in self.generator_weights)
-            if len(w) != len(gens):
-                raise InvalidParameterError("one weight per generator required")
-            if any(x <= 0.0 for x in w):
-                raise InvalidParameterError("weights must be positive")
-            if abs(sum(w) - 1.0) > ROW_SUM_TOL:
-                raise InvalidParameterError("weights must sum to 1")
-            lookup = dict(zip(gens, w))
-            for g in gens:
-                if abs(lookup[g] - lookup[_inverse(g)]) > ROW_SUM_TOL:
-                    raise InvalidParameterError("inverse pairs need equal weights")
-            object.__setattr__(self, "generator_weights", w)
 
 
 def build_cayley(spec: PermutationGroupSpec) -> Graph:
@@ -633,8 +602,8 @@ def build_cayley(spec: PermutationGroupSpec) -> Graph:
 
     Elements are enumerated breadth-first from the identity with
     generators taken in spec order, which fixes the node numbering
-    across runs.  Edge {g, g*c} carries the weight of generator c
-    (uniform if no weights are given).  Raises
+    across runs.  Each edge {g, g*c} has weight 1; the pairs are built
+    into a graph as any edge list is (``Graph``).  Raises
     :class:`GroupTooLargeError` when the closure exceeds the bound.
     """
     identity = tuple(range(spec.degree))
@@ -651,20 +620,14 @@ def build_cayley(spec: PermutationGroupSpec) -> Graph:
                 index[h] = len(order)
                 order.append(h)
                 queue.append(h)
-    if spec.generator_weights is None:
-        weights = {c: 1.0 for c in spec.generators}
-    else:
-        weights = dict(zip(spec.generators, spec.generator_weights))
-    edges = {}
+    edges = set()
     for g in order:
         gi = index[g]
         for c in spec.generators:
             hi = index[_compose(g, c)]
-            key = (min(gi, hi), max(gi, hi))
-            edges.setdefault(key, weights[c])
+            edges.add((min(gi, hi), max(gi, hi)))
     labels = tuple(cycle_notation(g) for g in order)
-    triples = tuple((u, v, w) for (u, v), w in sorted(edges.items()))
-    return Graph(len(order), triples, labels=labels)
+    return Graph(len(order), sorted(edges), labels=labels)
 
 
 def cayley_s3() -> Graph:
@@ -737,7 +700,8 @@ def parse_graph_spec(spec: dict) -> Graph:
     ``{"nodes": N, "edges": [[u, v], [u, v, w], ...]}``
         explicit edge list, optional per-edge weight; N, u and v are
         JSON integers and w a JSON number (an endpoint ``1.0`` or
-        ``true``, or a weight ``"2.5"``, is rejected, not converted);
+        ``true``, or a weight ``"2.5"``, is rejected, not converted),
+        and ``edges`` is a JSON array; the list goes to ``Graph`` as it is;
     ``{"preset": "cycle", "params": [10]}``
         one of the named preset families, checked by ``preset_graph``;
         ``params`` is a JSON array of integers and may be left out for a
@@ -757,19 +721,22 @@ def parse_graph_spec(spec: dict) -> Graph:
         raise InvalidParameterError(f"unknown graph-spec keys: {sorted(extra)}")
     if "nodes" not in keys or "edges" not in keys:
         raise InvalidParameterError("graph spec needs 'nodes' and 'edges' (or 'preset')")
-    nodes = spec["nodes"]
+    nodes, edges = spec["nodes"], spec["edges"]
     if not _is_json_int(nodes):
         raise InvalidParameterError("'nodes' must be an integer")
-    edges = []
-    for e in spec["edges"]:
+    if not isinstance(edges, (list, tuple)):
+        raise InvalidParameterError("'edges' must be an array")
+    for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
             raise InvalidParameterError(f"bad edge entry {e!r}")
         if not (_is_json_int(e[0]) and _is_json_int(e[1])):
             raise InvalidParameterError(f"bad edge entry {e!r}: endpoints must be integers")
         if len(e) == 3 and (isinstance(e[2], bool) or not isinstance(e[2], (int, float))):
             raise InvalidParameterError(f"bad edge entry {e!r}: weight must be a number")
-        edges.append(tuple(e))
-    return Graph(nodes, tuple(edges))
+    try:
+        return Graph(nodes, edges)
+    except OverflowError as exc:  # a JSON integer weight past the float range
+        raise InvalidParameterError(f"bad edge weight: {exc}") from None
 
 
 def _is_json_int(x) -> bool:
@@ -782,7 +749,8 @@ def load_graph_file(path: str) -> tuple[Graph, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # RecursionError: arrays or objects nested past the interpreter's depth
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidParameterError(f"invalid JSON in {path}: {exc}") from exc
     return parse_graph_spec(spec), spec
 

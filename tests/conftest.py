@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 import hitwalk as hw
+from hitwalk.errors import InvalidParameterError
 from hitwalk.graphs import preset_graph
 
 settings.register_profile("suite", max_examples=25, deadline=None)
@@ -53,6 +54,36 @@ def preset_zoo(max_nodes=None):
     if max_nodes is not None:
         graphs = {k: g for k, g in graphs.items() if g.node_count <= max_nodes}
     return graphs
+
+
+def first_fault_by_edge(node_count, edges):
+    """Columns (u, v, w) of ``edges``, converted and checked one edge at a
+    time as ``Graph`` documents it: an edge is ``(u, v)`` or ``(u, v, w)``,
+    and its checks run self-loop, range, duplicate, then weight, with the
+    weight converted after the endpoints are checked.  Raises at the first
+    fault, a value that does not convert included."""
+    columns = ([], [], [])
+    seen = set()
+    for edge in edges:
+        if len(edge) == 2:
+            u, v = edge
+            w = 1.0
+        else:
+            u, v, w = edge
+        u, v = int(u), int(v)
+        if u == v:
+            raise InvalidParameterError(f"self-loop at node {u}")
+        if not (0 <= u < node_count and 0 <= v < node_count):
+            raise InvalidParameterError(f"edge ({u},{v}) endpoint out of range")
+        if (min(u, v), max(u, v)) in seen:
+            raise InvalidParameterError(f"duplicate edge ({min(u, v)},{max(u, v)})")
+        seen.add((min(u, v), max(u, v)))
+        w = float(w)
+        if not w > 0.0 or not np.isfinite(w):
+            raise InvalidParameterError(f"edge ({min(u, v)},{max(u, v)}) weight must be positive")
+        for column, value in zip(columns, (u, v, w)):
+            column.append(value)
+    return columns
 
 
 def coarsest_equitable_partition(kernel, target):

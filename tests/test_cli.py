@@ -798,6 +798,35 @@ def test_exit_code_graph_file_with_converted_values(capsys, tmp_path):
     assert err == "hitwalk: invalid input: bad edge entry [0, 1.7]: endpoints must be integers\n"
 
 
+_TOO_LARGE = "graph too large: {} nodes, at most 3037000499 supported"
+
+
+@pytest.mark.parametrize(
+    ("content", "message"),
+    [
+        (b'{"nodes": 3, "edges": 5}', "'edges' must be an array"),
+        (b'{"nodes": 3, "edges": null}', "'edges' must be an array"),
+        (b'\xff\xfe{"nodes": 3, "edges": []}', "invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" * 100000 + b"]" * 100000, "invalid JSON in {path}: maximum recursion depth exceeded"),
+        (b'{"nodes": 3, "edges": [[0, 1], [1, 2, 1%s]]}' % (b"0" * 400), "bad edge weight: int too large to convert to float"),
+        (json.dumps({"nodes": 2**70, "edges": [[0, 1]]}).encode(), _TOO_LARGE.format(2**70)),
+        (json.dumps({"nodes": 2**62, "edges": [[0, 1]]}).encode(), _TOO_LARGE.format(2**62)),
+        # its arc keys would wrap around int64
+        (json.dumps({"nodes": 2**32, "edges": [[4294967295, 4294967294]]}).encode(), _TOO_LARGE.format(2**32)),
+    ],
+    ids=["edges_int", "edges_null", "not_utf8", "nested_past_recursion_limit", "weight_past_float", "nodes_2e70", "nodes_2e62", "nodes_2e32"],
+)
+def test_malformed_graph_file_exits_2(capsys, tmp_path, content, message):
+    # refused with one line, never a traceback and exit 1 (a TypeError,
+    # UnicodeDecodeError, RecursionError, OverflowError or ValueError)
+    path = tmp_path / "graph.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "pmf", "--graph", str(path), "--from", "1", "--to", "0", "--horizon", "3")
+    assert (code, out) == (2, "")
+    # one line, starting with the message (RecursionError's wording goes on)
+    assert err.startswith(f"hitwalk: invalid input: {message.format(path=path)}") and err.count("\n") == 1
+
+
 # --- disconnected graph files and the searches per query -----------------------------------
 
 DISCONNECTED_QUERIES = {

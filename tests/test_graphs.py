@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hitwalk as hw
 from hitwalk.errors import GroupTooLargeError, InvalidParameterError, NotConnectedError
@@ -18,7 +19,7 @@ from hitwalk.graphs import (
     symmetric_closure,
 )
 
-from conftest import preset_zoo
+from conftest import first_fault_by_edge, preset_zoo
 
 
 # --- construction and validation ------------------------------------------
@@ -52,6 +53,13 @@ def test_graph_rejects_bad_weight():
         (((0, 0), (1, 2, "x")), "self-loop at node 0"),
         (((0, 1), (2, 3), (1, 0, "x")), "duplicate edge (0,1)"),
         (((0, 1), (2, 3), (3, 3, None)), "self-loop at node 3"),
+        # endpoints past int64 are out of range, with their exact values
+        (((0, 1), (0, 2**70)), f"edge (0,{2**70}) endpoint out of range"),
+        (((1, 2), (-(2**70), 3, 1.0), (1, 1)), f"edge ({-(2**70)},3) endpoint out of range"),
+        (((0, 2**70), (1, 2, "x")), f"edge (0,{2**70}) endpoint out of range"),
+        (((1, 2), (2**64, 0, None)), f"edge ({2**64},0) endpoint out of range"),
+        # an endpoint that overflows int() is a conversion error like any other
+        (((0, 0), (0, float("inf"))), "self-loop at node 0"),
     ],
 )
 def test_graph_reports_first_faulty_edge(edges, message):
@@ -75,6 +83,68 @@ def test_graph_raises_conversion_error_of_first_faulty_edge(edges, error):
     # the edge that does not convert comes before any other fault
     with pytest.raises(error):
         hw.Graph(4, edges)
+
+
+# values that convert (1.5 and "3" to endpoints, "2.5" and 10**4 to
+# weights), values that do not (or overflow), and ones that break a check
+_EDGE_VALUES = st.one_of(
+    st.integers(-1, 4),
+    st.sampled_from([2**70, -(2**64), 1.5, "3", "a", None, float("nan"), float("inf"), 10**400]),
+)
+_WEIGHTS = st.one_of(
+    st.floats(-1.0, 4.0),
+    st.sampled_from([1.0, 0.0, -0.0, float("nan"), float("inf"), "2.5", "x", None, 10**4, 10**400]),
+)
+_EDGES = st.one_of(
+    st.tuples(_EDGE_VALUES, _EDGE_VALUES),
+    st.tuples(_EDGE_VALUES, _EDGE_VALUES, _WEIGHTS),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.floats(0.5, 2.0)),
+    st.lists(st.integers(0, 3), max_size=4).map(tuple),
+    st.sampled_from([7, None]),
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(_EDGES, max_size=8))
+def test_graph_builds_or_raises_as_a_per_edge_reference(edges):
+    try:
+        u, v, w = first_fault_by_edge(4, edges)
+    except Exception as expected:
+        with pytest.raises(type(expected)) as info:
+            hw.Graph(4, edges)
+        if isinstance(expected, InvalidParameterError):
+            assert str(info.value) == str(expected)
+        return
+    g = hw.Graph(4, edges)
+    columns = hw.Graph._from_columns(4, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
+    assert g == columns
+    for got, want in zip(g._arcs, columns._arcs):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.sampled_from([2**32, 2**62, 2**70, 3037000499, 3037000500, 10**400]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS, lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=2), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(st.integers(-1, 6), _JSON_SCALARS, _JSON_VALUES),
+    st.one_of(st.lists(st.lists(st.integers(-1, 6) | _JSON_SCALARS, max_size=4), max_size=6), _JSON_VALUES),
+)
+def test_graph_spec_builds_or_raises_invalid_parameter(nodes, edges):
+    # arbitrary JSON values: a Graph or InvalidParameterError, never another exception
+    try:
+        g = parse_graph_spec({"nodes": nodes, "edges": edges})
+    except InvalidParameterError:
+        return
+    assert isinstance(g, hw.Graph) and g.node_count == nodes
 
 
 def test_graph_connectivity_flag():
@@ -229,16 +299,6 @@ def test_cayley_closure_bound():
     )
     with pytest.raises(GroupTooLargeError):
         hw.build_cayley(PermutationGroupSpec(8, tuple(gens)))
-
-
-def test_cayley_generator_weights():
-    gens = symmetric_closure([perm_from_cycles(3, [(1, 2, 3)]), perm_from_cycles(3, [(1, 2)])])
-    spec = PermutationGroupSpec(3, tuple(gens), generator_weights=(0.25, 0.25, 0.5))
-    g = hw.build_cayley(spec)
-    kernel = hw.simple_walk_kernel(g)
-    row = kernel.matrix[0]
-    assert row[g.labels.index("(1 2)")] == pytest.approx(0.5)
-    assert row[g.labels.index("(1 2 3)")] == pytest.approx(0.25)
 
 
 def test_cycle_notation_round_trip():
