@@ -1,9 +1,12 @@
 """hitwalk command line: graph ingestion, the engine table, comparison.
 
 Subcommands: pmf, moments, ctime, simulate, compare, gf.  Each reads one
-problem, the graph and the (start, target) pair its options name; the
-problem builds the walk kernel, the lumped absorbing chain and the
-abelian structure only when a subcommand reads them, and then once.
+problem, the graph spec and the (start, target) pair its options name;
+the problem builds the graph, the walk kernel, the lumped absorbing chain
+and the abelian structure only when a subcommand reads them, and then
+once.  On a preset family whose lumped classes are known in closed form,
+the node count and the lumped chain come from the family, so ``pmf``,
+and ``moments`` and ``ctime`` with ``--from``, never build the graph.
 ``pmf`` and ``compare`` take their series from one engine table.
 
 ``--engine auto`` is ``direct``: the absorbing chain forms P(tau = n)
@@ -43,10 +46,13 @@ from .errors import (
     NumericalError,
 )
 from .graphs import (
+    _PRESETS,
     Graph,
+    _family,
+    _names_preset,
+    _read_spec,
     _require_array_size,
     canonical_graph_spec,
-    load_graph_file,
     parse_graph_spec,
     simple_walk_kernel,
 )
@@ -55,14 +61,6 @@ from .linalg import IMAGINARY_DISCARD, SERIES_TAIL, SOLVE_RESIDUAL
 _DEF_HORIZON = 200
 _DEF_TRIALS = 10000
 _DEF_SEED = 20240801
-
-_ABELIAN_LAWS = {
-    "cycle": fr.cycle_step_law,
-    "complete": fr.complete_step_law,
-    "hypercube": fr.hypercube_step_law,
-    "torus_std": fr.torus_standard_step_law,
-    "torus_diag": fr.torus_diagonal_step_law,
-}
 
 
 def _parse_preset(text: str) -> dict:
@@ -78,12 +76,14 @@ def _parse_preset(text: str) -> dict:
 
 @dataclass(frozen=True)
 class _Problem:
-    """A graph, its spec and a target, with an optional start node.
+    """A graph spec and a target, with an optional start node.
 
     The engines a query gets follow from the spec alone: ``--preset``
-    and a preset file with the same spec are one problem."""
+    and a preset file with the same spec are one problem.  The graph is
+    built only when an answer reads it: a preset family with closed-form
+    classes (``graphs._Family``) gives the node count and the lumped chain
+    without it, and the kernel, ``gf`` and ``_starts`` build it."""
 
-    graph: Graph
     spec: dict
     start: int | None
     target: int
@@ -98,20 +98,38 @@ class _Problem:
         return self.spec.get("params", [])
 
     @cached_property
+    def family(self):
+        """The spec's preset family, checked; None for an edge-list spec."""
+        return _family(self.preset, self.params) if _names_preset(self.spec) else None
+
+    @cached_property
+    def graph(self) -> Graph:
+        return parse_graph_spec(self.spec)
+
+    @cached_property
+    def node_count(self) -> int:
+        if self.family is not None and self.family.closed:
+            return self.family.closed[0](*self.params)
+        return self.graph.node_count
+
+    @cached_property
     def kernel(self):
         return simple_walk_kernel(self.graph)
 
     @cached_property
-    def lumped(self) -> tuple[ht.AbsorbingSystem, np.ndarray]:
-        """The lumped absorbing chain and the row of each node in it."""
-        return ht.lumped_absorbing(self.kernel, self.target)
+    def lumped(self) -> tuple:
+        """The lumped absorbing chain and ``rows``, where ``rows[node]`` is
+        the row of the node's class: from the family where it has a closed
+        form, else from the kernel."""
+        lumped = ht._preset_lumped(self.family, self.params, self.target) if self.family else None
+        return lumped or ht.lumped_absorbing(self.kernel, self.target)
 
     @cached_property
     def abelian(self):
         """(group, law, start - target) on an abelian Cayley preset, else None."""
-        if self.preset not in _ABELIAN_LAWS:
+        if self.family is None or self.family.step_law is None:
             return None
-        group, law = _ABELIAN_LAWS[self.preset](*self.params)
+        group, law = getattr(fr, self.family.step_law)(*self.params)
         return group, law, group.sub(group.element(self.start), group.element(self.target))
 
 
@@ -120,22 +138,25 @@ def _problem(args) -> _Problem:
     if args.graph and args.preset:
         raise InvalidParameterError("give either --graph or --preset, not both")
     if args.graph:
-        graph, spec = load_graph_file(args.graph)
+        spec = _read_spec(args.graph)
     elif args.preset:
         spec = _parse_preset(args.preset)
-        graph = parse_graph_spec(spec)
     else:
         raise InvalidParameterError("a graph is required: --graph FILE or --preset NAME:ARGS")
+    problem = _Problem(spec, args.start, args.target)
     for node in (args.start, args.target):
-        if node is not None and not 0 <= node < graph.node_count:
-            raise InvalidParameterError(f"node {node} out of range 0..{graph.node_count - 1}")
+        if node is not None and not 0 <= node < problem.node_count:
+            raise InvalidParameterError(f"node {node} out of range 0..{problem.node_count - 1}")
     if args.start == args.target:
         raise InvalidParameterError("--from must differ from --to")
-    return _Problem(graph, spec, args.start, args.target)
+    return problem
 
 
 def _starts(problem: _Problem) -> list[int]:
-    """The --from node, or else every node but the target."""
+    """The --from node, or else every node but the target, counted on the
+    built graph: without --from a preset is built even where its lumped
+    chain has a closed form, and one too large for memory fails in the
+    build, as on the graph path."""
     if problem.start is not None:
         return [problem.start]
     return [n for n in range(problem.graph.node_count) if n != problem.target]
@@ -152,7 +173,7 @@ def _fourier(problem: _Problem, horizon: int) -> np.ndarray:
     if problem.abelian is None:
         raise HypothesisError(
             "fourier engine requires an abelian Cayley walk; applicable presets: "
-            + ", ".join(sorted(_ABELIAN_LAWS))
+            + ", ".join(sorted(name for name, family in _PRESETS.items() if family.step_law))
         )
     group, law, displacement = problem.abelian
     return fr.fourier_pmf(group, law, horizon).probs[:, group.index(displacement)]
@@ -209,9 +230,9 @@ def _cmd_pmf(args) -> dict:
 
 def _cmd_moments(args) -> dict:
     problem = _problem(args)
+    starts = _starts(problem)
     system, rows = problem.lumped
     report = ht.moments(system)
-    starts = _starts(problem)
     table = np.stack([report.mean, report.second, report.variance], axis=1)[rows[starts]]
     payload = {
         "table": {
@@ -236,9 +257,9 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _cmd_ctime(args) -> dict:
     problem = _problem(args)
+    starts = _starts(problem)
     system, rows = problem.lumped
     ev = ct_evaluate(system, _parse_grid(args.t_grid), args.tol)
-    starts = _starts(problem)
     columns = ["t"]
     for s in starts:
         columns += [f"cdf_{s}", f"pdf_{s}"]

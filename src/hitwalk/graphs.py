@@ -23,7 +23,10 @@ from __future__ import annotations
 import inspect
 import json
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -404,12 +407,16 @@ def _require_array_size(entries: int, what: str) -> None:
         raise InvalidParameterError(f"{what} too large: {entries} array entries, numpy holds at most {limit}")
 
 
-def build_cycle(k: int) -> Graph:
-    """Cycle graph C_k (k >= 3), node i adjacent to (i +- 1) mod k."""
+def _cycle_nodes(k: int) -> int:
     if k < 3:
         raise InvalidParameterError("cycle needs k >= 3")
     _require_array_size(2 * k, "cycle")
-    nodes = np.arange(k)
+    return k
+
+
+def build_cycle(k: int) -> Graph:
+    """Cycle graph C_k (k >= 3), node i adjacent to (i +- 1) mod k."""
+    nodes = np.arange(_cycle_nodes(k))
     return Graph._from_columns(k, nodes, (nodes + 1) % k)
 
 
@@ -422,23 +429,37 @@ def build_path(k: int) -> Graph:
     return Graph._from_columns(k, nodes, nodes + 1)
 
 
-def build_complete(k: int) -> Graph:
-    """Complete graph K_k (k >= 2)."""
+def _complete_nodes(k: int) -> int:
     if k < 2:
         raise InvalidParameterError("complete graph needs k >= 2")
     _require_array_size(k * k, "complete graph")
-    return Graph._from_columns(k, *np.triu_indices(k, 1))
+    return k
+
+
+def build_complete(k: int) -> Graph:
+    """Complete graph K_k (k >= 2)."""
+    return Graph._from_columns(_complete_nodes(k), *np.triu_indices(k, 1))
+
+
+def _bipartite_nodes(k1: int, k2: int) -> int:
+    if k1 < 1 or k2 < 1:
+        raise InvalidParameterError("bipartite sides must be nonempty")
+    _require_array_size(2 * k1 * k2, "bipartite graph")
+    return k1 + k2
 
 
 def build_complete_bipartite(k1: int, k2: int) -> Graph:
     """Complete bipartite K_{k1,k2}; side A is 0..k1-1, side B follows."""
-    if k1 < 1 or k2 < 1:
-        raise InvalidParameterError("bipartite sides must be nonempty")
-    if k1 + k2 < 2:
-        raise InvalidParameterError("need at least two nodes")
-    _require_array_size(2 * k1 * k2, "bipartite graph")
+    node_count = _bipartite_nodes(k1, k2)
     side_a, side_b = np.repeat(np.arange(k1), k2), np.tile(np.arange(k1, k1 + k2), k1)
-    return Graph._from_columns(k1 + k2, side_a, side_b)
+    return Graph._from_columns(node_count, side_a, side_b)
+
+
+def _hypercube_nodes(dim: int) -> int:
+    if dim < 1:
+        raise InvalidParameterError("hypercube needs dim >= 1")
+    _require_array_size(dim << min(dim, 64), "hypercube")
+    return 1 << dim
 
 
 def build_hypercube(dim: int) -> Graph:
@@ -447,23 +468,28 @@ def build_hypercube(dim: int) -> Graph:
     Labels are the binary strings of the indices, so e.g. dim=3 runs
     "000" through "111" and nodes are adjacent at Hamming distance 1.
     """
-    if dim < 1:
-        raise InvalidParameterError("hypercube needs dim >= 1")
-    _require_array_size(dim << min(dim, 64), "hypercube")
-    n = 1 << dim
+    n = _hypercube_nodes(dim)
     # node i and bit b with the bit clear in i, so that i < i ^ (1 << b)
     low, bit = np.nonzero(((np.arange(n)[:, None] >> np.arange(dim)) & 1) == 0)
     labels = tuple(format(i, f"0{dim}b") for i in range(n))
     return Graph._from_columns(n, low, low | (1 << bit), labels=labels)
 
 
-def _torus_graph(p: int, steps: list[tuple[int, int]]) -> Graph:
-    """p x p torus, node (a,b) = a*p+b adjacent to (a,b) +- each step.
+def _torus_nodes(p: int, diagonal: bool = False) -> int:
+    if p < 3:
+        raise InvalidParameterError("torus needs p >= 3")
+    if diagonal and p % 2 == 0:
+        raise InvalidParameterError("diagonal torus needs odd p (2 must be invertible)")
+    _require_array_size(4 * p * p, "torus")
+    return p * p
 
-    ``steps`` holds one step of each +- pair; for p >= 3 the two
-    directions never meet, so every edge is made once.
-    """
-    _require_array_size(2 * len(steps) * p * p, "torus")
+
+# one step of each +- pair: for p >= 3 the two directions never meet
+_STANDARD_STEPS, _DIAGONAL_STEPS = [(1, 0), (0, 1)], [(1, 1), (1, -1)]
+
+
+def _torus_graph(p: int, steps: list[tuple[int, int]]) -> Graph:
+    """p x p torus, node (a,b) = a*p+b adjacent to (a,b) +- each step."""
     a, b = np.divmod(np.arange(p * p), p)
     heads = np.tile(np.arange(p * p), len(steps))
     tails = np.concatenate([(a + da) % p * p + (b + db) % p for da, db in steps])
@@ -473,9 +499,8 @@ def _torus_graph(p: int, steps: list[tuple[int, int]]) -> Graph:
 
 def build_torus_standard(p: int) -> Graph:
     """p x p torus with axis steps (+-1, 0), (0, +-1); node (a,b) = a*p+b."""
-    if p < 3:
-        raise InvalidParameterError("torus needs p >= 3")
-    return _torus_graph(p, [(1, 0), (0, 1)])
+    _torus_nodes(p)
+    return _torus_graph(p, _STANDARD_STEPS)
 
 
 def build_torus_diagonal(p: int) -> Graph:
@@ -484,11 +509,117 @@ def build_torus_diagonal(p: int) -> Graph:
     For even p the diagonal steps preserve the parity of a+b and the
     graph splits into two components.
     """
-    if p < 3:
-        raise InvalidParameterError("torus needs p >= 3")
-    if p % 2 == 0:
-        raise InvalidParameterError("diagonal torus needs odd p (2 must be invertible)")
-    return _torus_graph(p, [(1, 1), (1, -1)])
+    _torus_nodes(p, diagonal=True)
+    return _torus_graph(p, _DIAGONAL_STEPS)
+
+
+# ---------------------------------------------------------------------------
+# the preset families' lumped classes in closed form
+# ---------------------------------------------------------------------------
+#
+# The classes of the coarsest equitable partition that keeps the target
+# alone (see hitting's module docstring), as (reps, key, head, tail, count,
+# prob): reps[c] is the smallest node of class c, key(nodes) the class of
+# each node (-1 at the target), and the arcs out of the smallest nodes go
+# from class head into class tail with step probability prob, count times
+# over.  A family checks the classes^2 entries of the dense Q first.
+
+def _neighbour_arcs(key, tails: list[np.ndarray]) -> tuple:
+    """(head, tail, count, prob) of a regular walk whose class c's smallest
+    node steps to tails[s][c], s = 0..degree-1."""
+    classes, degree = len(tails[0]), len(tails)
+    arcs = classes * degree
+    heads = np.tile(np.arange(classes), degree)
+    return heads, key(np.concatenate(tails)), np.ones(arcs, np.intp), np.full(arcs, 1 / degree)
+
+
+def _cycle_classes(k: int, target: int) -> tuple:
+    """Class d - 1: the nodes d steps from the target, d = 1..k // 2."""
+    half = k // 2
+    _require_array_size(half * half, "lumped chain")
+
+    def key(nodes):
+        return np.minimum((nodes - target) % k, (target - nodes) % k) - 1
+
+    d = np.arange(1, half + 1)
+    reps = np.minimum((target + d) % k, (target - d) % k)
+    return reps, key, *_neighbour_arcs(key, [(reps - 1) % k, (reps + 1) % k])
+
+
+def _complete_classes(k: int, target: int) -> tuple:
+    """One class: its smallest node steps to the target once and to the
+    class k - 2 times."""
+
+    def key(nodes):
+        return (nodes != target) - 1
+
+    arcs = np.zeros(2, np.intp), np.array([-1, 0]), np.array([1, k - 2]), np.full(2, 1 / (k - 1))
+    return np.array([int(target == 0)]), key, *arcs
+
+
+def _bipartite_classes(k1: int, k2: int, target: int) -> tuple:
+    """Class 0: the side without the target; class 1: the rest of the
+    target's side, if any.  Class 0 steps to the target and to class 1,
+    class 1 to class 0."""
+    own, other = (k1, k2) if target < k1 else (k2, k1)  # the target's side and the other
+    first = 0 if target < k1 else k1  # the first node of the target's side
+
+    def key(nodes):
+        return ((nodes < k1) == (target < k1)) - 2 * (nodes == target)
+
+    classes, arcs = (2, 3) if own > 1 else (1, 1)
+    columns = [0, 0, 1], [-1, 1, 0], [1, own - 1, other], [1 / own, 1 / own, 1 / other]
+    reps = np.array([k1 - first, first + (target == first)][:classes])
+    return reps, key, *(np.array(column[:arcs]) for column in columns)
+
+
+def _hypercube_classes(dim: int, target: int) -> tuple:
+    """Class d - 1: the nodes d bits from the target (the Ehrenfest urn,
+    Kac 1947), which step to class d - 2 in d ways (the target when d = 1)
+    and to class d in dim - d ways."""
+
+    def key(nodes):
+        bits = np.unpackbits((nodes ^ target)[..., None].view(np.uint8), axis=-1)
+        return bits.sum(axis=-1, dtype=np.intp) - 1
+
+    # the smallest node d bits away keeps the target's c - d lowest set
+    # bits, c of them, when d <= c; else it sets the d - c lowest clear ones
+    ones = [1 << b for b in range(dim) if target >> b & 1]
+    zeros = [1 << b for b in range(dim) if not target >> b & 1]
+    c = len(ones)
+    reps = np.array([sum(ones[: c - d]) if d <= c else sum(zeros[: d - c]) for d in range(1, dim + 1)])
+    d = np.arange(1, dim + 1)
+    arcs = np.concatenate([d - 1, d[:-1] - 1]), np.concatenate([d - 2, d[:-1]]), np.concatenate([d, dim - d[:-1]])
+    return reps, key, *arcs, np.full(2 * dim - 1, 1 / dim)
+
+
+def _torus_classes(p: int, target: int, steps: list[tuple[int, int]]) -> tuple | None:
+    """The orbits of the target's stabilizer, which holds the axis
+    reflections and the swap: a node's displacement from the target folded
+    into 0..p // 2 on each axis, the two sorted.  None on torus_std:4, the
+    4-cube, whose partition is coarser (5 classes, not 6)."""
+    if p == 4:
+        return None
+    half = p // 2
+    classes = (half + 1) * (half + 2) // 2 - 1
+    _require_array_size(classes * classes, "lumped chain")
+    ta, tb = divmod(target, p)
+
+    def key(nodes):
+        a, b = np.divmod(nodes, p)
+        a, b = (a - ta) % p, (b - tb) % p
+        a, b = np.minimum(a, p - a), np.minimum(b, p - b)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        # the rank of (lo, hi) among the pairs x <= y <= half, (0, 0) first
+        return lo * (2 * half + 3 - lo) // 2 + hi - lo - 1
+
+    x, y = (axis[1:] for axis in np.triu_indices(half + 1))  # each class's (lo, hi)
+    reps = np.minimum.reduce(
+        [(ta + u) % p * p + (tb + w) % p for da, db in ((x, y), (y, x)) for u in (da, -da) for w in (db, -db)]
+    )
+    a, b = np.divmod(reps, p)
+    tails = [(a + da) % p * p + (b + db) % p for da, db in steps + [(-da, -db) for da, db in steps]]
+    return reps, key, *_neighbour_arcs(key, tails)
 
 
 # ---------------------------------------------------------------------------
@@ -659,37 +790,79 @@ def cayley_d8() -> Graph:
 # the preset table and graph-spec files
 # ---------------------------------------------------------------------------
 
-# each preset family once: its name and its builder, whose positional
-# parameters are the family's parameters
+class _Family(NamedTuple):
+    """One preset family.  ``build`` makes its graph, and its positional
+    parameters are the family's.  ``closed`` is ``(nodes, classes)`` on a
+    family whose lumped classes are known in closed form, else None:
+    ``nodes`` runs ``build``'s checks of the parameters and returns the
+    node count without building, and ``classes(*params, target)`` gives
+    the classes (see above), or None at a size where the closed form does
+    not hold.  ``step_law`` names the function of ``hitwalk.abelian`` that
+    gives the walk's group and step law on an abelian Cayley family."""
+
+    build: Callable[..., Graph]
+    closed: tuple[Callable[..., int], Callable[..., tuple | None]] | None = None
+    step_law: str | None = None
+
+
+# each preset family once, under its name
 _PRESETS = {
-    "cycle": build_cycle,
-    "path": build_path,
-    "complete": build_complete,
-    "bipartite": build_complete_bipartite,
-    "hypercube": build_hypercube,
-    "torus_std": build_torus_standard,
-    "torus_diag": build_torus_diagonal,
-    "cayley_s3": cayley_s3,
-    "cayley_d8": cayley_d8,
+    "cycle": _Family(build_cycle, (_cycle_nodes, _cycle_classes), "cycle_step_law"),
+    "path": _Family(build_path),
+    "complete": _Family(build_complete, (_complete_nodes, _complete_classes), "complete_step_law"),
+    "bipartite": _Family(build_complete_bipartite, (_bipartite_nodes, _bipartite_classes)),
+    "hypercube": _Family(build_hypercube, (_hypercube_nodes, _hypercube_classes), "hypercube_step_law"),
+    "torus_std": _Family(
+        build_torus_standard,
+        (_torus_nodes, partial(_torus_classes, steps=_STANDARD_STEPS)),
+        "torus_standard_step_law",
+    ),
+    "torus_diag": _Family(
+        build_torus_diagonal,
+        (partial(_torus_nodes, diagonal=True), partial(_torus_classes, steps=_DIAGONAL_STEPS)),
+        "torus_diagonal_step_law",
+    ),
+    "cayley_s3": _Family(cayley_s3),
+    "cayley_d8": _Family(cayley_d8),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset_graph(name: str, params: list[int]) -> Graph:
-    """Build one of the named preset families; the one check of a preset.
-
-    ``name`` must be a key of the preset table and ``params`` a list of
-    exactly as many JSON integers as its builder takes (a bool, float,
-    string or None is rejected, not converted); the builder checks their
-    range.  Raises :class:`InvalidParameterError` otherwise.
-    """
-    builder = _PRESETS.get(name) if isinstance(name, str) else None
-    if builder is None:
+def _family(name: str, params: list[int]) -> _Family:
+    """The family named ``name``, given exactly as many JSON integers as its
+    builder takes (a bool, float, string or None is rejected, not
+    converted); raises :class:`InvalidParameterError` otherwise."""
+    family = _PRESETS.get(name) if isinstance(name, str) else None
+    if family is None:
         raise InvalidParameterError(f"unknown preset {name!r}; names: {', '.join(PRESET_NAMES)}")
-    arity = len(inspect.signature(builder).parameters)
+    arity = len(inspect.signature(family.build).parameters)
     if not isinstance(params, (list, tuple)) or len(params) != arity or not all(map(_is_json_int, params)):
         raise InvalidParameterError(f"preset {name} takes {arity} integer parameter(s)")
-    return builder(*params)
+    return family
+
+
+def preset_graph(name: str, params: list[int]) -> Graph:
+    """Build one of the named preset families.
+
+    ``name`` and ``params`` are checked by ``_family``, the one check of a
+    preset's name and parameters, and the builder checks their range.
+    Raises :class:`InvalidParameterError` otherwise.
+    """
+    return _family(name, params).build(*params)
+
+
+def _names_preset(spec: dict) -> bool:
+    """Whether a graph spec names a preset; raises
+    :class:`InvalidParameterError` on a spec that is not a JSON object, or
+    that names a preset and has keys other than preset and params."""
+    if not isinstance(spec, dict):
+        raise InvalidParameterError("graph spec must be a JSON object")
+    if "preset" not in spec:
+        return False
+    extra = set(spec) - {"preset", "params"}
+    if extra:
+        raise InvalidParameterError(f"unknown graph-spec keys: {sorted(extra)}")
+    return True
 
 
 def parse_graph_spec(spec: dict) -> Graph:
@@ -708,14 +881,9 @@ def parse_graph_spec(spec: dict) -> Graph:
         family without parameters.  The CLI builds ``--preset NAME:ARGS``
         through this same shape.
     """
-    if not isinstance(spec, dict):
-        raise InvalidParameterError("graph spec must be a JSON object")
-    keys = set(spec)
-    if "preset" in keys:
-        extra = keys - {"preset", "params"}
-        if extra:
-            raise InvalidParameterError(f"unknown graph-spec keys: {sorted(extra)}")
+    if _names_preset(spec):
         return preset_graph(spec["preset"], spec.get("params", []))
+    keys = set(spec)
     extra = keys - {"nodes", "edges"}
     if extra:
         raise InvalidParameterError(f"unknown graph-spec keys: {sorted(extra)}")
@@ -744,14 +912,19 @@ def _is_json_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def load_graph_file(path: str) -> tuple[Graph, dict]:
-    """Parse a JSON graph-spec file; returns (graph, raw spec dict)."""
+def _read_spec(path: str):
+    """The JSON value of a graph-spec file, not yet checked as a spec."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            spec = json.load(fh)
+            return json.load(fh)
         # RecursionError: arrays or objects nested past the interpreter's depth
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidParameterError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_graph_file(path: str) -> tuple[Graph, dict]:
+    """Parse a JSON graph-spec file; returns (graph, raw spec dict)."""
+    spec = _read_spec(path)
     return parse_graph_spec(spec), spec
 
 

@@ -27,6 +27,16 @@ compares the multisets themselves, probabilities bit for bit.  A failed
 check refines again under the next salt, and after the last one raises
 NumericalError (exit 4): no two nodes whose laws differ ever share a
 class.
+
+On the symmetric preset families the classes are known in closed form
+(``graphs._Family.closed``): the target's distance classes on cycles,
+complete and complete bipartite graphs and hypercubes, whose intersection
+arrays give the quotient (Brouwer, Cohen & Neumaier, Distance-Regular
+Graphs, 1989, section 4.1; on the hypercube it is the Ehrenfest urn, Kac
+1947), and the orbits of the target's stabilizer on the tori.
+:func:`_preset_lumped` builds the system from them through the same tail
+as the refinement's (:func:`_system`), so the two give the same Q, P1 and
+index map, bit for bit, and the closed form needs no graph.
 """
 from __future__ import annotations
 
@@ -283,7 +293,9 @@ def lumped_absorbing(kernel: TransitionKernel, target: int) -> tuple[AbsorbingSy
 def _quotient(kernel: TransitionKernel, target: int, lump: bool) -> tuple[AbsorbingSystem, np.ndarray]:
     """Absorbing system of the classes of the coarsest equitable partition
     with the target alone when ``lump``, of single nodes otherwise; and the
-    system row of each node."""
+    system row of each node.  The classes come from the kernel here, and
+    from a preset family's closed form in :func:`_preset_lumped`; both
+    build the system from the smallest nodes' arcs in :func:`_system`."""
     v = kernel.node_count
     if not 0 <= target < v:
         raise InvalidParameterError(f"target {target} out of range")
@@ -300,30 +312,62 @@ def _quotient(kernel: TransitionKernel, target: int, lump: bool) -> tuple[Absorb
     is_rep = np.zeros(v, dtype=bool)
     is_rep[reps] = True
     picked = is_rep[heads]
-    heads, tails = heads[picked], tails[picked]
-    probs = kernel.values[picked]
-    row, col = rows[heads], rows[tails]
-    p1 = np.zeros(len(reps))
+    heads = heads[picked]
+    ones = np.ones(len(heads), dtype=np.intp)
+    return _system(target, reps, rows[heads], rows[tails[picked]], kernel.values[picked], ones), rows
+
+
+def _system(target: int, reps, row, col, probs, count) -> AbsorbingSystem:
+    """Absorbing system of the classes whose smallest nodes are ``reps``,
+    from those nodes' arcs: an arc from system row ``row`` into row ``col``
+    (-1: the target) with step probability ``probs``, ``count`` times over."""
+    k = len(reps)
+    p1 = np.zeros(k)
     hit = col < 0
-    p1[row[hit]] = probs[hit]
+    p1[row[hit]] = (count * probs)[hit]
     # equal probabilities into one class add as one product, count * p,
     # which rounds once where a running sum would round count times
-    k = len(reps)
-    entry, probs = row[~hit] * k + col[~hit], probs[~hit]
+    entry, probs, count = row[~hit] * k + col[~hit], probs[~hit], count[~hit]
     if np.any(entry[1:] <= entry[:-1]):  # some row has arcs into one class
         order = np.lexsort((probs, entry))
-        entry, probs = entry[order], probs[order]
+        entry, probs, count = entry[order], probs[order], count[order]
     starts = np.ones(len(entry), dtype=bool)
     starts[1:] = (entry[1:] != entry[:-1]) | (probs[1:] != probs[:-1])
     first = np.flatnonzero(starts)
-    counts = np.diff(first, append=len(probs))
+    counts = np.diff(np.append(0, np.cumsum(count))[np.append(first, len(count))])
     q = np.bincount(entry[first], weights=counts * probs[first], minlength=k * k).reshape(k, k)
     if np.max(np.abs(p1 + q.sum(axis=1) - 1.0)) > _IDENTITY_TOL:
         raise InvalidParameterError("rows of [Q | P1] must sum to 1")
     q.setflags(write=False)
     p1.setflags(write=False)
-    system = AbsorbingSystem(target=target, q_matrix=q, first_step=p1, index_map=tuple(reps.tolist()))
-    return system, rows
+    return AbsorbingSystem(target=target, q_matrix=q, first_step=p1, index_map=tuple(reps.tolist()))
+
+
+class _ClassRows:
+    """``rows[nodes]``, the system row of each node's class (-1 at the
+    target), looked up by class instead of held per node."""
+
+    def __init__(self, key, row: np.ndarray):
+        self.key, self.row = key, row
+
+    def __getitem__(self, nodes):
+        return self.row[self.key(np.asarray(nodes))]
+
+
+def _preset_lumped(family, params: list[int], target: int) -> tuple[AbsorbingSystem, _ClassRows] | None:
+    """:func:`lumped_absorbing` on a preset family's walk, from the family's
+    classes in closed form (``graphs._Family``), with no graph, kernel or
+    search: the same system, bit for bit, and its rows by class.  None
+    where the family has no closed form."""
+    classes = family.closed[1](*params, target) if family.closed else None
+    if classes is None:
+        return None
+    reps, key, head, tail, count, prob = classes
+    order = np.argsort(reps)  # rows in the order of the smallest nodes
+    row = np.empty(len(reps) + 1, dtype=np.intp)
+    row[order] = np.arange(len(reps))
+    row[-1] = -1  # the target's class, key -1
+    return _system(target, reps[order], row[head], row[tail], prob, count), _ClassRows(key, row)
 
 
 def _equitable_cells(

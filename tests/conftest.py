@@ -239,3 +239,19 @@ def exact_moments(preset, target):
     mean = solve([Fraction(1)] * len(states))
     second = solve([1 + 2 * x for x in q_times(mean)])
     return {n: (m, s, s - m * m) for n, m, s in zip(states, mean, second)}
+
+
+def ehrenfest_pmf(dim, distance, horizon):
+    """P(tau = n), n = 1..horizon, as Fractions, for the walk on the
+    dim-cube started ``distance`` bits from its target: the Ehrenfest urn
+    (Kac, Amer. Math. Monthly 54, 1947), which from d moves to d - 1 with
+    chance d / dim and to d + 1 otherwise, absorbed at 0.  ``walks[d]``
+    counts the target-avoiding coordinate sequences that end d bits away;
+    walks[0] stays 0, the target absorbing."""
+    walks = [0] * (dim + 2)
+    walks[distance] = 1
+    out = []
+    for n in range(1, horizon + 1):
+        out.append(Fraction(walks[1], dim**n))
+        walks = [0] + [walks[d + 1] * (d + 1) + walks[d - 1] * (dim - d + 1) for d in range(1, dim + 1)] + [0]
+    return out

@@ -1,16 +1,18 @@
 import json
+import math
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hitwalk import cli, graphs, hitting
+from hitwalk import abelian, cli, graphs, hitting
 from hitwalk.cli import main
 
-from conftest import chang_graph, exact_moments, exact_pmf
+from conftest import chang_graph, ehrenfest_pmf, exact_moments, exact_pmf
 
 
 def run_cli(capsys, *args):
@@ -255,32 +257,39 @@ def test_compare_fourier_moments_of_large_sums(capsys, preset, start, target):
 
 @pytest.fixture
 def build_counts(monkeypatch):
-    """Counts of the kernels, absorbing systems and step laws the CLI builds."""
-    counts = {"kernel": 0, "absorbing": 0, "step_law": 0}
+    """Counts of the graphs, kernels, absorbing systems lumped from a
+    kernel, preset quotients in closed form and step laws the CLI builds."""
+    counts = {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 0, "step_law": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            counts[key] += out is not None  # a family without a closed form builds no quotient
+            return out
         return wrapper
 
+    monkeypatch.setattr(graphs, "preset_graph", counted("graph", graphs.preset_graph))
     monkeypatch.setattr(cli, "simple_walk_kernel", counted("kernel", cli.simple_walk_kernel))
-    # both builders of an absorbing system count as one kind of build
+    # both builders of an absorbing system from a kernel count as one kind of build
     monkeypatch.setattr(hitting, "make_absorbing", counted("absorbing", hitting.make_absorbing))
     monkeypatch.setattr(hitting, "lumped_absorbing", counted("absorbing", hitting.lumped_absorbing))
-    for name, builder in list(cli._ABELIAN_LAWS.items()):
-        monkeypatch.setitem(cli._ABELIAN_LAWS, name, counted("step_law", builder))
+    monkeypatch.setattr(hitting, "_preset_lumped", counted("quotient", hitting._preset_lumped))
+    for family in graphs._PRESETS.values():
+        if family.step_law:
+            monkeypatch.setattr(abelian, family.step_law, counted("step_law", getattr(abelian, family.step_law)))
     return counts
 
 
 @pytest.mark.parametrize(
     "engine, builds",
     [
-        ("direct", {"kernel": 1, "absorbing": 1, "step_law": 0}),
-        # the spectral engine steps the target's column on the problem's lumped chain
-        ("spectral", {"kernel": 1, "absorbing": 1, "step_law": 0}),
-        ("fourier", {"kernel": 0, "absorbing": 0, "step_law": 1}),
-        ("auto", {"kernel": 1, "absorbing": 1, "step_law": 0}),
+        # torus_std:5 lumps in closed form: no graph, kernel or search
+        ("direct", {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 1, "step_law": 0}),
+        # the spectral engine steps the target's column on the problem's
+        # lumped chain, and reads the target's arcs from the kernel
+        ("spectral", {"graph": 1, "kernel": 1, "absorbing": 0, "quotient": 1, "step_law": 0}),
+        ("fourier", {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 0, "step_law": 1}),
+        ("auto", {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 1, "step_law": 0}),
     ],
 )
 def test_pmf_builds_only_what_its_engine_uses(capsys, build_counts, engine, builds):
@@ -301,12 +310,13 @@ def test_pmf_horizon_zero_exits_2(capsys, engine):
 
 
 def test_compare_builds_one_kernel_and_one_absorbing_system(capsys, build_counts):
-    # the direct and spectral series, the moments and Monte Carlo share them
+    # the direct and spectral series and the moments share the quotient;
+    # the spectral series and Monte Carlo share the kernel
     run_json(
         capsys, "compare", "--preset", "torus_std:5", "--from", "7", "--to", "0",
         "--horizon", "20", "--trials", "200",
     )
-    assert build_counts == {"kernel": 1, "absorbing": 1, "step_law": 1}
+    assert build_counts == {"graph": 1, "kernel": 1, "absorbing": 0, "quotient": 1, "step_law": 1}
 
 
 # --- the parser -------------------------------------------------------------------------
@@ -560,6 +570,59 @@ def test_preset_too_large_for_an_array_exits_2(capsys, tmp_path, preset, source)
     code, out, err = run_cli(capsys, "pmf", *graph, "--from", "1", "--to", "0", "--horizon", "3")
     assert (code, out) == (2, "")
     assert err.startswith("hitwalk: invalid input: ") and "too large" in err
+
+
+_NUMPY_LIMIT = np.iinfo(np.intp).max // np.dtype(np.intp).itemsize
+
+
+@pytest.mark.parametrize(
+    "preset, message",
+    [
+        ("hypercube:0", "hypercube needs dim >= 1"),
+        ("hypercube:70", f"hypercube too large: {70 << 64} array entries, numpy holds at most {_NUMPY_LIMIT}"),
+        ("bipartite:0:3", "bipartite sides must be nonempty"),
+        ("torus_diag:4", "diagonal torus needs odd p (2 must be invertible)"),
+    ],
+)
+def test_preset_parameters_are_the_builders_checks_without_a_build(capsys, build_counts, preset, message):
+    code, out, err = run_cli(capsys, "pmf", "--preset", preset, "--from", "1", "--to", "0")
+    assert (code, out, err) == (2, "", f"hitwalk: invalid input: {message}\n")
+    assert build_counts["graph"] == 0
+
+
+def test_preset_quotient_too_large_for_its_dense_q_exits_2(capsys):
+    # torus_std:100000 lumps onto 1.25e9 classes; the family refuses the
+    # classes^2 dense Q before it allocates anything of size classes (numpy
+    # would refuse only the Q itself, with a ValueError: exit 1)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "pmf", "--preset", "torus_std:100000", "--from", "1", "--to", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    classes = 50001 * 50002 // 2 - 1
+    assert (code, out) == (2, "")
+    assert err == f"hitwalk: invalid input: lumped chain too large: {classes**2} array entries, numpy holds at most {_NUMPY_LIMIT}\n"
+    assert peak < 2**20
+
+
+def test_hypercube_40_pmf_is_the_ehrenfest_law(capsys, build_counts):
+    # 2^40 nodes, 40 classes: the family's quotient answers, no graph is built
+    doc = run_json(capsys, "pmf", "--preset", "hypercube:40", "--from", str(2**40 - 1), "--to", "0", "--horizon", "200")
+    rows = doc["payload"]["table"]["rows"]
+    exact = ehrenfest_pmf(40, 40, 200)
+    assert exact[39] == Fraction(math.factorial(40), 40**40)  # P(tau = 40) ~ 6.75e-17
+    assert [n for n, _ in rows] == list(range(1, 201))
+    for (_, p), e in zip(rows, exact):
+        assert abs(Fraction(p) - e) <= Fraction(1, 10**13) * e
+    assert build_counts == {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 1, "step_law": 0}
+
+
+def test_complete_10e9_pmf_is_geometric(capsys):
+    # a graph build would allocate 3.73 GiB first; the quotient has one class
+    doc = run_json(capsys, "pmf", "--preset", "complete:1000000000", "--from", "1", "--to", "0")
+    for n, p in doc["payload"]["table"]["rows"]:
+        assert p == pytest.approx(hitting.closed_complete(10**9, n), rel=1e-13, abs=0)
 
 
 _HUGE = "100000000000000000000"  # 10^20
@@ -875,18 +938,25 @@ PAIR = ["--preset", "torus_std:5", "--from", "7", "--to", "0"]
 @pytest.mark.parametrize(
     "argv, count",
     [
-        (["pmf", *PAIR, "--horizon", "20", "--engine", "direct"], 1),
-        (["pmf", *PAIR, "--horizon", "20", "--engine", "spectral"], 1),
-        (["moments", *PAIR], 1),
-        (["ctime", *PAIR, "--t-grid", "0:10:5"], 1),
+        # torus_std:5 lumps in closed form, with no search
+        (["pmf", *PAIR, "--horizon", "20", "--engine", "direct"], 0),
+        (["pmf", *PAIR, "--horizon", "20", "--engine", "spectral"], 0),
+        (["moments", *PAIR], 0),
+        (["ctime", *PAIR, "--t-grid", "0:10:5"], 0),
         (["simulate", *PAIR, "--trials", "50"], 1),
         (["pmf", *PAIR, "--horizon", "20", "--engine", "fourier"], 0),
-        # one search for the lumped chain, which Monte Carlo's check reuses
+        # Monte Carlo's check of the target's reachability
         (["compare", *PAIR, "--horizon", "20", "--trials", "50"], 1),
         # the dense walk powers' connectivity check, and the lumped chain
         (["gf", *PAIR, "--horizon", "20"], 2),
+        # families without a closed form lump from the kernel's search
+        (["pmf", "--preset", "path:6", "--from", "5", "--to", "0", "--horizon", "20"], 1),
+        (["moments", "--preset", "torus_std:4", "--from", "5", "--to", "0"], 1),
     ],
-    ids=["pmf_direct", "pmf_spectral", "moments", "ctime", "simulate", "pmf_fourier", "compare", "gf"],
+    ids=[
+        "pmf_direct", "pmf_spectral", "moments", "ctime", "simulate", "pmf_fourier", "compare", "gf",
+        "pmf_path", "moments_torus_std_4",
+    ],
 )
 def test_each_query_searches_its_graph_only_where_an_answer_needs_it(capsys, searches, argv, count):
     run_json(capsys, *argv)

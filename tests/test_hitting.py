@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hitwalk as hw
-from hitwalk import cli, hitting
+from hitwalk import cli, graphs, hitting
 from hitwalk.errors import (
     InvalidParameterError,
     NotConnectedError,
@@ -281,6 +281,69 @@ def test_lumped_absorbing_rejects_what_make_absorbing_rejects():
     one_way = hw.TransitionKernel(np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]]), g)
     with pytest.raises(NotConnectedError):
         hw.lumped_absorbing(one_way, 0)
+
+
+# --- preset quotients in closed form ------------------------------------------
+
+def _targets(nodes, limit=12):
+    """Every node of a small graph; else both ends, the middle and a spread
+    of nodes between."""
+    if nodes <= limit:
+        return range(nodes)
+    return sorted({0, 1, nodes // 2, nodes - 2, nodes - 1, *range(nodes // 5, nodes, nodes // 5 + 1)})
+
+
+def _assert_quotient_is_lumped_absorbing(name, params):
+    family = graphs._PRESETS[name]
+    kernel = hw.simple_walk_kernel(hw.preset_graph(name, params))
+    nodes, _ = family.closed
+    assert nodes(*params) == kernel.node_count
+    for target in _targets(kernel.node_count):
+        system, rows = hitting._preset_lumped(family, params, target)
+        want, want_rows = hw.lumped_absorbing(kernel, target)
+        # bit for bit: the same Q, P1 and index map, and so the same table
+        assert system.q_matrix.tobytes() == want.q_matrix.tobytes()
+        assert system.first_step.tobytes() == want.first_step.tobytes()
+        assert system.index_map == want.index_map
+        assert (system.q_rows is None) == (want.q_rows is None)
+        nodes = np.arange(kernel.node_count)
+        assert np.array_equal(rows[nodes], want_rows)
+        if kernel.node_count <= 64:  # one node at a time, as the CLI looks up a start
+            assert [rows[n] for n in nodes.tolist()] == want_rows.tolist()
+
+
+QUOTIENT_SIZES = {
+    "cycle": [[k] for k in (*range(3, 14), 31, 64, 101)],
+    "complete": [[k] for k in (*range(2, 9), 50)],
+    "bipartite": [[1, 1], [1, 2], [2, 1], [1, 5], [5, 1], [2, 3], [3, 2], [4, 4], [7, 12], [33, 67]],
+    "hypercube": [[d] for d in range(1, 11)],
+    "torus_std": [[p] for p in range(3, 46) if p != 4],
+    "torus_diag": [[p] for p in range(3, 46, 2)],
+}
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, params) for name, sizes in QUOTIENT_SIZES.items() for params in sizes],
+    ids=[":".join([name, *map(str, params)]) for name, sizes in QUOTIENT_SIZES.items() for params in sizes],
+)
+def test_preset_quotient_is_lumped_absorbing_bit_for_bit(name, params):
+    _assert_quotient_is_lumped_absorbing(name, params)
+
+
+def test_torus_std_4_takes_the_graph_path():
+    # the 4-cube in disguise: 5 classes where the stabilizer's orbits give 6
+    family = graphs._PRESETS["torus_std"]
+    assert family.closed[1](4, 0) is None
+    assert hitting._preset_lumped(family, [4], 0) is None
+    assert _cell_count(hw.build_torus_standard(4), 0) == 5
+
+
+@pytest.mark.parametrize("name", ["path", "cayley_s3", "cayley_d8"])
+def test_families_without_a_closed_form_take_the_graph_path(name):
+    family = graphs._PRESETS[name]
+    assert family.closed is None
+    assert hitting._preset_lumped(family, [5] if name == "path" else [], 0) is None
 
 
 # --- pmf ----------------------------------------------------------------------
