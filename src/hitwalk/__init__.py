@@ -2,14 +2,14 @@
 
 Four interoperating engines compute hitting-time distributions, moments
 and variances: the absorbing-chain recurrence on arbitrary graphs, a
-character-sum engine on finite abelian groups, a trace recursion for
-walk-regular graphs, and a uniformized continuous-time engine, all
-cross-validated by brute-force and Monte Carlo oracles.
+character-sum engine on finite abelian groups, a spectral renewal series
+on any connected graph (its trace recursion and rational generating
+function need a walk-regular graph), and a uniformized continuous-time
+engine, all cross-validated by brute-force and Monte Carlo oracles.
 """
 
 from .errors import (
     GraphTooLargeError,
-    GroupTooLargeError,
     HitwalkError,
     HypothesisError,
     InvalidParameterError,
@@ -21,9 +21,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    PermutationGroupSpec,
     TransitionKernel,
-    build_cayley,
     build_complete,
     build_complete_bipartite,
     build_cycle,

@@ -13,10 +13,6 @@ class InvalidParameterError(HitwalkError, ValueError):
     """An argument is outside the documented domain."""
 
 
-class GroupTooLargeError(InvalidParameterError):
-    """Permutation-group closure exceeded the configured size bound."""
-
-
 class OracleTooLargeError(InvalidParameterError):
     """Brute-force enumeration guard exceeded (too many nodes or steps)."""
 

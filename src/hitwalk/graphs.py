@@ -2,8 +2,9 @@
 
 Nodes are dense integer indices ``0..V-1``; group elements, bit vectors
 and torus coordinates are carried as display labels attached to indices.
-Graphs are immutable after construction and safe to share across
-threads.
+The two Cayley presets, ``cayley_s3`` and ``cayley_d8``, are fixed tables
+of edges and cycle-notation labels.  Graphs are immutable after
+construction and safe to share across threads.
 
 Everything is held per arc, in O(V + E) memory: a graph keeps both
 directions of each edge as sorted (head, tail, weight) columns, the
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import inspect
 import json
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,12 +30,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GroupTooLargeError, InvalidParameterError
+from .errors import InvalidParameterError
 
 __all__ = [
     "Graph",
     "TransitionKernel",
-    "PermutationGroupSpec",
     "build_cycle",
     "build_path",
     "build_complete",
@@ -43,23 +42,16 @@ __all__ = [
     "build_hypercube",
     "build_torus_standard",
     "build_torus_diagonal",
-    "build_cayley",
     "simple_walk_kernel",
-    "perm_from_cycles",
-    "cycle_notation",
-    "symmetric_closure",
     "cayley_s3",
     "cayley_d8",
     "PRESET_NAMES",
     "preset_graph",
     "parse_graph_spec",
-    "load_graph_file",
     "canonical_graph_spec",
 ]
 
 ROW_SUM_TOL = 1e-12
-# build_cayley enumerates at most this many group elements.
-_CLOSURE_BOUND = 10080
 # the most nodes whose arc keys head * V + tail fit in int64: isqrt(2**63 - 1)
 _NODE_LIMIT = 3_037_000_499
 
@@ -294,10 +286,6 @@ class Graph:
         # each node's weights are added in edge order, as a loop over edges would
         heads, _, weights = self._arcs
         return np.bincount(heads, weights=weights, minlength=self.node_count)
-
-    def neighbors(self, i: int) -> list[int]:
-        heads, tails, _ = self._arcs
-        return tails[heads == i].tolist()
 
     def regular_degree(self) -> int | None:
         """Common degree if the graph is regular, else None."""
@@ -623,154 +611,23 @@ def _torus_classes(p: int, target: int, steps: list[tuple[int, int]]) -> tuple |
 
 
 # ---------------------------------------------------------------------------
-# permutation groups and Cayley graphs
+# the two Cayley presets
 # ---------------------------------------------------------------------------
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # product a*b acting as "apply b first, then a"
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _inverse(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
-
-
-def _check_permutation(p, degree: int) -> tuple[int, ...]:
-    t = tuple(int(x) for x in p)
-    if sorted(t) != list(range(degree)):
-        raise InvalidParameterError(f"{p!r} is not a permutation of 0..{degree - 1}")
-    return t
-
-
-def perm_from_cycles(degree: int, cycles: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Permutation (0-based image tuple) from 1-based disjoint cycles.
-
-    ``perm_from_cycles(3, [(1, 3)])`` is the transposition swapping
-    points 1 and 3 of {1, 2, 3}.
-    """
-    images = list(range(degree))
-    seen: set[int] = set()
-    for cyc in cycles:
-        pts = [c - 1 for c in cyc]
-        if any(not 0 <= x < degree for x in pts):
-            raise InvalidParameterError("cycle point out of range")
-        if len(set(pts)) != len(pts) or seen & set(pts):
-            raise InvalidParameterError("cycles must be disjoint")
-        seen ^= set(pts)
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            images[a] = b
-    return tuple(images)
-
-
-def cycle_notation(perm: tuple[int, ...]) -> str:
-    """1-based disjoint-cycle string, "e" for the identity."""
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(parts) if parts else "e"
-
-
-def symmetric_closure(generators) -> list[tuple[int, ...]]:
-    """Generators plus any missing inverses, original order first."""
-    out: list[tuple[int, ...]] = []
-    for g in generators:
-        g = tuple(g)
-        if g not in out:
-            out.append(g)
-        inv = _inverse(g)
-        if inv not in out:
-            out.append(inv)
-    return out
-
-
-@dataclass(frozen=True)
-class PermutationGroupSpec:
-    """Connection set for a Cayley graph.
-
-    Generators act on {1..degree} (stored as 0-based image tuples), must
-    exclude the identity and be closed under inverses; each is one
-    unit-weight step, so the simple walk takes each with equal probability.
-    """
-
-    degree: int
-    generators: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise InvalidParameterError("degree must be >= 1")
-        gens = tuple(_check_permutation(g, self.degree) for g in self.generators)
-        if not gens:
-            raise InvalidParameterError("need at least one generator")
-        identity = tuple(range(self.degree))
-        if identity in gens:
-            raise InvalidParameterError("identity generator would create a self-loop")
-        if len(set(gens)) != len(gens):
-            raise InvalidParameterError("duplicate generator")
-        object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if _inverse(g) not in gens:
-                raise InvalidParameterError(
-                    f"connection set not symmetric: inverse of {g} missing"
-                )
-
-
-def build_cayley(spec: PermutationGroupSpec) -> Graph:
-    """Cayley graph of the group generated by the connection set.
-
-    Elements are enumerated breadth-first from the identity with
-    generators taken in spec order, which fixes the node numbering
-    across runs.  Each edge {g, g*c} has weight 1; the pairs are built
-    into a graph as any edge list is (``Graph``).  Raises
-    :class:`GroupTooLargeError` when the closure exceeds the bound.
-    """
-    identity = tuple(range(spec.degree))
-    index = {identity: 0}
-    order = [identity]
-    queue = deque([identity])
-    while queue:
-        g = queue.popleft()
-        for c in spec.generators:
-            h = _compose(g, c)
-            if h not in index:
-                if len(order) >= _CLOSURE_BOUND:
-                    raise GroupTooLargeError(f"group closure exceeds bound {_CLOSURE_BOUND}")
-                index[h] = len(order)
-                order.append(h)
-                queue.append(h)
-    edges = set()
-    for g in order:
-        gi = index[g]
-        for c in spec.generators:
-            hi = index[_compose(g, c)]
-            edges.add((min(gi, hi), max(gi, hi)))
-    labels = tuple(cycle_notation(g) for g in order)
-    return Graph(len(order), sorted(edges), labels=labels)
-
 
 def cayley_s3() -> Graph:
     """S_3 Cayley preset: connection set {(1 3), (1 2 3), (1 3 2)}.
 
     This is the prism on the six permutations; the pair (e, (1 3)) is
-    the series benchmark pair.
+    the series benchmark pair.  A fixed table: nodes are numbered
+    breadth-first from the identity, generators in that order, and
+    labelled in 1-based cycle notation, as the reference closure in
+    ``tests/conftest.py`` builds it.
     """
-    gens = symmetric_closure(
-        [perm_from_cycles(3, [(1, 3)]), perm_from_cycles(3, [(1, 2, 3)])]
+    return Graph(
+        6,
+        ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 4), (4, 5)),
+        labels=("e", "(1 3)", "(1 2 3)", "(1 3 2)", "(1 2)", "(2 3)"),
     )
-    return build_cayley(PermutationGroupSpec(3, tuple(gens)))
 
 
 def cayley_d8() -> Graph:
@@ -778,12 +635,14 @@ def cayley_d8() -> Graph:
     {(1 2 3 4), (1 4 3 2), (1 4)(2 3)}.
 
     A circular ladder on eight elements (isomorphic to the 3-cube); the
-    pair (e, (1 4)(2 3)) is the series benchmark pair.
+    pair (e, (1 4)(2 3)) is the series benchmark pair.  A fixed table,
+    numbered and labelled as ``cayley_s3``.
     """
-    gens = symmetric_closure(
-        [perm_from_cycles(4, [(1, 2, 3, 4)]), perm_from_cycles(4, [(1, 4), (2, 3)])]
+    return Graph(
+        8,
+        ((0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 6), (3, 5), (3, 6), (4, 7), (5, 7), (6, 7)),
+        labels=("e", "(1 2 3 4)", "(1 4 3 2)", "(1 4)(2 3)", "(1 3)(2 4)", "(2 4)", "(1 3)", "(1 2)(3 4)"),
     )
-    return build_cayley(PermutationGroupSpec(4, tuple(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -920,12 +779,6 @@ def _read_spec(path: str):
         # RecursionError: arrays or objects nested past the interpreter's depth
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise InvalidParameterError(f"invalid JSON in {path}: {exc}") from exc
-
-
-def load_graph_file(path: str) -> tuple[Graph, dict]:
-    """Parse a JSON graph-spec file; returns (graph, raw spec dict)."""
-    spec = _read_spec(path)
-    return parse_graph_spec(spec), spec
 
 
 def canonical_graph_spec(spec: dict) -> str:

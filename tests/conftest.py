@@ -56,6 +56,48 @@ def preset_zoo(max_nodes=None):
     return graphs
 
 
+def cayley_closure(degree, generators):
+    """Cayley graph of the group that ``generators`` generate on {1..degree},
+    each generator a list of 1-based disjoint cycles, with each generator's
+    inverse added after it when missing.  Elements are numbered breadth-first
+    from the identity, generators in that order, and labelled in 1-based
+    cycle notation ("e" for the identity): the numbering the fixed tables
+    ``cayley_s3`` and ``cayley_d8`` copy.  The element g * c applies c first."""
+    connection = []
+    for cycles in generators:
+        images = list(range(degree))
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a - 1] = b - 1
+        inverse = [0] * degree
+        for i, x in enumerate(images):
+            inverse[x] = i
+        connection += [c for c in (tuple(images), tuple(inverse)) if c not in connection]
+    order = [tuple(range(degree))]
+    index = {order[0]: 0}
+    edges = set()
+    for g in order:  # grows while it is read: a breadth-first queue
+        for c in connection:
+            h = tuple(g[x] for x in c)
+            if h not in index:
+                index[h] = len(order)
+                order.append(h)
+            edges.add((min(index[g], index[h]), max(index[g], index[h])))
+
+    def notation(perm):
+        parts, seen = [], set()
+        for start in range(degree):
+            if start not in seen and perm[start] != start:
+                cycle = [start]
+                while perm[cycle[-1]] != start:
+                    cycle.append(perm[cycle[-1]])
+                seen.update(cycle)
+                parts.append("(" + " ".join(str(x + 1) for x in cycle) + ")")
+        return "".join(parts) or "e"
+
+    return hw.Graph(len(order), tuple(sorted(edges)), labels=tuple(map(notation, order)))
+
+
 def first_fault_by_edge(node_count, edges):
     """Columns (u, v, w) of ``edges``, converted and checked one edge at a
     time as ``Graph`` documents it: an edge is ``(u, v)`` or ``(u, v, w)``,

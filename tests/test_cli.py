@@ -966,7 +966,7 @@ def test_each_query_searches_its_graph_only_where_an_answer_needs_it(capsys, sea
 def test_graph_builds_run_no_search(searches, tmp_path):
     params = {"bipartite": [3, 4], "cayley_s3": [], "cayley_d8": []}
     built = [graphs.preset_graph(name, params.get(name, [5])) for name in graphs.PRESET_NAMES]
-    built.append(graphs.load_graph_file(_write_graph(tmp_path, 4, [(0, 1), (2, 3)]))[0])
+    built.append(graphs.parse_graph_spec(graphs._read_spec(_write_graph(tmp_path, 4, [(0, 1), (2, 3)]))))
     built.append(graphs.Graph(3, ((0, 1), (1, 2))))
     assert searches == []
     assert [g.connected for g in built] == [True] * len(graphs.PRESET_NAMES) + [False, True]

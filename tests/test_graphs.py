@@ -6,20 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hitwalk as hw
-from hitwalk.errors import GroupTooLargeError, InvalidParameterError, NotConnectedError
-from hitwalk.graphs import (
-    PRESET_NAMES,
-    PermutationGroupSpec,
-    canonical_graph_spec,
-    cycle_notation,
-    load_graph_file,
-    parse_graph_spec,
-    perm_from_cycles,
-    preset_graph,
-    symmetric_closure,
-)
+from hitwalk.errors import InvalidParameterError, NotConnectedError
+from hitwalk.graphs import PRESET_NAMES, _read_spec, canonical_graph_spec, parse_graph_spec, preset_graph
 
-from conftest import first_fault_by_edge, preset_zoo
+from conftest import cayley_closure, first_fault_by_edge, preset_zoo
 
 
 # --- construction and validation ------------------------------------------
@@ -173,7 +163,7 @@ def test_path_shapes():
     assert g.node_count == 5 and g.edge_count == 4
     assert sorted(g.degrees().tolist()) == [1, 1, 2, 2, 2]
     assert hw.build_path(2).edge_count == 1
-    assert hw.build_path(3).neighbors(1) == [0, 2]
+    assert np.flatnonzero(hw.build_path(3).adjacency_matrix()[1]).tolist() == [0, 2]
     with pytest.raises(InvalidParameterError):
         hw.build_path(1)
 
@@ -209,7 +199,7 @@ def test_torus_counts():
 def test_torus_diagonal_neighbors_p5():
     g = hw.build_torus_diagonal(5)
     origin = g.labels.index("(0,0)")
-    nbrs = {g.labels[i] for i in g.neighbors(origin)}
+    nbrs = {g.labels[i] for i in np.flatnonzero(g.adjacency_matrix()[origin])}
     assert nbrs == {"(1,1)", "(1,4)", "(4,1)", "(4,4)"}
 
 
@@ -218,14 +208,18 @@ def test_torus_diagonal_rejects_even_p():
         hw.build_torus_diagonal(4)
 
 
-# --- Cayley construction ----------------------------------------------------
+# --- Cayley presets ---------------------------------------------------------
 
-def test_cayley_s3_all_transpositions():
-    # the full transposition connection set gives a 6-node cubic graph
-    gens = [perm_from_cycles(3, [c]) for c in [(1, 2), (1, 3), (2, 3)]]
-    g = hw.build_cayley(PermutationGroupSpec(3, tuple(gens)))
-    assert g.node_count == 6
-    assert g.regular_degree() == 3
+@pytest.mark.parametrize(
+    "preset, degree, generators",
+    [(hw.cayley_s3, 3, [[(1, 3)], [(1, 2, 3)]]), (hw.cayley_d8, 4, [[(1, 2, 3, 4)], [(1, 4), (2, 3)]])],
+    ids=["cayley_s3", "cayley_d8"],
+)
+def test_cayley_preset_is_its_closure(preset, degree, generators):
+    # the fixed table keeps the closure's node order, edges and labels
+    g, reference = preset(), cayley_closure(degree, generators)
+    assert g == reference
+    assert g.labels == reference.labels and g.edges == reference.edges
 
 
 def test_cayley_d8_preset_shape():
@@ -240,70 +234,6 @@ def test_cayley_s3_preset_shape():
     assert g.node_count == 6
     assert g.regular_degree() == 3
     assert g.labels[0] == "e"
-
-
-def test_cayley_degree_equals_connection_set_size():
-    cases = [
-        (3, [perm_from_cycles(3, [c]) for c in [(1, 2), (1, 3), (2, 3)]]),
-        (4, symmetric_closure([perm_from_cycles(4, [(1, 2, 3, 4)])])),
-        (5, symmetric_closure(
-            [perm_from_cycles(5, [(1, 2, 3, 4, 5)]), perm_from_cycles(5, [(1, 2)])]
-        )),
-    ]
-    for degree, gens in cases:
-        g = hw.build_cayley(PermutationGroupSpec(degree, tuple(gens)))
-        assert g.regular_degree() == len(gens)
-
-
-def test_cayley_z2_cubed_matches_hypercube():
-    # three disjoint involutions generate Z_2^3; relabel each element by
-    # its membership bits and compare adjacency with the hypercube
-    gens = [
-        perm_from_cycles(6, [(1, 2)]),
-        perm_from_cycles(6, [(3, 4)]),
-        perm_from_cycles(6, [(5, 6)]),
-    ]
-    spec = PermutationGroupSpec(6, tuple(gens))
-    g = hw.build_cayley(spec)
-    assert g.node_count == 8 and g.regular_degree() == 3
-    # canonical ordering: bit b set iff generator b is a factor of the element
-    canon = []
-    for label in g.labels:
-        bits = 0
-        if "(1 2)" in label:
-            bits |= 1
-        if "(3 4)" in label:
-            bits |= 2
-        if "(5 6)" in label:
-            bits |= 4
-        canon.append(bits)
-    perm = np.argsort(canon)
-    adj = g.adjacency_matrix()[np.ix_(perm, perm)]
-    assert np.array_equal(adj, hw.build_hypercube(3).adjacency_matrix())
-
-
-def test_cayley_rejects_asymmetric_connection_set():
-    with pytest.raises(InvalidParameterError):
-        PermutationGroupSpec(3, (perm_from_cycles(3, [(1, 2, 3)]),))
-
-
-def test_cayley_rejects_identity_generator():
-    with pytest.raises(InvalidParameterError):
-        PermutationGroupSpec(3, ((0, 1, 2),))
-
-
-def test_cayley_closure_bound():
-    # two generators of S_8 blow past the default 10080 bound (|S_8| = 40320)
-    gens = symmetric_closure(
-        [perm_from_cycles(8, [(1, 2)]), perm_from_cycles(8, [(1, 2, 3, 4, 5, 6, 7, 8)])]
-    )
-    with pytest.raises(GroupTooLargeError):
-        hw.build_cayley(PermutationGroupSpec(8, tuple(gens)))
-
-
-def test_cycle_notation_round_trip():
-    assert cycle_notation(perm_from_cycles(4, [(1, 4), (2, 3)])) == "(1 4)(2 3)"
-    assert cycle_notation((0, 1, 2)) == "e"
 
 
 # --- kernels -----------------------------------------------------------------
@@ -391,7 +321,6 @@ def test_arrays_match_edge_loop(seed):
     assert np.array_equal(g.strengths(), strengths)
     assert np.array_equal(g.degrees(), degrees)
     assert np.array_equal(hw.simple_walk_kernel(g).matrix, kernel)
-    assert g.neighbors(3) == sorted(np.flatnonzero(adjacency[3]).tolist())
 
 
 def test_edges_are_built_on_first_read():
@@ -471,7 +400,8 @@ def test_preset_params_must_be_json_integers(params):
 def test_load_graph_file(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"preset": "complete", "params": [4]}))
-    g, spec = load_graph_file(str(path))
+    spec = _read_spec(str(path))
+    g = parse_graph_spec(spec)
     assert g.edge_count == 6
     assert canonical_graph_spec(spec) == '{"params":[4],"preset":"complete"}'
 

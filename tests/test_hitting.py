@@ -14,7 +14,7 @@ from hitwalk.errors import (
     NumericalError,
     OracleTooLargeError,
 )
-from hitwalk.graphs import load_graph_file
+from hitwalk.graphs import _read_spec, parse_graph_spec
 
 from conftest import coarsest_equitable_partition, preset_zoo
 
@@ -389,7 +389,7 @@ def _weighted_cycle_file(tmp_path):
     edges = [[i, (i + 1) % 30, float(w)] for i, w in enumerate(rng.uniform(0.1, 3.0, 30))]
     path = tmp_path / "weighted.json"
     path.write_text(json.dumps({"nodes": 30, "edges": edges}))
-    return load_graph_file(str(path))[0]
+    return parse_graph_spec(_read_spec(str(path)))
 
 
 @pytest.mark.parametrize(
