@@ -423,9 +423,8 @@ def group_walk_graph(group: FiniteAbelianGroup, law: StepLaw) -> Graph:
             yi = group.index(group.add(x, s))
             key = (min(xi, yi), max(xi, yi))
             edges.setdefault(key, float(law.table[group.index(s)]))
-    labels = tuple(str(e) for e in elements)
     triples = tuple((u, v, w) for (u, v), w in sorted(edges.items()))
-    return Graph(group.order, triples, labels=labels)
+    return Graph(group.order, triples)
 
 
 def group_walk_kernel(group: FiniteAbelianGroup, law: StepLaw) -> TransitionKernel:

@@ -1,15 +1,16 @@
-"""Graphs, transition kernels and the preset families.
+"""Graphs, their simple walks and the preset families.
 
-Nodes are dense integer indices ``0..V-1``; group elements, bit vectors
-and torus coordinates are carried as display labels attached to indices.
-The two Cayley presets, ``cayley_s3`` and ``cayley_d8``, are fixed tables
-of edges and cycle-notation labels.  Graphs are immutable after
-construction and safe to share across threads.
+Nodes are dense integer indices ``0..V-1``; only the two Cayley presets,
+``cayley_s3`` and ``cayley_d8`` (fixed tables of edges and cycle-notation
+labels), and graphs built with ``labels`` carry display labels.  Graphs
+are immutable after construction and safe to share across threads.
 
+A kernel is a graph's simple walk (``TransitionKernel(g)``): each step
+crosses an incident edge with probability proportional to its weight.
 Everything is held per arc, in O(V + E) memory: a graph keeps both
 directions of each edge as sorted (head, tail, weight) columns, the
-preset builders emit their edges as integer columns, and a transition
-kernel keeps one value per arc of its support.  The dense V x V kernel
+preset builders emit their edges as integer columns, and a kernel keeps
+one value per arc of its support.  The dense V x V kernel
 (``TransitionKernel.matrix``) is built only when it is read.
 
 An edge list is converted to columns in one pass (``_edge_columns``), and
@@ -304,50 +305,30 @@ class Graph:
 
 
 class TransitionKernel:
-    """Row-stochastic one-step law over a graph's nodes, stored sparse.
+    """The simple walk on a graph, stored sparse: each step crosses an
+    incident edge with probability weight / strength of its head.
 
     ``support`` holds the row and column indices of the positive entries,
-    sorted by row, then column, and ``values`` the entries themselves.
-    Rows must sum to 1 within 1e-12 and positive entries are only allowed
-    across edges of the originating graph.  ``matrix``, the dense V x V
-    array, is built on its first read; no engine that scales with V reads
-    it.
+    sorted by row, then column, and ``values`` the entries: one per arc,
+    less any arc whose probability underflows to 0 (its weight under
+    2^-1075 of its head's strength), so the support is directed only
+    there.  Rows must sum to 1 within 1e-12: a node on no edge is rejected.
+    ``matrix``, the dense V x V array, is built on its first read; no
+    engine that scales with V reads it.  Builds on a disconnected graph
+    too (see ``hitting._require_reachable`` and ``Graph.connected``).
     """
 
-    def __init__(self, matrix, origin: Graph):
-        m = np.array(matrix, dtype=float)
-        v = origin.node_count
-        if m.shape != (v, v):
-            raise InvalidParameterError("kernel shape must match node count")
-        heads, tails, _ = origin._arcs
-        values = m[heads, tails]
-        m[heads, tails] = 0.0  # what is left lies off the edges
-        self._set_values(origin, values, m)
-
-    @classmethod
-    def _from_values(cls, origin: Graph, values: np.ndarray) -> TransitionKernel:
-        """Kernel with entry ``values[a]`` on each arc ``a`` of ``origin``
-        and 0 off the edges, checked as the constructor checks a matrix."""
-        kernel = cls.__new__(cls)
-        kernel._set_values(origin, values, np.zeros((origin.node_count, 0)))
-        return kernel
-
-    def _set_values(self, origin: Graph, values: np.ndarray, off_edges: np.ndarray) -> None:
-        # off_edges: one row per node, holding its entries off the arcs
-        heads, tails, _ = origin._arcs
-        for entries in (values, off_edges):
-            if not np.all((entries >= 0.0) & (entries < np.inf)):
-                raise InvalidParameterError("kernel entries must be finite and nonnegative")
-        row_sums = np.bincount(heads, weights=values, minlength=origin.node_count) + off_edges.sum(axis=1)
+    def __init__(self, graph: Graph):
+        heads, tails, weights = graph._arcs
+        values = weights / graph.strengths()[heads]
+        row_sums = np.bincount(heads, weights=values, minlength=graph.node_count)
         if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
             raise InvalidParameterError("kernel rows must sum to 1 within 1e-12")
-        if np.any(off_edges):
-            raise InvalidParameterError("kernel support must lie on graph edges")
         positive = values > 0.0
         if not positive.all():
             heads, tails, values = heads[positive], tails[positive], values[positive]
         values.setflags(write=False)
-        self.origin = origin
+        self.origin = graph
         self.support = (heads, tails)
         self.values = values
         self._matrix = None
@@ -369,14 +350,9 @@ class TransitionKernel:
 
 
 def simple_walk_kernel(g: Graph) -> TransitionKernel:
-    """Walk that crosses each incident edge with probability proportional
-    to its weight (uniform over neighbors for unit weights).
-
-    Builds on a disconnected graph too: an answer that needs the target
-    reachable checks it (``hitting._require_reachable``, ``Graph.connected``).
-    """
-    heads, _, weights = g._arcs
-    return TransitionKernel._from_values(g, weights / g.strengths()[heads])
+    """The simple walk on ``g``, ``TransitionKernel(g)``: the kernel every
+    engine builds, under the name the benchmark's per-layer spans time."""
+    return TransitionKernel(g)
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +427,12 @@ def _hypercube_nodes(dim: int) -> int:
 
 
 def build_hypercube(dim: int) -> Graph:
-    """dim-dimensional hypercube; node index bits are the coordinates.
-
-    Labels are the binary strings of the indices, so e.g. dim=3 runs
-    "000" through "111" and nodes are adjacent at Hamming distance 1.
-    """
+    """dim-dimensional hypercube; node index bits are the coordinates, so
+    nodes are adjacent at Hamming distance 1 (no labels)."""
     n = _hypercube_nodes(dim)
     # node i and bit b with the bit clear in i, so that i < i ^ (1 << b)
     low, bit = np.nonzero(((np.arange(n)[:, None] >> np.arange(dim)) & 1) == 0)
-    labels = tuple(format(i, f"0{dim}b") for i in range(n))
-    return Graph._from_columns(n, low, low | (1 << bit), labels=labels)
+    return Graph._from_columns(n, low, low | (1 << bit))
 
 
 def _torus_nodes(p: int, diagonal: bool = False) -> int:
@@ -481,8 +453,7 @@ def _torus_graph(p: int, steps: list[tuple[int, int]]) -> Graph:
     a, b = np.divmod(np.arange(p * p), p)
     heads = np.tile(np.arange(p * p), len(steps))
     tails = np.concatenate([(a + da) % p * p + (b + db) % p for da, db in steps])
-    labels = tuple(f"({a},{b})" for a in range(p) for b in range(p))
-    return Graph._from_columns(p * p, heads, tails, labels=labels)
+    return Graph._from_columns(p * p, heads, tails)
 
 
 def build_torus_standard(p: int) -> Graph:

@@ -151,12 +151,7 @@ class AbsorbingSystem:
 
     def reduced_index(self, node: int) -> int:
         """Reduced row index of an original (non-target) node."""
-        try:
-            return self.index_map.index(node)
-        except ValueError:
-            raise InvalidParameterError(
-                f"node {node} is not a non-target state of this system"
-            ) from None
+        return _row_of(self.index_map, node)
 
     def step(self, vec: np.ndarray) -> np.ndarray:
         """Q @ vec: through the neighbour table when there is one, in
@@ -197,13 +192,13 @@ class PmfTable:
 
     def column(self, start: int) -> np.ndarray:
         """Series P(tau = 1), P(tau = 2), ... for one start node."""
-        return self.probs[:, self.states.index(start)]
+        return self.probs[:, _row_of(self.states, start)]
 
     def prob(self, start: int, n: int) -> float:
         """P(tau = n) for a start node; n >= 1 and within the horizon."""
         if n < 1 or n > self.horizon:
             raise InvalidParameterError(f"step {n} outside computed horizon")
-        return float(self.probs[n - 1, self.states.index(start)])
+        return float(self.probs[n - 1, _row_of(self.states, start)])
 
 
 @dataclass(frozen=True)
@@ -216,8 +211,19 @@ class MomentReport:
     states: tuple[int, ...]
 
     def for_state(self, node: int) -> tuple[float, float, float]:
-        i = self.states.index(node)
+        i = _row_of(self.states, node)
         return float(self.mean[i]), float(self.second[i]), float(self.variance[i])
+
+
+def _row_of(states: tuple[int, ...], node: int) -> int:
+    """Row of ``node`` among a system's or a table's ``states``."""
+    try:
+        return states.index(node)
+    except ValueError:
+        raise InvalidParameterError(
+            f"node {node} has no row: it is the target, out of range, or shares a lumped class with a smaller "
+            "node (a lumped table keeps one row per class, whose row lumped_absorbing's rows gives)"
+        ) from None
 
 
 def _require_reachable(
@@ -225,12 +231,15 @@ def _require_reachable(
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Raise :class:`NotConnectedError` unless every state can reach the target.
 
-    Decided exactly by a reverse search over the kernel support.  Returns
-    its levels (the fewest steps from each state to the target) and the
-    predecessor table (ptr, pred) it searched: the states with an arc into
-    state n are pred[ptr[n]:ptr[n+1]].  The kernel keeps the result for
-    the last target searched, so the answers of one query (the lumped
-    chain and Monte Carlo's check in ``compare``) share one search.
+    Decided exactly by a reverse search over the kernel support, which is
+    directed only where a step probability underflows to 0 (see
+    ``graphs.TransitionKernel``), and only there are the predecessors
+    searched by column.  Returns its levels (the fewest steps from each
+    state to the target) and the predecessor table (ptr, pred) it
+    searched: the states with an arc into state n are pred[ptr[n]:ptr[n+1]].
+    The kernel keeps the result for the last target searched, so the
+    answers of one query (the lumped chain and Monte Carlo's check in
+    ``compare``) share one search.
     """
     if kernel._search is not None and kernel._search[0] == target:
         return kernel._search[1]

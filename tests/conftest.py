@@ -29,6 +29,17 @@ def diamond_system(diamond):
     return hw.make_absorbing(hw.simple_walk_kernel(diamond), 0)
 
 
+# the path 0 - 1 - 2 whose step 1 -> 0 underflows: 1e-300 / (1e300 + 1e-300)
+# is 0 in float64, so the walk's support is directed, 0 -> 1 <-> 2, and
+# target 0 is unreachable from nodes 1 and 2
+UNDERFLOW_EDGES = ((0, 1, 1e-300), (1, 2, 1e300))
+
+
+@pytest.fixture
+def underflow_path():
+    return hw.Graph(3, UNDERFLOW_EDGES)
+
+
 def preset_zoo(max_nodes=None):
     """Small instances of every preset family, for sweep tests."""
     graphs = {

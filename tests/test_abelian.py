@@ -255,6 +255,13 @@ def test_closed_return_second_moment_matches_first_step_analysis(name, n):
     assert abs(closed - reference) <= 1e-12 * reference
 
 
+def test_group_walk_graph_carries_no_labels():
+    # node i is group.elements()[i]
+    group, law = ab.torus_standard_step_law(5)
+    g = ab.group_walk_graph(group, law)
+    assert g.node_count == group.order and g.labels is None
+
+
 @pytest.mark.parametrize(
     "name, n",
     [

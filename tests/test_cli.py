@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hitwalk import abelian, cli, graphs, hitting
 from hitwalk.cli import main
 
-from conftest import chang_graph, ehrenfest_pmf, exact_moments, exact_pmf
+from conftest import UNDERFLOW_EDGES, chang_graph, ehrenfest_pmf, exact_moments, exact_pmf
 
 
 def run_cli(capsys, *args):
@@ -913,6 +913,25 @@ def test_disconnected_graph_file_exits_3(capsys, tmp_path, query):
     code, out, err = run_cli(capsys, command, "--graph", graph, *options)
     assert (code, out) == (3, "")
     assert err.startswith("hitwalk: hypothesis violation: ")
+
+
+UNDERFLOW_QUERIES = {
+    "pmf": ["pmf", "--from", "2", "--to", "0"],
+    "moments": ["moments", "--from", "2", "--to", "0"],
+    "ctime": ["ctime", "--from", "2", "--to", "0", "--t-grid", "0:4:5"],
+    "simulate": ["simulate", "--from", "2", "--to", "0"],
+    "compare": ["compare", "--from", "2", "--to", "0"],
+    "pmf_spectral": ["pmf", "--from", "2", "--to", "0", "--engine", "spectral"],
+}
+
+
+@pytest.mark.parametrize("query", UNDERFLOW_QUERIES)
+def test_underflowed_step_leaves_the_target_unreachable(capsys, tmp_path, query):
+    # a connected file whose step 1 -> 0 underflows to 0 in float64
+    graph = _write_graph(tmp_path, 3, UNDERFLOW_EDGES)
+    command, *options = UNDERFLOW_QUERIES[query]
+    code, out, err = run_cli(capsys, command, "--graph", graph, *options)
+    assert (code, out, err) == (3, "", "hitwalk: hypothesis violation: target 0 unreachable from some state\n")
 
 
 @pytest.fixture

@@ -32,7 +32,7 @@ def tuple_bipartite(k1, k2):
 def tuple_hypercube(dim):
     n = 1 << dim
     edges = [(i, i ^ (1 << b)) for i in range(n) for b in range(dim) if i < i ^ (1 << b)]
-    return hw.Graph(n, tuple(edges), labels=tuple(format(i, f"0{dim}b") for i in range(n)))
+    return hw.Graph(n, tuple(edges))
 
 
 def tuple_torus(p, steps):
@@ -44,8 +44,7 @@ def tuple_torus(p, steps):
                 j = ((a + da) % p) * p + (b + db) % p
                 if i != j:
                     edges.add((min(i, j), max(i, j)))
-    labels = tuple(f"({a},{b})" for a in range(p) for b in range(p))
-    return hw.Graph(p * p, tuple(sorted(edges)), labels=labels)
+    return hw.Graph(p * p, tuple(sorted(edges)))
 
 
 def dense_walk(g):
@@ -88,7 +87,7 @@ def test_array_builders_match_tuple_builders(name, params, reference):
     assert g.edges == reference.edges
     for got, want in zip(g._arcs, reference._arcs):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert g.labels == reference.labels
+    assert g.labels is None
     assert g.connected == reference.connected
     assert g == reference and hash(g) == hash(reference) and repr(g) == repr(reference)
     kernel = hw.simple_walk_kernel(g)
@@ -123,42 +122,6 @@ def test_kernel_stores_arc_values(diamond):
         kernel.matrix = np.eye(4)
     with pytest.raises(ValueError):
         kernel.values[0] = 1.0
-
-
-def test_dense_constructor_keeps_positive_entries_only(diamond):
-    # the 0-1 arc carries no mass, so it leaves the support
-    m = np.array([[0, 0, 1, 0], [0.5, 0, 0, 0.5], [0.25, 0.25, 0, 0.5], [0, 0.5, 0.5, 0]])
-    kernel = TransitionKernel(m, diamond)
-    assert [tuple(a.tolist()) for a in kernel.support] == [(0, 1, 1, 2, 2, 2, 3, 3), (2, 0, 3, 0, 1, 3, 1, 2)]
-    assert np.array_equal(kernel.matrix, m)
-
-
-@pytest.mark.parametrize(
-    "change, message",
-    [
-        (lambda m: m[:3], "kernel shape must match node count"),
-        (lambda m: m - _at(0, 1, 1.0, 4), "kernel entries must be finite and nonnegative"),
-        (lambda m: m + _at(0, 3, -0.1, 4), "kernel entries must be finite and nonnegative"),  # off the edges
-        (lambda m: m + _at(1, 2, np.nan, 4), "kernel entries must be finite and nonnegative"),
-        (lambda m: m + _at(2, 2, np.inf, 4), "kernel entries must be finite and nonnegative"),
-        (lambda m: m + _at(1, 2, 1e-11, 4), "kernel rows must sum to 1 within 1e-12"),
-        (lambda m: m + _at(0, 3, 0.5, 4), "kernel rows must sum to 1 within 1e-12"),  # off the edges
-        (lambda m: m - _at(0, 1, 0.25, 4) + _at(0, 3, 0.25, 4), "kernel support must lie on graph edges"),
-        (lambda m: m - _at(0, 1, 0.25, 4) + _at(0, 0, 0.25, 4), "kernel support must lie on graph edges"),
-    ],
-)
-def test_dense_constructor_messages(diamond, change, message):
-    m = dense_walk(diamond)
-    TransitionKernel(m, diamond)  # unchanged, it is a kernel
-    with pytest.raises(InvalidParameterError) as info:
-        TransitionKernel(change(m), diamond)
-    assert str(info.value) == message
-
-
-def _at(i, j, x, n):
-    out = np.zeros((n, n))
-    out[i, j] = x
-    return out
 
 
 def test_simple_walk_kernel_checks_row_sums():

@@ -52,13 +52,13 @@ def test_first_step_identity_on_presets():
             assert gap.max() <= 1e-12, name
 
 
-def test_make_absorbing_unreachable_target():
-    g = hw.Graph(3, ((0, 1), (1, 2)))
-    kernel = hw.TransitionKernel(
-        np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]]), g
-    )
-    with pytest.raises(NotConnectedError):
+def test_make_absorbing_unreachable_target(underflow_path):
+    kernel = hw.simple_walk_kernel(underflow_path)
+    # the underflowed arc 1 -> 0 leaves the support
+    assert [a.tolist() for a in kernel.support] == [[0, 1, 2], [1, 2, 1]]
+    with pytest.raises(NotConnectedError, match="^target 0 unreachable from some state$"):
         hw.make_absorbing(kernel, 0)
+    assert hw.make_absorbing(kernel, 2).size == 2  # every state reaches 2
 
 
 # --- lumped systems -----------------------------------------------------------
@@ -273,14 +273,29 @@ def test_equal_sums_of_different_probabilities_stay_exact():
     _assert_lumped_matches_make_absorbing(kernel, 0)
 
 
-def test_lumped_absorbing_rejects_what_make_absorbing_rejects():
+def test_lumped_absorbing_rejects_what_make_absorbing_rejects(underflow_path):
     kernel = hw.simple_walk_kernel(hw.build_cycle(5))
     with pytest.raises(InvalidParameterError, match="out of range"):
         hw.lumped_absorbing(kernel, 5)
-    g = hw.Graph(3, ((0, 1), (1, 2)))
-    one_way = hw.TransitionKernel(np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]]), g)
     with pytest.raises(NotConnectedError):
-        hw.lumped_absorbing(one_way, 0)
+        hw.lumped_absorbing(hw.simple_walk_kernel(underflow_path), 0)
+
+
+def test_lumped_rows_are_looked_up_by_class():
+    # on C_8 to node 0, node 7 shares node 1's class and has no row of its own
+    system, rows = hw.lumped_absorbing(hw.simple_walk_kernel(hw.build_cycle(8)), 0)
+    assert rows[7] == rows[1] == system.reduced_index(1)
+    table, report = hw.pmf(system, 5), hw.moments(system)
+    message = r"^node 7 has no row: .*a lumped table keeps one row per class, whose row lumped_absorbing's rows gives"
+    for lookup in (
+        lambda: system.reduced_index(7),
+        lambda: table.column(7),
+        lambda: table.prob(7, 1),
+        lambda: report.for_state(7),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            lookup()
+    assert table.column(1)[:2].tolist() == [0.5, 0.0]
 
 
 # --- preset quotients in closed form ------------------------------------------

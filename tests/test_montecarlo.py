@@ -377,12 +377,11 @@ def test_simulate_without_table_keeps_memory_of_the_row_tables():
     assert peak < 4 * 2**20, peak
 
 
-def test_unreachable_target_rejected_before_walking():
-    # 0 -> 1, 1 -> 0, 2 -> 1: node 2 cannot be reached from 0 or 1
-    g = hw.build_path(3)
-    kernel = hw.TransitionKernel([[0, 1, 0], [1, 0, 0], [0, 1, 0]], g)
+def test_unreachable_target_rejected_before_walking(underflow_path):
+    # the step 1 -> 0 underflows to 0, so 0 -> 1 <-> 2 never returns to 0
+    kernel = hw.simple_walk_kernel(underflow_path)
     with pytest.raises(NotConnectedError):
-        hw.simulate(kernel, 0, 2, hw.SimConfig(trials=10, master_seed=1, step_cap=50))
+        hw.simulate(kernel, 2, 0, hw.SimConfig(trials=10, master_seed=1, step_cap=50))
 
 
 def test_different_seeds_differ():
