@@ -259,12 +259,14 @@ def _cmd_ctime(args) -> dict:
     problem = _problem(args)
     starts = _starts(problem)
     system, rows = problem.lumped
-    ev = ct_evaluate(system, _parse_grid(args.t_grid), args.tol)
+    # recombine each reported class once, whichever starts share it
+    reported, column = np.unique(rows[starts], return_inverse=True)
+    ev = ct_evaluate(system, _parse_grid(args.t_grid), args.tol, reported)
     columns = ["t"]
     for s in starts:
         columns += [f"cdf_{s}", f"pdf_{s}"]
     # cdf and pdf columns interleaved, one pair per start
-    values = np.stack([ev.cdf[:, rows[starts]], ev.pdf[:, rows[starts]]], axis=2)
+    values = np.stack([ev.cdf[:, column], ev.pdf[:, column]], axis=2)
     table = np.column_stack([ev.times, values.reshape(len(ev.times), -1)])
     payload = {
         "truncation": ev.truncation,

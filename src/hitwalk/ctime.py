@@ -75,11 +75,12 @@ def _truncation_index(t: float, tol: float) -> int:
 
 @dataclass(frozen=True)
 class CTimeEvaluation:
-    """CDF and PDF values on a time grid, one column per row of the
-    absorbing system (a start state, or a class of them when lumped)."""
+    """CDF and PDF values on a time grid, one column per reported row of
+    the absorbing system (a start state, or a class of them when lumped);
+    ``states`` holds each column's state, as the system's index_map does."""
 
     times: np.ndarray
-    cdf: np.ndarray  # (len(times), system size)
+    cdf: np.ndarray  # (len(times), reported rows)
     pdf: np.ndarray
     truncation: int
     states: tuple[int, ...]
@@ -97,18 +98,26 @@ def ct_evaluate(
     system: AbsorbingSystem,
     times,
     tol: float = 1e-9,
+    rows=None,
 ) -> CTimeEvaluation:
     """Evaluate CDF and PDF on a grid, sharing the Q-power sequence.
 
-    The discrete vectors Q^n P1 and their partial sums are computed once
-    up to the truncation index of the largest time; each grid point then
-    only recombines them with its own Poisson weights.
+    The discrete vectors Q^n P1 are computed once up to the truncation
+    index of the largest time, for every row of the system; the partial
+    sums and the Poisson-weighted recombination then run only over the
+    system ``rows`` reported (every row by default, repeats allowed), one
+    column each: a single row is recombined by matrix-vector products.
     """
     times = np.array([float(t) for t in times])
     if times.size == 0:
         raise InvalidParameterError("need at least one time point")
+    if not np.all(np.isfinite(times)):
+        raise InvalidParameterError("times must be finite")
     if np.any(times < 0.0):
         raise InvalidParameterError("times must be nonnegative")
+    rows = np.arange(system.size) if rows is None else np.asarray(rows, dtype=np.intp)
+    if np.any((rows < 0) | (rows >= system.size)):
+        raise InvalidParameterError(f"rows must lie in 0..{system.size - 1}")
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError("tol must be in (0, 1)")
     t_max = float(times.max())
@@ -117,13 +126,13 @@ def ct_evaluate(
         # is at least t - ln 2 (Choi, Proc. AMS 121(1), 1994): the pmf table
         # holds at least that many rows, so claim them (np.empty touches no
         # page) before the search for the truncation index
-        rows = max(math.ceil(t_max - math.log(2.0)), 0) + 1
-        _require_array_size(rows * system.size, "pmf table")
-        np.empty((rows, system.size))
+        median = max(math.ceil(t_max - math.log(2.0)), 0) + 1
+        _require_array_size(median * system.size, "pmf table")
+        np.empty((median, system.size))
     n_max = _truncation_index(t_max, tol)
-    vectors = pmf(system, n_max + 1, stop_early=False).probs  # row n is Q^n P1
+    vectors = pmf(system, n_max + 1, stop_early=False).probs[:, rows]  # row n is Q^n P1
     # partial[n] = sum_{k=1..n} Q^{k-1} P1 = P(hit within n steps)
-    partial = np.vstack([np.zeros(system.size), np.cumsum(vectors, axis=0)[:-1]])
+    partial = np.vstack([np.zeros(len(rows)), np.cumsum(vectors, axis=0)[:-1]])
     weights = _poisson_weights(times, n_max)
     cdf_rows = np.clip(weights @ partial, 0.0, None)
     pdf_rows = np.clip(weights @ vectors, 0.0, None)
@@ -132,7 +141,7 @@ def ct_evaluate(
         cdf=cdf_rows,
         pdf=pdf_rows,
         truncation=n_max,
-        states=system.index_map,
+        states=tuple(system.index_map[r] for r in rows.tolist()),
     )
 
 

@@ -320,9 +320,17 @@ class TransitionKernel:
 
     def __init__(self, graph: Graph):
         heads, tails, weights = graph._arcs
-        values = weights / graph.strengths()[heads]
+        strengths = graph.strengths()
+        values = weights / strengths[heads]
         row_sums = np.bincount(heads, weights=values, minlength=graph.node_count)
         if np.max(np.abs(row_sums - 1.0)) > ROW_SUM_TOL:
+            # finite weights whose sum overflows leave every step out of
+            # their node 0, a row that sums to 0
+            overflow = np.flatnonzero(np.isinf(strengths))
+            if overflow.size:
+                raise InvalidParameterError(
+                    f"node {overflow[0]}: the sum of its edge weights overflows float64"
+                )
             raise InvalidParameterError("kernel rows must sum to 1 within 1e-12")
         positive = values > 0.0
         if not positive.all():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hitwalk import abelian, cli, graphs, hitting
+from hitwalk import abelian, cli, ctime, graphs, hitting
 from hitwalk.cli import main
 
 from conftest import UNDERFLOW_EDGES, chang_graph, ehrenfest_pmf, exact_moments, exact_pmf
@@ -171,6 +171,19 @@ def test_ctime_grid_monotone(capsys):
     cdf = [row[1] for row in doc["payload"]["table"]["rows"]]
     assert all(b >= a - 1e-12 for a, b in zip(cdf, cdf[1:]))
     assert cdf[-1] > 0.95
+
+
+def test_ctime_without_from_is_the_full_evaluation_at_every_start(capsys):
+    # the CLI recombines each class once; the columns are the full
+    # evaluation's, each start reading its class's
+    doc = run_json(capsys, "ctime", "--preset", "torus_std:5", "--to", "0", "--t-grid", "0:30:7")
+    system, rows = cli._Problem(cli._parse_preset("torus_std:5"), None, 0).lumped
+    full = ctime.ct_evaluate(system, np.linspace(0.0, 30.0, 7), 1e-9)
+    starts = list(range(1, 25))
+    assert doc["payload"]["table"]["columns"] == ["t", *(f"{f}_{s}" for s in starts for f in ("cdf", "pdf"))]
+    want = np.stack([full.cdf[:, rows[starts]], full.pdf[:, rows[starts]]], axis=2).reshape(7, -1)
+    got = np.array(doc["payload"]["table"]["rows"])[:, 1:]
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "nan:nan:3", "inf:1:3", "0:inf:3", "inf:inf:3", "-inf:1:3"])
@@ -859,6 +872,16 @@ def test_exit_code_graph_file_with_converted_values(capsys, tmp_path):
     code, out, err = run_cli(capsys, "moments", "--graph", str(path), "--to", "0")
     assert code == 2 and out == ""
     assert err == "hitwalk: invalid input: bad edge entry [0, 1.7]: endpoints must be integers\n"
+
+
+def test_graph_file_whose_strength_overflows_names_the_node(capsys, tmp_path):
+    # each weight is finite, but node 0's sum overflows to inf, which left
+    # its steps 0 and only a row-sum message
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"nodes": 3, "edges": [[0, 1, 1e308], [0, 2, 1e308]]}))
+    code, out, err = run_cli(capsys, "pmf", "--graph", str(path), "--from", "1", "--to", "0")
+    assert (code, out) == (2, "")
+    assert err == "hitwalk: invalid input: node 0: the sum of its edge weights overflows float64\n"
 
 
 _TOO_LARGE = "graph too large: {} nodes, at most 3037000499 supported"

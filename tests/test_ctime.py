@@ -93,6 +93,32 @@ def test_pdf_normalizes_by_quadrature():
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
+# --- reported rows -----------------------------------------------------------------
+
+def test_chosen_rows_are_those_columns_of_the_full_evaluation():
+    system = system_for(hw.build_torus_standard(5))
+    times = np.linspace(0.0, 60.0, 9)
+    full = hw.ct_evaluate(system, times)
+    for rows in ([3], [7, 0, 7, 23], list(range(system.size))[::-1]):
+        part = hw.ct_evaluate(system, times, rows=rows)
+        assert part.truncation == full.truncation
+        assert part.states == tuple(system.index_map[r] for r in rows)
+        for got, want in ((part.cdf, full.cdf[:, rows]), (part.pdf, full.pdf[:, rows])):
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+def test_rows_outside_the_system_are_invalid():
+    with pytest.raises(InvalidParameterError, match="rows must lie in 0..4"):
+        hw.ct_evaluate(system_for(hw.build_cycle(6)), [1.0], rows=[0, 5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_times_are_invalid(bad):
+    # int(nan) raised a bare ValueError here, and int(inf) OverflowError
+    with pytest.raises(InvalidParameterError, match="times must be finite"):
+        hw.ct_evaluate(k2_system(), [1.0, bad])
+
+
 # --- moment identities ----------------------------------------------------------------
 
 def test_ct_mean_equals_discrete_mean_everywhere():

@@ -399,6 +399,76 @@ def test_pmf_residual_small_at_quadratic_horizon():
         assert table.residual.max() < 1e-8
 
 
+def _one_row_loop(system, horizon):
+    """pmf's table and residual stepped one row at a time, as a reference."""
+    probs = np.empty((horizon, system.size))
+    probs[0] = system.first_step
+    residual = 1.0 - probs[0]
+    for n in range(1, horizon):
+        probs[n] = system.step(probs[n - 1])
+        residual -= probs[n]
+    return probs, residual
+
+
+def _assert_blocked_matches_loop(blocked, loop):
+    """Same rows produced, the unblocked head bit for bit, and every term
+    of at least 1e-300 within 1e-12 relative."""
+    assert blocked.horizon == loop.horizon
+    assert np.array_equal(blocked.probs[: hitting._BLOCK], loop.probs[: hitting._BLOCK])
+    kept = loop.probs >= 1e-300
+    assert np.all(np.abs(blocked.probs[kept] - loop.probs[kept]) <= 1e-12 * loop.probs[kept])
+    assert np.all(blocked.probs[~kept] < 1e-300)
+
+
+@given(
+    nodes=st.integers(min_value=2, max_value=12),
+    extra=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    horizon=st.integers(min_value=1, max_value=1500),
+    stop_early=st.booleans(),
+    lump=st.booleans(),
+)
+def test_blocked_pmf_matches_the_one_row_loop(nodes, extra, seed, horizon, stop_early, lump):
+    kernel, target = _random_weighted_walk(nodes, extra, seed)
+    system = hw.lumped_absorbing(kernel, target)[0] if lump else hw.make_absorbing(kernel, target)
+    blocked = hw.pmf(system, horizon, stop_early=stop_early)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hitting, "_BLOCK_MAX_STATES", 0)
+        loop = hw.pmf(system, horizon, stop_early=stop_early)
+    _assert_blocked_matches_loop(blocked, loop)
+
+
+@pytest.mark.parametrize("preset", ["torus_std:31", "cycle:300", "hypercube:10", "bipartite:20:40"])
+def test_blocked_pmf_matches_the_one_row_loop_on_lumped_presets(preset, monkeypatch):
+    system = cli._Problem(cli._parse_preset(preset), None, 0).lumped[0]
+    assert system.size <= hitting._BLOCK_MAX_STATES
+    blocked = hw.pmf(system, 2000)
+    monkeypatch.setattr(hitting, "_BLOCK_MAX_STATES", 0)
+    _assert_blocked_matches_loop(blocked, hw.pmf(system, 2000))
+
+
+@pytest.mark.parametrize(
+    "nodes, horizon",
+    [(hitting._BLOCK_MAX_STATES + 2, 300), (40, 2 * hitting._BLOCK)],
+    ids=["states_over_block_max", "horizon_at_two_blocks"],
+)
+def test_pmf_outside_the_blocked_range_is_the_one_row_loop(nodes, horizon):
+    # a cycle's plain absorbing system has nodes - 1 states; past the
+    # block limit or at short horizons pmf steps every row, bit for bit
+    system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(nodes)), 0)
+    table = hw.pmf(system, horizon, stop_early=False)
+    probs, residual = _one_row_loop(system, horizon)
+    assert np.array_equal(table.probs, probs) and np.array_equal(table.residual, residual)
+
+
+def test_blocked_pmf_rows_do_not_depend_on_the_horizon():
+    # the last block is always a full product, so a longer table extends
+    # a shorter one bit for bit
+    system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_torus_standard(5)), 0)
+    short, long = (hw.pmf(system, h, stop_early=False) for h in (97, 200))
+    assert np.array_equal(short.probs, long.probs[:97])
+
+
 def _weighted_cycle_file(tmp_path):
     rng = np.random.default_rng(5)
     edges = [[i, (i + 1) % 30, float(w)] for i, w in enumerate(rng.uniform(0.1, 3.0, 30))]
