@@ -165,8 +165,11 @@ def _starts(problem: _Problem) -> list[int]:
 # P(tau = n), n = 1..horizon, from the problem's start, by each engine.
 
 def _direct(problem: _Problem, horizon: int) -> np.ndarray:
+    # refuse a horizon whose document table (n and P(tau = n) in each of
+    # horizon rows) is past any array before the one-column pmf allocates
+    _require_array_size(2 * horizon, "pmf table")
     system, rows = problem.lumped
-    return ht.pmf(system, horizon, stop_early=False).probs[:, rows[problem.start]]
+    return ht.pmf(system, horizon, stop_early=False, rows=[rows[problem.start]]).probs[:, 0]
 
 
 def _fourier(problem: _Problem, horizon: int) -> np.ndarray:

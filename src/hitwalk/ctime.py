@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .graphs import _require_array_size
-from .hitting import AbsorbingSystem, pmf
+from .hitting import AbsorbingSystem, _reported_rows, pmf
 from .linalg import solve
 
 __all__ = ["CTimeEvaluation", "ct_moments", "ct_evaluate"]
@@ -36,13 +36,17 @@ def _poisson_weights(times: np.ndarray, n_max: int) -> np.ndarray:
     """pois(n; t) for every t in ``times`` (rows) and n = 0..n_max (columns).
 
     One log-space pass, with the same operations in the same order as
-    :func:`_poisson_weight`, so the two agree to the last bits of exp.
+    :func:`_poisson_weight`, so the two agree to the last bits of exp; in
+    place, in the one (times x terms) array returned.
     """
     n = np.arange(n_max + 1, dtype=float)
     log_factorial = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
     positive = times > 0.0
     log_t = np.array([math.log(t) if t > 0.0 else 0.0 for t in times])
-    weights = np.exp(n * log_t[:, None] - times[:, None] - log_factorial)
+    weights = np.multiply.outer(log_t, n)
+    weights -= times[:, None]
+    weights -= log_factorial
+    np.exp(weights, out=weights)
     weights[~positive] = n == 0  # t = 0: all mass at n = 0
     return weights
 
@@ -103,10 +107,11 @@ def ct_evaluate(
     """Evaluate CDF and PDF on a grid, sharing the Q-power sequence.
 
     The discrete vectors Q^n P1 are computed once up to the truncation
-    index of the largest time, for every row of the system; the partial
-    sums and the Poisson-weighted recombination then run only over the
-    system ``rows`` reported (every row by default, repeats allowed), one
-    column each: a single row is recombined by matrix-vector products.
+    index of the largest time, by :func:`hitting.pmf` on the system
+    ``rows`` reported (every row by default, repeats allowed), which holds
+    only those rows' entries; the partial sums and the Poisson-weighted
+    recombination run over the same rows, one column each: a single row
+    is recombined by matrix-vector products.
     """
     times = np.array([float(t) for t in times])
     if times.size == 0:
@@ -115,9 +120,7 @@ def ct_evaluate(
         raise InvalidParameterError("times must be finite")
     if np.any(times < 0.0):
         raise InvalidParameterError("times must be nonnegative")
-    rows = np.arange(system.size) if rows is None else np.asarray(rows, dtype=np.intp)
-    if np.any((rows < 0) | (rows >= system.size)):
-        raise InvalidParameterError(f"rows must lie in 0..{system.size - 1}")
+    width = system.size if rows is None else len(_reported_rows(system, rows))
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError("tol must be in (0, 1)")
     t_max = float(times.max())
@@ -127,12 +130,15 @@ def ct_evaluate(
         # holds at least that many rows, so claim them (np.empty touches no
         # page) before the search for the truncation index
         median = max(math.ceil(t_max - math.log(2.0)), 0) + 1
-        _require_array_size(median * system.size, "pmf table")
-        np.empty((median, system.size))
+        _require_array_size(median * width, "pmf table")
+        np.empty((median, width))
     n_max = _truncation_index(t_max, tol)
-    vectors = pmf(system, n_max + 1, stop_early=False).probs[:, rows]  # row n is Q^n P1
+    table = pmf(system, n_max + 1, stop_early=False, rows=rows)
+    # row n is Q^n P1; column-major, one reported row's series contiguous
+    # for the products below (and so they round as they always have)
+    vectors = np.asfortranarray(table.probs)
     # partial[n] = sum_{k=1..n} Q^{k-1} P1 = P(hit within n steps)
-    partial = np.vstack([np.zeros(len(rows)), np.cumsum(vectors, axis=0)[:-1]])
+    partial = np.vstack([np.zeros(width), np.cumsum(vectors, axis=0)[:-1]])
     weights = _poisson_weights(times, n_max)
     cdf_rows = np.clip(weights @ partial, 0.0, None)
     pdf_rows = np.clip(weights @ vectors, 0.0, None)
@@ -141,7 +147,7 @@ def ct_evaluate(
         cdf=cdf_rows,
         pdf=pdf_rows,
         truncation=n_max,
-        states=tuple(system.index_map[r] for r in rows.tolist()),
+        states=table.states,
     )
 
 

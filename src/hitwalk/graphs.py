@@ -392,12 +392,16 @@ def build_cycle(k: int) -> Graph:
     return Graph._from_columns(k, nodes, (nodes + 1) % k)
 
 
-def build_path(k: int) -> Graph:
-    """Path graph on k >= 2 sequentially connected nodes."""
+def _path_nodes(k: int) -> int:
     if k < 2:
         raise InvalidParameterError("path needs k >= 2")
     _require_array_size(2 * k, "path")
-    nodes = np.arange(k - 1)
+    return k
+
+
+def build_path(k: int) -> Graph:
+    """Path graph on k >= 2 sequentially connected nodes."""
+    nodes = np.arange(_path_nodes(k) - 1)
     return Graph._from_columns(k, nodes, nodes + 1)
 
 
@@ -511,6 +515,34 @@ def _cycle_classes(k: int, target: int) -> tuple:
     d = np.arange(1, half + 1)
     reps = np.minimum((target + d) % k, (target - d) % k)
     return reps, key, *_neighbour_arcs(key, [(reps - 1) % k, (reps + 1) % k])
+
+
+def _path_classes(k: int, target: int) -> tuple:
+    """Class d - 1: the nodes d steps from the target, when it is the
+    centre of an odd path; else every node is a class of its own (the far
+    end of the longer side parts each pair of nodes at one distance, as
+    the refinement finds).  A class's smallest node steps to each
+    neighbour with probability 1 / its degree."""
+    centre = 2 * target + 1 == k
+    _require_array_size((target if centre else k - 1) ** 2, "lumped chain")
+    if centre:
+        reps = target - np.arange(1, target + 1)
+
+        def key(nodes):
+            return np.abs(nodes - target) - 1
+
+    else:
+        reps = np.delete(np.arange(k), target)
+
+        def key(nodes):
+            return np.where(nodes == target, -1, nodes - (nodes > target))
+
+    classes = np.arange(len(reps))
+    left, right = reps > 0, reps < k - 1
+    prob = 1 / (left.astype(float) + right)
+    head = np.concatenate([classes[left], classes[right]])
+    tail = key(np.concatenate([reps[left] - 1, reps[right] + 1]))
+    return reps, key, head, tail, np.ones(len(head), np.intp), np.concatenate([prob[left], prob[right]])
 
 
 def _complete_classes(k: int, target: int) -> tuple:
@@ -646,7 +678,7 @@ class _Family(NamedTuple):
 # each preset family once, under its name
 _PRESETS = {
     "cycle": _Family(build_cycle, (_cycle_nodes, _cycle_classes), "cycle_step_law"),
-    "path": _Family(build_path),
+    "path": _Family(build_path, (_path_nodes, _path_classes)),
     "complete": _Family(build_complete, (_complete_nodes, _complete_classes), "complete_step_law"),
     "bipartite": _Family(build_complete_bipartite, (_bipartite_nodes, _bipartite_classes)),
     "hypercube": _Family(build_hypercube, (_hypercube_nodes, _hypercube_classes), "hypercube_step_law"),

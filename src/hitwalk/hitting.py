@@ -33,7 +33,8 @@ On the symmetric preset families the classes are known in closed form
 complete and complete bipartite graphs and hypercubes, whose intersection
 arrays give the quotient (Brouwer, Cohen & Neumaier, Distance-Regular
 Graphs, 1989, section 4.1; on the hypercube it is the Ehrenfest urn, Kac
-1947), and the orbits of the target's stabilizer on the tori.
+1947), the orbits of the target's stabilizer on the tori, and on paths
+the pairs about a centre target or else single nodes.
 :func:`_preset_lumped` builds the system from them through the same tail
 as the refinement's (:func:`_system`), so the two give the same Q, P1 and
 index map, bit for bit, and the closed form needs no graph.
@@ -88,23 +89,36 @@ _IDENTITY_TOL = 1e-12
 _SPARSE_ROW_FRACTION = 10
 
 # pmf steps its first _BLOCK rows one at a time, then fills each later
-# block of _BLOCK rows with one product by (Q^_BLOCK)^T, Q^_BLOCK taken
-# by log2(_BLOCK) squarings (baby steps and giant steps, Paterson &
-# Stockmeyer, SIAM J. Comput. 2(1), 1973): N/_BLOCK + _BLOCK + 5 numpy
-# calls instead of N.  The squarings and the block products cost
-# O(states^3) and O(states^2) a row where a step costs O(states * width),
-# so it takes only systems of at most _BLOCK_MAX_STATES states, and only
-# horizons over 2 * _BLOCK.  Best time of one 2000-row table (ms, one BLAS
-# thread, 2-core x86-64), lumped to node 0:
-#                   states   one row at a time   blocked
-#   hypercube:10        10          7.2             1.0
-#   torus_std:31       135         18.0             5.8
-#   cycle:300          150         16.2             6.9
-#   torus_std:41       230         22.3            13.5
-#   torus_std:47       299         23.3            22.2
-#   cycle:600          300         21.1            22.9
-#   torus_std:51       350         25.7            33.4
-# The block's relative error grows by about 4 units of roundoff a block
+# block of _BLOCK rows from Q^_BLOCK, taken by log2(_BLOCK) squarings
+# (baby steps and giant steps, Paterson & Stockmeyer, SIAM J. Comput.
+# 2(1), 1973): N/_BLOCK + _BLOCK + 5 numpy calls instead of N.  With
+# _BLOCK or more rows reported, each block is the one before it times
+# (Q^_BLOCK)^T (column blocks), O(states^2) a row; that takes only systems
+# of at most _BLOCK_MAX_STATES states.  With fewer, only the reported rows
+# of Q^(_BLOCK b) step on, one product a block, and times the first block
+# give block b (giant steps), O(reported * states^2 / _BLOCK) a row; their
+# O(states^3) squarings then compete with the loop's O(states * width)
+# steps alone, so giant steps take systems with states^3 at most
+# _GIANT_STEP_RATIO * horizon.  Either way only horizons over 2 * _BLOCK.
+# Best time of one 2000-row table (ms, one BLAS thread, 2-core x86-64),
+# lumped to node 0, every start and one start:
+#                   states   every start: loop  blocked   one start: loop  giant
+#   hypercube:10        10                  3.6      0.7                5.4    0.5
+#   torus_std:31       135                  9.9      4.4                9.7    1.3
+#   cycle:300          150                  8.9      5.1                8.9    1.4
+#   torus_std:41       230                 13.5     12.7               12.0    4.5
+#   torus_std:47       299                 16.3     15.5               14.1    6.1
+#   cycle:600          300                 15.4     14.9               12.9    7.5
+#   torus_std:51       350                 16.6     18.9               16.7    9.3
+# For one start the two routes break even where the squarings' cost meets
+# the loop's, near states^3 = 2.5e4 * horizon from 100 to 1000 states
+# (ms, one start, giant steps against the loop):
+#   states  100: horizon   65  0.57 / 0.53, horizon   100  0.55 / 0.74
+#   states  230: horizon  200  3.81 / 2.24, horizon   500  4.15 / 5.36
+#   states  405: horizon 1500 18.6 / 19.4,  horizon  5000  23.9 / 63.3
+#   states  665: horizon 5000 71.2 / 48.1,  horizon 20000 155 / 219
+#   states 1000: horizon 20000 409 / 350,   horizon 50000 773 / 759
+# A block's relative error grows by about 4 units of roundoff a block
 # (Q^_BLOCK is rounded once and applied again each block), where the
 # loop's grows more slowly: against a long-double reference, 20000-row
 # tables on complete:50, bipartite:20:40 and hypercube:10 are 1.6e-13 to
@@ -112,6 +126,7 @@ _SPARSE_ROW_FRACTION = 10
 # 200000-row table on complete:500 1.2e-12 and 2.4e-14 off.
 _BLOCK = 32
 _BLOCK_MAX_STATES = 256
+_GIANT_STEP_RATIO = 25_000
 
 # brute_pmf enumerates degree^n trajectories, so it only takes instances
 # this small.
@@ -559,68 +574,116 @@ def _is_equitable(kernel, colour, out_ptr, code, n_codes: int) -> bool:
     return np.array_equal(key, key[np.arange(len(key)) + (first[lead] - first)[heads]])
 
 
-def pmf(system: AbsorbingSystem, horizon: int, stop_early: bool = True) -> PmfTable:
+def _reported_rows(system: AbsorbingSystem, rows) -> np.ndarray:
+    """``rows`` as an index array, each checked to be a row of ``system``."""
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    if rows.size == 0 or np.any((rows < 0) | (rows >= system.size)):
+        raise InvalidParameterError(f"rows must lie in 0..{system.size - 1}, at least one of them")
+    return rows
+
+
+def pmf(system: AbsorbingSystem, horizon: int, stop_early: bool = True, rows=None) -> PmfTable:
     """Iterate P_n = Q^{n-1} P1 for n = 1..horizon.
 
-    With ``stop_early`` the iteration ends once every start has residual
-    mass below ``SERIES_TAIL``; the table records how many steps were
-    actually produced.
+    The table reports the system ``rows`` given (every row by default,
+    repeats allowed), one column each, and ``states`` names each column's
+    state.  With ``stop_early`` the iteration ends once every reported row
+    has residual mass below ``SERIES_TAIL``; the table records how many
+    steps were actually produced.
 
-    Rows are stepped one at a time, except on systems of at most
-    ``_BLOCK_MAX_STATES`` states and horizons over 2 * ``_BLOCK``: there
-    rows from ``_BLOCK`` on come in blocks, each block the one before it
-    times (Q^_BLOCK)^T; rows 0 .. _BLOCK - 1 are the loop's, bit for bit.
-    Either way every term is a sum of products of non-negative numbers,
-    so it keeps its relative accuracy down to the smallest normal double
-    (2.2e-308), a blocked term's error growing by a few units of roundoff
-    a block (see ``_BLOCK``); below that, where the one-row loop leaves
-    subnormal terms, a block product can round them to 0.
+    Rows are stepped one at a time, for every state, storing the reported
+    columns.  Over 2 * ``_BLOCK`` rows, later rows come in blocks of
+    ``_BLOCK`` from Q^_BLOCK instead, rows 0 .. _BLOCK - 1 being the
+    loop's, bit for bit (see ``_BLOCK`` for where each route runs): with
+    fewer than ``_BLOCK`` rows reported, the reported rows of Q^(_BLOCK b)
+    step on by one product a block and times the first block give block b
+    (giant steps); otherwise each block of every state is the block before
+    it times (Q^_BLOCK)^T (column blocks).  Either way every term is a
+    sum of products of non-negative numbers, so it keeps its relative
+    accuracy down to the smallest normal double (2.2e-308), a blocked
+    term's error growing by a few units of roundoff a block (see
+    ``_BLOCK``); below that, where the one-row loop leaves subnormal
+    terms, a block product can round them to 0.  The table holds
+    horizon x (reported rows) numbers, and the blocked routes O(states^2)
+    more.
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    _require_array_size(horizon * system.size, "pmf table")
-    probs = np.empty((horizon, system.size))
-    probs[0] = system.first_step
+    cols = slice(None) if rows is None else _reported_rows(system, rows)
+    width = system.size if rows is None else len(cols)
+    _require_array_size(horizon * width, "pmf table")
+    if horizon <= 2 * _BLOCK:
+        blocks = None
+    elif rows is not None and width < _BLOCK:
+        blocks = _giant_steps if system.size**3 <= _GIANT_STEP_RATIO * horizon else None
+    else:
+        blocks = _column_blocks if system.size <= _BLOCK_MAX_STATES else None
+    probs = np.empty((horizon, width))
+    vec = system.first_step
+    probs[0] = vec[cols]
     residual = 1.0 - probs[0]
-    blocked = system.size <= _BLOCK_MAX_STATES and horizon > 2 * _BLOCK
+    head = [vec]
     produced = horizon
-    for n in range(1, _BLOCK if blocked else horizon):
+    for n in range(1, horizon if blocks is None else _BLOCK):
         if stop_early and residual.max() < SERIES_TAIL:
             produced = n
             break
-        probs[n] = system.step(probs[n - 1])
+        vec = system.step(vec)
+        probs[n] = vec[cols]
         residual -= probs[n]
+        if blocks is not None:
+            head.append(vec)
     else:
-        if blocked:
-            produced, residual = _blocked_rows(system.q_matrix, probs, residual, stop_early)
+        if blocks is not None:
+            power = system.q_matrix
+            for _ in range(_BLOCK.bit_length() - 1):
+                power = power @ power
+            produced, residual = _blocked_rows(blocks(power, np.array(head), cols), probs, residual, stop_early)
     if produced < horizon:
         probs = probs[:produced].copy()  # frees the rows never reached
     if not np.all(np.isfinite(probs)):
         raise InvalidParameterError("Q step product contains non-finite entries")
     return PmfTable(
         probs=probs,
-        states=system.index_map,
+        states=system.index_map if rows is None else tuple(system.index_map[r] for r in cols.tolist()),
         target=system.target,
         residual=residual,
         requested_horizon=horizon,
     )
 
 
-def _blocked_rows(q: np.ndarray, probs: np.ndarray, residual: np.ndarray, stop_early: bool):
+def _column_blocks(power: np.ndarray, head: np.ndarray, cols):
+    """Blocks 1, 2, ... of ``_BLOCK`` rows for every state, each the one
+    before it times (Q^_BLOCK)^T, given Q^_BLOCK and block 0; the
+    ``cols`` columns of each."""
+    block = head
+    while True:
+        block = block @ power.T
+        yield block[:, cols]
+
+
+def _giant_steps(power: np.ndarray, head: np.ndarray, cols):
+    """Blocks 1, 2, ... of ``_BLOCK`` rows in the ``cols`` columns only:
+    block b is head times the ``cols`` rows of Q^(_BLOCK b), which step on
+    by one product with Q^_BLOCK a block."""
+    giant = power[cols]
+    while True:
+        yield head @ giant.T
+        giant = giant @ power
+
+
+def _blocked_rows(blocks, probs: np.ndarray, residual: np.ndarray, stop_early: bool):
     """Fill ``probs`` from row ``_BLOCK`` on, given its first ``_BLOCK``
-    rows and the residual after them: one product by (Q^_BLOCK)^T a block,
-    the residual subtracted row by row as :func:`pmf`'s loop does.  Returns
-    the number of rows produced, fewer where ``stop_early`` stops, and the
-    residual after the last of them."""
-    power = q
-    for _ in range(_BLOCK.bit_length() - 1):
-        power = power @ power
+    rows and the residual after them, from ``blocks`` of ``_BLOCK`` rows
+    each, the residual subtracted row by row as :func:`pmf`'s loop does.
+    Returns the number of rows produced, fewer where ``stop_early`` stops,
+    and the residual after the last of them."""
     horizon = len(probs)
-    for start in range(_BLOCK, horizon, _BLOCK):
+    for start, block in zip(range(_BLOCK, horizon, _BLOCK), blocks):
         if stop_early and residual.max() < SERIES_TAIL:
             return start, residual
         # always a full block, so row n comes out the same at any horizon
-        rows = (probs[start - _BLOCK:start] @ power.T)[: horizon - start]
+        rows = block[: horizon - start]
         probs[start:start + len(rows)] = rows
         left = np.subtract.accumulate(np.vstack([residual, rows]), axis=0)
         if stop_early:

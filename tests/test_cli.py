@@ -186,6 +186,25 @@ def test_ctime_without_from_is_the_full_evaluation_at_every_start(capsys):
     assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
+def test_one_start_is_the_all_starts_answer_at_that_start(capsys):
+    # torus_std:15 lumps to 35 classes: every class takes column blocks, one
+    # start giant steps (rows 0..31 are the loop's in both)
+    system, rows = cli._Problem(cli._parse_preset("torus_std:15"), None, 0).lumped
+    start = 112
+    row = rows[start]
+    pmf = run_json(capsys, "pmf", "--preset", "torus_std:15", "--from", str(start), "--to", "0", "--horizon", "500")
+    got = np.array(pmf["payload"]["table"]["rows"])[:, 1]
+    want = hitting.pmf(system, 500, stop_early=False).probs[:, row]
+    assert np.array_equal(got[:32], want[:32])
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    grid = ["ctime", "--preset", "torus_std:15", "--to", "0", "--t-grid", "0:60:7"]
+    one = np.array(run_json(capsys, *grid, "--from", str(start))["payload"]["table"]["rows"])
+    every = run_json(capsys, *grid)["payload"]["table"]
+    at = every["columns"].index(f"cdf_{start}")
+    want = np.array(every["rows"])[:, [0, at, at + 1]]
+    assert np.all(np.abs(one - want) <= 1e-12 * want)
+
+
 @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "nan:nan:3", "inf:1:3", "0:inf:3", "inf:inf:3", "-inf:1:3"])
 def test_ctime_grid_bound_not_finite_exits_2(capsys, grid):
     code, out, err = run_cli(capsys, "ctime", "--preset", "cycle:6", "--to", "0", f"--t-grid={grid}")
@@ -991,17 +1010,21 @@ PAIR = ["--preset", "torus_std:5", "--from", "7", "--to", "0"]
         (["compare", *PAIR, "--horizon", "20", "--trials", "50"], 1),
         # the dense walk powers' connectivity check, and the lumped chain
         (["gf", *PAIR, "--horizon", "20"], 2),
-        # families without a closed form lump from the kernel's search
-        (["pmf", "--preset", "path:6", "--from", "5", "--to", "0", "--horizon", "20"], 1),
+        # graph files, and families without a closed form, lump from the
+        # kernel's search (PATH6: an edge-list file of the path on 6 nodes)
+        (["pmf", "--graph", "PATH6", "--from", "5", "--to", "0", "--horizon", "20"], 1),
         (["moments", "--preset", "torus_std:4", "--from", "5", "--to", "0"], 1),
+        # the path preset lumps in closed form
+        (["pmf", "--preset", "path:6", "--from", "5", "--to", "0", "--horizon", "20"], 0),
     ],
     ids=[
         "pmf_direct", "pmf_spectral", "moments", "ctime", "simulate", "pmf_fourier", "compare", "gf",
-        "pmf_path", "moments_torus_std_4",
+        "pmf_path", "moments_torus_std_4", "pmf_path_preset",
     ],
 )
-def test_each_query_searches_its_graph_only_where_an_answer_needs_it(capsys, searches, argv, count):
-    run_json(capsys, *argv)
+def test_each_query_searches_its_graph_only_where_an_answer_needs_it(capsys, tmp_path, searches, argv, count):
+    path6 = _write_graph(tmp_path, 6, [(i, i + 1) for i in range(5)])
+    run_json(capsys, *[path6 if a == "PATH6" else a for a in argv])
     assert len(searches) == count
 
 

@@ -15,6 +15,7 @@ from hitwalk.errors import (
     OracleTooLargeError,
 )
 from hitwalk.graphs import _read_spec, parse_graph_spec
+from hitwalk.linalg import SERIES_TAIL
 
 from conftest import coarsest_equitable_partition, preset_zoo
 
@@ -222,9 +223,17 @@ def test_collisions_under_every_salt_raise_numerical_error(monkeypatch, name):
         hw.lumped_absorbing(hw.simple_walk_kernel(graph), target)
 
 
-def test_collisions_under_every_salt_exit_4(monkeypatch, capsys):
+def _path_file(tmp_path, nodes):
+    """An edge-list file of the path on ``nodes`` nodes, which (unlike the
+    path preset) has no closed-form classes and lumps by refinement."""
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": [[i, i + 1] for i in range(nodes - 1)]}))
+    return str(path)
+
+
+def test_collisions_under_every_salt_exit_4(monkeypatch, capsys, tmp_path):
     _collide(monkeypatch)
-    code = cli.main(["pmf", "--preset", "path:6", "--from", "0", "--to", "2", "--horizon", "5"])
+    code = cli.main(["pmf", "--graph", _path_file(tmp_path, 6), "--from", "0", "--to", "2", "--horizon", "5"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err.startswith("hitwalk: numerical failure: ")
@@ -308,12 +317,12 @@ def _targets(nodes, limit=12):
     return sorted({0, 1, nodes // 2, nodes - 2, nodes - 1, *range(nodes // 5, nodes, nodes // 5 + 1)})
 
 
-def _assert_quotient_is_lumped_absorbing(name, params):
+def _assert_quotient_is_lumped_absorbing(name, params, targets=None):
     family = graphs._PRESETS[name]
     kernel = hw.simple_walk_kernel(hw.preset_graph(name, params))
     nodes, _ = family.closed
     assert nodes(*params) == kernel.node_count
-    for target in _targets(kernel.node_count):
+    for target in targets or _targets(kernel.node_count):
         system, rows = hitting._preset_lumped(family, params, target)
         want, want_rows = hw.lumped_absorbing(kernel, target)
         # bit for bit: the same Q, P1 and index map, and so the same table
@@ -346,6 +355,12 @@ def test_preset_quotient_is_lumped_absorbing_bit_for_bit(name, params):
     _assert_quotient_is_lumped_absorbing(name, params)
 
 
+@pytest.mark.parametrize("k", range(2, 41))
+def test_path_quotient_is_lumped_absorbing_at_every_target(k):
+    # pairs about the centre of an odd path, else every node alone
+    _assert_quotient_is_lumped_absorbing("path", [k], range(k))
+
+
 def test_torus_std_4_takes_the_graph_path():
     # the 4-cube in disguise: 5 classes where the stabilizer's orbits give 6
     family = graphs._PRESETS["torus_std"]
@@ -355,10 +370,20 @@ def test_torus_std_4_takes_the_graph_path():
 
 
 @pytest.mark.parametrize("name", ["path", "cayley_s3", "cayley_d8"])
-def test_families_without_a_closed_form_take_the_graph_path(name):
+def test_families_without_a_closed_form_take_the_graph_path(name, tmp_path):
+    if name == "path":
+        # the path preset lumps in closed form; an edge-list file of the
+        # same path has no family, and lumps from its built kernel
+        problem = cli._Problem(_read_spec(_path_file(tmp_path, 5)), None, 0)
+        assert problem.family is None
+        system, rows = problem.lumped
+        want, want_rows = hw.lumped_absorbing(problem.kernel, 0)
+        assert system.q_matrix.tobytes() == want.q_matrix.tobytes()
+        assert np.array_equal(rows, want_rows)
+        return
     family = graphs._PRESETS[name]
     assert family.closed is None
-    assert hitting._preset_lumped(family, [5] if name == "path" else [], 0) is None
+    assert hitting._preset_lumped(family, [], 0) is None
 
 
 # --- pmf ----------------------------------------------------------------------
@@ -467,6 +492,110 @@ def test_blocked_pmf_rows_do_not_depend_on_the_horizon():
     system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_torus_standard(5)), 0)
     short, long = (hw.pmf(system, h, stop_early=False) for h in (97, 200))
     assert np.array_equal(short.probs, long.probs[:97])
+
+
+# --- pmf on reported rows -------------------------------------------------------
+
+def _first_below(left, bound):
+    """The row count where a stopping pmf ends on residuals ``left``
+    (row n the residual after rows 0..n): the first n >= 1 whose residual
+    before row n is below ``bound`` everywhere, else every row."""
+    below = np.flatnonzero(left[:-1].max(axis=1) < bound)
+    return int(below[0]) + 1 if below.size else len(left)
+
+
+@given(
+    nodes=st.integers(min_value=2, max_value=12),
+    extra=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    horizon=st.integers(min_value=1, max_value=1500),
+    stop_early=st.booleans(),
+    lump=st.booleans(),
+    picks=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40),
+)
+def test_pmf_on_reported_rows_is_those_columns_of_the_full_table(nodes, extra, seed, horizon, stop_early, lump, picks):
+    # a few rows take giant steps over 2 * _BLOCK rows, _BLOCK or more take
+    # column blocks, and up to 2 * _BLOCK rows both are the one-row loop
+    kernel, target = _random_weighted_walk(nodes, extra, seed)
+    system = hw.lumped_absorbing(kernel, target)[0] if lump else hw.make_absorbing(kernel, target)
+    rows = [p % system.size for p in picks]
+    table = hw.pmf(system, horizon, stop_early=stop_early, rows=rows)
+    assert table.states == tuple(system.index_map[r] for r in rows)
+    full = hw.pmf(system, horizon, stop_early=False).probs[:, rows]
+    left = np.subtract.accumulate(np.vstack([1.0 - full[0], full[1:]]), axis=0)
+    if horizon <= 2 * hitting._BLOCK:
+        assert table.horizon == (_first_below(left, SERIES_TAIL) if stop_early else horizon)
+        assert np.array_equal(table.probs, full[: table.horizon])
+        assert np.array_equal(table.residual, left[table.horizon - 1])
+        return
+    # blocked rows round apart from the full table's, and so may their
+    # residuals: the stop is where a residual within 1e-6 relative of the
+    # full table's falls below the tail
+    if stop_early:
+        assert _first_below(left, SERIES_TAIL * (1 + 1e-6)) <= table.horizon <= _first_below(left, SERIES_TAIL * (1 - 1e-6))
+    else:
+        assert table.horizon == horizon
+    want = full[: table.horizon]
+    assert np.array_equal(table.probs[: hitting._BLOCK], want[: hitting._BLOCK])
+    kept = want >= 1e-300
+    assert np.all(np.abs(table.probs[kept] - want[kept]) <= 1e-12 * want[kept])
+    assert np.all(table.probs[~kept] < 1e-300)
+    assert np.all(np.abs(table.residual - left[table.horizon - 1]) <= 1e-13)
+
+
+def _spy(monkeypatch, name):
+    """Count the calls of ``hitting.<name>``."""
+    calls, real = [], getattr(hitting, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hitting, name, spy)
+    return calls
+
+
+def test_one_start_takes_giant_steps_from_the_measured_crossover(monkeypatch):
+    # torus_std:41's quotient has 230 states, so the squarings pay from
+    # 230^3 / _GIANT_STEP_RATIO rows on; below that pmf steps every state
+    system = cli._Problem(cli._parse_preset("torus_std:41"), None, 0).lumped[0]
+    crossover = -(-system.size**3 // hitting._GIANT_STEP_RATIO)
+    assert 2 * hitting._BLOCK < crossover < 2000
+    giant = _spy(monkeypatch, "_giant_steps")
+    row = system.size - 1
+    loop = hw.pmf(system, crossover - 1, stop_early=False, rows=[row])
+    assert giant == []
+    assert np.array_equal(loop.probs[:, 0], _one_row_loop(system, crossover - 1)[0][:, row])
+    blocked = hw.pmf(system, crossover, stop_early=False, rows=[row])
+    assert len(giant) == 1
+    want = hw.pmf(system, crossover, stop_early=False).probs[:, row]
+    assert np.array_equal(blocked.probs[: hitting._BLOCK, 0], want[: hitting._BLOCK])
+    assert np.all(np.abs(blocked.probs[:, 0] - want) <= 1e-12 * want)
+
+
+def test_reported_rows_give_way_to_column_blocks_at_one_block(monkeypatch):
+    # giant steps cost O(rows * states^2) a block against the column
+    # blocks' O(_BLOCK * states^2)
+    system = cli._Problem(cli._parse_preset("torus_std:31"), None, 0).lumped[0]
+    giant, columns = _spy(monkeypatch, "_giant_steps"), _spy(monkeypatch, "_column_blocks")
+    many = list(range(hitting._BLOCK))
+    few = hw.pmf(system, 300, stop_early=False, rows=many[:-1])
+    assert (len(giant), len(columns)) == (1, 0)
+    blocks = hw.pmf(system, 300, stop_early=False, rows=many)
+    assert (len(giant), len(columns)) == (1, 1)
+    full = hw.pmf(system, 300, stop_early=False)
+    assert np.array_equal(blocks.probs, full.probs[:, many])
+    assert np.all(np.abs(few.probs - full.probs[:, many[:-1]]) <= 1e-12 * full.probs[:, many[:-1]])
+
+
+def test_rows_outside_the_system_are_invalid_before_any_table():
+    system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(6)), 0)
+    for rows in ([0, 5], [-1], []):
+        with pytest.raises(InvalidParameterError, match="rows must lie in 0..4"):
+            hw.pmf(system, 10, rows=rows)
+    # the table is horizon x reported rows, refused past what numpy can size
+    with pytest.raises(InvalidParameterError, match="pmf table too large"):
+        hw.pmf(system, 2**60, rows=[0, 1])
 
 
 def _weighted_cycle_file(tmp_path):
