@@ -3,45 +3,52 @@
 A finite abelian group G = Z_{n_1} x ... x Z_{n_m} has exactly |G|
 one-dimensional characters
 
-    rho_a(g) = exp(2 pi i sum_l a_l g_l / n_l),
+    rho_a(g) = exp(2 pi i <a, g>),   <a, g> = sum_l a_l g_l / n_l,
 
 enumerated here lexicographically with the trivial character first.
-With the transform  f^(rho) = sum_g f(g) rho(g)  and a symmetric step
-law p (p(g) = p(-g), p(e) = 0), hitting quantities to the identity
-become character sums:
+With the transform  f^(rho) = sum_g f(g) rho(g), a symmetric step law p
+(p(g) = p(-g), p(e) = 0) has a real transform, and its spectral gaps are
 
-* expected hitting time   h(g) = sum_{a != 0} (1 - rho_a(g)) / (1 - p^(rho_a))
+    1 - p^(rho_a) = gap_a = 2 sum_s p(s) sin^2(pi <a, s>).
+
+Since rho_{-a}(g) is the conjugate of rho_a(g) and gap_{-a} = gap_a,
+imaginary parts cancel in every sum below, and 1 - rho_a(g) enters as
+its real part 2 sin^2(pi <a, g>).  Hitting quantities to the identity
+become real sums:
+
+* expected hitting time   h(g) = sum_{a != 0} 2 sin^2(pi <a, g>) / gap_a
 * second moment           q(g) = (1/|G|) sum_{a != 0}
-      [ 2|G| p^(rho_a) / (1 - p^(rho_a))^2 + q* / (1 - p^(rho_a)) ]
-      * (1 - rho_a(g^{-1}))
+      [ 2|G| (1 - gap_a) / gap_a^2 + q* / gap_a ] * 2 sin^2(pi <a, g>)
   with q* = E[(tau^+)^2] the return second moment, and the
   variance q(g) - h(g)^2
-* return second moment    q* = |G| (1 + 2 sum_{a != 0} 1 / (1 - p^(rho_a)))
+* return second moment    q* = |G| (1 + 2 sum_{a != 0} 1 / gap_a)
   The stationary law is uniform, so E_0 tau^+ = |G|, the eigentime
-  identity gives E_pi tau_0 = sum_{a != 0} 1 / (1 - p^(rho_a)), and
+  identity gives E_pi tau_0 = sum_{a != 0} 1 / gap_a, and
   E_0[(tau^+)^2] = E_0 tau^+ (2 E_pi tau_0 + 1) (Aldous & Fill,
   *Reversible Markov Chains and Random Walks on Graphs*, ch. 2 sec. 2.2
   and ch. 3 sec. 3).  Every moment is thus a sum over the same spectral
   gaps, and no absorbing chain is built.
 * the step-distribution recurrence in the transform domain,
-      v_n = diag(p^) v_{n-1} - (1/|G|) (sum_a p^_a v_{n-1,a}) * 1,
-  whose inverse transform is m_n(g) = P(tau_{g,e} = n).
+      v_1 = p^,  v_n = p^ v_{n-1} - (1/|G|) (sum_a p^_a v_{n-1,a}) * 1,
+  real throughout, whose inverse transform at g is
+      m_n(g) = P(tau_{g,e} = n) = (1/|G|) sum_a cos(2 pi <a, g>) v_{n,a}.
 
-The character table of G = G_1 x G_2 is the Kronecker product of the
-tables of G_1 and G_2 (Diaconis, *Group Representations in Probability
-and Statistics*, 1988, ch. 3), so the dense |G| x |G| table is never
-formed.  The factors are split into a prefix G_1 and a suffix G_2 of
-orders as even as possible; with f laid out as a |G_1| x |G_2| grid the
-transform is H f T and its inverse conj(H) f^ conj(T) / |G|, where H and
-T are the (cached) tables of G_1 and G_2.  A recurrence step then costs
-O(|G| (|G_1| + |G_2|)), and one character column rho_a(g), all a, is the
-outer product of a column of H and a column of T, O(|G|).
+Every <a, x> is reduced exactly, in integers modulo the lcm of the
+moduli, to the nearest whole number (``_versines``), so a gap near 0
+keeps its relative accuracy and p^_a = p^_{-a} bit for bit.  The
+moments cost O(|G| s) for a law of s steps, and ``fourier_pmf`` steps
+one displacement in O(|G|) a step and O(|G| + horizon) memory; neither
+forms a complex number or a character table.
 
-Complex arithmetic is kept all the way through; realness of outputs is
-asserted at the end, never assumed mid-computation.  A character sum
-may carry an imaginary part up to ``IMAGINARY_DISCARD`` times the sum of
-its terms' magnitudes, the scale of its round-off; a larger one raises
-:class:`NumericalError`.
+The complex transform ``fourier`` and its inverse remain as the dense
+reference.  The character table of G = G_1 x G_2 is the Kronecker
+product of the tables of G_1 and G_2 (Diaconis, *Group Representations
+in Probability and Statistics*, 1988, ch. 3), so the dense |G| x |G|
+table is never formed there either.  The factors are split into a
+prefix G_1 and a suffix G_2 of orders as even as possible; with f laid
+out as a |G_1| x |G_2| grid the transform is H f T and its inverse
+conj(H) f^ conj(T) / |G|, where H and T are the (cached) tables of G_1
+and G_2, in O(|G| (|G_1| + |G_2|)).
 """
 from __future__ import annotations
 
@@ -54,7 +61,6 @@ import numpy as np
 from .errors import InvalidParameterError, NotErgodicError, NumericalError
 from .graphs import Graph, TransitionKernel, _require_array_size, simple_walk_kernel
 from .hitting import PmfTable, closed_cycle
-from .linalg import IMAGINARY_DISCARD
 
 __all__ = [
     "FiniteAbelianGroup",
@@ -63,7 +69,6 @@ __all__ = [
     "character_basis",
     "fourier",
     "inverse_fourier",
-    "law_transform",
     "expected_hitting_abelian",
     "variance_abelian",
     "fourier_pmf",
@@ -231,13 +236,6 @@ def _block_tables(group: FiniteAbelianGroup) -> tuple[np.ndarray, np.ndarray]:
     return head, character_basis(FiniteAbelianGroup(factors[split:])).matrix
 
 
-def _character_column(group: FiniteAbelianGroup, g) -> np.ndarray:
-    """rho_a(g) for every character a, in O(|G|)."""
-    head, tail = _block_tables(group)
-    g_head, g_tail = divmod(group.index(g), len(tail))
-    return np.outer(head[:, g_head], tail[:, g_tail]).ravel()
-
-
 def fourier(group: FiniteAbelianGroup, values) -> np.ndarray:
     """Transform f^(rho_a) = sum_g f(g) rho_a(g), indexed by character."""
     values = np.asarray(values)
@@ -257,40 +255,49 @@ def inverse_fourier(group: FiniteAbelianGroup, transform) -> np.ndarray:
     return (head.conj() @ grid @ tail.conj()).ravel() / group.order
 
 
-def law_transform(group: FiniteAbelianGroup, law: StepLaw) -> np.ndarray:
-    """Transform of the step law, with its contract checked.
+def _versines(group: FiniteAbelianGroup, elements) -> np.ndarray:
+    """1 - cos(2 pi <a, x>) = 2 sin^2(pi <a, x>) for every character a
+    (rows) and each element index x (columns), <a, x> = sum_l a_l x_l / n_l.
 
-    Stochasticity pins the trivial coefficient at 1, probabilities bound
-    every magnitude by 1, and symmetry of the law makes every value real
-    (asserted within ``IMAGINARY_DISCARD``, then kept as complex for the
-    engines).
+    <a, x> is reduced exactly, in integers modulo the lcm L of the
+    moduli, to its distance j / L from the nearest whole number, and the
+    value looked up in a table over j: a value near 0 keeps its relative
+    accuracy, and the values at a and -a are equal bit for bit.  The
+    turns of the leading factors are summed first and each next factor's
+    added across them, so the lookup costs O(|G|) a column.  The table is
+    formed in long double (extended precision on x86-64) and rounded
+    once, so each entry is the double nearest its value but in rare near
+    ties: 1/6, 1/4, 1/3 and 1/2 of a turn give 0.5, 1, 1.5 and 2 exactly.
     """
-    p_hat = fourier(group, law.table)
-    if abs(p_hat[0] - 1.0) > 1e-9:
-        raise InvalidParameterError("trivial transform coefficient must be 1")
-    if np.max(np.abs(p_hat)) > 1.0 + 1e-9:
-        raise InvalidParameterError("transform magnitude exceeded 1")
-    if np.max(np.abs(p_hat.imag)) > IMAGINARY_DISCARD:
-        raise InvalidParameterError("symmetric law must have a real transform")
-    return p_hat
+    factors = group.factors
+    lcm = int(np.lcm.reduce(factors))
+    xs = np.unravel_index(np.asarray(elements), factors)
+    turns = np.zeros((1, len(xs[0])), dtype=np.int64)
+    for n, x in zip(factors, xs):
+        turns = ((turns[:, None, :] + np.outer(np.arange(n), x * (lcm // n))) % lcm).reshape(-1, len(x))
+    pi = 4 * np.arctan(np.longdouble(1))
+    table = 2 * np.sin(pi * np.arange(lcm // 2 + 1, dtype=np.longdouble) / lcm) ** 2
+    return table.astype(float)[np.minimum(turns, lcm - turns)]
 
 
 def _spectral_gaps(group: FiniteAbelianGroup, law: StepLaw) -> np.ndarray:
-    """1 - p^(rho_a) for every nontrivial character a.
-
-    Formed as 2 sum_s p(s) sin^2(pi <a, s>), <a, s> = sum_l a_l s_l / n_l,
-    with <a, s> reduced exactly (in integers modulo the lcm of the moduli)
-    to the nearest whole number, so a gap near 0 keeps its relative
-    accuracy; 1 - p^ by subtraction loses it to cancellation.
-    """
-    factors = np.array(group.factors)
-    lcm = np.lcm.reduce(factors)
-    chars = np.stack(np.unravel_index(np.arange(1, group.order), group.factors), axis=1)
+    """1 - p^(rho_a) = 2 sum_s p(s) sin^2(pi <a, s>) for every nontrivial
+    character a, so a gap near 0 keeps its relative accuracy; 1 - p^ by
+    subtraction loses it to cancellation.  Each row is summed alike (a
+    matrix product need not), so the gaps of a and -a are equal bit for
+    bit."""
     support = np.flatnonzero(law.table)
-    steps = np.stack(np.unravel_index(support, group.factors), axis=1)
-    turns = (chars * (lcm // factors)) @ steps.T % lcm
-    turns = np.where(2 * turns > lcm, turns - lcm, turns) / lcm
-    return 2.0 * np.sin(np.pi * turns) ** 2 @ law.table[support]
+    return np.sum(_versines(group, support)[1:] * law.table[support], axis=1)
+
+
+def _real_transform(group: FiniteAbelianGroup, law: StepLaw) -> np.ndarray:
+    """p^(rho_a) = 1 - gap_a for every character a, 1 at the trivial one."""
+    return np.concatenate(([1.0], 1.0 - _spectral_gaps(group, law)))
+
+
+def _displacement_versine(group: FiniteAbelianGroup, g) -> np.ndarray:
+    """1 - Re rho_a(g) = 2 sin^2(pi <a, g>) for every character a."""
+    return _versines(group, [group.index(g)])[:, 0]
 
 
 def _return_second_moment(order: int, gaps: np.ndarray) -> float:
@@ -306,40 +313,24 @@ def _require_ergodic(gaps: np.ndarray) -> None:
         )
 
 
-def _real_sum(terms: np.ndarray) -> float:
-    """Sum of a character series whose exact value is real.
-
-    Round-off in a sum scales with the sum of its terms' magnitudes, so
-    the imaginary part is bounded relative to that scale, never below
-    ``IMAGINARY_DISCARD`` itself.
-    """
-    total = np.sum(terms)
-    bound = IMAGINARY_DISCARD * max(1.0, float(np.sum(np.abs(terms))))
-    if abs(total.imag) > bound:
-        raise NumericalError(f"imaginary part {total.imag:.3e} beyond tolerance {bound:.3e}")
-    return float(total.real)
-
-
 def expected_hitting_abelian(group: FiniteAbelianGroup, law: StepLaw, g) -> float:
     """h(g) = E[tau] between any pair at displacement g.
 
-    Character sum over the nontrivial characters; walks with some
+    A real sum over the nontrivial characters; walks with some
     transform coefficient at -1 (bipartite-like) are fine, only a
     coefficient at +1 (non-generating support) is rejected.
     """
     g = group.canonical(g)
-    law_transform(group, law)
     gaps = _spectral_gaps(group, law)
     _require_ergodic(gaps)
-    chi = _character_column(group, g)[1:]
-    return _real_sum((1.0 - chi) / gaps)
+    return float(np.sum(_displacement_versine(group, g)[1:] / gaps))
 
 
 def variance_abelian(group: FiniteAbelianGroup, law: StepLaw, g) -> tuple[float, float]:
     """Second moment q(g) and variance of the hitting time at displacement g.
 
-    Every term is a character sum over the spectral gaps 1 - p^(rho_a),
-    with no linear solve, the return second moment included:
+    Every term is a real sum over the spectral gaps 1 - p^(rho_a), with
+    no linear solve, the return second moment included:
     q* = |G| (1 + 2 sum_{a != 0} 1 / (1 - p^(rho_a))) by the eigentime
     identity for a walk with uniform stationary law (Aldous & Fill,
     *Reversible Markov Chains and Random Walks on Graphs*, ch. 2 sec. 2.2
@@ -349,56 +340,52 @@ def variance_abelian(group: FiniteAbelianGroup, law: StepLaw, g) -> tuple[float,
     engine on every cross-checked family.
     """
     g = group.canonical(g)
-    p_hat = law_transform(group, law)
     gaps = _spectral_gaps(group, law)
     _require_ergodic(gaps)
     qstar = _return_second_moment(group.order, gaps)
-    chi = _character_column(group, g)[1:]  # rho_a(g); rho_a(g^{-1}) is its conjugate
-    bracket = 2.0 * group.order * p_hat[1:] / gaps**2 + qstar / gaps
-    q_val = _real_sum(bracket * (1.0 - chi.conj()) / group.order)
-    h_val = _real_sum((1.0 - chi) / gaps)
+    versine = _displacement_versine(group, g)[1:]
+    bracket = 2.0 * group.order * (1.0 - gaps) / gaps**2 + qstar / gaps
+    q_val = float(np.sum(bracket * versine)) / group.order
+    h_val = float(np.sum(versine / gaps))
     variance = q_val - h_val**2
     if variance < -1e-8:
         raise InvalidParameterError("negative variance beyond tolerance")
     return q_val, float(variance)
 
 
-def fourier_pmf(group: FiniteAbelianGroup, law: StepLaw, horizon: int) -> PmfTable:
-    """Hitting distribution to the identity for every start, by the
-    transform-domain recurrence.
+def fourier_pmf(group: FiniteAbelianGroup, law: StepLaw, g, horizon: int) -> PmfTable:
+    """Hitting distribution from displacement g to the identity, by the
+    transform-domain recurrence in real arithmetic.
 
-    Column g of the table is P(tau_{g,e} = n) for n = 1..horizon.  The
-    identity's own column must vanish for n >= 1 and no entry may fall
-    below 0 (both within 1e-10), and every imaginary part must stay within
-    ``IMAGINARY_DISCARD``; a breach raises :class:`NumericalError`.
+    The one column is P(tau_{g,e} = n) for n = 1..horizon, in O(|G|) a
+    step and O(|G| + horizon) memory.  The step distribution's mass at
+    the identity must vanish for n >= 1 and no entry of the column may
+    fall below 0 (both within 1e-10); a breach raises
+    :class:`NumericalError`.
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    _require_array_size(horizon * group.order, "fourier table")
-    p_hat = law_transform(group, law)
+    _require_array_size(horizon + group.order, "fourier table")
+    g = group.canonical(g)
     order = group.order
-    head, tail = _block_tables(group)
-    inv_head, inv_tail = head.conj() / order, tail.conj()
-    shape = (len(head), len(tail))
-    probs = np.empty((horizon, order))
-    v = p_hat.copy()  # transform of m_1 = p
+    p_hat = _real_transform(group, law)
+    cos = 1.0 - _displacement_versine(group, g)
+    column = np.empty(horizon)
+    v = p_hat  # transform of m_1 = p
     for n in range(horizon):
-        m_n = (inv_head @ v.reshape(shape) @ inv_tail).ravel()
-        if np.max(np.abs(m_n.imag)) > IMAGINARY_DISCARD:
-            raise NumericalError("step distribution developed an imaginary part")
-        real = m_n.real
-        if abs(real[0]) > 1e-10:
-            raise NumericalError(f"m_{n + 1}(e) = {real[0]:.3e}, expected 0")
-        if real.min() < -1e-10:
-            raise NumericalError("negative probability beyond tolerance")
-        np.clip(real, 0.0, None, out=probs[n])
-        correction = np.sum(p_hat * v) / order
-        v = p_hat * v - correction
-    residual = 1.0 - probs.sum(axis=0)
-    residual[0] = 1.0  # the identity never "hits" in n >= 1 steps
+        at_identity = np.sum(v) / order
+        if abs(at_identity) > 1e-10:
+            raise NumericalError(f"m_{n + 1}(e) = {at_identity:.3e}, expected 0")
+        column[n] = cos @ v / order
+        v = p_hat * v - (p_hat @ v) / order
+    if column.min() < -1e-10:
+        raise NumericalError("negative probability beyond tolerance")
+    probs = np.clip(column, 0.0, None)[:, None]
+    # the identity never "hits" in n >= 1 steps
+    residual = 1.0 - probs.sum(axis=0) if any(g) else np.ones(1)
     return PmfTable(
         probs=probs,
-        states=tuple(range(order)),
+        states=(group.index(g),),
         target=0,
         residual=residual,
         requested_horizon=horizon,

@@ -56,7 +56,7 @@ from .graphs import (
     parse_graph_spec,
     simple_walk_kernel,
 )
-from .linalg import IMAGINARY_DISCARD, SERIES_TAIL, SOLVE_RESIDUAL
+from .linalg import SERIES_TAIL, SOLVE_RESIDUAL
 
 _DEF_HORIZON = 200
 _DEF_TRIALS = 10000
@@ -179,7 +179,7 @@ def _fourier(problem: _Problem, horizon: int) -> np.ndarray:
             + ", ".join(sorted(name for name, family in _PRESETS.items() if family.step_law))
         )
     group, law, displacement = problem.abelian
-    return fr.fourier_pmf(group, law, horizon).probs[:, group.index(displacement)]
+    return fr.fourier_pmf(group, law, displacement, horizon).probs[:, 0]
 
 
 def _spectral(problem: _Problem, horizon: int) -> np.ndarray:
@@ -199,7 +199,6 @@ def _metadata(problem: _Problem, command: str, **extra) -> dict:
         "tolerances": {
             "solve_residual": SOLVE_RESIDUAL,
             "series_tail": SERIES_TAIL,
-            "imaginary_discard": IMAGINARY_DISCARD,
         },
     }
     meta.update(extra)

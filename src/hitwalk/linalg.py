@@ -6,13 +6,11 @@ products (the direct engine steps through its own sparse-or-dense
 eigensolver; spectral quantities elsewhere are reached through trace
 power sums and Newton's identities.
 
-It also holds the three numeric bounds the engines check their outputs
+It also holds the two numeric bounds the engines check their outputs
 against, printed in every CLI document's metadata:
 
 * ``SOLVE_RESIDUAL`` -- residual allowed per solved linear system;
-* ``SERIES_TAIL`` -- unabsorbed mass at which a pmf iteration may stop;
-* ``IMAGINARY_DISCARD`` -- imaginary part accepted on a real output of
-  the character engine.
+* ``SERIES_TAIL`` -- unabsorbed mass at which a pmf iteration may stop.
 """
 from __future__ import annotations
 
@@ -31,10 +29,6 @@ SOLVE_RESIDUAL = 1e-10
 # hitting.pmf with stop_early: the iteration ends once every start has
 # less unabsorbed mass than this.
 SERIES_TAIL = 1e-12
-# abelian: largest imaginary part accepted on a real output.  A character
-# sum (the fourier engine's mean and second moment) may carry this much
-# times the sum of its terms' magnitudes, its round-off scale.
-IMAGINARY_DISCARD = 1e-9
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:

@@ -276,8 +276,8 @@ def test_compare_torus_diag_has_convolution_section(capsys):
     [("torus_std:16", 90, 220), ("torus_diag:11", 11, 0), ("cycle:137", 31, 33)],
 )
 def test_compare_fourier_moments_of_large_sums(capsys, preset, start, target):
-    # the character sums reach 1e5..1e7, so their round-off (imaginary
-    # part included) is far above an absolute 1e-9
+    # the character sums reach 1e5..1e7, so their round-off is far above
+    # an absolute 1e-9
     doc = run_json(
         capsys, "compare", "--preset", preset, "--from", str(start), "--to", str(target),
         "--horizon", "16", "--trials", "200",
@@ -699,16 +699,23 @@ def test_ctime_grid_past_memory_is_refused_before_the_truncation_search(capsys):
 
 
 def test_fourier_numerical_fault_exits_4(capsys, monkeypatch):
-    # a fault in the transform-domain recurrence is a numerical failure
+    # a fault in the transform-domain recurrence is a numerical failure:
+    # here 1e-6 of the mass at steps +-3, the displacement, moves to steps
+    # +-1, so the first-step probability turns negative
     from hitwalk import abelian
 
-    real = abelian.law_transform
-    monkeypatch.setattr(abelian, "law_transform", lambda group, law: real(group, law) + 1e-6j)
+    def faulty(group, law):
+        table = law.table.copy()
+        table[[1, -1]] += 1e-6
+        table[[3, -3]] -= 1e-6
+        return abelian.fourier(group, table).real
+
+    monkeypatch.setattr(abelian, "_real_transform", faulty)
     code, out, err = run_cli(
         capsys, "pmf", "--preset", "cycle:7", "--from", "3", "--to", "0", "--engine", "fourier", "--horizon", "5"
     )
     assert (code, out) == (4, "")
-    assert err.startswith("hitwalk: numerical failure: ")
+    assert err.startswith("hitwalk: numerical failure: negative probability")
 
 
 # --- gf -------------------------------------------------------------------------------------
