@@ -388,7 +388,6 @@ def fourier_pmf(group: FiniteAbelianGroup, law: StepLaw, g, horizon: int) -> Pmf
         states=(group.index(g),),
         target=0,
         residual=residual,
-        requested_horizon=horizon,
     )
 
 

@@ -56,7 +56,7 @@ from .graphs import (
     parse_graph_spec,
     simple_walk_kernel,
 )
-from .linalg import SERIES_TAIL, SOLVE_RESIDUAL
+from .linalg import SOLVE_RESIDUAL
 
 _DEF_HORIZON = 200
 _DEF_TRIALS = 10000
@@ -169,7 +169,7 @@ def _direct(problem: _Problem, horizon: int) -> np.ndarray:
     # horizon rows) is past any array before the one-column pmf allocates
     _require_array_size(2 * horizon, "pmf table")
     system, rows = problem.lumped
-    return ht.pmf(system, horizon, stop_early=False, rows=[rows[problem.start]]).probs[:, 0]
+    return ht.pmf(system, horizon, rows=[rows[problem.start]]).probs[:, 0]
 
 
 def _fourier(problem: _Problem, horizon: int) -> np.ndarray:
@@ -196,10 +196,7 @@ def _metadata(problem: _Problem, command: str, **extra) -> dict:
         "graph_hash": hashlib.sha256(canonical_graph_spec(problem.spec).encode()).hexdigest(),
         "start": problem.start,
         "target": problem.target,
-        "tolerances": {
-            "solve_residual": SOLVE_RESIDUAL,
-            "series_tail": SERIES_TAIL,
-        },
+        "tolerances": {"solve_residual": SOLVE_RESIDUAL},
     }
     meta.update(extra)
     return meta
@@ -371,7 +368,8 @@ def _cmd_compare(args) -> dict:
         }
     meta = _metadata(
         problem, "compare",
-        horizon=horizon, seed=args.seed, trials=args.trials, engine="all-applicable",
+        horizon=horizon, seed=args.seed, trials=args.trials, step_cap=args.step_cap,
+        engine="all-applicable",
     )
     return {"metadata": meta, "payload": payload}
 

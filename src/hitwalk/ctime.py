@@ -133,7 +133,7 @@ def ct_evaluate(
         _require_array_size(median * width, "pmf table")
         np.empty((median, width))
     n_max = _truncation_index(t_max, tol)
-    table = pmf(system, n_max + 1, stop_early=False, rows=rows)
+    table = pmf(system, n_max + 1, rows=rows)
     # row n is Q^n P1; column-major, one reported row's series contiguous
     # for the products below (and so they round as they always have)
     vectors = np.asfortranarray(table.probs)

@@ -54,7 +54,7 @@ from .errors import (
     OracleTooLargeError,
 )
 from .graphs import GAMMA, TransitionKernel, _arc_ranges, _levels, _require_array_size, mix64
-from .linalg import SERIES_TAIL, solve
+from .linalg import solve
 
 __all__ = [
     "AbsorbingSystem",
@@ -208,14 +208,13 @@ class PmfTable:
     """Per-step hitting probabilities up to a horizon.
 
     probs[n][i] = P(tau = n+1 from state states[i]); residual[i] is the
-    mass not yet absorbed, 1 - sum_n probs[n][i].
+    mass not absorbed by the horizon, 1 - sum_n probs[n][i].
     """
 
     probs: np.ndarray
     states: tuple[int, ...]
     target: int
     residual: np.ndarray
-    requested_horizon: int
 
     def __post_init__(self) -> None:
         self.probs.setflags(write=False)
@@ -228,7 +227,7 @@ class PmfTable:
 
     @property
     def horizon(self) -> int:
-        """Number of steps actually computed (may stop short of the request)."""
+        """Number of steps computed: the horizon :func:`pmf` was asked for."""
         return self.probs.shape[0]
 
     def column(self, start: int) -> np.ndarray:
@@ -582,14 +581,13 @@ def _reported_rows(system: AbsorbingSystem, rows) -> np.ndarray:
     return rows
 
 
-def pmf(system: AbsorbingSystem, horizon: int, stop_early: bool = True, rows=None) -> PmfTable:
+def pmf(system: AbsorbingSystem, horizon: int, rows=None) -> PmfTable:
     """Iterate P_n = Q^{n-1} P1 for n = 1..horizon.
 
     The table reports the system ``rows`` given (every row by default,
     repeats allowed), one column each, and ``states`` names each column's
-    state.  With ``stop_early`` the iteration ends once every reported row
-    has residual mass below ``SERIES_TAIL``; the table records how many
-    steps were actually produced.
+    state.  It always holds ``horizon`` rows, and its residual is the mass
+    not absorbed by then, the rows subtracted from 1 one by one.
 
     Rows are stepped one at a time, for every state, storing the reported
     columns.  Over 2 * ``_BLOCK`` rows, later rows come in blocks of
@@ -621,34 +619,26 @@ def pmf(system: AbsorbingSystem, horizon: int, stop_early: bool = True, rows=Non
     probs = np.empty((horizon, width))
     vec = system.first_step
     probs[0] = vec[cols]
-    residual = 1.0 - probs[0]
     head = [vec]
-    produced = horizon
     for n in range(1, horizon if blocks is None else _BLOCK):
-        if stop_early and residual.max() < SERIES_TAIL:
-            produced = n
-            break
         vec = system.step(vec)
         probs[n] = vec[cols]
-        residual -= probs[n]
         if blocks is not None:
             head.append(vec)
-    else:
-        if blocks is not None:
-            power = system.q_matrix
-            for _ in range(_BLOCK.bit_length() - 1):
-                power = power @ power
-            produced, residual = _blocked_rows(blocks(power, np.array(head), cols), probs, residual, stop_early)
-    if produced < horizon:
-        probs = probs[:produced].copy()  # frees the rows never reached
+    if blocks is not None:
+        power = system.q_matrix
+        for _ in range(_BLOCK.bit_length() - 1):
+            power = power @ power
+        # always a full block, so row n comes out the same at any horizon
+        for start, block in zip(range(_BLOCK, horizon, _BLOCK), blocks(power, np.array(head), cols)):
+            probs[start:start + _BLOCK] = block[: horizon - start]
     if not np.all(np.isfinite(probs)):
         raise InvalidParameterError("Q step product contains non-finite entries")
     return PmfTable(
         probs=probs,
         states=system.index_map if rows is None else tuple(system.index_map[r] for r in cols.tolist()),
         target=system.target,
-        residual=residual,
-        requested_horizon=horizon,
+        residual=np.subtract.reduce(probs, axis=0, initial=1.0),
     )
 
 
@@ -670,30 +660,6 @@ def _giant_steps(power: np.ndarray, head: np.ndarray, cols):
     while True:
         yield head @ giant.T
         giant = giant @ power
-
-
-def _blocked_rows(blocks, probs: np.ndarray, residual: np.ndarray, stop_early: bool):
-    """Fill ``probs`` from row ``_BLOCK`` on, given its first ``_BLOCK``
-    rows and the residual after them, from ``blocks`` of ``_BLOCK`` rows
-    each, the residual subtracted row by row as :func:`pmf`'s loop does.
-    Returns the number of rows produced, fewer where ``stop_early`` stops,
-    and the residual after the last of them."""
-    horizon = len(probs)
-    for start, block in zip(range(_BLOCK, horizon, _BLOCK), blocks):
-        if stop_early and residual.max() < SERIES_TAIL:
-            return start, residual
-        # always a full block, so row n comes out the same at any horizon
-        rows = block[: horizon - start]
-        probs[start:start + len(rows)] = rows
-        left = np.subtract.accumulate(np.vstack([residual, rows]), axis=0)
-        if stop_early:
-            # the loop's checks before rows start + 1 .. start + len(rows) - 1
-            below = np.flatnonzero(left[1:-1].max(axis=1) < SERIES_TAIL)
-            if below.size:
-                k = int(below[0]) + 1
-                return start + k, left[k]
-        residual = left[-1]
-    return horizon, residual
 
 
 def moments(system: AbsorbingSystem) -> MomentReport:

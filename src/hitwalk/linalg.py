@@ -6,11 +6,8 @@ products (the direct engine steps through its own sparse-or-dense
 eigensolver; spectral quantities elsewhere are reached through trace
 power sums and Newton's identities.
 
-It also holds the two numeric bounds the engines check their outputs
-against, printed in every CLI document's metadata:
-
-* ``SOLVE_RESIDUAL`` -- residual allowed per solved linear system;
-* ``SERIES_TAIL`` -- unabsorbed mass at which a pmf iteration may stop.
+It also holds ``SOLVE_RESIDUAL``, the residual allowed per solved
+linear system, which every CLI document's metadata prints.
 """
 from __future__ import annotations
 
@@ -26,9 +23,6 @@ __all__ = [
 
 # solve: max|a @ x - b| may be at most this times (1 + max|b|).
 SOLVE_RESIDUAL = 1e-10
-# hitting.pmf with stop_early: the iteration ends once every start has
-# less unabsorbed mass than this.
-SERIES_TAIL = 1e-12
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:

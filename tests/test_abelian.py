@@ -354,7 +354,7 @@ def test_fourier_pmf_numerical_fault_is_numerical_error(monkeypatch, fault):
 def test_fourier_pmf_matches_direct_on_z7():
     group, law = ab.cycle_step_law(7)
     kernel = hw.simple_walk_kernel(hw.build_cycle(7))
-    direct = hw.pmf(hw.make_absorbing(kernel, 0), 200, stop_early=False)
+    direct = hw.pmf(hw.make_absorbing(kernel, 0), 200)
     for start in range(1, 7):
         table = hw.fourier_pmf(group, law, (start,), 200)
         assert np.allclose(table.column(start), direct.column(start), atol=1e-10)
@@ -373,7 +373,7 @@ def test_fourier_pmf_cycle_339_within_1e_15_of_direct():
     # the complex round-trip through character tables was 3.4e-14 off
     group, law = ab.cycle_step_law(339)
     kernel = hw.simple_walk_kernel(hw.build_cycle(339))
-    direct = hw.pmf(hw.make_absorbing(kernel, 0), 3000, stop_early=False)
+    direct = hw.pmf(hw.make_absorbing(kernel, 0), 3000)
     table = hw.fourier_pmf(group, law, (100,), 3000)
     assert np.max(np.abs(table.column(100) - direct.column(100))) <= 1e-15
 
@@ -418,7 +418,7 @@ def test_diag_torus_map_is_inverse_of_basis_change(p):
 def _diag_direct_series(p, start, target, horizon):
     kernel = hw.simple_walk_kernel(hw.build_torus_diagonal(p))
     system = hw.make_absorbing(kernel, target[0] * p + target[1])
-    return hw.pmf(system, horizon, stop_early=False).column(start[0] * p + start[1])
+    return hw.pmf(system, horizon).column(start[0] * p + start[1])
 
 
 def test_convolution_report_generic_displacement():

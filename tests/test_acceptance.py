@@ -91,17 +91,13 @@ def test_criterion_05_hypercube_intro_experiment():
 
 def test_criterion_06_closed_form_equivalence():
     for k in range(2, 9):
-        table = hw.pmf(
-            hw.make_absorbing(hw.simple_walk_kernel(hw.build_complete(k)), 0),
-            80,
-            stop_early=False,
-        )
+        table = hw.pmf(hw.make_absorbing(hw.simple_walk_kernel(hw.build_complete(k)), 0), 80)
         for n in range(1, 81):
             assert table.prob(1, n) == pytest.approx(hw.closed_complete(k, n), abs=1e-10)
     for k1 in range(1, 6):
         for k2 in range(1, 6):
             kernel = hw.simple_walk_kernel(hw.build_complete_bipartite(k1, k2))
-            table = hw.pmf(hw.make_absorbing(kernel, k1), 80, stop_early=False)
+            table = hw.pmf(hw.make_absorbing(kernel, k1), 80)
             for n in range(1, 81):
                 assert table.prob(0, n) == pytest.approx(
                     hw.closed_bipartite(k1, k2, "cross", n), abs=1e-10
@@ -115,20 +111,12 @@ def test_criterion_06_closed_form_equivalence():
                     if n % 2 == 1:
                         assert hw.closed_bipartite(k1, k2, "same-side", n) == 0.0
     for k in range(3, 13):
-        table = hw.pmf(
-            hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(k)), 0),
-            100,
-            stop_early=False,
-        )
+        table = hw.pmf(hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(k)), 0), 100)
         for start in range(1, k):
             closed = np.array([hw.closed_cycle(k, start, n) for n in range(1, 101)])
             assert np.max(np.abs(table.column(start) - closed)) <= 1e-10
     for nodes in range(3, 8):
-        table = hw.pmf(
-            hw.make_absorbing(hw.simple_walk_kernel(hw.build_path(nodes)), 0),
-            100,
-            stop_early=False,
-        )
+        table = hw.pmf(hw.make_absorbing(hw.simple_walk_kernel(hw.build_path(nodes)), 0), 100)
         for start in range(1, nodes):
             closed = np.array(
                 [hw.path_endpoint_pmf(nodes, start, n) for n in range(1, 101)]
@@ -142,7 +130,7 @@ def test_criterion_06_closed_form_equivalence():
 
 def _triangle_case(graph, group, law):
     kernel = hw.simple_walk_kernel(graph)
-    direct = hw.pmf(hw.make_absorbing(kernel, 0), 200, stop_early=False)
+    direct = hw.pmf(hw.make_absorbing(kernel, 0), 200)
     seq = hw.mn_sequence(graph, 200)
     rep = hw.moments(hw.make_absorbing(kernel, 0))
     worst_pmf = 0.0
@@ -195,7 +183,7 @@ def test_criterion_08_second_moment_correction():
         for target in range(graph.node_count):
             system = hw.make_absorbing(kernel, target)
             rep = hw.moments(system)
-            table = hw.pmf(system, 100_000)  # stops once residual < 1e-12
+            table = hw.pmf(system, 100_000)  # every one of the 100000 steps
             assert table.residual.max() < 1e-9, name
             n = np.arange(1, table.horizon + 1, dtype=float)
             for idx, start in enumerate(system.index_map):

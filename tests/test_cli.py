@@ -194,7 +194,7 @@ def test_one_start_is_the_all_starts_answer_at_that_start(capsys):
     row = rows[start]
     pmf = run_json(capsys, "pmf", "--preset", "torus_std:15", "--from", str(start), "--to", "0", "--horizon", "500")
     got = np.array(pmf["payload"]["table"]["rows"])[:, 1]
-    want = hitting.pmf(system, 500, stop_early=False).probs[:, row]
+    want = hitting.pmf(system, 500).probs[:, row]
     assert np.array_equal(got[:32], want[:32])
     assert np.all(np.abs(got - want) <= 1e-12 * want)
     grid = ["ctime", "--preset", "torus_std:15", "--to", "0", "--t-grid", "0:60:7"]
@@ -444,6 +444,49 @@ def test_metadata_reruns_bit_identically(capsys):
     code_b, out_b, _ = run_cli(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+# Each subcommand's payload-affecting options, with a base value and one
+# other that moves the payload.
+_PAYLOAD_OPTIONS = {
+    "pmf": {
+        "--preset": ("cycle:13", "cycle:14"), "--from": ("3", "5"), "--to": ("0", "1"),
+        "--horizon": ("20", "30"), "--engine": ("direct", "fourier"),
+    },
+    "moments": {"--preset": ("cycle:12", "path:12"), "--from": ("3", "5"), "--to": ("0", "1")},
+    "ctime": {
+        "--preset": ("cycle:12", "cycle:14"), "--from": ("3", "5"), "--to": ("0", "1"),
+        "--t-grid": ("0:5:6", "0:8:6"), "--tol": ("1e-9", "1e-4"),
+    },
+    "simulate": {
+        "--preset": ("cycle:12", "cycle:14"), "--from": ("3", "5"), "--to": ("0", "1"),
+        "--trials": ("200", "300"), "--seed": ("1", "2"), "--step-cap": ("10000000", "20"),
+    },
+    "compare": {
+        "--preset": ("cycle:40", "cycle:42"), "--from": ("0", "3"), "--to": ("20", "21"),
+        "--horizon": ("8", "40"), "--trials": ("200", "300"), "--seed": ("1", "2"),
+        "--step-cap": ("10000000", "300"),
+    },
+    "gf": {"--preset": ("cycle:12", "cycle:14"), "--from": ("3", "5"), "--to": ("0", "1"), "--horizon": ("10", "12")},
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, options in _PAYLOAD_OPTIONS.items() for option in options],
+)
+def test_an_option_that_moves_the_payload_moves_the_metadata(capsys, command, option):
+    # a document re-runs from its metadata only if every option that
+    # changes its payload is recorded there
+    def document(value):
+        argv = [command]
+        for name, (base, _) in _PAYLOAD_OPTIONS[command].items():
+            argv += [name, value if name == option else base]
+        return run_json(capsys, *argv)
+
+    base, moved = (document(value) for value in _PAYLOAD_OPTIONS[command][option])
+    assert base["payload"] != moved["payload"]
+    assert base["metadata"] != moved["metadata"]
 
 
 def test_graph_file_input(capsys, tmp_path):

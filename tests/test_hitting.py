@@ -15,7 +15,6 @@ from hitwalk.errors import (
     OracleTooLargeError,
 )
 from hitwalk.graphs import _read_spec, parse_graph_spec
-from hitwalk.linalg import SERIES_TAIL
 
 from conftest import coarsest_equitable_partition, preset_zoo
 
@@ -115,8 +114,8 @@ def test_lumped_system_without_symmetry_is_make_absorbing_bit_for_bit(tmp_path):
 def _assert_lumped_matches_make_absorbing(kernel, target):
     system, rows = hw.lumped_absorbing(kernel, target)
     plain = hw.make_absorbing(kernel, target)
-    lumped_pmf = hw.pmf(system, 40, stop_early=False).probs
-    plain_pmf = hw.pmf(plain, 40, stop_early=False).probs
+    lumped_pmf = hw.pmf(system, 40).probs
+    plain_pmf = hw.pmf(plain, 40).probs
     lumped_mom, plain_mom = hw.moments(system), hw.moments(plain)
     for i, node in enumerate(plain.index_map):
         r = rows[node]
@@ -402,17 +401,20 @@ def test_pmf_c10_mean_sum():
     assert mean == pytest.approx(25.0, abs=1e-6)
 
 
-def test_pmf_early_stop_reports_horizon():
+def test_pmf_past_absorption_reports_the_horizon():
+    # K_2 is absorbed in one deterministic step; the table still holds
+    # every step asked for, the later ones exactly 0
     system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_complete(2)), 0)
     table = hw.pmf(system, 50)
-    assert table.horizon == 1  # absorbed in one deterministic step
-    assert table.requested_horizon == 50
-    assert table.residual[0] == pytest.approx(0.0, abs=1e-15)
+    assert table.horizon == 50 and table.probs.shape == (50, 1)
+    assert table.probs[0, 0] == 1.0
+    assert np.all(table.probs[1:] == 0.0)
+    assert table.residual[0] == 0.0
 
 
 def test_pmf_residual_tracks_column_sums():
     system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(6)), 0)
-    table = hw.pmf(system, 40, stop_early=False)
+    table = hw.pmf(system, 40)
     assert np.allclose(table.residual, 1.0 - table.probs.sum(axis=0), atol=1e-12)
     assert np.all(table.probs.sum(axis=0) <= 1.0 + 1e-12)
 
@@ -420,7 +422,7 @@ def test_pmf_residual_tracks_column_sums():
 def test_pmf_residual_small_at_quadratic_horizon():
     for k in (4, 6, 8):
         system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(k)), 0)
-        table = hw.pmf(system, 200 * k * k, stop_early=False)
+        table = hw.pmf(system, 200 * k * k)
         assert table.residual.max() < 1e-8
 
 
@@ -450,16 +452,15 @@ def _assert_blocked_matches_loop(blocked, loop):
     extra=st.floats(min_value=0.0, max_value=0.6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     horizon=st.integers(min_value=1, max_value=1500),
-    stop_early=st.booleans(),
     lump=st.booleans(),
 )
-def test_blocked_pmf_matches_the_one_row_loop(nodes, extra, seed, horizon, stop_early, lump):
+def test_blocked_pmf_matches_the_one_row_loop(nodes, extra, seed, horizon, lump):
     kernel, target = _random_weighted_walk(nodes, extra, seed)
     system = hw.lumped_absorbing(kernel, target)[0] if lump else hw.make_absorbing(kernel, target)
-    blocked = hw.pmf(system, horizon, stop_early=stop_early)
+    blocked = hw.pmf(system, horizon)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hitting, "_BLOCK_MAX_STATES", 0)
-        loop = hw.pmf(system, horizon, stop_early=stop_early)
+        loop = hw.pmf(system, horizon)
     _assert_blocked_matches_loop(blocked, loop)
 
 
@@ -481,7 +482,7 @@ def test_pmf_outside_the_blocked_range_is_the_one_row_loop(nodes, horizon):
     # a cycle's plain absorbing system has nodes - 1 states; past the
     # block limit or at short horizons pmf steps every row, bit for bit
     system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(nodes)), 0)
-    table = hw.pmf(system, horizon, stop_early=False)
+    table = hw.pmf(system, horizon)
     probs, residual = _one_row_loop(system, horizon)
     assert np.array_equal(table.probs, probs) and np.array_equal(table.residual, residual)
 
@@ -490,57 +491,42 @@ def test_blocked_pmf_rows_do_not_depend_on_the_horizon():
     # the last block is always a full product, so a longer table extends
     # a shorter one bit for bit
     system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_torus_standard(5)), 0)
-    short, long = (hw.pmf(system, h, stop_early=False) for h in (97, 200))
+    short, long = (hw.pmf(system, h) for h in (97, 200))
     assert np.array_equal(short.probs, long.probs[:97])
 
 
 # --- pmf on reported rows -------------------------------------------------------
-
-def _first_below(left, bound):
-    """The row count where a stopping pmf ends on residuals ``left``
-    (row n the residual after rows 0..n): the first n >= 1 whose residual
-    before row n is below ``bound`` everywhere, else every row."""
-    below = np.flatnonzero(left[:-1].max(axis=1) < bound)
-    return int(below[0]) + 1 if below.size else len(left)
-
 
 @given(
     nodes=st.integers(min_value=2, max_value=12),
     extra=st.floats(min_value=0.0, max_value=0.6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     horizon=st.integers(min_value=1, max_value=1500),
-    stop_early=st.booleans(),
     lump=st.booleans(),
     picks=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40),
 )
-def test_pmf_on_reported_rows_is_those_columns_of_the_full_table(nodes, extra, seed, horizon, stop_early, lump, picks):
+def test_pmf_on_reported_rows_is_those_columns_of_the_full_table(nodes, extra, seed, horizon, lump, picks):
     # a few rows take giant steps over 2 * _BLOCK rows, _BLOCK or more take
     # column blocks, and up to 2 * _BLOCK rows both are the one-row loop
     kernel, target = _random_weighted_walk(nodes, extra, seed)
     system = hw.lumped_absorbing(kernel, target)[0] if lump else hw.make_absorbing(kernel, target)
     rows = [p % system.size for p in picks]
-    table = hw.pmf(system, horizon, stop_early=stop_early, rows=rows)
+    table = hw.pmf(system, horizon, rows=rows)
     assert table.states == tuple(system.index_map[r] for r in rows)
-    full = hw.pmf(system, horizon, stop_early=False).probs[:, rows]
+    full = hw.pmf(system, horizon).probs[:, rows]
     left = np.subtract.accumulate(np.vstack([1.0 - full[0], full[1:]]), axis=0)
+    assert table.horizon == horizon
     if horizon <= 2 * hitting._BLOCK:
-        assert table.horizon == (_first_below(left, SERIES_TAIL) if stop_early else horizon)
-        assert np.array_equal(table.probs, full[: table.horizon])
-        assert np.array_equal(table.residual, left[table.horizon - 1])
+        assert np.array_equal(table.probs, full)
+        assert np.array_equal(table.residual, left[-1])
         return
     # blocked rows round apart from the full table's, and so may their
-    # residuals: the stop is where a residual within 1e-6 relative of the
-    # full table's falls below the tail
-    if stop_early:
-        assert _first_below(left, SERIES_TAIL * (1 + 1e-6)) <= table.horizon <= _first_below(left, SERIES_TAIL * (1 - 1e-6))
-    else:
-        assert table.horizon == horizon
-    want = full[: table.horizon]
-    assert np.array_equal(table.probs[: hitting._BLOCK], want[: hitting._BLOCK])
-    kept = want >= 1e-300
-    assert np.all(np.abs(table.probs[kept] - want[kept]) <= 1e-12 * want[kept])
+    # residuals
+    assert np.array_equal(table.probs[: hitting._BLOCK], full[: hitting._BLOCK])
+    kept = full >= 1e-300
+    assert np.all(np.abs(table.probs[kept] - full[kept]) <= 1e-12 * full[kept])
     assert np.all(table.probs[~kept] < 1e-300)
-    assert np.all(np.abs(table.residual - left[table.horizon - 1]) <= 1e-13)
+    assert np.all(np.abs(table.residual - left[-1]) <= 1e-13)
 
 
 def _spy(monkeypatch, name):
@@ -563,12 +549,12 @@ def test_one_start_takes_giant_steps_from_the_measured_crossover(monkeypatch):
     assert 2 * hitting._BLOCK < crossover < 2000
     giant = _spy(monkeypatch, "_giant_steps")
     row = system.size - 1
-    loop = hw.pmf(system, crossover - 1, stop_early=False, rows=[row])
+    loop = hw.pmf(system, crossover - 1, rows=[row])
     assert giant == []
     assert np.array_equal(loop.probs[:, 0], _one_row_loop(system, crossover - 1)[0][:, row])
-    blocked = hw.pmf(system, crossover, stop_early=False, rows=[row])
+    blocked = hw.pmf(system, crossover, rows=[row])
     assert len(giant) == 1
-    want = hw.pmf(system, crossover, stop_early=False).probs[:, row]
+    want = hw.pmf(system, crossover).probs[:, row]
     assert np.array_equal(blocked.probs[: hitting._BLOCK, 0], want[: hitting._BLOCK])
     assert np.all(np.abs(blocked.probs[:, 0] - want) <= 1e-12 * want)
 
@@ -579,11 +565,11 @@ def test_reported_rows_give_way_to_column_blocks_at_one_block(monkeypatch):
     system = cli._Problem(cli._parse_preset("torus_std:31"), None, 0).lumped[0]
     giant, columns = _spy(monkeypatch, "_giant_steps"), _spy(monkeypatch, "_column_blocks")
     many = list(range(hitting._BLOCK))
-    few = hw.pmf(system, 300, stop_early=False, rows=many[:-1])
+    few = hw.pmf(system, 300, rows=many[:-1])
     assert (len(giant), len(columns)) == (1, 0)
-    blocks = hw.pmf(system, 300, stop_early=False, rows=many)
+    blocks = hw.pmf(system, 300, rows=many)
     assert (len(giant), len(columns)) == (1, 1)
-    full = hw.pmf(system, 300, stop_early=False)
+    full = hw.pmf(system, 300)
     assert np.array_equal(blocks.probs, full.probs[:, many])
     assert np.all(np.abs(few.probs - full.probs[:, many[:-1]]) <= 1e-12 * full.probs[:, many[:-1]])
 
@@ -624,7 +610,7 @@ def test_neighbour_table_and_dense_steps_agree(graph, target, table_chosen, tmp_
     q = system.q_matrix
     rows, cols = np.nonzero(q)
     table_cols, table_vals = hitting._row_table(rows, cols, q[rows, cols], system.size)
-    probs = hw.pmf(system, 40, stop_early=False).probs
+    probs = hw.pmf(system, 40).probs
     vec = system.first_step
     for row in probs:
         assert np.max(np.abs(row - vec)) <= 1e-15
@@ -657,7 +643,7 @@ def test_pmf_step_with_non_finite_entries_raises(q, table_chosen):
     )
     assert (system.q_rows is not None) == table_chosen
     with pytest.raises(InvalidParameterError, match="non-finite"):
-        hw.pmf(system, 3, stop_early=False)
+        hw.pmf(system, 3)
 
 
 # --- brute-force oracle ---------------------------------------------------------
@@ -693,7 +679,7 @@ def test_pmf_matches_brute_on_small_presets():
         kernel = hw.simple_walk_kernel(g)
         for target in range(g.node_count):
             system = hw.make_absorbing(kernel, target)
-            table = hw.pmf(system, 8, stop_early=False)
+            table = hw.pmf(system, 8)
             for start in system.index_map:
                 brute = hw.brute_pmf(kernel, start, target, 8)
                 assert np.allclose(table.column(start), brute, atol=1e-12), (name, start, target)
@@ -756,7 +742,7 @@ def test_closed_complete_values():
 def test_closed_complete_matches_pmf():
     for k in range(2, 9):
         system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_complete(k)), 0)
-        table = hw.pmf(system, 60, stop_early=False)
+        table = hw.pmf(system, 60)
         for n in range(1, 61):
             assert table.prob(1, n) == pytest.approx(hw.closed_complete(k, n), abs=1e-12)
 
@@ -774,7 +760,7 @@ def test_closed_bipartite_matches_pmf_both_cases():
             kernel = hw.simple_walk_kernel(g)
             target = k1  # first node of side B, the size-k2 side
             system = hw.make_absorbing(kernel, target)
-            table = hw.pmf(system, 80, stop_early=False)
+            table = hw.pmf(system, 80)
             for n in range(1, 81):
                 assert table.prob(0, n) == pytest.approx(
                     hw.closed_bipartite(k1, k2, "cross", n), abs=1e-12
@@ -788,7 +774,7 @@ def test_closed_bipartite_matches_pmf_both_cases():
 def test_closed_bipartite_same_side_other_side_by_swap():
     g = hw.build_complete_bipartite(2, 3)
     kernel = hw.simple_walk_kernel(g)
-    table = hw.pmf(hw.make_absorbing(kernel, 0), 40, stop_early=False)
+    table = hw.pmf(hw.make_absorbing(kernel, 0), 40)
     for n in range(1, 41):
         assert table.prob(1, n) == pytest.approx(
             hw.closed_bipartite(3, 2, "same-side", n), abs=1e-12
@@ -803,7 +789,7 @@ def test_closed_cycle_examples():
 def test_closed_cycle_matches_pmf():
     for k in range(3, 13):
         system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(k)), 0)
-        table = hw.pmf(system, 100, stop_early=False)
+        table = hw.pmf(system, 100)
         for start in range(1, k):
             col = table.column(start)
             closed = np.array([hw.closed_cycle(k, start, n) for n in range(1, 101)])
@@ -828,7 +814,7 @@ def test_path_endpoint_examples():
 def test_path_endpoint_far_end_equals_antipodal_cycle():
     g = hw.build_path(4)
     system = hw.make_absorbing(hw.simple_walk_kernel(g), 0)
-    table = hw.pmf(system, 3, stop_early=False)
+    table = hw.pmf(system, 3)
     assert hw.path_endpoint_pmf(4, 3, 3) == pytest.approx(table.prob(3, 3), abs=1e-12)
     assert hw.path_endpoint_pmf(4, 3, 3) == pytest.approx(hw.closed_cycle(6, 3, 3), abs=1e-12)
 
@@ -837,7 +823,7 @@ def test_path_endpoint_matches_pmf_all_paths():
     for nodes in range(3, 8):
         g = hw.build_path(nodes)
         system = hw.make_absorbing(hw.simple_walk_kernel(g), 0)
-        table = hw.pmf(system, 100, stop_early=False)
+        table = hw.pmf(system, 100)
         for start in range(1, nodes):
             col = table.column(start)
             closed = np.array([hw.path_endpoint_pmf(nodes, start, n) for n in range(1, 101)])

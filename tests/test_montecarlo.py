@@ -447,7 +447,7 @@ def test_empirical_pmf_follows_the_exact_law(family, k, start, target, trials, s
     if (family, k) == ("complete", 4):
         law = np.array([hw.closed_complete(4, n) for n in range(1, horizon + 1)])
     else:
-        law = hw.pmf(hw.make_absorbing(kernel, target), horizon, stop_early=False).column(start)
+        law = hw.pmf(hw.make_absorbing(kernel, target), horizon).column(start)
     summary = hw.simulate(kernel, start, target, hw.SimConfig(trials=trials, master_seed=seed))
     assert summary.capped_count == 0
     counts = summary.empirical_pmf[1 : horizon + 1]

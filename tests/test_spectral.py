@@ -78,7 +78,7 @@ def test_mn_matches_direct_pmf_everywhere():
         seq = hw.mn_sequence(g, 100)
         kernel = hw.simple_walk_kernel(g)
         for target in range(g.node_count):
-            direct = hw.pmf(hw.make_absorbing(kernel, target), 100, stop_early=False)
+            direct = hw.pmf(hw.make_absorbing(kernel, target), 100)
             for start in range(g.node_count):
                 if start == target:
                     continue
@@ -119,7 +119,7 @@ def test_mn_rejects_non_walk_regular_graph():
     seq = hw.mn_sequence(g, 2)
     kernel = hw.simple_walk_kernel(g)
     for target in range(8):
-        direct = hw.pmf(hw.make_absorbing(kernel, target), 2, stop_early=False)
+        direct = hw.pmf(hw.make_absorbing(kernel, target), 2)
         for start in direct.states:
             assert np.allclose(seq.entry(start, target)[1:], direct.column(start), atol=1e-15)
 
@@ -219,7 +219,7 @@ def test_gf_series_matches_direct(graph):
     # neither graph is vertex-transitive, and the path is not walk-regular
     kernel = hw.simple_walk_kernel(graph)
     for target in (0, 13):
-        direct = hw.pmf(hw.make_absorbing(kernel, target), 200, stop_early=False)
+        direct = hw.pmf(hw.make_absorbing(kernel, target), 200)
         for start in direct.states:
             series = hw.gf_series(graph, start, target, 200)
             assert series[0] == 0.0
