@@ -41,14 +41,8 @@ one displacement in O(|G|) a step and O(|G| + horizon) memory; neither
 forms a complex number or a character table.
 
 The complex transform ``fourier`` and its inverse remain as the dense
-reference.  The character table of G = G_1 x G_2 is the Kronecker
-product of the tables of G_1 and G_2 (Diaconis, *Group Representations
-in Probability and Statistics*, 1988, ch. 3), so the dense |G| x |G|
-table is never formed there either.  The factors are split into a
-prefix G_1 and a suffix G_2 of orders as even as possible; with f laid
-out as a |G_1| x |G_2| grid the transform is H f T and its inverse
-conj(H) f^ conj(T) / |G|, where H and T are the (cached) tables of G_1
-and G_2, in O(|G| (|G_1| + |G_2|)).
+reference: each is a product with the |G| x |G| character table, in
+O(|G|^2) time and memory.
 """
 from __future__ import annotations
 
@@ -223,26 +217,12 @@ def character_basis(group: FiniteAbelianGroup) -> CharacterBasis:
     return _cached_basis(group.factors)
 
 
-def _block_tables(group: FiniteAbelianGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Character tables (head, tail) of a prefix and a suffix of the factors
-    whose orders are as even as possible; a single factor has the 1x1
-    table of the trivial group as its tail."""
-    factors = group.factors
-    prefix_orders = np.cumprod(factors)
-    split = int(np.argmin(np.maximum(prefix_orders, group.order // prefix_orders))) + 1
-    head = character_basis(FiniteAbelianGroup(factors[:split])).matrix
-    if split == len(factors):
-        return head, np.ones((1, 1))
-    return head, character_basis(FiniteAbelianGroup(factors[split:])).matrix
-
-
 def fourier(group: FiniteAbelianGroup, values) -> np.ndarray:
     """Transform f^(rho_a) = sum_g f(g) rho_a(g), indexed by character."""
     values = np.asarray(values)
     if values.shape != (group.order,):
         raise InvalidParameterError("function length must equal group order")
-    head, tail = _block_tables(group)
-    return (head @ values.reshape(len(head), len(tail)) @ tail).ravel()
+    return character_basis(group).matrix @ values
 
 
 def inverse_fourier(group: FiniteAbelianGroup, transform) -> np.ndarray:
@@ -250,9 +230,7 @@ def inverse_fourier(group: FiniteAbelianGroup, transform) -> np.ndarray:
     transform = np.asarray(transform, dtype=complex)
     if transform.shape != (group.order,):
         raise InvalidParameterError("transform length must equal group order")
-    head, tail = _block_tables(group)
-    grid = transform.reshape(len(head), len(tail))
-    return (head.conj() @ grid @ tail.conj()).ravel() / group.order
+    return character_basis(group).matrix.conj() @ transform / group.order
 
 
 def _versines(group: FiniteAbelianGroup, elements) -> np.ndarray:

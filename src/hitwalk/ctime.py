@@ -9,7 +9,7 @@ discrete steps with probability e^{-t} t^n / n! and
 Series are truncated once the Poisson tail mass drops below the
 requested tolerance; weights are computed in log space so large t does
 not underflow.  Other transition rates are a pure time rescale left to
-callers.
+callers.  The moments are ``hitting.moments``' by identity (``ct_moments``).
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericalError
 from .graphs import _require_array_size
-from .hitting import AbsorbingSystem, _reported_rows, pmf
-from .linalg import solve
+from .hitting import AbsorbingSystem, _reported_rows, moments, pmf
 
 __all__ = ["CTimeEvaluation", "ct_moments", "ct_evaluate"]
 
@@ -152,7 +151,7 @@ def ct_evaluate(
 
 
 def ct_moments(system: AbsorbingSystem, order: int) -> np.ndarray:
-    """Exact continuous-time moments per start.
+    """Exact continuous-time moments per start, by identity from ``moments``.
 
     order 1: (I-Q)^{-2} P1, which collapses to the discrete mean because
     P1 = (I-Q) 1.  order 2: 2 (I-Q)^{-3} P1, which equals the discrete
@@ -162,10 +161,5 @@ def ct_moments(system: AbsorbingSystem, order: int) -> np.ndarray:
     """
     if order not in (1, 2):
         raise InvalidParameterError("order must be 1 or 2")
-    eye = np.eye(system.size)
-    a = eye - system.q_matrix
-    x = solve(a, system.first_step)
-    x = solve(a, x)
-    if order == 1:
-        return x
-    return 2.0 * solve(a, x)
+    report = moments(system)
+    return report.mean if order == 1 else report.second + report.mean

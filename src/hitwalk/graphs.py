@@ -331,7 +331,9 @@ class TransitionKernel:
                 raise InvalidParameterError(
                     f"node {overflow[0]}: the sum of its edge weights overflows float64"
                 )
-            raise InvalidParameterError("kernel rows must sum to 1 within 1e-12")
+            isolated = np.flatnonzero(strengths == 0.0)
+            where = f"node {isolated[0]} is on no edge: " if isolated.size else ""
+            raise InvalidParameterError(f"{where}kernel rows must sum to 1 within 1e-12")
         positive = values > 0.0
         if not positive.all():
             heads, tails, values = heads[positive], tails[positive], values[positive]

@@ -1,10 +1,11 @@
-"""Small dense linear-algebra kernel used by every engine.
+"""Small dense linear-algebra kernel.
 
-Two primitives: pivoted linear solves and repeated matrix-vector
-products (the direct engine steps through its own sparse-or-dense
-``AbsorbingSystem.step`` instead).  There is deliberately no
-eigensolver; spectral quantities elsewhere are reached through trace
-power sums and Newton's identities.
+``solve``, a pivoted solve with a residual guarantee, serves
+``hitting.moments`` alone (``ct_moments`` follows from it by identity).
+``matpow_apply``, repeated matrix-vector products, has no caller in the
+package; only the benchmark's per-layer spans name it.  There is
+deliberately no eigensolver; spectral quantities elsewhere are reached
+through trace power sums and Newton's identities.
 
 It also holds ``SOLVE_RESIDUAL``, the residual allowed per solved
 linear system, which every CLI document's metadata prints.

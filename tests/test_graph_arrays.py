@@ -128,6 +128,9 @@ def test_simple_walk_kernel_checks_row_sums():
     # a lone node has no arc to step along
     with pytest.raises(InvalidParameterError, match="rows must sum to 1"):
         hw.simple_walk_kernel(hw.Graph(1, ()))
+    # and the error names it, here the last node of a path 0-1-2
+    with pytest.raises(InvalidParameterError, match="^node 3 is on no edge: kernel rows must sum to 1"):
+        hw.simple_walk_kernel(hw.Graph(4, ((0, 1), (1, 2))))
 
 
 def test_kernel_of_a_long_path_stays_small():
