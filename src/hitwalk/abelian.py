@@ -195,16 +195,13 @@ class CharacterBasis:
 
     ``matrix[a, g] = rho_a(g)``, characters indexed lexicographically by
     their index tuples with the trivial character in row 0.  The table is
-    symmetric: rho_a(g) = rho_g(a).
+    symmetric: rho_a(g) = rho_g(a).  Entries are looked up by ``_turns``.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
-        elements = np.array(group.elements())  # (|G|, m)
-        phases = np.zeros((group.order, group.order))
-        for l, n in enumerate(group.factors):
-            phases += np.outer(elements[:, l], elements[:, l]) / n
-        self.matrix = np.exp(2j * np.pi * phases)
+        turns, angle = _turns(group, np.arange(group.order))
+        self.matrix = (np.cos(angle).astype(float) + 1j * np.sin(angle).astype(float))[turns]
         self.matrix.setflags(write=False)
 
 
@@ -233,20 +230,10 @@ def inverse_fourier(group: FiniteAbelianGroup, transform) -> np.ndarray:
     return character_basis(group).matrix.conj() @ transform / group.order
 
 
-def _versines(group: FiniteAbelianGroup, elements) -> np.ndarray:
-    """1 - cos(2 pi <a, x>) = 2 sin^2(pi <a, x>) for every character a
-    (rows) and each element index x (columns), <a, x> = sum_l a_l x_l / n_l.
-
-    <a, x> is reduced exactly, in integers modulo the lcm L of the
-    moduli, to its distance j / L from the nearest whole number, and the
-    value looked up in a table over j: a value near 0 keeps its relative
-    accuracy, and the values at a and -a are equal bit for bit.  The
-    turns of the leading factors are summed first and each next factor's
-    added across them, so the lookup costs O(|G|) a column.  The table is
-    formed in long double (extended precision on x86-64) and rounded
-    once, so each entry is the double nearest its value but in rare near
-    ties: 1/6, 1/4, 1/3 and 1/2 of a turn give 0.5, 1, 1.5 and 2 exactly.
-    """
+def _turns(group: FiniteAbelianGroup, elements) -> tuple[np.ndarray, np.ndarray]:
+    """j = L <a, x> mod L in integers (L the lcm of the moduli) for every
+    character a (rows) and each element index x (columns), factor by factor
+    in O(|G|) a column; and the angles 2 pi j / L, j < L, in long double."""
     factors = group.factors
     lcm = int(np.lcm.reduce(factors))
     xs = np.unravel_index(np.asarray(elements), factors)
@@ -254,8 +241,20 @@ def _versines(group: FiniteAbelianGroup, elements) -> np.ndarray:
     for n, x in zip(factors, xs):
         turns = ((turns[:, None, :] + np.outer(np.arange(n), x * (lcm // n))) % lcm).reshape(-1, len(x))
     pi = 4 * np.arctan(np.longdouble(1))
-    table = 2 * np.sin(pi * np.arange(lcm // 2 + 1, dtype=np.longdouble) / lcm) ** 2
-    return table.astype(float)[np.minimum(turns, lcm - turns)]
+    return turns, 2 * pi * np.arange(lcm, dtype=np.longdouble) / lcm
+
+
+def _versines(group: FiniteAbelianGroup, elements) -> np.ndarray:
+    """1 - cos(2 pi <a, x>) = 2 sin^2(pi <a, x>) for every character a
+    (rows) and each element index x (columns), looked up at the distance
+    j / L of <a, x> (``_turns``) from the nearest whole number: a value
+    near 0 keeps its relative accuracy, and the values at a and -a are
+    equal bit for bit.  The table over j is rounded once from long double,
+    so each entry is the double nearest its value but in rare near ties:
+    1/6, 1/4, 1/3 and 1/2 of a turn give 0.5, 1, 1.5 and 2 exactly."""
+    turns, angle = _turns(group, elements)
+    table = 2 * np.sin(angle[: len(angle) // 2 + 1] / 2) ** 2
+    return table.astype(float)[np.minimum(turns, len(angle) - turns)]
 
 
 def _spectral_gaps(group: FiniteAbelianGroup, law: StepLaw) -> np.ndarray:

@@ -227,25 +227,23 @@ class Graph:
             raise error
         object.__delattr__(self, "edges")  # until it is read (see __getattr__)
         self._set_arcs(u, v, w)
+        if self.labels is not None:
+            if len(self.labels) != self.node_count:
+                raise InvalidParameterError("label count must equal node count")
+            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
 
     @classmethod
-    def _from_columns(
-        cls, node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None = None, labels=None
-    ) -> Graph:
+    def _from_columns(cls, node_count: int, u: np.ndarray, v: np.ndarray, w: np.ndarray | None = None) -> Graph:
         """Graph with edges (u[i], v[i], w[i]), unit weights when ``w`` is
         None; checked as the constructor checks a tuple of edges."""
         g = cls.__new__(cls)
         object.__setattr__(g, "node_count", node_count)
-        object.__setattr__(g, "labels", labels)
+        object.__setattr__(g, "labels", None)
         g._set_arcs(u, v, w)
         return g
 
     def _set_arcs(self, u: np.ndarray, v: np.ndarray, w: np.ndarray | None) -> None:
         arcs = _sorted_arcs(self.node_count, u, v, w)
-        if self.labels is not None:
-            if len(self.labels) != self.node_count:
-                raise InvalidParameterError("label count must equal node count")
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         for arr in arcs:
             arr.setflags(write=False)
         object.__setattr__(self, "_arcs", arcs)
@@ -495,7 +493,8 @@ def build_torus_diagonal(p: int) -> Graph:
 # prob): reps[c] is the smallest node of class c, key(nodes) the class of
 # each node (-1 at the target), and the arcs out of the smallest nodes go
 # from class head into class tail with step probability prob, count times
-# over.  A family checks the classes^2 entries of the dense Q first.
+# over.  A family checks that the classes^2 entries of a dense Q (which
+# moments forms) fit an array before it allocates anything of size classes.
 
 def _neighbour_arcs(key, tails: list[np.ndarray]) -> tuple:
     """(head, tail, count, prob) of a regular walk whose class c's smallest

@@ -42,7 +42,8 @@ index map, bit for bit, and the closed form needs no graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,34 +158,34 @@ _SALT_DRAWS = 2**40
 class AbsorbingSystem:
     """Walk restricted to the non-target states.
 
-    q_matrix is the kernel with the target's row and column removed,
+    arcs holds Q, the kernel with the target's row and column removed, as
+    its nonzero entries (rows, columns, values) in row-major order;
     first_step[i] = P(tau_{i,j} = 1), and index_map maps reduced indices
     back to original node indices (original order, target excised).  In
     a lumped system (:func:`lumped_absorbing`) each row stands for a class
     of nodes with one law, and index_map holds each class's smallest node.
-    q_rows is derived from q_matrix: when Q's widest row is a small
-    fraction of the states (see ``_SPARSE_ROW_FRACTION``) it holds Q as a
-    padded neighbour table (ELL layout), row i of Q having the values
-    q_rows[1][i] at the columns q_rows[0][i], padded with zeros to the
-    widest row; otherwise it is None.
+    From the arcs on first read: q_rows, Q as a padded neighbour table (ELL
+    layout; row i has the values q_rows[1][i] at the columns q_rows[0][i])
+    when its widest row is a small fraction of the states (see
+    ``_SPARSE_ROW_FRACTION``), else None; and q_matrix, the dense Q.
     """
 
     target: int
-    q_matrix: np.ndarray
+    arcs: tuple[np.ndarray, np.ndarray, np.ndarray]
     first_step: np.ndarray
     index_map: tuple[int, ...]
-    q_rows: tuple[np.ndarray, np.ndarray] | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        q = self.q_matrix
-        n = len(q)
-        nonzero = q != 0
-        table = None
-        if n and nonzero.sum(axis=1).max() * _SPARSE_ROW_FRACTION <= n:
-            # flatnonzero of the mask is ten times faster than nonzero(q)
-            rows, cols = np.divmod(np.flatnonzero(nonzero), n)
-            table = _row_table(rows, cols, q[rows, cols], n)
-        object.__setattr__(self, "q_rows", table)
+    @cached_property
+    def q_rows(self) -> tuple[np.ndarray, np.ndarray] | None:
+        wide = np.bincount(self.arcs[0], minlength=self.size).max() * _SPARSE_ROW_FRACTION > self.size
+        return None if wide else _row_table(*self.arcs, self.size)
+
+    @cached_property
+    def q_matrix(self) -> np.ndarray:
+        q = np.zeros((self.size, self.size))
+        q[self.arcs[:2]] = self.arcs[2]
+        q.setflags(write=False)
+        return q
 
     @property
     def size(self) -> int:
@@ -374,22 +375,23 @@ def _system(target: int, reps, row, col, probs, count) -> AbsorbingSystem:
     p1 = np.zeros(k)
     hit = col < 0
     p1[row[hit]] = (count * probs)[hit]
-    # equal probabilities into one class add as one product, count * p,
-    # which rounds once where a running sum would round count times
-    entry, probs, count = row[~hit] * k + col[~hit], probs[~hit], count[~hit]
+    live = ~hit & (count > 0)  # no entry of count 0 (K_2's class into itself)
+    entry, probs, count = row[live] * k + col[live], probs[live], count[live]
+    vals = count * probs
     if np.any(entry[1:] <= entry[:-1]):  # some row has arcs into one class
+        # equal probabilities into one class add as one product, count * p
+        # (rounded once, not count times), and the products in order of p
         order = np.lexsort((probs, entry))
         entry, probs, count = entry[order], probs[order], count[order]
-    starts = np.ones(len(entry), dtype=bool)
-    starts[1:] = (entry[1:] != entry[:-1]) | (probs[1:] != probs[:-1])
-    first = np.flatnonzero(starts)
-    counts = np.diff(np.append(0, np.cumsum(count))[np.append(first, len(count))])
-    q = np.bincount(entry[first], weights=counts * probs[first], minlength=k * k).reshape(k, k)
-    if np.max(np.abs(p1 + q.sum(axis=1) - 1.0)) > _IDENTITY_TOL:
+        runs = np.flatnonzero(np.append(True, (entry[1:] != entry[:-1]) | (probs[1:] != probs[:-1])))
+        entry, slot = np.unique(entry[runs], return_inverse=True)
+        vals = np.bincount(slot, weights=np.add.reduceat(count, runs) * probs[runs])
+    rows, cols = entry // k, entry % k
+    if np.max(np.abs(p1 + np.bincount(rows, weights=vals, minlength=k) - 1.0)) > _IDENTITY_TOL:
         raise InvalidParameterError("rows of [Q | P1] must sum to 1")
-    q.setflags(write=False)
-    p1.setflags(write=False)
-    return AbsorbingSystem(target=target, q_matrix=q, first_step=p1, index_map=tuple(reps.tolist()))
+    for array in (rows, cols, vals, p1):
+        array.setflags(write=False)
+    return AbsorbingSystem(target=target, arcs=(rows, cols, vals), first_step=p1, index_map=tuple(reps.tolist()))
 
 
 class _ClassRows:

@@ -158,6 +158,19 @@ def kronecker_table(factors):
     return table
 
 
+@pytest.mark.parametrize("factors", [(400,), (31, 31)])
+def test_character_table_is_rounded_from_reduced_turns(factors):
+    # reference in long double, each factor's jk reduced mod n in integers;
+    # a table from unreduced float phases is 4.8e-13 off on (400,)
+    pi = 4 * np.arctan(np.longdouble(1))
+    reference = np.ones((1, 1), dtype=np.clongdouble)
+    for n in factors:
+        angle = 2 * pi * (np.outer(np.arange(n), np.arange(n)) % n) / n
+        reference = np.kron(reference, np.cos(angle) + 1j * np.sin(angle))
+    table = ab.CharacterBasis(ab.FiniteAbelianGroup(factors)).matrix
+    assert np.max(np.abs(table - reference)) <= 2e-15
+
+
 @pytest.mark.parametrize(
     "factors", [(400,), (31,), (2,) * 10, (31, 31), (3, 4, 5), (2, 3, 2, 5)]
 )

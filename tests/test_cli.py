@@ -667,8 +667,7 @@ def test_preset_parameters_are_the_builders_checks_without_a_build(capsys, build
 
 def test_preset_quotient_too_large_for_its_dense_q_exits_2(capsys):
     # torus_std:100000 lumps onto 1.25e9 classes; the family refuses the
-    # classes^2 dense Q before it allocates anything of size classes (numpy
-    # would refuse only the Q itself, with a ValueError: exit 1)
+    # classes^2 dense Q before it allocates anything of size classes
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "pmf", "--preset", "torus_std:100000", "--from", "1", "--to", "0")

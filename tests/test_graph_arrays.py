@@ -103,8 +103,9 @@ def test_columns_run_the_tuple_checks():
         hw.Graph(4, tuple(zip(u.tolist(), v.tolist())))
     with pytest.raises(InvalidParameterError, match=r"^edge \(0,1\) weight must be positive$"):
         hw.Graph._from_columns(3, np.array([1, 1]), np.array([0, 2]), np.array([-1.0, 1.0]))
+    # labels come through the constructor alone, checked there
     with pytest.raises(InvalidParameterError, match="label count"):
-        hw.Graph._from_columns(3, np.array([0, 1]), np.array([1, 2]), labels=("a", "b"))
+        hw.Graph(3, ((0, 1), (1, 2)), labels=("a", "b"))
     with pytest.raises(InvalidParameterError, match="at least one node"):
         hw.Graph._from_columns(0, np.array([], dtype=int), np.array([], dtype=int))
 

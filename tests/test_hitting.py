@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -619,27 +620,82 @@ def test_neighbour_table_and_dense_steps_agree(graph, target, table_chosen, tmp_
         vec = q @ vec
 
 
-def test_neighbour_table_follows_q_matrix():
-    system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_torus_standard(21)), 0)
-    with pytest.raises(ValueError, match="init=False"):
-        dataclasses.replace(system, q_rows=None)
-    # a replaced Q gets its own table, or none when its rows are wide
-    for q in (system.q_matrix / 2, np.full(system.q_matrix.shape, 0.5 / system.size)):
-        changed = dataclasses.replace(system, q_matrix=q)
-        vec = np.linspace(0.0, 1.0, system.size)
-        assert np.max(np.abs(changed.step(vec) - q @ vec)) <= 1e-15
-    assert changed.q_rows is None
+@pytest.mark.parametrize(
+    "graph, table_chosen",
+    [(hw.build_torus_standard(21), True), (hw.build_complete_bipartite(133, 267), False)],
+    ids=["torus_std:21", "bipartite:133:267"],
+)
+def test_neighbour_table_and_dense_q_come_from_the_arcs(graph, table_chosen):
+    system = hw.make_absorbing(hw.simple_walk_kernel(graph), 0)
+    rows, cols, vals = system.arcs
+    assert np.all(np.diff(rows * system.size + cols) > 0) and np.all(vals != 0)
+    assert "q_matrix" not in vars(system)  # formed on its first read
+    q = system.q_matrix
+    assert np.array_equal(q[rows, cols], vals) and np.count_nonzero(q) == len(vals)
+    assert not q.flags.writeable and system.q_matrix is q
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.q_matrix = q
+    assert (system.q_rows is not None) == table_chosen
+    if table_chosen:
+        table_cols, table_vals = system.q_rows
+        width = np.bincount(rows, minlength=system.size)
+        assert table_cols.shape == (system.size, width.max())
+        filled = np.arange(table_cols.shape[1]) < width[:, None]
+        assert np.array_equal(table_cols[filled], cols) and np.array_equal(table_vals[filled], vals)
+        assert not table_vals[~filled].any()
+
+
+@pytest.mark.parametrize(
+    "graph, target",
+    [
+        (lambda tmp: hw.Graph(4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))), 0),
+        (lambda tmp: hw.build_complete(2), 1),
+        (lambda tmp: hw.build_path(5), 1),
+        (lambda tmp: hw.build_complete_bipartite(3, 5), 6),
+        (lambda tmp: hw.build_torus_standard(5), 12),
+        (lambda tmp: hw.build_hypercube(4), 5),
+        (_weighted_cycle_file, 7),
+    ],
+    ids=["diamond", "K2", "path:5-to-1", "bipartite:3:5", "torus_std:5", "hypercube:4", "weighted-file"],
+)
+def test_unlumped_q_matrix_is_the_kernel_without_the_target(graph, target, tmp_path):
+    kernel = hw.simple_walk_kernel(graph(tmp_path))
+    kept = np.delete(np.arange(kernel.node_count), target)
+    want = kernel.matrix[np.ix_(kept, kept)]
+    assert hw.make_absorbing(kernel, target).q_matrix.tobytes() == want.tobytes()
+
+
+def test_path_10000_system_is_built_without_a_dense_q():
+    # the dense Q alone is 9999^2 doubles, 763 MiB
+    family = graphs._family("path", [10000])
+    tracemalloc.start()
+    try:
+        system = hitting._preset_lumped(family, [10000], 0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.size == 9999 and peak < 16 * 2**20
+
+
+def test_loop_route_pmf_leaves_the_dense_q_unformed(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("the dense Q was formed")
+
+    monkeypatch.setattr(hitting.AbsorbingSystem, "q_matrix", property(refuse))
+    args = ["pmf", "--preset", "path:10000", "--from", "9999", "--to", "0", "--horizon", "2000", "--engine", "direct"]
+    assert cli.main(args) == 0, capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize(
-    "q, table_chosen",
-    [(np.full((20, 20), 1e200), False), (np.diag(np.full(20, 1e200)), True)],
+    "arcs, table_chosen",
+    [(np.divmod(np.arange(400), 20), False), ((np.arange(20), np.arange(20)), True)],
     ids=["dense", "table"],
 )
-def test_pmf_step_with_non_finite_entries_raises(q, table_chosen):
+def test_pmf_step_with_non_finite_entries_raises(arcs, table_chosen):
+    rows, cols = arcs
     system = hitting.AbsorbingSystem(
-        target=20, q_matrix=q, first_step=np.full(20, 1e200), index_map=tuple(range(20))
+        target=20, arcs=(rows, cols, np.full(len(rows), 1e200)), first_step=np.full(20, 1e200), index_map=tuple(range(20))
     )
     assert (system.q_rows is not None) == table_chosen
     with pytest.raises(InvalidParameterError, match="non-finite"):
