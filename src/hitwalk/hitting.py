@@ -89,44 +89,42 @@ _IDENTITY_TOL = 1e-12
 # 200 states dense wins at any width, by at most 3 us a step.
 _SPARSE_ROW_FRACTION = 10
 
-# pmf steps its first _BLOCK rows one at a time, then fills each later
-# block of _BLOCK rows from Q^_BLOCK, taken by log2(_BLOCK) squarings
-# (baby steps and giant steps, Paterson & Stockmeyer, SIAM J. Comput.
-# 2(1), 1973): N/_BLOCK + _BLOCK + 5 numpy calls instead of N.  With
-# _BLOCK or more rows reported, each block is the one before it times
-# (Q^_BLOCK)^T (column blocks), O(states^2) a row; that takes only systems
-# of at most _BLOCK_MAX_STATES states.  With fewer, only the reported rows
-# of Q^(_BLOCK b) step on, one product a block, and times the first block
-# give block b (giant steps), O(reported * states^2 / _BLOCK) a row; their
-# O(states^3) squarings then compete with the loop's O(states * width)
-# steps alone, so giant steps take systems with states^3 at most
-# _GIANT_STEP_RATIO * horizon.  Either way only horizons over 2 * _BLOCK.
+# pmf steps its first _BLOCK rows one at a time, then, for fewer than
+# _BLOCK reported rows, fills each later block of _BLOCK rows from
+# Q^_BLOCK, taken by log2(_BLOCK) squarings (baby steps and giant steps,
+# Paterson & Stockmeyer, SIAM J. Comput. 2(1), 1973): N/_BLOCK + _BLOCK + 5
+# numpy calls instead of N.  Only the reported rows of Q^(_BLOCK b) step
+# on, one product a block, and times the first block give block b (giant
+# steps), O(reported * states^2 / _BLOCK) a row against the loop's
+# O(states * width); their O(states^3) squarings then compete with the
+# loop's steps alone, so giant steps take systems with states^3 at most
+# _GIANT_STEP_RATIO * horizon, and only horizons over 2 * _BLOCK.  Every
+# other table is the one-row loop.
 # Best time of one 2000-row table (ms, one BLAS thread, 2-core x86-64),
-# lumped to node 0, every start and one start:
-#                   states   every start: loop  blocked   one start: loop  giant
-#   hypercube:10        10                  3.6      0.7                5.4    0.5
-#   torus_std:31       135                  9.9      4.4                9.7    1.3
-#   cycle:300          150                  8.9      5.1                8.9    1.4
-#   torus_std:41       230                 13.5     12.7               12.0    4.5
-#   torus_std:47       299                 16.3     15.5               14.1    6.1
-#   cycle:600          300                 15.4     14.9               12.9    7.5
-#   torus_std:51       350                 16.6     18.9               16.7    9.3
-# For one start the two routes break even where the squarings' cost meets
-# the loop's, near states^3 = 2.5e4 * horizon from 100 to 1000 states
-# (ms, one start, giant steps against the loop):
+# lumped to node 0, one start:
+#                   states   loop  giant
+#   hypercube:10        10    5.4    0.5
+#   torus_std:31       135    9.7    1.3
+#   cycle:300          150    8.9    1.4
+#   torus_std:41       230   12.0    4.5
+#   torus_std:47       299   14.1    6.1
+#   cycle:600          300   12.9    7.5
+#   torus_std:51       350   16.7    9.3
+# The two routes break even where the squarings' cost meets the loop's,
+# near states^3 = 2.5e4 * horizon from 100 to 1000 states (ms, one start,
+# giant steps against the loop):
 #   states  100: horizon   65  0.57 / 0.53, horizon   100  0.55 / 0.74
 #   states  230: horizon  200  3.81 / 2.24, horizon   500  4.15 / 5.36
 #   states  405: horizon 1500 18.6 / 19.4,  horizon  5000  23.9 / 63.3
 #   states  665: horizon 5000 71.2 / 48.1,  horizon 20000 155 / 219
 #   states 1000: horizon 20000 409 / 350,   horizon 50000 773 / 759
-# A block's relative error grows by about 4 units of roundoff a block
+# A giant step's relative error grows by about 4 units of roundoff a block
 # (Q^_BLOCK is rounded once and applied again each block), where the
 # loop's grows more slowly: against a long-double reference, 20000-row
 # tables on complete:50, bipartite:20:40 and hypercube:10 are 1.6e-13 to
-# 3.1e-13 off blocked and 5e-15 to 1e-14 off one row at a time, and a
-# 200000-row table on complete:500 1.2e-12 and 2.4e-14 off.
+# 3.1e-13 off in giant steps and 5e-15 to 1e-14 off one row at a time, and
+# a 200000-row table on complete:500 1.2e-12 and 2.4e-14 off.
 _BLOCK = 32
-_BLOCK_MAX_STATES = 256
 _GIANT_STEP_RATIO = 25_000
 
 # brute_pmf enumerates degree^n trajectories, so it only takes instances
@@ -167,7 +165,8 @@ class AbsorbingSystem:
     From the arcs on first read: q_rows, Q as a padded neighbour table (ELL
     layout; row i has the values q_rows[1][i] at the columns q_rows[0][i])
     when its widest row is a small fraction of the states (see
-    ``_SPARSE_ROW_FRACTION``), else None; and q_matrix, the dense Q.
+    ``_SPARSE_ROW_FRACTION``), else None; and q_matrix, the dense Q, which
+    only the dense step, :func:`pmf`'s giant steps and :func:`moments` read.
     """
 
     target: int
@@ -592,47 +591,41 @@ def pmf(system: AbsorbingSystem, horizon: int, rows=None) -> PmfTable:
     not absorbed by then, the rows subtracted from 1 one by one.
 
     Rows are stepped one at a time, for every state, storing the reported
-    columns.  Over 2 * ``_BLOCK`` rows, later rows come in blocks of
-    ``_BLOCK`` from Q^_BLOCK instead, rows 0 .. _BLOCK - 1 being the
-    loop's, bit for bit (see ``_BLOCK`` for where each route runs): with
-    fewer than ``_BLOCK`` rows reported, the reported rows of Q^(_BLOCK b)
-    step on by one product a block and times the first block give block b
-    (giant steps); otherwise each block of every state is the block before
-    it times (Q^_BLOCK)^T (column blocks).  Either way every term is a
-    sum of products of non-negative numbers, so it keeps its relative
-    accuracy down to the smallest normal double (2.2e-308), a blocked
-    term's error growing by a few units of roundoff a block (see
-    ``_BLOCK``); below that, where the one-row loop leaves subnormal
-    terms, a block product can round them to 0.  The table holds
-    horizon x (reported rows) numbers, and the blocked routes O(states^2)
-    more.
+    columns.  Over 2 * ``_BLOCK`` rows, with fewer than ``_BLOCK`` rows
+    reported (every state counts when ``rows`` is None) and states^3 at
+    most ``_GIANT_STEP_RATIO`` times the horizon, later rows come in
+    blocks of ``_BLOCK`` from Q^_BLOCK instead, rows 0 .. _BLOCK - 1 being
+    the loop's, bit for bit: the reported rows of Q^(_BLOCK b) step on by
+    one product a block, and times the first block give block b (giant
+    steps, see ``_BLOCK``).  Either way every term is a sum of products of
+    non-negative numbers, so it keeps its relative accuracy down to the
+    smallest normal double (2.2e-308), a giant step's error growing by a
+    few units of roundoff a block (see ``_BLOCK``); below that, where the
+    one-row loop leaves subnormal terms, a block product can round them
+    to 0.  The table holds horizon x (reported rows) numbers, and giant
+    steps O(states^2) more.
     """
     if horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
     cols = slice(None) if rows is None else _reported_rows(system, rows)
     width = system.size if rows is None else len(cols)
     _require_array_size(horizon * width, "pmf table")
-    if horizon <= 2 * _BLOCK:
-        blocks = None
-    elif rows is not None and width < _BLOCK:
-        blocks = _giant_steps if system.size**3 <= _GIANT_STEP_RATIO * horizon else None
-    else:
-        blocks = _column_blocks if system.size <= _BLOCK_MAX_STATES else None
+    giant = horizon > 2 * _BLOCK and width < _BLOCK and system.size**3 <= _GIANT_STEP_RATIO * horizon
     probs = np.empty((horizon, width))
     vec = system.first_step
     probs[0] = vec[cols]
     head = [vec]
-    for n in range(1, horizon if blocks is None else _BLOCK):
+    for n in range(1, _BLOCK if giant else horizon):
         vec = system.step(vec)
         probs[n] = vec[cols]
-        if blocks is not None:
+        if giant:
             head.append(vec)
-    if blocks is not None:
+    if giant:
         power = system.q_matrix
         for _ in range(_BLOCK.bit_length() - 1):
             power = power @ power
         # always a full block, so row n comes out the same at any horizon
-        for start, block in zip(range(_BLOCK, horizon, _BLOCK), blocks(power, np.array(head), cols)):
+        for start, block in zip(range(_BLOCK, horizon, _BLOCK), _giant_steps(power, np.array(head), cols)):
             probs[start:start + _BLOCK] = block[: horizon - start]
     if not np.all(np.isfinite(probs)):
         raise InvalidParameterError("Q step product contains non-finite entries")
@@ -642,16 +635,6 @@ def pmf(system: AbsorbingSystem, horizon: int, rows=None) -> PmfTable:
         target=system.target,
         residual=np.subtract.reduce(probs, axis=0, initial=1.0),
     )
-
-
-def _column_blocks(power: np.ndarray, head: np.ndarray, cols):
-    """Blocks 1, 2, ... of ``_BLOCK`` rows for every state, each the one
-    before it times (Q^_BLOCK)^T, given Q^_BLOCK and block 0; the
-    ``cols`` columns of each."""
-    block = head
-    while True:
-        block = block @ power.T
-        yield block[:, cols]
 
 
 def _giant_steps(power: np.ndarray, head: np.ndarray, cols):
@@ -788,14 +771,18 @@ def return_second_moment(kernel: TransitionKernel, node: int) -> float:
 
     First-step analysis: a step to s != node contributes
     E[(1 + tau_{s,node})^2] = 1 + 2 mean_s + second_s, and a self-loop
-    step returns immediately (contribution 1).
+    step returns immediately (contribution 1).  The node's steps are read
+    from its arcs, so the dense kernel is never formed.
     """
     system = make_absorbing(kernel, node)
     rep = moments(system)
-    row = kernel.matrix[node]
-    total = row[node] * 1.0
-    for reduced, orig in enumerate(system.index_map):
-        total += row[orig] * (1.0 + 2.0 * rep.mean[reduced] + rep.second[reduced])
+    heads, tails = kernel.support
+    lo, hi = np.searchsorted(heads, [node, node + 1])
+    steps = dict(zip(tails[lo:hi].tolist(), kernel.values[lo:hi].tolist()))
+    total = steps.pop(node, 0.0)
+    for tail, prob in steps.items():
+        reduced = system.reduced_index(tail)
+        total += prob * (1.0 + 2.0 * rep.mean[reduced] + rep.second[reduced])
     return float(total)
 
 

@@ -440,12 +440,12 @@ def _one_row_loop(system, horizon):
 
 def _assert_blocked_matches_loop(blocked, loop):
     """Same rows produced, the unblocked head bit for bit, and every term
-    of at least 1e-300 within 1e-12 relative."""
-    assert blocked.horizon == loop.horizon
-    assert np.array_equal(blocked.probs[: hitting._BLOCK], loop.probs[: hitting._BLOCK])
-    kept = loop.probs >= 1e-300
-    assert np.all(np.abs(blocked.probs[kept] - loop.probs[kept]) <= 1e-12 * loop.probs[kept])
-    assert np.all(blocked.probs[~kept] < 1e-300)
+    of at least 1e-300 within 1e-12 relative (tables as arrays)."""
+    assert blocked.shape == loop.shape
+    assert np.array_equal(blocked[: hitting._BLOCK], loop[: hitting._BLOCK])
+    kept = loop >= 1e-300
+    assert np.all(np.abs(blocked[kept] - loop[kept]) <= 1e-12 * loop[kept])
+    assert np.all(blocked[~kept] < 1e-300)
 
 
 @given(
@@ -456,32 +456,30 @@ def _assert_blocked_matches_loop(blocked, loop):
     lump=st.booleans(),
 )
 def test_blocked_pmf_matches_the_one_row_loop(nodes, extra, seed, horizon, lump):
+    # under _BLOCK states the full table takes giant steps over 2 * _BLOCK rows
     kernel, target = _random_weighted_walk(nodes, extra, seed)
     system = hw.lumped_absorbing(kernel, target)[0] if lump else hw.make_absorbing(kernel, target)
-    blocked = hw.pmf(system, horizon)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hitting, "_BLOCK_MAX_STATES", 0)
-        loop = hw.pmf(system, horizon)
-    _assert_blocked_matches_loop(blocked, loop)
+    _assert_blocked_matches_loop(hw.pmf(system, horizon).probs, _one_row_loop(system, horizon)[0])
 
 
 @pytest.mark.parametrize("preset", ["torus_std:31", "cycle:300", "hypercube:10", "bipartite:20:40"])
 def test_blocked_pmf_matches_the_one_row_loop_on_lumped_presets(preset, monkeypatch):
+    # up to _BLOCK - 1 reported rows take giant steps
     system = cli._Problem(cli._parse_preset(preset), None, 0).lumped[0]
-    assert system.size <= hitting._BLOCK_MAX_STATES
-    blocked = hw.pmf(system, 2000)
-    monkeypatch.setattr(hitting, "_BLOCK_MAX_STATES", 0)
-    _assert_blocked_matches_loop(blocked, hw.pmf(system, 2000))
+    rows = list(range(min(system.size, hitting._BLOCK - 1)))
+    giant = _spy(monkeypatch, "_giant_steps")
+    blocked = hw.pmf(system, 2000, rows=rows)
+    assert len(giant) == 1
+    _assert_blocked_matches_loop(blocked.probs, _one_row_loop(system, 2000)[0][:, rows])
 
 
 @pytest.mark.parametrize(
-    "nodes, horizon",
-    [(hitting._BLOCK_MAX_STATES + 2, 300), (40, 2 * hitting._BLOCK)],
-    ids=["states_over_block_max", "horizon_at_two_blocks"],
+    "nodes, horizon", [(258, 300), (40, 2 * hitting._BLOCK)], ids=["every_row_of_257_states", "horizon_at_two_blocks"]
 )
 def test_pmf_outside_the_blocked_range_is_the_one_row_loop(nodes, horizon):
-    # a cycle's plain absorbing system has nodes - 1 states; past the
-    # block limit or at short horizons pmf steps every row, bit for bit
+    # a cycle's plain absorbing system has nodes - 1 states; every row of
+    # _BLOCK or more states, or any table up to 2 * _BLOCK rows, steps
+    # every row, bit for bit
     system = hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(nodes)), 0)
     table = hw.pmf(system, horizon)
     probs, residual = _one_row_loop(system, horizon)
@@ -507,8 +505,9 @@ def test_blocked_pmf_rows_do_not_depend_on_the_horizon():
     picks=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40),
 )
 def test_pmf_on_reported_rows_is_those_columns_of_the_full_table(nodes, extra, seed, horizon, lump, picks):
-    # a few rows take giant steps over 2 * _BLOCK rows, _BLOCK or more take
-    # column blocks, and up to 2 * _BLOCK rows both are the one-row loop
+    # fewer than _BLOCK rows take giant steps over 2 * _BLOCK rows, and so
+    # does the full table of fewer than _BLOCK states; every other table is
+    # the one-row loop
     kernel, target = _random_weighted_walk(nodes, extra, seed)
     system = hw.lumped_absorbing(kernel, target)[0] if lump else hw.make_absorbing(kernel, target)
     rows = [p % system.size for p in picks]
@@ -560,19 +559,23 @@ def test_one_start_takes_giant_steps_from_the_measured_crossover(monkeypatch):
     assert np.all(np.abs(blocked.probs[:, 0] - want) <= 1e-12 * want)
 
 
-def test_reported_rows_give_way_to_column_blocks_at_one_block(monkeypatch):
-    # giant steps cost O(rows * states^2) a block against the column
-    # blocks' O(_BLOCK * states^2)
+def test_a_block_of_reported_rows_is_the_one_row_loop(monkeypatch):
+    # giant steps cost O(rows * states^2) a block against the loop's
+    # O(_BLOCK * states * width), so on torus_std:31's 135 states 31 rows
+    # take them, and 32 rows or every row step one row at a time
     system = cli._Problem(cli._parse_preset("torus_std:31"), None, 0).lumped[0]
-    giant, columns = _spy(monkeypatch, "_giant_steps"), _spy(monkeypatch, "_column_blocks")
+    giant = _spy(monkeypatch, "_giant_steps")
     many = list(range(hitting._BLOCK))
-    few = hw.pmf(system, 300, rows=many[:-1])
-    assert (len(giant), len(columns)) == (1, 0)
-    blocks = hw.pmf(system, 300, rows=many)
-    assert (len(giant), len(columns)) == (1, 1)
-    full = hw.pmf(system, 300)
-    assert np.array_equal(blocks.probs, full.probs[:, many])
-    assert np.all(np.abs(few.probs - full.probs[:, many[:-1]]) <= 1e-12 * full.probs[:, many[:-1]])
+    for horizon in (300, 2000):
+        probs, residual = _one_row_loop(system, horizon)
+        few = hw.pmf(system, horizon, rows=many[:-1])
+        assert len(giant) == 1
+        _assert_blocked_matches_loop(few.probs, probs[:, many[:-1]])
+        block, every = hw.pmf(system, horizon, rows=many), hw.pmf(system, horizon)
+        assert len(giant) == 1
+        assert np.array_equal(block.probs, probs[:, many])
+        assert np.array_equal(every.probs, probs) and np.array_equal(every.residual, residual)
+        giant.clear()
 
 
 def test_rows_outside_the_system_are_invalid_before_any_table():
@@ -896,3 +899,16 @@ def test_return_second_moment_k2():
 def test_return_second_moment_triangle():
     kernel = hw.simple_walk_kernel(hw.build_cycle(3))
     assert hw.return_second_moment(kernel, 0) == pytest.approx(11.0, abs=1e-12)
+
+
+def test_return_second_moment_reads_the_node_arcs_not_the_dense_kernel():
+    kernel = hw.simple_walk_kernel(hw.build_torus_standard(5))
+    value = hw.return_second_moment(kernel, 3)
+    assert kernel._matrix is None
+    # first-step analysis over the node's dense row, in node order
+    rep = hw.moments(hw.make_absorbing(kernel, 3))
+    row = kernel.matrix[3]
+    want = row[3] * 1.0
+    for p, mean, second in zip(np.delete(row, 3), rep.mean, rep.second):
+        want += p * (1.0 + 2.0 * mean + second)
+    assert value == want
