@@ -440,8 +440,7 @@ def _cycle_coordinate_pmf(p: int, displacement: int, horizon: int) -> np.ndarray
     if displacement % p == 0:
         out[0] = 1.0
         return out
-    for n in range(1, horizon + 1):
-        out[n] = closed_cycle(p, displacement % p, n)
+    out[1:] = closed_cycle(p, displacement % p, np.arange(1, horizon + 1))
     return out
 
 

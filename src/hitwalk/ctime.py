@@ -7,8 +7,8 @@ discrete steps with probability e^{-t} t^n / n! and
     pdf(t)        = sum_n pois(n; t) * Q^n P1.
 
 Series are truncated once the Poisson tail mass drops below the
-requested tolerance; weights are computed in log space so large t does
-not underflow.  Other transition rates are a pure time rescale left to
+requested tolerance; the truncation index comes from the same log-space
+pass as the weights, so large t does not underflow.  Other transition rates are a pure time rescale left to
 callers.  The moments are ``hitting.moments``' by identity (``ct_moments``).
 """
 from __future__ import annotations
@@ -25,55 +25,47 @@ from .hitting import AbsorbingSystem, _reported_rows, moments, pmf
 __all__ = ["CTimeEvaluation", "ct_moments", "ct_evaluate"]
 
 
-def _poisson_weight(n: int, t: float) -> float:
-    if t == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return math.exp(n * math.log(t) - t - math.lgamma(n + 1))
-
-
-def _poisson_weights(times: np.ndarray, n_max: int) -> np.ndarray:
-    """pois(n; t) for every t in ``times`` (rows) and n = 0..n_max (columns).
-
-    One log-space pass, with the same operations in the same order as
-    :func:`_poisson_weight`, so the two agree to the last bits of exp; in
-    place, in the one (times x terms) array returned.
-    """
-    n = np.arange(n_max + 1, dtype=float)
-    log_factorial = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
-    positive = times > 0.0
-    log_t = np.array([math.log(t) if t > 0.0 else 0.0 for t in times])
-    weights = np.multiply.outer(log_t, n)
-    weights -= times[:, None]
-    weights -= log_factorial
-    np.exp(weights, out=weights)
-    weights[~positive] = n == 0  # t = 0: all mass at n = 0
-    return weights
-
-
-# Poisson mass beyond N = t + 12*sqrt(t) + 60 (Chernoff bound, any t).
+# Poisson mass beyond n = t + 12*sqrt(t) + 60 (Chernoff bound, any t).
 _BEYOND_LIMIT = math.exp(-72.0)
 
 
-def _truncation_index(t: float, tol: float) -> int:
-    """Smallest N with Poisson tail mass P(n > N; t) <= tol.
+def _poisson_weights(times: np.ndarray, tol: float, width: int) -> np.ndarray:
+    """pois(n; t) for every t in ``times`` (rows) and n = 0..N (columns),
+    N the smallest index whose tail mass P(n > N; t) <= tol at the largest t.
 
-    The tail is summed from the far end, where its terms are small, so
-    it stays accurate where 1 - P(n <= N) would round (1 - 1e-17 is 1.0
-    in float64).  Raises :class:`NumericalError` when tol is below the
-    mass left beyond the summed range.
+    One log-space pass over n = 0..top, top = t + 12*sqrt(t) + 60 at the
+    largest t, gives that time's weights; its tail is summed from the far
+    end, where the terms are small, so it stays accurate where
+    1 - P(n <= N) would round (1 - 1e-17 is 1.0 in float64).  Refuses a
+    pmf table of top + 1 rows of ``width`` that numpy cannot size before
+    the search, and raises :class:`NumericalError` when tol is below the
+    mass left beyond top.
     """
+    t_max = float(times.max())
+    top = int(t_max + 12.0 * math.sqrt(t_max) + 60.0)
+    _require_array_size((top + 1) * width, "pmf table")
     if tol < _BEYOND_LIMIT:
         raise NumericalError(
             f"tol={tol} is below the Poisson mass {_BEYOND_LIMIT:.1e} beyond the summed range"
         )
-    if t == 0.0:
-        return 0
-    tail = _BEYOND_LIMIT
-    for n in range(int(t + 12.0 * math.sqrt(t) + 60.0), 0, -1):
-        tail += _poisson_weight(n, t)
-        if tail > tol:
-            return n
-    return 0
+    # sized before it is filled: a top past memory fails here, at once
+    log_factorial = np.fromiter(map(math.lgamma, range(1, top + 2)), float, top + 1)
+
+    def weights(grid: np.ndarray, n_max: int) -> np.ndarray:
+        n = np.arange(n_max + 1, dtype=float)
+        log_t = np.array([math.log(t) if t > 0.0 else 0.0 for t in grid])
+        out = np.multiply.outer(log_t, n)
+        out -= grid[:, None]
+        out -= log_factorial[: n_max + 1]
+        np.exp(out, out=out)
+        out[grid == 0.0] = n == 0  # t = 0: all mass at n = 0
+        return out
+
+    # tail[k] = mass beyond top plus pois(n; t) for n = top..top - k + 1
+    tail = np.cumsum(np.r_[_BEYOND_LIMIT, weights(np.array([t_max]), top)[0, :0:-1]])
+    above = tail > tol  # tail[0] <= tol, and tail only grows
+    n_max = top + 1 - int(above.argmax()) if above[-1] else 0
+    return weights(times, n_max)
 
 
 @dataclass(frozen=True)
@@ -122,23 +114,14 @@ def ct_evaluate(
     width = system.size if rows is None else len(_reported_rows(system, rows))
     if not 0.0 < tol < 1.0:
         raise InvalidParameterError("tol must be in (0, 1)")
-    t_max = float(times.max())
-    if tol < 0.5:
-        # a tail of at most tol < 1/2 starts past the Poisson median, which
-        # is at least t - ln 2 (Choi, Proc. AMS 121(1), 1994): the pmf table
-        # holds at least that many rows, so claim them (np.empty touches no
-        # page) before the search for the truncation index
-        median = max(math.ceil(t_max - math.log(2.0)), 0) + 1
-        _require_array_size(median * width, "pmf table")
-        np.empty((median, width))
-    n_max = _truncation_index(t_max, tol)
+    weights = _poisson_weights(times, tol, width)
+    n_max = weights.shape[1] - 1
     table = pmf(system, n_max + 1, rows=rows)
     # row n is Q^n P1; column-major, one reported row's series contiguous
     # for the products below (and so they round as they always have)
     vectors = np.asfortranarray(table.probs)
     # partial[n] = sum_{k=1..n} Q^{k-1} P1 = P(hit within n steps)
     partial = np.vstack([np.zeros(width), np.cumsum(vectors, axis=0)[:-1]])
-    weights = _poisson_weights(times, n_max)
     cdf_rows = np.clip(weights @ partial, 0.0, None)
     pdf_rows = np.clip(weights @ vectors, 0.0, None)
     return CTimeEvaluation(

@@ -711,8 +711,9 @@ def closed_bipartite(k1: int, k2: int, case: str, n: int) -> float:
     return (1.0 - 1.0 / k2) ** (rounds - 1) / k2
 
 
-def closed_cycle(k: int, i: int, n: int) -> float:
-    """P(tau = n) from node i to node 0 on the k-cycle.
+def closed_cycle(k: int, i: int, n: int | np.ndarray) -> float | np.ndarray:
+    """P(tau = n) from node i to node 0 on the k-cycle, a float for a step
+    n and an array of them for an array of steps.
 
     Trigonometric sum from the tridiagonal Toeplitz diagonalization of
     Q; the summation index is independent of the target label.
@@ -721,16 +722,18 @@ def closed_cycle(k: int, i: int, n: int) -> float:
         raise InvalidParameterError("cycle needs k >= 3")
     if not 1 <= i <= k - 1:
         raise InvalidParameterError("start must satisfy 1 <= i <= k-1")
-    if n < 1:
+    steps = np.asarray(n)
+    if np.any(steps < 1):
         raise InvalidParameterError("step must be >= 1")
     m = np.arange(1, k)
     theta = m * np.pi / k
     total = np.sum(
-        np.cos(theta) ** (n - 1)
+        np.cos(theta) ** (steps[..., None] - 1)
         * (np.sin(theta) + np.sin(m * (k - 1) * np.pi / k))
-        * np.sin(i * theta)
+        * np.sin(i * theta),
+        axis=-1,
     )
-    return float(total / k)
+    return total / k if steps.ndim else float(total / k)
 
 
 def cycle_mean(k: int, i: int, j: int) -> float:

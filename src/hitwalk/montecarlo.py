@@ -166,7 +166,9 @@ def _successor_table(
     v, width = kernel_cum.shape
     below = kernel_cum < 1.0
     values = kernel_cum[below]
-    bounds = np.unique(values)
+    # sorted and deduplicated by hand: np.unique imports numpy.ma
+    bounds = np.sort(values)
+    bounds = bounds[np.diff(bounds, prepend=-np.inf) > 0.0]
     size = bounds.size + 1
     if size > 2 * width:
         return None

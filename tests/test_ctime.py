@@ -140,27 +140,55 @@ def test_c4_start_two_ct_mean():
     assert hw.ct_moments(system, 1)[system.reduced_index(2)] == pytest.approx(4.0, abs=1e-12)
 
 
+def _truncation(t, tol):
+    from hitwalk.ctime import _poisson_weights
+
+    return _poisson_weights(np.array([t]), tol, 1).shape[1] - 1
+
+
 def test_truncation_meets_tolerance_below_float_resolution():
     # 1 - 1e-17 rounds to 1.0; the tail itself must still fall below tol
     from scipy.stats import poisson
 
-    from hitwalk.ctime import _truncation_index
-
     for t, tol in ((50.0, 1e-17), (50.0, 1e-9), (3744.0, 1e-12), (0.5, 1e-30)):
-        n = _truncation_index(t, tol)
+        n = _truncation(t, tol)
         assert poisson.sf(n, t) <= tol * (1 + 1e-6)
         assert n == 0 or poisson.sf(n - 1, t) > tol * (1 - 1e-6)
 
 
+def test_truncation_is_the_smallest_index_whose_tail_meets_tol():
+    # the summed tail carries the bound on the mass beyond the summed
+    # range, so one index less misses tol by the tail plus that bound
+    from scipy.stats import poisson
+
+    from hitwalk.ctime import _BEYOND_LIMIT
+
+    times = np.concatenate([[0.0, 0.5, 3744.0], np.geomspace(0.01, 2000.0, 197)])
+    for t in times:
+        for tol in np.geomspace(1e-30, 0.6, 14):
+            n = _truncation(t, tol)
+            assert poisson.sf(n, t) <= tol * (1 + 1e-6), (t, tol)
+            assert n == 0 or poisson.sf(n - 1, t) + _BEYOND_LIMIT > tol * (1 - 1e-6), (t, tol)
+
+
 @pytest.mark.parametrize("t", [0.0, 3.0, 1200.0])
 def test_poisson_weights_match_scalar_formula(t):
-    from hitwalk.ctime import _poisson_weight, _poisson_weights
+    from scipy.special import gammaln
+    from scipy.stats import poisson
 
-    n_max = 1700
-    weights = _poisson_weights(np.array([t]), n_max)[0]
-    reference = np.array([_poisson_weight(n, t) for n in range(n_max + 1)])
+    from hitwalk.ctime import _poisson_weights
+
+    # the larger time in the grid stretches every row past n = 1700
+    weights = _poisson_weights(np.array([t, 1400.0]), 1e-30, 1)[0]
+    assert weights.size > 1700
+    n = np.arange(weights.size)
+    reference = poisson.pmf(n, t)
+    # exp carries the rounding of the exponent n log t - t - log n!, a few
+    # ulps of its largest term, into the weight as a relative error
+    exponent = n * abs(np.log(t) if t > 0.0 else 0.0) + t + gammaln(n + 1)
+    bound = (1e-14 + 4 * np.finfo(float).eps * exponent) * reference
     normal = reference >= 1e-300  # below, exp lands in subnormals with few bits
-    assert np.all(np.abs(weights - reference)[normal] <= 1e-14 * reference[normal])
+    assert np.all(np.abs(weights - reference)[normal] <= bound[normal])
     assert np.all(np.abs(weights - reference)[~normal] <= 1e-300)
 
 

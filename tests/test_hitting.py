@@ -843,6 +843,8 @@ def test_closed_bipartite_same_side_other_side_by_swap():
 def test_closed_cycle_examples():
     assert hw.closed_cycle(3, 1, 1) == pytest.approx(0.5, abs=1e-12)
     assert hw.closed_cycle(4, 2, 1) == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(InvalidParameterError, match="step must be >= 1"):
+        hw.closed_cycle(5, 1, np.array([1, 0]))
 
 
 def test_closed_cycle_matches_pmf():
@@ -853,6 +855,10 @@ def test_closed_cycle_matches_pmf():
             col = table.column(start)
             closed = np.array([hw.closed_cycle(k, start, n) for n in range(1, 101)])
             assert np.allclose(col, closed, atol=1e-10), (k, start)
+            # the same sum over an array of steps; only its powers may round
+            # differently (x ** 2 squares, x ** array calls pow)
+            steps = hw.closed_cycle(k, start, np.arange(1, 101))
+            assert np.all(np.abs(steps - closed) <= 8 * np.finfo(float).eps), (k, start)
 
 
 def test_cycle_mean_examples():

@@ -1,5 +1,8 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -475,3 +478,20 @@ def test_mean_band_over_hundred_seeds():
         if abs(summary.mean - mean) <= 4 * stderr:
             hits += 1
     assert hits >= 99
+
+
+def test_simulate_and_compare_do_not_import_numpy_ma():
+    # np.unique without a return_* option imports numpy.ma on first use
+    # (numpy 2.x), which about doubled the time of a process's first simulate
+    script = """
+import contextlib, io, sys
+from hitwalk import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["simulate", "--preset", "cycle:6", "--from", "3", "--to", "0", "--trials", "200"]),
+             cli.main(["compare", "--preset", "torus_diag:5", "--from", "7", "--to", "0", "--trials", "200"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    source = os.path.dirname(os.path.dirname(hw.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split("\n")[0] == "[0, 0] False"
