@@ -53,7 +53,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameterError, NotErgodicError, NumericalError
-from .graphs import Graph, TransitionKernel, _require_array_size, simple_walk_kernel
+from .graphs import (
+    _DIAGONAL_STEPS,
+    _STANDARD_STEPS,
+    Graph,
+    TransitionKernel,
+    _complete_nodes,
+    _cycle_nodes,
+    _hypercube_nodes,
+    _require_array_size,
+    _torus_nodes,
+    simple_walk_kernel,
+)
 from .hitting import PmfTable, closed_cycle
 
 __all__ = [
@@ -500,38 +511,31 @@ def diag_torus_convolution_report(
 # step laws of the preset walks
 # ---------------------------------------------------------------------------
 
+def _uniform_law(factors: tuple[int, ...], steps) -> tuple[FiniteAbelianGroup, StepLaw]:
+    """The uniform law on ``steps`` and their inverses in the group of ``factors``."""
+    group = FiniteAbelianGroup(factors)
+    support = {group.canonical(s) for s in steps} | {group.neg(s) for s in steps}
+    return group, StepLaw.from_pairs(group, [(g, 1.0 / len(support)) for g in support])
+
+
 def cycle_step_law(k: int) -> tuple[FiniteAbelianGroup, StepLaw]:
-    group = FiniteAbelianGroup((k,))
-    return group, StepLaw.from_pairs(group, [((1,), 0.5), ((-1,), 0.5)])
+    return _uniform_law((_cycle_nodes(k),), [(1,)])
 
 
 def complete_step_law(k: int) -> tuple[FiniteAbelianGroup, StepLaw]:
-    if k < 2:
-        raise InvalidParameterError("complete graph needs k >= 2")
-    group = FiniteAbelianGroup((k,))
-    pairs = [((g,), 1.0 / (k - 1)) for g in range(1, k)]
-    return group, StepLaw.from_pairs(group, pairs)
+    return _uniform_law((_complete_nodes(k),), [(g,) for g in range(1, k)])
 
 
 def hypercube_step_law(dim: int) -> tuple[FiniteAbelianGroup, StepLaw]:
-    group = FiniteAbelianGroup((2,) * dim)
-    pairs = []
-    for l in range(dim):
-        e = [0] * dim
-        e[l] = 1
-        pairs.append((tuple(e), 1.0 / dim))
-    return group, StepLaw.from_pairs(group, pairs)
+    _hypercube_nodes(dim)
+    return _uniform_law((2,) * dim, np.eye(dim, dtype=int).tolist())
 
 
 def torus_standard_step_law(p: int) -> tuple[FiniteAbelianGroup, StepLaw]:
-    group = FiniteAbelianGroup((p, p))
-    steps = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    return group, StepLaw.from_pairs(group, [(s, 0.25) for s in steps])
+    _torus_nodes(p)
+    return _uniform_law((p, p), _STANDARD_STEPS)
 
 
 def torus_diagonal_step_law(p: int) -> tuple[FiniteAbelianGroup, StepLaw]:
-    if p % 2 == 0:
-        raise InvalidParameterError("diagonal torus needs odd p")
-    group = FiniteAbelianGroup((p, p))
-    steps = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    return group, StepLaw.from_pairs(group, [(s, 0.25) for s in steps])
+    _torus_nodes(p, diagonal=True)
+    return _uniform_law((p, p), _DIAGONAL_STEPS)

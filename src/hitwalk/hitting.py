@@ -18,9 +18,10 @@ exactly.  The classes are found by worklist refinement of the target's
 distance levels, re-signing only the nodes with an arc into a node that
 changed class (Paige & Tarjan, "Three partition refinement algorithms",
 SIAM J. Comput. 16(6), 1987); on cycles, hypercubes and complete
-bipartite graphs the levels are equitable already.  A round signs its nodes in a few whole-array passes: a node's signature
-is a 64-bit sum of hashes of its (neighbour class, step probability)
-pairs, as in colour refinement by hashed multisets (Shervashidze et al.,
+bipartite graphs the levels are equitable already.  Every round signs
+only its own nodes, reading only their arcs: a node's signature is a
+64-bit sum of hashes of its (neighbour class, step probability) pairs,
+as in colour refinement by hashed multisets (Shervashidze et al.,
 "Weisfeiler-Lehman graph kernels", JMLR 12, 2011).  A hash collision can
 only leave a class unsplit, so when the rounds settle one exact check
 compares the multisets themselves, probabilities bit for bit.  A failed
@@ -135,9 +136,9 @@ _BRUTE_MAX_NODES = 6
 # The exact check of a partition (_is_equitable) packs (node, neighbour
 # class, probability code) into one int64 key per arc, exact while the
 # product of their ranges stays below this; past it the check raises
-# GraphTooLargeError.  It counts or sorts the keys once for the levels,
-# and once more only when they are not equitable (and again after each
-# hash collision).  The product is at most V * V * (distinct step
+# GraphTooLargeError.  It sorts the keys once for the levels, and once
+# more only when they are not equitable (and again after each hash
+# collision).  The product is at most V * V * (distinct step
 # probabilities), so it takes ~10^6 nodes with ~10^7 distinct
 # probabilities to get there.  One lexsort of the three columns would
 # lift the bound, at about five times the cost of sorting the key (418k
@@ -469,10 +470,11 @@ def _hashed_rounds(kernel, levels, predecessors, out_ptr, code, n_codes: int, sa
     A (class, code) pair hashes to SplitMix64 draw number class * n_codes
     + code + 1 past the salt's first draw, mix64(number * GAMMA), which is
     0 only at number 0 (mod 2^64): no pair drops out of a node's
-    signature, the wrapping 64-bit sum of its arcs' pair hashes.  The
-    first round signs every node of a class of more than one node; after
-    it, a round signs only such nodes with an arc into a node that changed
-    class, so its cost is that of the arcs it reads.
+    signature, the wrapping 64-bit sum of its arcs' pair hashes.  Every
+    round signs only its own nodes, through their arcs alone: the first
+    every node of a class of more than one node, each later one only such
+    nodes with an arc into a node that changed class, so a round costs the
+    arcs it reads.
     Each class records the signature its unsigned members share.  The
     signed nodes are sorted by (class, signature); the part with the
     recorded signature keeps the class, or the largest part when every
@@ -489,13 +491,9 @@ def _hashed_rounds(kernel, levels, predecessors, out_ptr, code, n_codes: int, sa
     size[:classes] = np.bincount(levels)
     shared = np.zeros(kernel.node_count, dtype=np.uint64)  # the signature of each class's unsigned members
     todo = np.flatnonzero(size[colour] > 1)
-    # the first round hashes every arc (each node has one), and keeps the
-    # sums of the nodes it signs
-    pair = colour[tails]
-    pair *= step
-    pair += draw
-    sig = np.add.reduceat(mix64(pair), out_ptr[:-1])[todo]
     while todo.size:
+        arcs, at = _arc_ranges(out_ptr, todo)  # each node has an arc
+        sig = np.add.reduceat(mix64(colour[tails[arcs]] * step + draw[arcs]), at)
         cls = colour[todo]
         order = np.lexsort((sig, cls))
         todo, cls, sig = todo[order], cls[order], sig[order]
@@ -533,9 +531,6 @@ def _hashed_rounds(kernel, levels, predecessors, out_ptr, code, n_codes: int, sa
         first[:1] = True
         first[1:] = reached[1:] != reached[:-1]
         todo = reached[first]
-        if todo.size:
-            arcs, at = _arc_ranges(out_ptr, todo)
-            sig = np.add.reduceat(mix64(colour[tails[arcs]] * step + draw[arcs]), at)
     return colour
 
 
@@ -555,17 +550,12 @@ def _is_equitable(kernel, colour, out_ptr, code, n_codes: int) -> bool:
             "exceeds the int64 signature key"
         )
     lead = lead[cell]  # each node's class's first node
+    # sort each node's pairs, and compare them with its lead's
+    if not np.array_equal(np.diff(out_ptr), np.diff(out_ptr)[lead]):
+        return False
     key = colour[tails]
     key *= n_codes
     key += code
-    if len(colour) * span <= len(key):
-        # few pairs: compare each node's count of every pair with its lead's
-        key += heads * span
-        counts = np.bincount(key, minlength=len(colour) * span).reshape(len(colour), span)
-        return np.array_equal(counts, counts[lead])
-    # many: sort each node's pairs, and compare them with its lead's
-    if not np.array_equal(np.diff(out_ptr), np.diff(out_ptr)[lead]):
-        return False
     offset = heads * span
     key += offset
     key.sort()

@@ -268,8 +268,7 @@ def rational_gf(graph: Graph, i: int, j: int, horizon: int = 0) -> RationalGF:
         raise InvalidParameterError("need horizon >= 0")
     v = graph.node_count
     power_sums = v * trace_powers(graph, v - 1).values
-    kernel = simple_walk_kernel(graph)
-    series = lumped_series(kernel, hitting.lumped_absorbing(kernel, j), i, max(2 * v, horizon))
+    series = gf_series(graph, i, j, max(2 * v, horizon))
     char = np.empty(v)
     char[0] = 1.0
     for k in range(1, v):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -268,6 +270,28 @@ ABELIAN_PRESETS = {
     "torus_std": (ab.torus_standard_step_law, hw.build_torus_standard),
     "torus_diag": (ab.torus_diagonal_step_law, hw.build_torus_diagonal),
 }
+
+
+@pytest.mark.parametrize("name, n", [
+    ("cycle", 3), ("cycle", 4), ("complete", 2), ("complete", 7), ("hypercube", 1), ("hypercube", 5),
+    ("torus_std", 3), ("torus_std", 4), ("torus_diag", 3), ("torus_diag", 9),
+])
+def test_step_law_is_the_walk_row_of_the_identity(name, n):
+    step_law, build = ABELIAN_PRESETS[name]
+    _, law = step_law(n)
+    assert law.table.tobytes() == hw.simple_walk_kernel(build(n)).matrix[0].tobytes()
+
+
+@pytest.mark.parametrize("name, n", [
+    ("cycle", 2), ("cycle", 0), ("complete", 1), ("hypercube", 0), ("torus_std", 2), ("torus_diag", 1), ("torus_diag", 4),
+])
+def test_step_law_refuses_what_its_graph_builder_refuses(name, n):
+    # one node-count check per family, so one message
+    step_law, build = ABELIAN_PRESETS[name]
+    with pytest.raises(InvalidParameterError) as refused:
+        build(n)
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(refused.value))}$"):
+        step_law(n)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -192,7 +193,7 @@ def _collide(monkeypatch, calls=None):
 
 
 # levels that are not equitable, which the exact check refuses by sorted
-# keys on the path and by pair counts on the denser graph
+# keys, on a path and on a denser graph
 UNEVEN_LEVELS = {
     "path6": (hw.build_path(6), 2),
     "complete8_minus_an_edge": (hw.Graph(8, tuple(e for e in itertools.combinations(range(8), 2) if e != (0, 1))), 7),
@@ -265,6 +266,61 @@ def test_refinement_rounds_hash_each_arc_a_few_times(monkeypatch):
     cells = hitting._equitable_cells(kernel, *hitting._require_reachable(kernel, 3000))
     assert len(hashed) >= 2999 and sum(hashed) <= 4 * len(kernel.values)
     assert len(np.unique(cells)) == 10000  # every node alone: the far end breaks each pair
+
+
+def _dense_walk(kind, size, seed):
+    """A walk with at least as many arcs as V times the pairs of (class,
+    step probability) a few classes give: the complete graph on ``size`` + 2
+    nodes, a complete bipartite graph with sides of 1..``size`` + 1 nodes, or
+    a random graph on ``size`` + 2 nodes holding each edge with probability
+    0.8, weighted from one to three values; and a target."""
+    rng = np.random.default_rng(seed)
+    if kind == "complete":
+        graph = hw.build_complete(size + 2)
+    elif kind == "bipartite":
+        graph = hw.build_complete_bipartite(int(rng.integers(1, size + 2)), size + 1)
+    else:
+        weights = (1.0, 2.0, 3.0)[: rng.integers(1, 4)]
+        edges = {(u, v) for u, v in itertools.combinations(range(size + 2), 2) if rng.random() < 0.8}
+        edges |= {(int(rng.integers(n)), n) for n in range(1, size + 2)}  # a spanning tree
+        graph = hw.Graph(size + 2, tuple((u, v, rng.choice(weights)) for u, v in sorted(edges)))
+    return hw.simple_walk_kernel(graph), int(rng.integers(graph.node_count))
+
+
+def _equitable_reference(kernel, colour):
+    """Whether each node's Counter of (neighbour class, step probability)
+    equals its class's first node's, in plain Python."""
+    pairs = [collections.Counter() for _ in colour]
+    for head, tail, prob in zip(*kernel.support, kernel.values):
+        pairs[head][colour[tail], prob] += 1
+    first = {}
+    return all(pairs[node] == pairs[first.setdefault(c, node)] for node, c in enumerate(colour))
+
+
+@given(
+    kind=st.sampled_from(["complete", "bipartite", "random"]),
+    size=st.integers(min_value=0, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_equitable_check_is_the_plain_multiset_comparison(kind, size, seed):
+    # the coarsest partition is accepted; a random split of each of its
+    # classes in two, and a random merge of its classes into fewer, are
+    # accepted or refused as the reference says (about half the examples
+    # hold a refusal)
+    kernel, target = _dense_walk(kind, size, seed)
+    rng = np.random.default_rng(seed + 1)
+    coarsest = np.array(coarsest_equitable_partition(kernel, target))
+    classes = int(coarsest.max()) + 1
+    split = np.where(rng.random(len(coarsest)) < 0.5, coarsest, coarsest + classes)
+    merged = rng.integers(rng.integers(1, classes + 1), size=classes)[coarsest]
+    assert _equitable_reference(kernel, coarsest.tolist())
+    _, code = np.unique(kernel.values, return_inverse=True)
+    out_ptr = np.searchsorted(kernel.support[0], np.arange(kernel.node_count + 1))
+    for colour in (coarsest, split, merged):
+        _, colour = np.unique(colour, return_inverse=True)
+        colour = rng.permutation(int(colour.max()) + 1)[colour]  # classes 0.. in a random order
+        want = _equitable_reference(kernel, colour.tolist())
+        assert hitting._is_equitable(kernel, colour, out_ptr, code, int(code.max()) + 1) == want
 
 
 def test_equal_sums_of_different_probabilities_stay_exact():
