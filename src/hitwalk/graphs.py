@@ -13,9 +13,9 @@ preset builders emit their edges as integer columns, and a kernel keeps
 one value per arc of its support.  The dense V x V kernel
 (``TransitionKernel.matrix``) is built only when it is read.
 
-An edge list is converted to columns in one pass (``_edge_columns``), and
-``_first_fault`` is the one check of any graph's columns.  Arcs are keyed
-head * V + tail in int64, so V is at most 3,037,000,499.
+One pass checks an edge list by one rule and converts it (``_edge_columns``),
+and ``_first_fault`` is the one check of any graph's columns.  Arcs are
+keyed head * V + tail in int64, so V is at most 3,037,000,499.
 
 Building a graph or a kernel runs no search; an answer that needs the
 target reachable checks it where it is used (``hitting._require_reachable``).
@@ -57,33 +57,43 @@ ROW_SUM_TOL = 1e-12
 _NODE_LIMIT = 3_037_000_499
 
 
-def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray, Exception | None]:
-    """Columns ``int(u)``, ``int(v)``, ``float(w)`` (1.0 for a pair) of the
-    ``(u, v)`` pairs and ``(u, v, w)`` triples, in one pass that stops at the
-    first edge that does not convert, and that edge's error (else None); its
-    endpoints are kept, weight 1.0, when only its weight fails.  Endpoints
-    past int64 make object columns, so the range check reports them."""
+def _edge_columns(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns u, v, w (1.0 for a pair) of the ``(u, v)`` pairs and
+    ``(u, v, w)`` triples, in one pass that raises
+    :class:`InvalidParameterError` at the first edge that breaks the edge
+    rule: a list or tuple of two integers (exact ``int`` or numpy integer)
+    and an optional number (exact ``int`` or ``float``, or a numpy integer
+    or floating scalar), so never a bool or a string.  Endpoints past int64
+    make object columns, so the range check reports them."""
     heads, tails, weights = [], [], []
-    error = None
-    try:
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                w = 1.0
-            else:
-                u, v, w = edge
-            heads.append(int(u))
-            tails.append(int(v))
-            weights.append(float(w))
-    except (TypeError, ValueError, OverflowError) as exc:
-        error = exc
-        del heads[len(tails):]
-        weights += [1.0] * (len(tails) - len(weights))
+    for edge in edges:
+        if not isinstance(edge, (list, tuple)) or not 1 < len(edge) < 4:
+            raise InvalidParameterError(f"bad edge entry {edge!r}")
+        if len(edge) == 2:
+            u, v = edge
+            w = 1.0
+        else:
+            u, v, w = edge
+        # the exact type tests first: the numpy checks are slow
+        if type(u) is not int or type(v) is not int:
+            if not (_is_integer(u) and _is_integer(v)):
+                raise InvalidParameterError(f"bad edge entry {edge!r}: endpoints must be integers")
+            u, v = int(u), int(v)
+        if type(w) is not float:
+            if type(w) is not int and not isinstance(w, (np.integer, np.floating)):
+                raise InvalidParameterError(f"bad edge entry {edge!r}: weight must be a number")
+            try:
+                w = float(w)
+            except OverflowError as exc:  # an integer past the float range
+                raise InvalidParameterError(f"bad edge weight: {exc}") from None
+        heads.append(u)
+        tails.append(v)
+        weights.append(w)
     try:
         u, v = np.array(heads, np.int64), np.array(tails, np.int64)
     except OverflowError:
         u, v = np.array(heads, object), np.array(tails, object)
-    return u, v, np.array(weights), error
+    return u, v, np.array(weights)
 
 
 def _first_fault(u, v, w, loop, outside, repeat) -> str | None:
@@ -205,10 +215,11 @@ class Graph:
 
     ``edges``, given as ``(u, v)`` pairs and ``(u, v, weight)`` triples, is
     rebuilt on first read (no engine reads it) as triples with ``u < v``,
-    sorted.  Self-loops, endpoints out of range, duplicate edges, weights
-    not positive and over 3,037,000,499 nodes are rejected: the first faulty
-    edge in input order is reported, and an edge that does not convert
-    raises its own error if no edge before it is faulty.  Construction runs
+    sorted.  Edges and ``node_count`` follow one rule (``_edge_columns``):
+    a bool, a string or a float endpoint is refused, not converted, and the
+    first edge that breaks the rule is reported before the first in input
+    order with a self-loop, an endpoint out of range, a repeat or a weight
+    not positive.  Over 3,037,000,499 nodes are rejected.  Construction runs
     no search: ``connected`` searches the graph each time it is read.  The
     preset builders hand over columns (``_from_columns``), checked alike.
     """
@@ -220,13 +231,12 @@ class Graph:
     _arcs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        u, v, w, error = _edge_columns(self.edges)
-        if error is not None:
-            # a fault before the edge that does not convert is the first
-            _sorted_arcs(self.node_count, u, v, w)
-            raise error
+        if not _is_integer(self.node_count):
+            raise InvalidParameterError("'nodes' must be an integer")
+        columns = _edge_columns(self.edges)
+        object.__setattr__(self, "node_count", int(self.node_count))
         object.__delattr__(self, "edges")  # until it is read (see __getattr__)
-        self._set_arcs(u, v, w)
+        self._set_arcs(*columns)
         if self.labels is not None:
             if len(self.labels) != self.node_count:
                 raise InvalidParameterError("label count must equal node count")
@@ -700,14 +710,14 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 def _family(name: str, params: list[int]) -> _Family:
-    """The family named ``name``, given exactly as many JSON integers as its
-    builder takes (a bool, float, string or None is rejected, not
+    """The family named ``name``, given exactly as many ints as its builder
+    takes (a bool, numpy integer, float, string or None is rejected, not
     converted); raises :class:`InvalidParameterError` otherwise."""
     family = _PRESETS.get(name) if isinstance(name, str) else None
     if family is None:
         raise InvalidParameterError(f"unknown preset {name!r}; names: {', '.join(PRESET_NAMES)}")
     arity = len(inspect.signature(family.build).parameters)
-    if not isinstance(params, (list, tuple)) or len(params) != arity or not all(map(_is_json_int, params)):
+    if not isinstance(params, (list, tuple)) or len(params) != arity or any(type(p) is not int for p in params):
         raise InvalidParameterError(f"preset {name} takes {arity} integer parameter(s)")
     return family
 
@@ -742,10 +752,11 @@ def parse_graph_spec(spec: dict) -> Graph:
     Two shapes are accepted and unknown keys are rejected:
 
     ``{"nodes": N, "edges": [[u, v], [u, v, w], ...]}``
-        explicit edge list, optional per-edge weight; N, u and v are
-        JSON integers and w a JSON number (an endpoint ``1.0`` or
-        ``true``, or a weight ``"2.5"``, is rejected, not converted),
-        and ``edges`` is a JSON array; the list goes to ``Graph`` as it is;
+        explicit edge list, optional per-edge weight; ``edges`` is a JSON
+        array, and N and the list go to ``Graph`` as they are, which
+        checks them by its one edge rule (N, u and v integers and w a
+        number: an endpoint ``1.0`` or ``true``, or a weight ``"2.5"``,
+        is rejected, not converted);
     ``{"preset": "cycle", "params": [10]}``
         one of the named preset families, checked by ``preset_graph``;
         ``params`` is a JSON array of integers and may be left out for a
@@ -754,33 +765,20 @@ def parse_graph_spec(spec: dict) -> Graph:
     """
     if _names_preset(spec):
         return preset_graph(spec["preset"], spec.get("params", []))
-    keys = set(spec)
-    extra = keys - {"nodes", "edges"}
+    extra = set(spec) - {"nodes", "edges"}
     if extra:
         raise InvalidParameterError(f"unknown graph-spec keys: {sorted(extra)}")
-    if "nodes" not in keys or "edges" not in keys:
+    if not {"nodes", "edges"} <= spec.keys():
         raise InvalidParameterError("graph spec needs 'nodes' and 'edges' (or 'preset')")
-    nodes, edges = spec["nodes"], spec["edges"]
-    if not _is_json_int(nodes):
-        raise InvalidParameterError("'nodes' must be an integer")
-    if not isinstance(edges, (list, tuple)):
+    if not isinstance(spec["edges"], (list, tuple)):
         raise InvalidParameterError("'edges' must be an array")
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) not in (2, 3):
-            raise InvalidParameterError(f"bad edge entry {e!r}")
-        if not (_is_json_int(e[0]) and _is_json_int(e[1])):
-            raise InvalidParameterError(f"bad edge entry {e!r}: endpoints must be integers")
-        if len(e) == 3 and (isinstance(e[2], bool) or not isinstance(e[2], (int, float))):
-            raise InvalidParameterError(f"bad edge entry {e!r}: weight must be a number")
-    try:
-        return Graph(nodes, edges)
-    except OverflowError as exc:  # a JSON integer weight past the float range
-        raise InvalidParameterError(f"bad edge weight: {exc}") from None
+    return Graph(spec["nodes"], spec["edges"])
 
 
-def _is_json_int(x) -> bool:
-    # JSON true and false load as bool, a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
+def _is_integer(x) -> bool:
+    """An endpoint or node count by the edge rule: an exact int (JSON true
+    and false load as bool, a subclass of int) or a numpy integer."""
+    return type(x) is int or isinstance(x, np.integer)
 
 
 def _read_spec(path: str):
@@ -788,8 +786,9 @@ def _read_spec(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        # RecursionError: arrays or objects nested past the interpreter's depth
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an integer past the interpreter's
+        # digit limit; RecursionError: arrays or objects nested past its depth
+        except (ValueError, RecursionError) as exc:
             raise InvalidParameterError(f"invalid JSON in {path}: {exc}") from exc
 
 

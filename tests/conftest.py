@@ -110,20 +110,29 @@ def cayley_closure(degree, generators):
 
 
 def first_fault_by_edge(node_count, edges):
-    """Columns (u, v, w) of ``edges``, converted and checked one edge at a
-    time as ``Graph`` documents it: an edge is ``(u, v)`` or ``(u, v, w)``,
-    and its checks run self-loop, range, duplicate, then weight, with the
-    weight converted after the endpoints are checked.  Raises at the first
-    fault, a value that does not convert included."""
+    """Columns (u, v, w) of ``edges``, checked one edge at a time as
+    ``Graph`` documents it: first every edge by the edge rule (a list or
+    tuple ``(u, v)`` or ``(u, v, w)``, u and v integers, w a number that
+    fits a float, numpy scalars included and bools never), then, in edge
+    order, self-loop, range, duplicate and weight.  Raises at the first
+    fault."""
+    checked = []
+    for edge in edges:
+        if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
+            raise InvalidParameterError(f"bad edge entry {edge!r}")
+        u, v, w = (*edge, 1.0)[:3]
+        if any(isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)) for x in (u, v)):
+            raise InvalidParameterError(f"bad edge entry {edge!r}: endpoints must be integers")
+        if isinstance(w, (bool, np.bool_)) or not isinstance(w, (int, float, np.integer, np.floating)):
+            raise InvalidParameterError(f"bad edge entry {edge!r}: weight must be a number")
+        try:
+            w = float(w)
+        except OverflowError as exc:
+            raise InvalidParameterError(f"bad edge weight: {exc}") from None
+        checked.append((int(u), int(v), w))
     columns = ([], [], [])
     seen = set()
-    for edge in edges:
-        if len(edge) == 2:
-            u, v = edge
-            w = 1.0
-        else:
-            u, v, w = edge
-        u, v = int(u), int(v)
+    for u, v, w in checked:
         if u == v:
             raise InvalidParameterError(f"self-loop at node {u}")
         if not (0 <= u < node_count and 0 <= v < node_count):
@@ -131,7 +140,6 @@ def first_fault_by_edge(node_count, edges):
         if (min(u, v), max(u, v)) in seen:
             raise InvalidParameterError(f"duplicate edge ({min(u, v)},{max(u, v)})")
         seen.add((min(u, v), max(u, v)))
-        w = float(w)
         if not w > 0.0 or not np.isfinite(w):
             raise InvalidParameterError(f"edge ({min(u, v)},{max(u, v)}) weight must be positive")
         for column, value in zip(columns, (u, v, w)):

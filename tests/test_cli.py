@@ -963,12 +963,19 @@ _TOO_LARGE = "graph too large: {} nodes, at most 3037000499 supported"
         (b'\xff\xfe{"nodes": 3, "edges": []}', "invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (b"[" * 100000 + b"]" * 100000, "invalid JSON in {path}: maximum recursion depth exceeded"),
         (b'{"nodes": 3, "edges": [[0, 1], [1, 2, 1%s]]}' % (b"0" * 400), "bad edge weight: int too large to convert to float"),
+        # a rule break comes before an earlier edge's structural fault
+        (b'{"nodes": 3, "edges": [[0, 0], [1, 2, 1%s]]}' % (b"0" * 400), "bad edge weight: int too large to convert to float"),
+        # past the interpreter's integer digit limit, 4300 by default, json raises a ValueError
+        (b'{"nodes": 3, "edges": [[0, 1, 1%s]]}' % (b"0" * 5000), "invalid JSON in {path}: Exceeds the limit"),
         (json.dumps({"nodes": 2**70, "edges": [[0, 1]]}).encode(), _TOO_LARGE.format(2**70)),
         (json.dumps({"nodes": 2**62, "edges": [[0, 1]]}).encode(), _TOO_LARGE.format(2**62)),
         # its arc keys would wrap around int64
         (json.dumps({"nodes": 2**32, "edges": [[4294967295, 4294967294]]}).encode(), _TOO_LARGE.format(2**32)),
     ],
-    ids=["edges_int", "edges_null", "not_utf8", "nested_past_recursion_limit", "weight_past_float", "nodes_2e70", "nodes_2e62", "nodes_2e32"],
+    ids=[
+        "edges_int", "edges_null", "not_utf8", "nested_past_recursion_limit", "weight_past_float",
+        "weight_past_float_after_self_loop", "integer_past_digit_limit", "nodes_2e70", "nodes_2e62", "nodes_2e32",
+    ],
 )
 def test_malformed_graph_file_exits_2(capsys, tmp_path, content, message):
     # refused with one line, never a traceback and exit 1 (a TypeError,

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hitwalk as hw
 from hitwalk.errors import InvalidParameterError, NotConnectedError
@@ -38,23 +38,37 @@ def test_graph_rejects_bad_weight():
         (((2, 1), (0, 1, -1.0), (1, 2)), "edge (0,1) weight must be positive"),
         (((2, 1), (0, 1), (1, 2, -1.0)), "duplicate edge (1,2)"),
         (((0, 1), (3, 2, float("nan")), (1, 0)), "edge (2,3) weight must be positive"),
-        # a later weight does not convert; an edge's weight converts after
-        # its endpoints are checked
-        (((0, 0), (1, 2, "x")), "self-loop at node 0"),
-        (((0, 1), (2, 3), (1, 0, "x")), "duplicate edge (0,1)"),
-        (((0, 1), (2, 3), (3, 3, None)), "self-loop at node 3"),
+        # a later edge breaks the edge rule: it is reported before any
+        # structural fault, the edge's own included
+        (((0, 0), (1, 2, "x")), "bad edge entry (1, 2, 'x'): weight must be a number"),
+        (((0, 1), (2, 3), (1, 0, "x")), "bad edge entry (1, 0, 'x'): weight must be a number"),
+        (((0, 1), (2, 3), (3, 3, None)), "bad edge entry (3, 3, None): weight must be a number"),
         # endpoints past int64 are out of range, with their exact values
         (((0, 1), (0, 2**70)), f"edge (0,{2**70}) endpoint out of range"),
         (((1, 2), (-(2**70), 3, 1.0), (1, 1)), f"edge ({-(2**70)},3) endpoint out of range"),
-        (((0, 2**70), (1, 2, "x")), f"edge (0,{2**70}) endpoint out of range"),
-        (((1, 2), (2**64, 0, None)), f"edge ({2**64},0) endpoint out of range"),
-        # an endpoint that overflows int() is a conversion error like any other
-        (((0, 0), (0, float("inf"))), "self-loop at node 0"),
+        (((0, 2**70), (1, 2, "x")), "bad edge entry (1, 2, 'x'): weight must be a number"),
+        (((1, 2), (2**64, 0, None)), f"bad edge entry ({2**64}, 0, None): weight must be a number"),
+        # a float endpoint is refused, not converted, infinite or not
+        (((0, 0), (0, float("inf"))), "bad edge entry (0, inf): endpoints must be integers"),
+        (((0, 1.5),), "bad edge entry (0, 1.5): endpoints must be integers"),
+        (((0, 1, "2.5"), (1, 1)), "bad edge entry (0, 1, '2.5'): weight must be a number"),
+        (((0, True), (1, 2)), "bad edge entry (0, True): endpoints must be integers"),
+        (((0, 1, False),), "bad edge entry (0, 1, False): weight must be a number"),
+        (((0, 1), [0, 1, 2, 3]), "bad edge entry [0, 1, 2, 3]"),
+        (((0, 1), "01"), "bad edge entry '01'"),
+        # an integer weight past the float range breaks the rule as well
+        (((0, 0), (0, 1, 10**400)), "bad edge weight: int too large to convert to float"),
+        # numpy scalars pass the rule, converted exactly
+        (((np.int8(0), np.uint64(2**64 - 1)),), f"edge (0,{2**64 - 1}) endpoint out of range"),
+        (((np.int32(1), 2, np.float32(-0.5)),), "edge (1,2) weight must be positive"),
+        (((0, np.bool_(True)),), f"bad edge entry (0, {np.bool_(True)!r}): endpoints must be integers"),
     ],
 )
 def test_graph_reports_first_faulty_edge(edges, message):
-    # two faults each: the first in edge order wins, and within an edge the
-    # checks run self-loop, range, duplicate, weight
+    # two faults each: an edge that breaks the edge rule (a list or tuple of
+    # two integers and an optional number, no bool) comes first, then the
+    # structural faults in edge order, within an edge self-loop, range,
+    # duplicate, weight
     with pytest.raises(InvalidParameterError) as info:
         hw.Graph(4, edges)
     assert str(info.value) == message
@@ -63,27 +77,38 @@ def test_graph_reports_first_faulty_edge(edges, message):
 @pytest.mark.parametrize(
     "edges, error",
     [
-        (((0, 1), (1, 2, None), (0, 1)), TypeError),
+        (((0, 1), (1, 2, None), (0, 1)), InvalidParameterError),
         (((0, 1), ("a", 3), (1, 0)), ValueError),
         (((1, 0), (2, 1, 1.0, 5), (0, 1)), ValueError),
-        (((0, 1), 7, (1, 0)), TypeError),
+        (((0, 1), 7, (1, 0)), InvalidParameterError),
     ],
 )
 def test_graph_raises_conversion_error_of_first_faulty_edge(edges, error):
-    # the edge that does not convert comes before any other fault
-    with pytest.raises(error):
+    # the edge that breaks the edge rule comes before any other fault, and
+    # is refused as bad input (InvalidParameterError is a ValueError)
+    with pytest.raises(error) as info:
         hw.Graph(4, edges)
+    with pytest.raises(InvalidParameterError) as expected:
+        first_fault_by_edge(4, edges)
+    assert type(info.value) is InvalidParameterError and str(info.value) == str(expected.value)
 
 
-# values that convert (1.5 and "3" to endpoints, "2.5" and 10**4 to
-# weights), values that do not (or overflow), and ones that break a check
+# values that pass the edge rule (ints, floats and numpy scalars), values
+# that break it (1.5 and "3" as endpoints, "2.5" as a weight, bools, None,
+# an integer weight past the float range), and ones that break a check
 _EDGE_VALUES = st.one_of(
     st.integers(-1, 4),
-    st.sampled_from([2**70, -(2**64), 1.5, "3", "a", None, float("nan"), float("inf"), 10**400]),
+    st.sampled_from([
+        2**70, -(2**64), 1.5, "3", "a", None, True, float("nan"), float("inf"), 10**400,
+        np.int64(2), np.uint64(2**64 - 1), np.float64(1.0), np.bool_(False),
+    ]),
 )
 _WEIGHTS = st.one_of(
     st.floats(-1.0, 4.0),
-    st.sampled_from([1.0, 0.0, -0.0, float("nan"), float("inf"), "2.5", "x", None, 10**4, 10**400]),
+    st.sampled_from([
+        1.0, 0.0, -0.0, float("nan"), float("inf"), "2.5", "x", None, False, 10**4, 10**400,
+        np.int64(3), np.float32(0.5), np.bool_(True),
+    ]),
 )
 _EDGES = st.one_of(
     st.tuples(_EDGE_VALUES, _EDGE_VALUES),
@@ -100,11 +125,10 @@ _EDGES = st.one_of(
 def test_graph_builds_or_raises_as_a_per_edge_reference(edges):
     try:
         u, v, w = first_fault_by_edge(4, edges)
-    except Exception as expected:
-        with pytest.raises(type(expected)) as info:
+    except InvalidParameterError as expected:
+        with pytest.raises(InvalidParameterError) as info:
             hw.Graph(4, edges)
-        if isinstance(expected, InvalidParameterError):
-            assert str(info.value) == str(expected)
+        assert str(info.value) == str(expected)
         return
     g = hw.Graph(4, edges)
     columns = hw.Graph._from_columns(4, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64), np.array(w))
@@ -135,6 +159,44 @@ def test_graph_spec_builds_or_raises_invalid_parameter(nodes, edges):
     except InvalidParameterError:
         return
     assert isinstance(g, hw.Graph) and g.node_count == nodes
+
+
+@settings(max_examples=500)
+@given(
+    st.one_of(st.integers(-1, 6), _JSON_SCALARS, _JSON_VALUES),
+    st.lists(st.lists(st.integers(-1, 6) | _JSON_SCALARS, max_size=4) | _JSON_VALUES, max_size=6),
+)
+@example(3, [[0, 1.5]])
+@example(3, [[0, 1, "2.5"]])
+@example(3, [[0, 0], [0, 1, 10**400]])
+@example(3.0, [[0, 1]])
+@example("3", [[0, 1]])
+@example(True, [[0, 1]])
+def test_graph_spec_and_graph_follow_one_rule(nodes, edges):
+    # the spec parser checks the spec's shape and Graph every value: a JSON
+    # edge list builds the same graph both ways, or is refused with one message
+    try:
+        parsed = parse_graph_spec({"nodes": nodes, "edges": edges})
+    except InvalidParameterError as refused:
+        with pytest.raises(InvalidParameterError) as info:
+            hw.Graph(nodes, edges)
+        assert str(info.value) == str(refused)
+        return
+    g = hw.Graph(nodes, edges)
+    assert g == parsed
+    for got, want in zip(g._arcs, parsed._arcs):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nodes", [3.0, "3", True, None, np.float64(3.0), np.bool_(True)])
+def test_graph_node_count_follows_the_endpoint_rule(nodes):
+    with pytest.raises(InvalidParameterError, match="^'nodes' must be an integer$"):
+        hw.Graph(nodes, [(0, 1)])
+
+
+def test_graph_node_count_may_be_a_numpy_integer():
+    g = hw.Graph(np.uint64(3), [(np.int64(0), 1), (1, np.uint8(2), np.float32(0.5))])
+    assert type(g.node_count) is int and g == hw.Graph(3, [(0, 1), (1, 2, 0.5)])
 
 
 def test_graph_connectivity_flag():
