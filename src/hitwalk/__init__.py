@@ -2,9 +2,9 @@
 
 Four interoperating engines compute hitting-time distributions, moments
 and variances: the absorbing-chain recurrence on arbitrary graphs, a
-character-sum engine on finite abelian groups, a spectral renewal series
-on any connected graph (its trace recursion and rational generating
-function need a walk-regular graph), and a uniformized continuous-time
+character-sum engine on finite abelian groups, the trace recursion and
+rational generating function on walk-regular graphs (whose one-pair
+series is the absorbing chain's), and a uniformized continuous-time
 engine, all cross-validated by brute-force and Monte Carlo oracles.
 """
 

@@ -11,9 +11,12 @@ and ``moments`` and ``ctime`` with ``--from``, never build the graph.
 
 ``--engine auto`` is ``direct``: the absorbing chain forms P(tau = n)
 from sums and products of non-negative numbers only, so every term keeps
-its relative accuracy however small it is.  The fourier and spectral
-engines sum signed terms, so their error is absolute; they run when
-named, and as legs of ``compare``.
+its relative accuracy however small it is.  ``--engine spectral`` is
+``direct`` too: dividing the walk powers (B^k)_ij by the target's returns
+(B^k)_jj gives back the absorbing chain's series by the renewal identity,
+so the paper's trace recursion serves ``gf`` alone.  The fourier engine
+sums signed terms, so its error is absolute; it runs when named, and as
+the second leg of ``compare`` on abelian presets.
 
 Every output document embeds the graph spec, its hash, the engine and
 all knobs needed to re-run it bit-identically.  A JSON document is
@@ -182,11 +185,9 @@ def _fourier(problem: _Problem, horizon: int) -> np.ndarray:
     return fr.fourier_pmf(group, law, displacement, horizon).probs[:, 0]
 
 
-def _spectral(problem: _Problem, horizon: int) -> np.ndarray:
-    return sp.lumped_series(problem.kernel, problem.lumped, problem.start, horizon)[1:]
-
-
-_ENGINES = {"direct": _direct, "fourier": _fourier, "spectral": _spectral}
+_ENGINES = {"direct": _direct, "fourier": _fourier}
+# --engine values that name another engine's series
+_ALIASES = {"auto": "direct", "spectral": "direct"}
 
 
 def _metadata(problem: _Problem, command: str, **extra) -> dict:
@@ -215,7 +216,7 @@ def _cmd_pmf(args) -> dict:
     problem = _problem(args)
     if args.horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    engine = "direct" if args.engine == "auto" else args.engine
+    engine = _ALIASES.get(args.engine, args.engine)
     series = _ENGINES[engine](problem, args.horizon)
     payload = {
         "table": {
@@ -300,15 +301,9 @@ def _cmd_simulate(args) -> dict:
 def _cmd_compare(args) -> dict:
     problem = _problem(args)
     horizon = args.horizon
-    engines = ["direct"]
-    if problem.abelian is not None:
-        engines.append("fourier")
-    # The legs follow the spec, named by --preset or a preset file alike:
-    # fourier on abelian presets, spectral on regular presets.  The spectral
-    # series holds on every graph, but an edge-list file gets the direct leg
-    # alone, so its documents keep their engines.
-    if problem.preset is not None and problem.graph.regular_degree() is not None:
-        engines.append("spectral")
+    # the legs follow the spec: fourier, a character sum independent of the
+    # absorbing chain, on abelian presets, named by --preset or a file alike
+    engines = ["direct"] if problem.abelian is None else ["direct", "fourier"]
     series = {engine: _ENGINES[engine](problem, horizon) for engine in engines}
     discrepancies = [
         [ea, eb, float(np.max(np.abs(series[ea] - series[eb])))]
@@ -494,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="target", type=int, required=True)
     p.add_argument("--horizon", type=int, default=_DEF_HORIZON)
     p.add_argument("--engine", choices=["auto", "direct", "fourier", "spectral"], default="direct",
-                   help="auto is direct")
+                   help="auto and spectral are direct")
     p.set_defaults(func=_cmd_pmf)
 
     p = sub.add_parser("moments", help="mean, second moment and variance")

@@ -1,4 +1,5 @@
-"""Trace-recursion engine: first-passage series by series division.
+"""Trace-recursion engine: the paper's first-passage matrices and rational
+generating functions on walk-regular graphs.
 
 Let B be the simple-walk matrix (each edge crossed with probability
 proportional to its weight).  A walk from i that is at j after k steps
@@ -7,13 +8,11 @@ f_l = P(tau_{i,j} = l) satisfy the renewal identity
 
     (B^k)_{ij} = sum_{l=0..k} f_l (B^{k-l})_{jj},
 
-with f_0 = [i = j].  With r_k = (B^k)_{jj} (r_0 = 1) this is a series
-division, f = b / r with b_k = (B^k)_{ij}, exact on every connected
-graph.  When every node returns to itself in k steps with the same
-probability t_k = Trace(B^k)/V, for every k, the graph is walk-regular
-(Godsil and McKay, Linear Algebra Appl. 30, 1980), r_k = t_k for every
-j, and the first-passage matrices M_n[i][j] = P(tau_{i,j} = n) satisfy
-the paper's trace recursion
+with f_0 = [i = j].  When every node returns to itself in k steps with
+the same probability t_k = Trace(B^k)/V, for every k, the graph is
+walk-regular (Godsil and McKay, Linear Algebra Appl. 30, 1980),
+(B^k)_{jj} = t_k for every j, and the first-passage matrices
+M_n[i][j] = P(tau_{i,j} = n) satisfy the paper's trace recursion
 
     M_0 = I,
     M_n = B^n - sum_{k=1..n} t_k M_{n-k}.
@@ -24,7 +23,7 @@ det(I - tB) * sum_k V t_k t^k (a polynomial of degree V-1).  No
 eigenvalues are ever computed individually: det(I - tB) follows from the
 traces by Newton's identities.
 
-Only ``rational_gf``, ``mn_sequence`` and ``trace_powers`` need
+``rational_gf``, ``mn_sequence`` and ``trace_powers`` need
 walk-regularity, and they check it, to 1e-12: each power B^k is formed
 densely, and the first k at which a diagonal entry differs from t_k
 raises :class:`HypothesisError`.  By Cayley-Hamilton B^k lies in the span
@@ -32,15 +31,14 @@ of I, B, ..., B^{V-1}, so k < V covers every k, and ``rational_gf``
 forms only those powers.  Vertex-transitive graphs are walk-regular, and
 so is every strongly regular graph.
 
-The one-pair series (``lumped_series``, behind ``gf_series`` and
-``rational_gf``) needs only b_k and r_k, the entries i and j of the
-target's column B^k e_j, and never forms B^k.  The coarsest
-equitable partition that keeps j alone (``hitting.lumped_absorbing``)
-has characteristic matrix S with BS = S B_pi, so B^k e_j = S B_pi^k e_[j]
-(Kemeny & Snell, Finite Markov Chains, 1960, section 6.3): both numbers
-are entries of one class vector w_k = B_pi w_{k-1}, w_0 = e_[j].  B_pi is
-the lumped absorbing chain [Q | P1] plus the target's own row, so a step
-costs O(classes * row width), and the division one length-k dot product.
+The one-pair series (``gf_series``, behind ``rational_gf``) is not
+divided out of walk powers.  The renewal identity with the target's own
+returns r_k = (B^k)_{jj} holds on every graph, but it holds as well for
+the path sums of any square matrix, so dividing by r_k only gives back
+the absorbing chain's Q^{n-1} P1, with more roundoff.  The series is
+``hitting.pmf`` on the target's lumped chain, whose terms keep their
+relative accuracy, and the rational pair, whose denominator comes from
+the trace power sums alone, is checked against it.
 """
 from __future__ import annotations
 
@@ -58,7 +56,6 @@ __all__ = [
     "RationalGF",
     "trace_powers",
     "mn_sequence",
-    "lumped_series",
     "gf_series",
     "rational_gf",
 ]
@@ -143,28 +140,6 @@ def _series_divide(b: np.ndarray, traces: np.ndarray) -> np.ndarray:
     return b
 
 
-def _lumped_column(kernel, lumped, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B^k)_{ij} and r_k = (B^k)_{jj}, k = 0..n, from the target's column of
-    its lumped chain ``lumped = hitting.lumped_absorbing(kernel, j)``."""
-    _require_array_size(2 * (n + 1), "spectral series")
-    system, rows = lumped
-    j = system.target
-    heads, tails = kernel.support
-    arcs = slice(*np.searchsorted(heads, [j, j + 1]))
-    # the target's row of B_pi: its arcs summed by class (a graph has no
-    # self-loops, so none returns to the target in one step)
-    target_row = np.bincount(rows[tails[arcs]], weights=kernel.values[arcs], minlength=system.size)
-    column, back = np.zeros(system.size), 1.0  # w_k off the target's class, and on it
-    row = rows[i]
-    entries, returns = np.empty((2, n + 1))
-    entries[0], returns[0] = 0.0, 1.0
-    for k in range(1, n + 1):
-        column, back = system.step(column) + back * system.first_step, target_row @ column
-        entries[k], returns[k] = column[row], back
-    # for i = j the entries are the returns (rows[j] = -1 read a stray class)
-    return (returns.copy() if i == j else entries), returns
-
-
 def trace_powers(graph: Graph, n: int) -> TracePowerTable:
     """t_0..t_n of a walk-regular graph, checked at every step."""
     if n < 0:
@@ -197,18 +172,21 @@ def _require_pair(graph: Graph, i: int, j: int) -> None:
         raise InvalidParameterError("node indices out of range")
 
 
-def lumped_series(kernel, lumped, i: int, n: int) -> np.ndarray:
-    """``gf_series`` on a built walk kernel and its target's lumped chain."""
-    return _series_divide(*_lumped_column(kernel, lumped, i, n))
-
-
 def gf_series(graph: Graph, i: int, j: int, n: int) -> np.ndarray:
-    """Taylor coefficients of sum_n P(tau_{i,j} = n) t^n for n = 0..N."""
+    """Taylor coefficients of sum_n P(tau_{i,j} = n) t^n for n = 0..N: e_0
+    when i == j, else 0 and then ``hitting.pmf`` on the target's lumped
+    chain, so every term keeps its relative accuracy."""
     _require_pair(graph, i, j)
     if n < 0:
         raise InvalidParameterError("need n >= 0")
-    kernel = simple_walk_kernel(graph)
-    return lumped_series(kernel, hitting.lumped_absorbing(kernel, j), i, n)
+    _require_array_size(n + 1, "gf series")
+    system, rows = hitting.lumped_absorbing(simple_walk_kernel(graph), j)
+    series = np.zeros(n + 1)
+    if i == j:
+        series[0] = 1.0
+    elif n:
+        series[1:] = hitting.pmf(system, n, rows=[rows[i]]).probs[:, 0]
+    return series
 
 
 @dataclass(frozen=True)

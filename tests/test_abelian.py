@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -399,6 +400,15 @@ def test_fourier_pmf_numerical_fault_is_numerical_error(monkeypatch, fault):
         hw.fourier_pmf(group, law, (2,), 5)
 
 
+@pytest.mark.parametrize("step_law, g", [(ab.cycle_step_law, (5,)), (ab.torus_standard_step_law, (2, 1))])
+def test_fourier_pmf_residual_is_the_unabsorbed_mass(step_law, g):
+    group, law = step_law(12)
+    table = hw.fourier_pmf(group, law, g, 40)
+    assert table.residual.shape == (1,)
+    assert 0.0 < table.residual[0] < 1.0
+    assert table.residual[0] == pytest.approx(1.0 - table.probs[:, 0].sum(), rel=0, abs=1e-15)
+
+
 def test_fourier_pmf_matches_direct_on_z7():
     group, law = ab.cycle_step_law(7)
     kernel = hw.simple_walk_kernel(hw.build_cycle(7))
@@ -494,6 +504,16 @@ def test_convolution_report_degenerate_coordinate():
     report = hw.diag_torus_convolution_report(3, (1, 1), (0, 0), 20, direct)
     assert any("degenerate coordinate" in note for note in report.notes)
     assert report.direct is not None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_convolution_report_notes_a_degenerate_coordinate_exactly_when_one_is_zero(p):
+    for start in itertools.product(range(p), repeat=2):
+        if start == (0, 0):
+            continue
+        report = hw.diag_torus_convolution_report(p, start, (0, 0), 8, np.zeros(8))
+        degenerate = any("degenerate coordinate" in note for note in report.notes)
+        assert degenerate == (0 in report.diagonal_displacement), (p, start)
 
 
 def test_convolution_report_needs_the_direct_series():

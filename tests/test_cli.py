@@ -55,6 +55,30 @@ def test_pmf_spectral_hypercube_series(capsys):
     assert rows[2][1] == pytest.approx(2 / 9, abs=1e-12)
 
 
+def test_pmf_spectral_on_hypercube_40_is_the_direct_document(capsys):
+    # --engine spectral runs direct on the closed-form quotient (40 classes);
+    # a graph build would ask for 8 TiB
+    argv = ["pmf", "--preset", "hypercube:40", "--from", "3", "--to", "0", "--horizon", "5"]
+    direct = run_cli(capsys, *argv, "--engine", "direct")
+    assert direct[0] == 0
+    assert run_cli(capsys, *argv, "--engine", "spectral") == direct
+
+
+def test_pmf_fourier_prints_clipped_terms_as_zero(capsys):
+    # from 5 to 0 on the 10-cycle the walk hits only at odd steps from 5 on;
+    # at the other steps the character sum leaves signed noise, whose
+    # negatives are clipped to exactly 0.0, and no printed term is below
+    # the noise
+    doc = run_json(capsys, "pmf", "--preset", "cycle:10", "--from", "5", "--to", "0",
+                   "--horizon", "200", "--engine", "fourier")
+    probs = np.array([p for _, p in doc["payload"]["table"]["rows"]])
+    zero = probs == 0.0
+    assert zero.any()
+    assert np.all(probs[~zero] > 1e-40)
+    # the zeros are structural: every step but the odd ones from 5 on
+    assert not zero[4::2].any()
+
+
 def test_pmf_complete_matches_geometric(capsys):
     from hitwalk import closed_complete
 
@@ -233,7 +257,7 @@ def test_compare_cycle_engine_matrix(capsys):
         capsys, "compare", "--preset", "cycle:6", "--from", "0", "--to", "3",
         "--horizon", "80", "--trials", "2000", "--seed", "9",
     )
-    assert doc["payload"]["engines"] == ["direct", "fourier", "spectral"]
+    assert doc["payload"]["engines"] == ["direct", "fourier"]
     for _, _, disc in doc["payload"]["table"]["rows"]:
         assert disc < 1e-10
     assert doc["payload"]["moments"]["max_mean_discrepancy"] < 1e-9
@@ -317,9 +341,8 @@ def build_counts(monkeypatch):
     [
         # torus_std:5 lumps in closed form: no graph, kernel or search
         ("direct", {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 1, "step_law": 0}),
-        # the spectral engine steps the target's column on the problem's
-        # lumped chain, and reads the target's arcs from the kernel
-        ("spectral", {"graph": 1, "kernel": 1, "absorbing": 0, "quotient": 1, "step_law": 0}),
+        # --engine spectral runs direct
+        ("spectral", {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 1, "step_law": 0}),
         ("fourier", {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 0, "step_law": 1}),
         ("auto", {"graph": 0, "kernel": 0, "absorbing": 0, "quotient": 1, "step_law": 0}),
     ],
@@ -342,8 +365,8 @@ def test_pmf_horizon_zero_exits_2(capsys, engine):
 
 
 def test_compare_builds_one_kernel_and_one_absorbing_system(capsys, build_counts):
-    # the direct and spectral series and the moments share the quotient;
-    # the spectral series and Monte Carlo share the kernel
+    # the direct series and the moments share the quotient; Monte Carlo
+    # alone walks the kernel
     run_json(
         capsys, "compare", "--preset", "torus_std:5", "--from", "7", "--to", "0",
         "--horizon", "20", "--trials", "200",
@@ -706,10 +729,10 @@ _HUGE = "100000000000000000000"  # 10^20
     ("argv", "table"),
     [
         (["pmf", "--horizon", _HUGE, "--engine", "direct"], "pmf table"),
-        (["pmf", "--horizon", _HUGE, "--engine", "spectral"], "spectral series"),
+        (["pmf", "--horizon", _HUGE, "--engine", "spectral"], "pmf table"),
         (["pmf", "--horizon", _HUGE, "--engine", "fourier"], "fourier table"),
         (["pmf", "--horizon", "1000000000000000000"], "pmf table"),
-        (["gf", "--horizon", _HUGE], "spectral series"),
+        (["gf", "--horizon", _HUGE], "gf series"),
         (["simulate", "--trials", _HUGE], "trial table"),
         (["compare", "--horizon", _HUGE], "pmf table"),
         (["compare", "--trials", _HUGE], "trial table"),
@@ -768,6 +791,17 @@ def test_gf_document(capsys):
     rows = doc["payload"]["table"]["rows"]
     assert rows[3][1] == pytest.approx(2 / 9, abs=1e-12)
     assert rows[11][1] == pytest.approx(4802 / 59049, abs=1e-12)
+
+
+def test_gf_series_keeps_relative_accuracy(capsys):
+    # P(tau = n) = (4/5)^(n-1)/5 on K_6; the series comes from the absorbing
+    # chain, whose terms keep their relative accuracy
+    doc = run_json(capsys, "gf", "--preset", "complete:6", "--from", "1", "--to", "0", "--horizon", "60")
+    rows = doc["payload"]["table"]["rows"]
+    assert rows[0] == [0, 0.0] and len(rows) == 61
+    for n, c in rows[1:]:
+        exact = Fraction(4, 5) ** (n - 1) / 5
+        assert abs(Fraction(c) - exact) <= Fraction(1, 10**14) * exact, n
 
 
 def test_gf_requires_regular(capsys):
@@ -874,7 +908,7 @@ def _spectral_and_direct(capsys, graph, start, horizon):
 
 @pytest.mark.parametrize("start", range(1, 12))
 def test_spectral_pmf_on_frucht_file_matches_direct(capsys, tmp_path, start):
-    # the renewal identity on the target's column holds on every graph
+    # --engine spectral runs direct on every graph, walk-regular or not
     spectral, direct = _spectral_and_direct(capsys, _frucht_file(tmp_path), start, 200)
     assert np.max(np.abs(spectral - direct)) <= 1e-15
 
@@ -1132,7 +1166,7 @@ def test_preset_file_is_its_preset(capsys, tmp_path, preset, query):
 def test_preset_file_compare_runs_every_leg(capsys, tmp_path):
     doc = run_json(capsys, "compare", "--graph", _preset_file(tmp_path, "cycle:10"), "--from", "1", "--to", "0",
                    "--horizon", "20", "--trials", "200")
-    assert doc["payload"]["engines"] == ["direct", "fourier", "spectral"]
+    assert doc["payload"]["engines"] == ["direct", "fourier"]
     assert "fourier" in doc["payload"]["moments"]
 
 

@@ -923,6 +923,14 @@ def test_cycle_mean_examples():
     assert hw.cycle_mean(7, 2, 5) == pytest.approx(3 * 4)
 
 
+def test_cycle_mean_on_the_triangle_and_below():
+    # the triangle is the smallest cycle: the target is one step away with
+    # probability 1/2, so the mean is 2
+    assert hw.cycle_mean(3, 0, 1) == 2.0
+    with pytest.raises(InvalidParameterError, match="k >= 3"):
+        hw.cycle_mean(2, 0, 1)
+
+
 def test_path_endpoint_examples():
     # path 0-1-2: one step from node 1 hits either end with probability 1/2
     assert hw.path_endpoint_pmf(3, 1, 1) == pytest.approx(0.5, abs=1e-12)

@@ -176,7 +176,7 @@ def test_gf_series_peak_memory_is_one_entry():
         assert peak < 2 * 2**20, g.node_count
 
 
-# --- the target's column ------------------------------------------------------------
+# --- the one-pair series ------------------------------------------------------------
 
 def dense_columns(graph, target, n):
     """(B^k)_{i,target} for k = 0..n (rows) and every node i (columns), by
@@ -232,25 +232,6 @@ def test_gf_series_matches_direct(graph):
 def test_gf_series_from_the_target_is_e0(graph):
     for target in (0, 13):
         assert np.array_equal(hw.gf_series(graph, target, target, 50), np.eye(51)[0])
-
-
-@pytest.mark.parametrize(
-    "graph, target", [(hw.build_torus_standard(7), 0), (hw.build_path(30), 13), (chang_graph(), 5)],
-    ids=["torus_std7", "path30", "chang"],
-)
-def test_target_column_holds_walk_powers(graph, target):
-    # the division undoes any return sequence the column steps with (even
-    # none, which leaves the direct engine's series), so only these entries
-    # show that the spectral route divides (B^k)_ij by (B^k)_jj
-    from hitwalk.spectral import _lumped_column
-
-    columns = dense_columns(graph, target, 100)
-    kernel = hw.simple_walk_kernel(graph)
-    lumped = hw.lumped_absorbing(kernel, target)
-    for start in (target, 0, graph.node_count - 1):
-        entries, returns = _lumped_column(kernel, lumped, start, 100)
-        assert np.max(np.abs(returns - columns[:, target])) <= 1e-15
-        assert np.max(np.abs(entries - columns[:, start])) <= 1e-15
 
 
 def test_gf_series_never_reads_the_dense_kernel(monkeypatch):
