@@ -201,12 +201,26 @@ def mix64(z):
     # in place on a copy: array products wrap silently, where a scalar
     # product would warn of the overflow
     z = np.array(z, dtype=np.uint64)
-    z ^= z >> _S30
+    return _mix64_in_place(z, np.empty_like(z))[()]
+
+
+def _mix64_in_place(z: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """``mix64`` of the uint64 array z, written over z; ``shifts``, of z's
+    shape, takes each xor-shift, so the steps allocate nothing."""
+    _mix64_top_in_place(z, shifts)
+    z ^= np.right_shift(z, _S31, out=shifts)
+    return z
+
+
+def _mix64_top_in_place(z: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """The steps of ``_mix64_in_place`` before its last xor-shift.  That
+    step leaves the top 31 bits as they are, so these fix the top 31 bits
+    of ``mix64(z)``."""
+    z ^= np.right_shift(z, _S30, out=shifts)
     z *= _M1
-    z ^= z >> _S27
+    z ^= np.right_shift(z, _S27, out=shifts)
     z *= _M2
-    z ^= z >> _S31
-    return z[()]
+    return z
 
 
 @dataclass(frozen=True)
@@ -295,13 +309,6 @@ class Graph:
         # each node's weights are added in edge order, as a loop over edges would
         heads, _, weights = self._arcs
         return np.bincount(heads, weights=weights, minlength=self.node_count)
-
-    def regular_degree(self) -> int | None:
-        """Common degree if the graph is regular, else None."""
-        d = self.degrees()
-        if self.node_count and np.all(d == d[0]):
-            return int(d[0])
-        return None
 
     def label_index(self, label: str) -> int:
         if self.labels is None:

@@ -19,11 +19,15 @@ first N samples of any longer run with the same seed.  The same rules
 reproduce the streams in any language.
 
 The draws are counter-based, so the simulator forms them in blocks: the
-live walkers take about 64 steps per block on one array of draws, in
-groups of at most 2^16 draws.  The k-th draw of a trial follows the rule
-above whatever the block and group sizes, and step k of a trial uses its
-k-th draw, so every sample equals that of a walk that draws one step at
-a time.
+live walkers take 64 steps per block on one array of draws, in groups of
+at most 2^16 draws.  With a successor table (below) blocks lengthen as
+walkers finish, to about 2^16 / live steps and at most 512, so that the
+last walkers share each block's fixed numpy calls.  The draws, their
+xor-shifts, ranks and cells live in buffers made once per run and
+filled in place.  The k-th draw of a trial follows the rule above
+whatever the block and group sizes, and step k of a trial uses its k-th
+draw, so every sample equals that of a walk that draws one step at a
+time.
 
 A step from x with uniform u moves to the j-th neighbour of x, where j
 counts the cumulative bounds of row x that u reaches (u >= bound).  The
@@ -36,7 +40,13 @@ no bound of 1, so the rank settles every comparison of u with every
 row: the successor table entry M[x, r] is the move that counting in row
 x picks, and the samples are those of the count.  The rank needs no
 float: u >= s exactly when draw >> 11 >= ceil(s 2^53), so it counts the
-integer thresholds that the draw's top 53 bits reach.
+integer thresholds that the draw's top 53 bits reach.  Where the
+thresholds are exactly j 2^(53-m), j < 2^m, as for the bounds j / 2^m of
+every unit-weight walk of degree 2^m (cycles, paths, both tori,
+hypercube:8), the draw reaches j 2^(53-m) exactly when its top m bits
+are at least j, so its rank is its top m bits.  The last xor-shift of
+mix64 leaves the top 31 bits as they are, so such a walk mixes its
+draws only up to it.
 
 As a multi-stride automaton consumes k symbols per lookup (Brodie,
 Taylor and Cytron, ISCA 2006), the walk consumes k ranks per lookup:
@@ -51,7 +61,7 @@ capped.  M has V * (|S'| + 1) entries; it is built only when that is no
 more than the two padded V * width row tables hold, |S'| + 1 <= 2 width.
 A regular simple walk has |S'| + 1 = width and a path 2; kernels with
 many distinct bounds, such as weighted graph files, count in each
-walker's row at every step instead.
+walker's row at every step instead, by the same integer thresholds.
 
 Trials that reach the step cap are counted and excluded from the
 statistics, never silently folded in: hitting times are heavy-tailed and
@@ -64,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graphs import GAMMA, TransitionKernel, _require_array_size, mix64
+from .graphs import GAMMA, TransitionKernel, _mix64_in_place, _mix64_top_in_place, _require_array_size, mix64
 from .hitting import _require_reachable, _row_table
 
 __all__ = [
@@ -78,10 +88,13 @@ __all__ = [
 
 _U64 = np.uint64
 _CAP_WARNING_FRACTION = 0.01
-# a block walks _BLOCK_STEPS steps (whole strides, fewer at the step cap),
-# its walkers in groups of at most _BLOCK_CELLS draws; a stride table has
-# at most _BLOCK_CELLS cells and a stride at most _BLOCK_STEPS steps
+# a block walks whole strides, fewer steps at the step cap: _BLOCK_STEPS,
+# or on the successor table about _BLOCK_CELLS // live steps between
+# _BLOCK_STEPS and _LONG_BLOCK_STEPS, its walkers in groups of at most
+# _BLOCK_CELLS draws; a stride table has at most _BLOCK_CELLS cells and a
+# stride at most _BLOCK_STEPS steps
 _BLOCK_STEPS = 64
+_LONG_BLOCK_STEPS = 512
 _BLOCK_CELLS = 2**16
 
 
@@ -219,28 +232,56 @@ def _stride_table(
 
 
 def _thresholds(bounds: np.ndarray) -> np.ndarray:
-    """t = ceil(s 2^53) for each bound s in (0, 1): a draw's uniform
+    """t = ceil(s 2^53) for each bound s in [0, 1]: a draw's uniform
     u = (draw >> 11) 2^-53 reaches s exactly when draw >> 11 >= t, since
-    s 2^53 is exact and draw >> 11 an integer."""
+    s 2^53 is exact and draw >> 11 an integer (below 2^53, the threshold
+    of a bound of 1)."""
     return np.ceil(bounds * 2.0**53).astype(_U64)
 
 
-def _stride_ranks(draws: np.ndarray, thresholds: np.ndarray, stride: int) -> np.ndarray:
-    """Cell R = r_1 + size r_2 + ... of each stride of draws, as intp.
+def _top_bits(thresholds: np.ndarray) -> int:
+    """m when the thresholds are exactly j 2^(53-m), j = 1 .. 2^m - 1, as
+    they are for the bounds j / 2^m of a walk on rows of 2^m equal
+    weights; else 0.  A draw then reaches j 2^(53-m) exactly when its
+    top m bits are at least j, so its rank is its top m bits."""
+    m = thresholds.size.bit_length()
+    grid = np.arange(1, 1 << m, dtype=_U64) << _U64(53 - m)
+    return m if np.array_equal(thresholds, grid) else 0
 
-    ``draws`` holds strides * k rows of 64-bit draws (shifted in place).
-    A draw's rank in S' is the number of thresholds (``_thresholds``)
-    its top 53 bits reach; no draw is turned into a float.
+
+def _stride_ranks(
+    draws: np.ndarray, thresholds: np.ndarray, bits: int, cells: np.ndarray,
+    ranks: np.ndarray, flags: np.ndarray,
+) -> None:
+    """Cell R = r_1 + size r_2 + ... of each stride of draws, into ``cells``.
+
+    ``draws`` holds strides * k rows of 64-bit draws (shifted in place)
+    and ``cells`` one intp row per stride; ``ranks`` (uint8) and
+    ``flags`` (bool) hold at least as many entries as ``draws``.  A
+    draw's rank in S' is the number of thresholds (``_thresholds``) its
+    top 53 bits reach, or its top ``bits`` bits when ``_top_bits`` finds
+    them (``bits`` > 0); the k ranks of a stride combine by Horner.  No
+    draw is turned into a float.
     """
-    draws >>= _U64(11)
-    if thresholds.size <= 16:  # summed compares beat a binary search here
-        ranks = np.zeros(draws.shape, dtype=np.uint8)
-        for t in thresholds:
-            ranks += draws >= t
+    size = thresholds.size + 1
+    if bits:  # below 2^bits, so the same number as an intp
+        draws >>= _U64(64 - bits)
+        ranked = draws.view(np.intp)
+    elif thresholds.size > 16:  # a binary search beats summed compares here
+        draws >>= _U64(11)
+        ranked = thresholds.searchsorted(draws, side="right")
     else:
-        ranks = np.searchsorted(thresholds, draws, side="right")
-    digits = (thresholds.size + 1) ** np.arange(stride)
-    return digits @ ranks.reshape(-1, stride, draws.shape[1])
+        draws >>= _U64(11)
+        ranked = ranks[: draws.size].reshape(draws.shape)
+        ranked.fill(0)
+        flags = flags[: draws.size].reshape(draws.shape)
+        for t in thresholds:
+            ranked += np.greater_equal(draws, t, out=flags).view(np.uint8)
+    digits = ranked.reshape(cells.shape[0], -1, draws.shape[1])
+    cells[...] = digits[:, -1]
+    for i in range(digits.shape[1] - 2, -1, -1):
+        cells *= size
+        cells += digits[:, i]
 
 
 def _simulate_trials(
@@ -268,55 +309,76 @@ def _simulate_trials(
     one cell R, and the walker moves to ``M_k[position + R]`` and reads
     the step of its first hit, if any, from ``H_k``.  The ranks settle
     every comparison of u with the walker's bounds, so each step is the
-    one that counting them picks.  Without a table k = 1 and a step
-    counts the bounds u reaches in the walker's row.  Positions are held
-    scaled by the length of a table row.
+    one that counting them picks.  Blocks lengthen as walkers finish, to
+    about _BLOCK_CELLS // live steps up to _LONG_BLOCK_STEPS, so that the
+    last walkers share each block's fixed numpy calls.  Without a table
+    k = 1, a block is _BLOCK_STEPS steps and a step counts the thresholds
+    of the walker's row that the draw reaches.  Positions are held scaled
+    by the length of a table row.
+
+    The draws, their xor-shifts, the ranks, rank flags, cells and hits
+    live in buffers sized once by _BLOCK_CELLS, before the first block,
+    and every block fills them in place.
     """
     table = _successor_table(kernel_cum, neighbor_table)
     if table is None:
-        stride = 1
+        stride, longest = 1, _BLOCK_STEPS
         scale = kernel_cum.shape[1]
         moves = neighbor_table.ravel() * scale
         first_hit = (moves == target * scale).astype(np.int8)
+        row_thresholds = _thresholds(kernel_cum)
+        mix = _mix64_in_place
     else:
         bounds, successors = table
         stride, moves, first_hit = _stride_table(successors, bounds.size + 1, target)
         scale = (bounds.size + 1) ** stride
         thresholds = _thresholds(bounds)
+        bits = _top_bits(thresholds)
+        # mix64's last xor-shift leaves the top 31 bits, and so a rank of
+        # at most 31 top bits, as they are
+        mix = _mix64_top_in_place if 0 < bits <= 31 else _mix64_in_place
+        longest = _LONG_BLOCK_STEPS
+    longest = -(-longest // stride) * stride
     states = _stream_states(master_seed, count)
     trials = np.arange(count)
     positions = np.full(count, start * scale, dtype=np.intp)
     outcome = np.full(count, -1, dtype=np.int64)
-    longest = -(-_BLOCK_STEPS // stride) * stride
     with np.errstate(over="ignore"):
         offsets = np.arange(1, longest + 1, dtype=_U64)[:, None] * _U64(GAMMA)
+    # a group of b steps for n walkers takes b * n draws and b * n / k cells
+    room = max(_BLOCK_CELLS, longest)
+    draws, shifts = np.empty(room, _U64), np.empty(room, _U64)
+    cells, hits = np.empty(room // stride, np.intp), np.empty(room // stride, np.int8)
+    ranks, flags = np.empty(room, np.uint8), np.empty(room, bool)
     step = 0
     while trials.size and step < step_cap:
-        strides = -(-min(_BLOCK_STEPS, step_cap - step) // stride)
+        steps = min(max(_BLOCK_CELLS // trials.size, _BLOCK_STEPS), longest)
+        strides = -(-min(steps, step_cap - step) // stride)
         b = strides * stride
         found = np.zeros(trials.size, dtype=np.int64)  # step of the first hit in the block
         group = max(1, _BLOCK_CELLS // b)
         for lo in range(0, trials.size, group):
             part = slice(lo, lo + group)
-            with np.errstate(over="ignore"):
-                draws = mix64(states[part] + offsets[:b])
-                states[part] += offsets[b - 1]
+            n = min(group, trials.size - lo)
+            block = np.add(states[part], offsets[:b], out=draws[: b * n].reshape(b, n))
+            states[part] += offsets[b - 1]
+            mix(block, shifts[: b * n].reshape(b, n))
+            at = cells[: strides * n].reshape(strides, n)
             if table is None:
-                draws = uniform_from_draw(draws)
-                cells = np.empty(draws.shape, dtype=np.intp)
+                block >>= _U64(11)
             else:
-                cells = _stride_ranks(draws, thresholds, stride)
+                _stride_ranks(block, thresholds, bits, at, ranks, flags)
             walkers = positions[part]
-            for j in range(strides):
+            for j, cell in enumerate(at):
                 if table is None:
-                    rows = kernel_cum.take(walkers // scale, axis=0)
-                    cells[j] = (draws[j, :, None] >= rows).sum(axis=1)
-                cells[j] += walkers
-                walkers = moves.take(cells[j])
-            positions[part] = walkers
-            met = first_hit.take(cells)
-            first = met.astype(bool).argmax(axis=0)
-            found[part] = first * stride + met[first, np.arange(first.size)]
+                    rows = row_thresholds.take(walkers // scale, axis=0)
+                    cell[...] = (block[j, :, None] >= rows).sum(axis=1)
+                cell += walkers
+                # clip: a take into out= that checks its indices copies
+                moves.take(cell, out=walkers, mode="clip")
+            met = first_hit.take(at, out=hits[: at.size].reshape(at.shape), mode="clip")
+            first = np.not_equal(met, 0, out=flags[: at.size].reshape(at.shape)).argmax(axis=0)
+            found[part] = first * stride + met[first, np.arange(n)]
         # a hit past the step cap is dropped: the trial stays capped
         done = (found > 0) & (step + found <= step_cap)
         outcome[trials[done]] = step + found[done]

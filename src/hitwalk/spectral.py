@@ -221,8 +221,10 @@ class RationalGF:
         return _series_divide(num / den0, den / den0)
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    last = np.nonzero(coeffs)[0]
+def _trim(coeffs: np.ndarray, bounds=0.0) -> np.ndarray:
+    """``coeffs`` through its last term above its bound or NaN, and at
+    least one term."""
+    last = np.nonzero(~(np.abs(coeffs) <= bounds))[0]
     if len(last) == 0:
         return coeffs[:1]
     return coeffs[: last[-1] + 1]
@@ -252,8 +254,13 @@ def rational_gf(graph: Graph, i: int, j: int, horizon: int = 0) -> RationalGF:
     for k in range(1, v):
         char[k] = -np.dot(power_sums[1 : k + 1], char[k - 1 :: -1]) / k
     den = (v - np.arange(v)) * char
+    # a numerator term at or below V u (|den| * |series|)_k, the rounding
+    # bound of the convolution alone, is trimmed from the end; the error
+    # already in den and the series is not counted, so near the bound the
+    # length can still follow roundoff
+    rounding = v * 2.0**-53 * np.convolve(np.abs(den), np.abs(series[:v]))[:v]
     ratio = RationalGF(
-        numerator=_trim(np.convolve(den, series[:v])[:v]),
+        numerator=_trim(np.convolve(den, series[:v])[:v], rounding),
         denominator=_trim(den),
         start=i,
         target=j,

@@ -180,6 +180,13 @@ def chang_graph():
     ))
 
 
+def regular_degree(graph):
+    """The common degree of a regular graph, else None; a dense walk
+    matrix of a regular graph is ``graph.adjacency_matrix() / degree``."""
+    d = graph.degrees()
+    return int(d[0]) if d.size and np.all(d == d[0]) else None
+
+
 def exact_first_passage(graph, start, target, horizon):
     """P(tau = n), n = 1..horizon, of the simple walk on a regular graph
     with unit weights, each correctly rounded.
@@ -190,7 +197,7 @@ def exact_first_passage(graph, start, target, horizon):
     the walks that first reach the target at step n, so P(tau = n) is
     f_n / d^n, rounded once by Python's int division.  O(N E) additions.
     """
-    d = graph.regular_degree()
+    d = regular_degree(graph)
     assert d is not None and all(w == 1.0 for _, _, w in graph.edges)
     v = graph.node_count
     neighbours = [[] for _ in range(v)]

@@ -12,7 +12,7 @@ import hitwalk as hw
 from hitwalk import abelian as ab
 from hitwalk.cli import main as cli_main
 
-from conftest import preset_zoo
+from conftest import preset_zoo, regular_degree
 
 
 def _report(line: str) -> None:
@@ -239,7 +239,7 @@ def test_criterion_10_trace_recursion_internals():
         n = 60
         traces = hw.trace_powers(graph, n).values
         seq = hw.mn_sequence(graph, n)
-        b = graph.adjacency_matrix() / graph.regular_degree()
+        b = graph.adjacency_matrix() / regular_degree(graph)
         power = np.eye(graph.node_count)
         for step in range(n + 1):
             acc = sum(traces[k] * seq.matrices[step - k] for k in range(step + 1))

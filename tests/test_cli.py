@@ -812,7 +812,7 @@ def test_gf_requires_regular(capsys):
 def test_exit_code_numerical_failure(capsys):
     # the 64-cycle's float64 rational pair drifts from the recursion by degree 2V
     code, _, err = run_cli(capsys, "gf", "--preset", "cycle:64", "--from", "0", "--to", "1")
-    assert code == 4 and "numerical failure" in err
+    assert code == 4 and "numerical failure" in err and "by degree 128" in err
 
 
 @pytest.mark.parametrize(
@@ -836,6 +836,14 @@ def test_gf_pair_expands_to_series_through_2v(capsys, preset):
             acc -= den[k] * expanded[m - k]
         expanded[m] = acc / den[0]
     assert np.max(np.abs(expanded - series)) < 1e-8
+
+
+def test_gf_numerator_ends_at_its_last_term_above_roundoff(capsys):
+    # the generating function is 2t^2 over the denominator; past t^2 the
+    # convolution leaves even-degree terms of 1e-17 to 5.5e-16, each below
+    # its rounding bound V u (|den| * |series|)_k, and they are trimmed
+    doc = run_json(capsys, "gf", "--preset", "bipartite:13:13", "--to", "0", "--from", "4", "--horizon", "23")
+    assert doc["payload"]["numerator"] == [0.0, 0.0, 2.0]
 
 
 def test_gf_takes_pair_and_series_from_one_pass(capsys, monkeypatch):

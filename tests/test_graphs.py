@@ -9,7 +9,7 @@ import hitwalk as hw
 from hitwalk.errors import InvalidParameterError, NotConnectedError
 from hitwalk.graphs import PRESET_NAMES, _read_spec, canonical_graph_spec, parse_graph_spec, preset_graph
 
-from conftest import cayley_closure, first_fault_by_edge, preset_zoo
+from conftest import cayley_closure, first_fault_by_edge, preset_zoo, regular_degree
 
 
 # --- construction and validation ------------------------------------------
@@ -246,7 +246,7 @@ def test_complete_and_bipartite_counts():
 def test_hypercube_3():
     g = hw.build_hypercube(3)
     assert g.node_count == 8 and g.edge_count == 12
-    assert g.regular_degree() == 3
+    assert regular_degree(g) == 3
     # node 0b101 differs from each neighbour in one bit
     assert np.flatnonzero(g.adjacency_matrix()[0b101]).tolist() == [0b001, 0b100, 0b111]
     assert g.labels is None
@@ -257,7 +257,7 @@ def test_torus_counts():
     assert std.node_count == 9 and std.edge_count == 18  # 4-regular => 4*9/2
     dia = hw.build_torus_diagonal(3)
     assert dia.node_count == 9 and dia.edge_count == 18
-    assert std.regular_degree() == dia.regular_degree() == 4
+    assert regular_degree(std) == regular_degree(dia) == 4
 
 
 def test_torus_diagonal_neighbors_p5():
@@ -290,14 +290,14 @@ def test_cayley_preset_is_its_closure(preset, degree, generators):
 def test_cayley_d8_preset_shape():
     g = hw.cayley_d8()
     assert g.node_count == 8
-    assert g.regular_degree() == 3
+    assert regular_degree(g) == 3
     assert "(1 4)(2 3)" in g.labels
 
 
 def test_cayley_s3_preset_shape():
     g = hw.cayley_s3()
     assert g.node_count == 6
-    assert g.regular_degree() == 3
+    assert regular_degree(g) == 3
     assert g.labels[0] == "e"
 
 

@@ -65,6 +65,16 @@ def test_mix64_matches_reference():
         assert int(mix64(np.uint64(z))) == reference_mix64(z)
 
 
+def test_mix64_steps_before_the_last_xor_shift_fix_the_top_31_bits():
+    # the walk that ranks a draw by its top bits mixes only that far
+    z = np.random.default_rng(3).integers(0, 2**64, 1000, dtype=np.uint64)
+    top = mc._mix64_top_in_place(z.copy(), np.empty_like(z))
+    full = mc._mix64_in_place(z.copy(), np.empty_like(z))
+    assert np.array_equal(full, mix64(z))
+    assert np.array_equal(top >> np.uint64(33), full >> np.uint64(33))
+    assert not np.array_equal(top >> np.uint64(32), full >> np.uint64(32))
+
+
 def test_uniforms_in_unit_interval():
     draws = uniform_from_draw(mix64(np.arange(1000, dtype=np.uint64)))
     assert np.all(draws >= 0.0) and np.all(draws < 1.0)
@@ -102,6 +112,16 @@ def distinct_weight_graph(n, steps=(1, 7)):
 
 
 @st.composite
+def dyadic_regular_graphs(draw):
+    """A circulant graph of degree 2^m, m = 1..3, with unit weights: every
+    bound is j / 2^m, so the walk ranks its draws by their top m bits."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2**m + 1, 16))
+    steps = [1] + draw(st.permutations(range(2, (n - 1) // 2 + 1)))[: 2 ** (m - 1) - 1]
+    return hw.Graph(n, tuple(sorted({tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})))
+
+
+@st.composite
 def connected_weighted_graphs(draw):
     n = draw(st.integers(min_value=2, max_value=12))
     # unit weights give rows few distinct bounds, so the walk takes the
@@ -128,6 +148,27 @@ def connected_weighted_graphs(draw):
     cells=st.sampled_from([2**16, 1, 50, 1000]),
 )
 def test_blocked_walk_matches_step_by_step_reference(graph, data, seed, trials, step_cap, cells):
+    _check_blocked_walk(graph, data, seed, trials, step_cap, cells)
+
+
+@settings(max_examples=50)
+@given(
+    graph=st.one_of(dyadic_regular_graphs(), connected_weighted_graphs()),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    trials=st.integers(min_value=1, max_value=300),
+    # caps of 300..3000 end inside the long blocks of the last walkers
+    step_cap=st.one_of(st.sampled_from([511, 512, 513, 514, 1024, 1025]), st.integers(300, 3000)),
+    cells=st.sampled_from([2**16, 1, 50, 1000]),
+)
+def test_blocked_walk_on_top_bit_ranks_and_long_caps_matches_step_by_step_reference(
+    graph, data, seed, trials, step_cap, cells
+):
+    # degree 2^m ranks draws by their top bits; long caps reach long blocks
+    _check_blocked_walk(graph, data, seed, trials, step_cap, cells)
+
+
+def _check_blocked_walk(graph, data, seed, trials, step_cap, cells):
     # a small cell budget shrinks the blocks as it would with 2**16 walkers
     n = graph.node_count
     start = data.draw(st.integers(0, n - 1))
@@ -187,6 +228,15 @@ def test_trial_substreams_do_not_depend_on_block_sizes():
          "499f383d0213e28cb206ff42e29578b6f003ad8b8e401670eef0d52f78142f6f"),
         ("cycle:93", 28, 44, 1121811570, 37,
          "58fe87b37d0a47de5c1567c5960de9752d1e39ccbd9f9ac32d9dd1f5c6154f51"),
+        # recorded before blocks lengthened for the last walkers and before
+        # ranks took a draw's top bits: degree 4 ranks by 2 bits, degree 7
+        # by compares, and 946 of the trials on the cycle are capped
+        ("torus_std:19", 86, 360, 11, 10**7,
+         "28dfb8570b6e9a4a3e77cbccf74345c885a7c6289bbc5587ba6fd53739bd46c4"),
+        ("hypercube:7", 9, 48, 11, 10**7,
+         "35d6c3c5fabe0919091ca249248ba47167a2f59d6555f27c11eedeee2c967ceb"),
+        ("cycle:378", 68, 315, 2007040439, 5000,
+         "543c717d84c0d9d5846955b8a625679afdb0cce88c5bc50efe52ca6c823a7126"),
     ],
 )
 def test_golden_sample_hashes(preset, start, target, seed, step_cap, digest):
@@ -303,15 +353,78 @@ def test_thresholds_bracket_their_bounds():
     bounds = [mc._successor_table(*mc._step_tables(_preset_kernel(p)))[0]
               for p in ("cycle:9", "complete:7", "bipartite:133:267", "hypercube:4", "cayley_d8")]
     rng = np.random.default_rng(5)
-    bounds += [rng.random(200), rng.random(50) * 2.0**-40, np.array([2.0**-53, 2.0**-60, 0.5, 1 - 2.0**-53])]
+    # 0 and 1 come from the row tables of the walk without a successor table
+    bounds += [rng.random(200), rng.random(50) * 2.0**-40, np.array([0.0, 2.0**-53, 2.0**-60, 0.5, 1 - 2.0**-53, 1.0])]
     bounds = np.concatenate(bounds)
     for s, t in zip(bounds.tolist(), mc._thresholds(bounds).tolist()):
         assert Fraction(t - 1, 2**53) < Fraction(s) <= Fraction(t, 2**53)
 
 
+def _cells(draws, thresholds, stride, bits):
+    cells = np.empty((draws.shape[0] // stride, draws.shape[1]), dtype=np.intp)
+    ranks, flags = np.empty(draws.size, np.uint8), np.empty(draws.size, bool)
+    mc._stride_ranks(draws.copy(), thresholds, bits, cells, ranks, flags)
+    return cells
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_top_bit_ranks_match_summed_compares(m):
+    # on the grid j / 2^m a draw's rank is its top m bits, also for draws
+    # on a threshold, one below it, and the ends of the 64-bit words
+    thresholds = mc._thresholds(np.arange(1, 2**m) / 2**m)
+    assert mc._top_bits(thresholds) == m
+    edges = np.concatenate([thresholds << np.uint64(11), (thresholds << np.uint64(11)) - np.uint64(1),
+                            np.array([0, 2**64 - 1], dtype=np.uint64)])
+    rng = np.random.default_rng(m)
+    for stride in range(1, 9):
+        draws = rng.integers(0, 2**64, size=(3 * stride, 40), dtype=np.uint64)
+        draws.ravel()[: edges.size] = edges
+        top = _cells(draws, thresholds, stride, m)
+        assert np.array_equal(top, _cells(draws, thresholds, stride, 0))
+        ranks = (draws[:, :, None] >> np.uint64(11) >= thresholds).sum(axis=2)
+        digits = ranks.reshape(3, stride, 40)
+        assert np.array_equal(top, sum(digits[:, i] * 2 ** (m * i) for i in range(stride)))
+
+
+@pytest.mark.parametrize(
+    "preset, m",
+    [("cycle:9", 1), ("path:7", 1), ("torus_std:5", 2), ("torus_diag:5", 2), ("complete:5", 2),
+     ("hypercube:4", 2), ("hypercube:8", 3), ("complete:2", 0), ("hypercube:3", 0),
+     ("hypercube:5", 0), ("hypercube:6", 0), ("hypercube:7", 0), ("bipartite:2:3", 0)],
+)
+def test_only_walks_on_the_dyadic_grid_rank_by_top_bits(preset, m):
+    # degree 2^m: the bounds j / 2^m; degree 3, 5, 6 and 7, and the three
+    # bounds 1/3, 1/2 and 2/3 of degrees 2 and 3, count by compares
+    bounds = mc._successor_table(*mc._step_tables(_preset_kernel(preset)))[0]
+    assert mc._top_bits(mc._thresholds(bounds)) == m
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_ulp_off_the_dyadic_grid_ranks_by_compares(m):
+    grid = np.arange(1, 2**m) / 2**m
+    for j in range(grid.size):
+        off = grid.copy()
+        off[j] = np.nextafter(off[j], 1.0)
+        assert mc._top_bits(mc._thresholds(off)) == 0
+
+
+_EIGHTHS = np.uint64(7 << 61)
+
+
 def _draw_on_an_eighth(z, mix=mix64):
     # the top three bits of each draw only: every uniform is a multiple of 1/8
-    return mix(z) & np.uint64(7 << 61)
+    return mix(z) & _EIGHTHS
+
+
+def _on_an_eighth(monkeypatch):
+    # the simulator's in-place forms of _draw_on_an_eighth, for every route
+    for name in ("_mix64_in_place", "_mix64_top_in_place"):
+        def masked(z, shifts, mix=getattr(mc, name)):
+            mix(z, shifts)
+            z &= _EIGHTHS
+            return z
+
+        monkeypatch.setattr(mc, name, masked)
 
 
 @pytest.mark.parametrize("preset", ["cycle:8", "path:6", "complete:5", "torus_std:4"])
@@ -322,10 +435,63 @@ def test_draw_on_a_threshold_passes_it(monkeypatch, preset):
     kernel_cum, neighbor_table = mc._step_tables(kernel)
     monkeypatch.setitem(globals(), "mix64", _draw_on_an_eighth)
     monkeypatch.setattr(mc, "mix64", _draw_on_an_eighth)
+    _on_an_eighth(monkeypatch)
     expected = reference_simulate_trials(kernel_cum, neighbor_table, 1, 0, 7, 200, 500)
     samples = mc._simulate_trials(kernel_cum, neighbor_table, 1, 0, 7, 200, 500)
     assert np.array_equal(samples, expected)
     assert np.all(expected > 0)
+
+
+def _mixed_blocks(monkeypatch, graph, start, target, **config):
+    """(mixer, (b, n)) for each group of n walkers that mixes b steps of draws."""
+    blocks = []
+    for name in ("_mix64_in_place", "_mix64_top_in_place"):
+        def spy(z, shifts, name=name, mix=getattr(mc, name)):
+            blocks.append((name, z.shape))
+            return mix(z, shifts)
+
+        monkeypatch.setattr(mc, name, spy)
+    family, param = graph.split(":")
+    g = distinct_weight_graph(int(param)) if family == "distinct" else hw.preset_graph(family, [int(param)])
+    hw.simulate(hw.simple_walk_kernel(g), start, target, hw.SimConfig(master_seed=11, **config))
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "graph, start, target, stride, blocks",
+    [("torus_std:19", 86, 360, 3, (66, 513)), ("cycle:73", 31, 55, 9, (72, 513)),
+     ("distinct:60", 0, 30, 1, (64, 64))],
+)
+def test_blocks_lengthen_for_the_last_walkers_only_on_the_table(monkeypatch, graph, start, target, stride, blocks):
+    # a block of b steps for n walkers mixes b x n draws: whole strides, at
+    # most 2^16 draws, and on the successor table about 2^16 / live steps
+    # (66 or 72 for 1000 walkers), growing as walkers finish, up to
+    # _LONG_BLOCK_STEPS in whole strides; without it always _BLOCK_STEPS
+    shapes = [shape for _, shape in _mixed_blocks(monkeypatch, graph, start, target, trials=1000)]
+    lengths = np.array([b for b, _ in shapes])
+    assert all(b * n <= mc._BLOCK_CELLS for b, n in shapes)
+    assert np.all(lengths % stride == 0) and np.all(np.diff(lengths) >= 0)
+    assert (lengths[0], lengths.max()) == blocks
+
+
+def test_the_last_block_ends_at_the_step_cap(monkeypatch):
+    # 100 walkers on cycle:73 in strides of 9 steps: a block of 513 steps,
+    # then the 87 left before the cap of 600, in whole strides
+    blocks = _mixed_blocks(monkeypatch, "cycle:73", 31, 55, trials=100, step_cap=600)
+    assert [b for _, (b, _) in blocks] == [513, 90]
+
+
+@pytest.mark.parametrize(
+    "graph, mixer",
+    [("torus_std:5", "_mix64_top_in_place"), ("hypercube:8", "_mix64_top_in_place"),
+     ("hypercube:7", "_mix64_in_place"), ("complete:2", "_mix64_in_place"), ("distinct:60", "_mix64_in_place")],
+)
+def test_only_top_bit_ranks_skip_the_last_xor_shift(monkeypatch, graph, mixer):
+    # a rank by compares reads the draw's top 53 bits, and the last
+    # xor-shift moves bits 32 down; dropping it would change a rank only
+    # where the top 31 bits of a draw and a threshold tie
+    blocks = _mixed_blocks(monkeypatch, graph, 0, 1, trials=50)
+    assert {name for name, _ in blocks} == {mixer}
 
 
 def test_simulate_block_memory_does_not_grow_with_the_stride():
@@ -354,9 +520,9 @@ def test_draw_equal_to_a_bound_passes_it(monkeypatch, preset, with_table):
     name, param = preset.split(":")
     kernel = hw.simple_walk_kernel(hw.preset_graph(name, [int(param)]))
     kernel_cum, neighbor_table = mc._step_tables(kernel)
-    # the reference reads this module's binding, the simulator its own
+    # the reference's uniforms and the simulator's draws on the eighths
     monkeypatch.setitem(globals(), "uniform_from_draw", _coarse_uniform)
-    monkeypatch.setattr(mc, "uniform_from_draw", _coarse_uniform)
+    _on_an_eighth(monkeypatch)
     expected = reference_simulate_trials(kernel_cum, neighbor_table, 1, 0, 7, 200, 500)
     if not with_table:
         monkeypatch.setattr(mc, "_successor_table", lambda *tables: None)

@@ -4,8 +4,9 @@ import pytest
 import hitwalk as hw
 from hitwalk.errors import HypothesisError
 from hitwalk.graphs import TransitionKernel
+from hitwalk.spectral import _trim
 
-from conftest import chang_graph, preset_zoo
+from conftest import chang_graph, preset_zoo, regular_degree
 
 
 def vt_graphs():
@@ -93,7 +94,7 @@ def test_cauchy_product_identity():
         n = 40
         traces = hw.trace_powers(g, n).values
         seq = hw.mn_sequence(g, n)
-        b = g.adjacency_matrix() / g.regular_degree()
+        b = g.adjacency_matrix() / regular_degree(g)
         power = np.eye(g.node_count)
         for step in range(n + 1):
             acc = sum(traces[k] * seq.matrices[step - k] for k in range(step + 1))
@@ -112,7 +113,7 @@ def test_mn_rejects_non_walk_regular_graph():
             (0, 3), (1, 6), (4, 6), (2, 7), (5, 7), (6, 7),
         ),
     )
-    assert g.regular_degree() == 3
+    assert regular_degree(g) == 3
     with pytest.raises(HypothesisError, match="node 6 returns in 3 steps"):
         hw.mn_sequence(g, 6)
     # through step 2 every node returns with probability 1/3: still exact
@@ -312,7 +313,7 @@ def test_rational_gf_denominator_is_newton_form():
     for name, g in vt_graphs().items():
         v = g.node_count
         ratio = hw.rational_gf(g, 0, v - 1)
-        b = g.adjacency_matrix() / g.regular_degree()
+        b = g.adjacency_matrix() / regular_degree(g)
         for t in (-0.8, 0.3, 1.1):
             c = np.linalg.det(np.eye(v) - t * b)
             h = 1e-6
@@ -325,3 +326,14 @@ def test_spectral_common_edge_weight_cancels():
     cycle = hw.build_cycle(6)
     halved = hw.Graph(6, tuple((u, v, 0.5) for u, v, _ in cycle.edges))
     assert np.array_equal(hw.gf_series(halved, 0, 3, 20), hw.gf_series(cycle, 0, 3, 20))
+
+
+def test_trim_keeps_every_nonzero_or_nan_term_of_a_denominator():
+    # a denominator loses only its trailing exact zeros, however small the
+    # last term; a numerator also loses trailing terms at or below their
+    # rounding bounds
+    assert _trim(np.array([4.0, 0.0, 5e-324, 0.0, 0.0])).tolist() == [4.0, 0.0, 5e-324]
+    assert np.isnan(_trim(np.array([4.0, np.nan, 0.0]))[-1])
+    assert _trim(np.zeros(3)).tolist() == [0.0]
+    assert _trim(np.array([0.0, 2.0, 1e-16, -1e-16]), np.array([0.0, 0.0, 1e-16, 2e-16])).tolist() == [0.0, 2.0]
+    assert _trim(np.array([0.0, 2.0, 3e-16]), np.full(3, 2e-16)).tolist() == [0.0, 2.0, 3e-16]
