@@ -62,7 +62,7 @@ from .abelian import (
     inverse_fourier,
     variance_abelian,
 )
-from .spectral import MnSequence, RationalGF, TracePowerTable, gf_series, mn_sequence, rational_gf, trace_powers
+from .spectral import MnSequence, RationalGF, gf_series, mn_sequence, rational_gf, trace_powers
 from .ctime import CTimeEvaluation, ct_evaluate, ct_moments
 from .montecarlo import SampleSummary, SimConfig, simulate
 

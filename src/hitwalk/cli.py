@@ -7,7 +7,8 @@ and the abelian structure only when a subcommand reads them, and then
 once.  On a preset family whose lumped classes are known in closed form,
 the node count and the lumped chain come from the family, so ``pmf``,
 and ``moments`` and ``ctime`` with ``--from``, never build the graph.
-``pmf`` and ``compare`` take their series from one engine table.
+``pmf``, ``compare`` and ``gf`` take their series from one engine table,
+and ``gf`` forms its rational pair from the ``direct`` one.
 
 ``--engine auto`` is ``direct``: the absorbing chain forms P(tau = n)
 from sums and products of non-negative numbers only, so every term keeps
@@ -85,7 +86,8 @@ class _Problem:
     and a preset file with the same spec are one problem.  The graph is
     built only when an answer reads it: a preset family with closed-form
     classes (``graphs._Family``) gives the node count and the lumped chain
-    without it, and the kernel, ``gf`` and ``_starts`` build it."""
+    without it, and the kernel, ``gf``'s trace powers and ``_starts`` build
+    it."""
 
     spec: dict
     start: int | None
@@ -371,14 +373,18 @@ def _cmd_compare(args) -> dict:
 
 def _cmd_gf(args) -> dict:
     problem = _problem(args)
-    ratio = sp.rational_gf(problem.graph, problem.start, problem.target, horizon=args.horizon)
-    series = ratio.recursion[: args.horizon + 1]
+    if args.horizon < 0:
+        raise InvalidParameterError("need horizon >= 0")
+    graph = problem.graph  # a graph too large to build is refused before its series
+    # P(tau = n) from n = 0: the direct table, through degree 2V at least
+    series = np.append(0.0, _direct(problem, max(2 * graph.node_count, args.horizon)))
+    ratio = sp.rational_gf(graph, series)
     payload = {
         "numerator": ratio.numerator.tolist(),
         "denominator": ratio.denominator.tolist(),
         "table": {
             "columns": ["n", "coefficient"],
-            "rows": [[n, c] for n, c in enumerate(series.tolist())],
+            "rows": [[n, c] for n, c in enumerate(series[: args.horizon + 1].tolist())],
         },
     }
     meta = _metadata(problem, "gf", horizon=args.horizon, engine="spectral")
@@ -554,7 +560,7 @@ def main(argv=None) -> int:
         print(f"hitwalk: numerical failure: {exc}", file=sys.stderr)
         return 4
     # MemoryError: a horizon, trial count or node count too large to allocate
-    except (InvalidParameterError, HitwalkError, OSError, MemoryError) as exc:
+    except (HitwalkError, OSError, MemoryError) as exc:
         print(f"hitwalk: invalid input: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -122,12 +122,11 @@ def ct_evaluate(
     vectors = np.asfortranarray(table.probs)
     # partial[n] = sum_{k=1..n} Q^{k-1} P1 = P(hit within n steps)
     partial = np.vstack([np.zeros(width), np.cumsum(vectors, axis=0)[:-1]])
-    cdf_rows = np.clip(weights @ partial, 0.0, None)
-    pdf_rows = np.clip(weights @ vectors, 0.0, None)
+    # every factor is >= 0, so neither product can be negative
     return CTimeEvaluation(
         times=times,
-        cdf=cdf_rows,
-        pdf=pdf_rows,
+        cdf=weights @ partial,
+        pdf=weights @ vectors,
         truncation=n_max,
         states=table.states,
     )

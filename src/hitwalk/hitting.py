@@ -640,25 +640,28 @@ def _giant_steps(power: np.ndarray, head: np.ndarray, cols):
 def moments(system: AbsorbingSystem) -> MomentReport:
     """Exact first two moments of the hitting time.
 
-    mean = (I-Q)^{-1} 1 and second = 2 Q (I-Q)^{-2} 1 + mean, i.e. the
-    second moment carries the first-moment term that the bare
-    2*sum(n Q^n 1) series drops (that series gives 0 on the forced
-    single step of K_2, where the truth is 1).
+    mean = (I-Q)^{-1} 1.  The variance solves its own equation, never
+    second - mean^2, which loses every digit as the walk nears
+    determinism: one step from i moves to a successor J and tau_i =
+    1 + tau_J, with tau = 0 at the target, so by the law of total
+    variance v = Q v + g, where g_i = sum_j P_ij (m_j - mu_i)^2 with
+    mu_i = sum_j P_ij m_j, summed over every successor, the target's
+    m = 0 included.  g is a sum of squares, so v >= 0 by construction,
+    and second = v + mean^2 adds non-negative terms only.
     """
     n = system.size
-    eye = np.eye(n)
-    a = eye - system.q_matrix
-    ones = np.ones(n)
+    a = np.eye(n) - system.q_matrix
     # I - Q is invertible (see make_absorbing); a failed solve is numerical.
-    # mean and inner share one factorisation of I - Q.
-    mean, inner = solve(a, np.column_stack([ones, system.q_matrix @ ones])).T
-    second = 2.0 * solve(a, inner) + mean
-    variance = second - mean**2
+    mean = solve(a, np.ones(n))
+    rows, cols, probs = system.arcs
+    mu = np.bincount(rows, weights=probs * mean[cols], minlength=n)
+    spread = np.bincount(rows, weights=probs * (mean[cols] - mu[rows]) ** 2, minlength=n)
+    variance = solve(a, spread + system.first_step * mu**2)
     if mean.min() < 1.0 - 1e-9:
         raise InvalidParameterError("every non-target start needs at least one step")
-    if variance.min() < -1e-9:
-        raise InvalidParameterError("negative variance beyond tolerance")
-    return MomentReport(mean=mean, second=second, variance=variance, states=system.index_map)
+    if variance.min() < 0.0:
+        raise NumericalError(f"negative variance {variance.min():.3e} from the solve of I - Q")
+    return MomentReport(mean=mean, second=variance + mean**2, variance=variance, states=system.index_map)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ from .hitting import _require_reachable, _row_table
 __all__ = [
     "GAMMA",
     "mix64",
-    "uniform_from_draw",
     "SimConfig",
     "SampleSummary",
     "simulate",
@@ -96,11 +95,6 @@ _CAP_WARNING_FRACTION = 0.01
 _BLOCK_STEPS = 64
 _LONG_BLOCK_STEPS = 512
 _BLOCK_CELLS = 2**16
-
-
-def uniform_from_draw(draw) -> np.ndarray:
-    """Map a 64-bit draw to a double in [0, 1) using the top 53 bits."""
-    return (np.asarray(draw, dtype=_U64) >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
 def _stream_states(master_seed: int, count: int) -> np.ndarray:

@@ -31,14 +31,15 @@ of I, B, ..., B^{V-1}, so k < V covers every k, and ``rational_gf``
 forms only those powers.  Vertex-transitive graphs are walk-regular, and
 so is every strongly regular graph.
 
-The one-pair series (``gf_series``, behind ``rational_gf``) is not
-divided out of walk powers.  The renewal identity with the target's own
-returns r_k = (B^k)_{jj} holds on every graph, but it holds as well for
-the path sums of any square matrix, so dividing by r_k only gives back
-the absorbing chain's Q^{n-1} P1, with more roundoff.  The series is
-``hitting.pmf`` on the target's lumped chain, whose terms keep their
-relative accuracy, and the rational pair, whose denominator comes from
-the trace power sums alone, is checked against it.
+The one-pair series (``gf_series``) is not divided out of walk powers.
+The renewal identity with the target's own returns r_k = (B^k)_{jj}
+holds on every graph, but it holds as well for the path sums of any
+square matrix, so dividing by r_k only gives back the absorbing chain's
+Q^{n-1} P1, with more roundoff.  The series is ``hitting.pmf`` on the
+target's lumped chain, whose terms keep their relative accuracy.
+``rational_gf`` takes such a series from its caller (the CLI passes the
+problem's own ``direct`` table) and forms the rational pair, whose
+denominator comes from the trace power sums alone, checked against it.
 """
 from __future__ import annotations
 
@@ -51,7 +52,6 @@ from .errors import HypothesisError, InvalidParameterError, NotConnectedError, N
 from .graphs import Graph, _require_array_size, simple_walk_kernel
 
 __all__ = [
-    "TracePowerTable",
     "MnSequence",
     "RationalGF",
     "trace_powers",
@@ -94,20 +94,6 @@ def _walk_powers(graph: Graph, n: int):
 
 
 @dataclass(frozen=True)
-class TracePowerTable:
-    """Shared return probabilities t_k = Trace(B^k)/V, k = 0..N."""
-
-    values: np.ndarray
-    node_count: int
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class MnSequence:
     """First-passage matrices M_0..M_N and the traces t_0..t_N behind them."""
 
@@ -140,15 +126,17 @@ def _series_divide(b: np.ndarray, traces: np.ndarray) -> np.ndarray:
     return b
 
 
-def trace_powers(graph: Graph, n: int) -> TracePowerTable:
-    """t_0..t_n of a walk-regular graph, checked at every step."""
+def trace_powers(graph: Graph, n: int) -> np.ndarray:
+    """The shared return probabilities t_k = Trace(B^k)/V, k = 0..n, of a
+    walk-regular graph, checked at every step, as a read-only array."""
     if n < 0:
         raise InvalidParameterError("need n >= 0")
     values = np.empty(n + 1)
     values[0] = 1.0
     for k, (_, t) in enumerate(_walk_powers(graph, n), start=1):
         values[k] = t
-    return TracePowerTable(values=values, node_count=graph.node_count)
+    values.setflags(write=False)
+    return values
 
 
 def mn_sequence(graph: Graph, n: int) -> MnSequence:
@@ -166,17 +154,13 @@ def mn_sequence(graph: Graph, n: int) -> MnSequence:
     return MnSequence(matrices=_series_divide(mats, traces), traces=traces, node_count=v)
 
 
-def _require_pair(graph: Graph, i: int, j: int) -> None:
-    v = graph.node_count
-    if not (0 <= i < v and 0 <= j < v):
-        raise InvalidParameterError("node indices out of range")
-
-
 def gf_series(graph: Graph, i: int, j: int, n: int) -> np.ndarray:
     """Taylor coefficients of sum_n P(tau_{i,j} = n) t^n for n = 0..N: e_0
     when i == j, else 0 and then ``hitting.pmf`` on the target's lumped
     chain, so every term keeps its relative accuracy."""
-    _require_pair(graph, i, j)
+    v = graph.node_count
+    if not (0 <= i < v and 0 <= j < v):
+        raise InvalidParameterError("node indices out of range")
     if n < 0:
         raise InvalidParameterError("need n >= 0")
     _require_array_size(n + 1, "gf series")
@@ -196,20 +180,14 @@ class RationalGF:
     Coefficient vectors are in ascending powers of t; denominator(0)
     equals the node count.  ``series(n)`` re-expands the Taylor series
     by long division for cross-checks against the trace recursion.
-    ``recursion`` holds the series (M_n)_{ij}, n = 0..N with N >= 2V,
-    that the pair was checked against.
     """
 
     numerator: np.ndarray
     denominator: np.ndarray
-    start: int
-    target: int
-    recursion: np.ndarray
 
     def __post_init__(self) -> None:
         self.numerator.setflags(write=False)
         self.denominator.setflags(write=False)
-        self.recursion.setflags(write=False)
 
     def series(self, n: int) -> np.ndarray:
         den0 = self.denominator[0]
@@ -230,25 +208,23 @@ def _trim(coeffs: np.ndarray, bounds=0.0) -> np.ndarray:
     return coeffs[: last[-1] + 1]
 
 
-def rational_gf(graph: Graph, i: int, j: int, horizon: int = 0) -> RationalGF:
-    """Numerator/denominator polynomials of the hitting generating function.
+def rational_gf(graph: Graph, series) -> RationalGF:
+    """Numerator/denominator polynomials of the hitting generating function
+    whose Taylor series, sum_n P(tau_{i,j} = n) t^n for one pair of
+    ``graph``, is given through degree 2V at least (``gf_series``).
 
     The power sums p_k = V t_k, k < V, give c(t) = det(I - tB) by
     Newton's identities, k c_k = -sum_{m=1..k} p_m c_{k-m}; forming them
     checks walk-regularity, which k < V settles for every k.  The
     denominator c(t) * sum_k p_k t^k = V c(t) - t c'(t) has coefficients
     (V - k) c_k and degree V-1; the numerator is the denominator times
-    the series sum_n (M_n)_{ij} t^n, truncated to degree V-1.  The pair
-    must re-expand to the series through degree 2V within 1e-8, else
-    :class:`NumericalError`.  The series runs to max(2V, horizon), so the
-    series through ``horizon`` comes from the same pass as ``recursion``.
+    the series, truncated to degree V-1.  The pair must re-expand to the
+    series through degree 2V within 1e-8, else :class:`NumericalError`.
     """
-    _require_pair(graph, i, j)
-    if horizon < 0:
-        raise InvalidParameterError("need horizon >= 0")
     v = graph.node_count
-    power_sums = v * trace_powers(graph, v - 1).values
-    series = gf_series(graph, i, j, max(2 * v, horizon))
+    if len(series) <= 2 * v:
+        raise InvalidParameterError(f"need a series of more than 2V = {2 * v} terms")
+    power_sums = v * trace_powers(graph, v - 1)
     char = np.empty(v)
     char[0] = 1.0
     for k in range(1, v):
@@ -262,14 +238,11 @@ def rational_gf(graph: Graph, i: int, j: int, horizon: int = 0) -> RationalGF:
     ratio = RationalGF(
         numerator=_trim(np.convolve(den, series[:v])[:v], rounding),
         denominator=_trim(den),
-        start=i,
-        target=j,
-        recursion=series,
     )
     drift = float(np.max(np.abs(ratio.series(2 * v) - series[: 2 * v + 1])))
     if not drift <= _SELF_CHECK_ATOL:
         raise NumericalError(
-            f"rational generating function drifts {drift:.3e} from the trace "
-            f"recursion by degree {2 * v}"
+            f"rational generating function drifts {drift:.3e} from the series "
+            f"by degree {2 * v}"
         )
     return ratio

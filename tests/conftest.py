@@ -250,42 +250,48 @@ def exact_moments(preset, target):
     start on a preset with unit weights.
 
     ``bipartite``: tau = 2R - 1 (cross) or 2R (same side) with R geometric
-    of success 1/k2.  Otherwise (I - Q) mean = 1 and (I - Q) second =
-    1 + 2 Q mean (first-step analysis) are solved by Gaussian elimination
-    in Fractions over the sparse rows of I - Q.
+    of success 1/k2.  Otherwise :func:`exact_walk_moments` of the built graph.
     """
     name, *params = preset.split(":")
     graph = preset_graph(name, [int(p) for p in params])
-    states = [n for n in range(graph.node_count) if n != target]
     if name == "bipartite":
         k2, case = _bipartite_sides(preset, target)
         out = {}
-        for n in states:
-            shift = 1 if case(n) == "cross" else 0
-            mean = Fraction(2 * k2 - shift)
-            second = 4 * Fraction(2 * k2 * k2 - k2) - 4 * shift * k2 + shift
-            out[n] = (mean, second, second - mean * mean)
+        for n in range(graph.node_count):
+            if n != target:
+                shift = 1 if case(n) == "cross" else 0
+                mean = Fraction(2 * k2 - shift)
+                second = 4 * Fraction(2 * k2 * k2 - k2) - 4 * shift * k2 + shift
+                out[n] = (mean, second, second - mean * mean)
         return out
-    neighbours = [[] for _ in range(graph.node_count)]
+    return exact_walk_moments(graph, target)
+
+
+def exact_walk_moments(graph, target):
+    """{start: (mean, second moment, variance)} of tau as Fractions, for every
+    start of the walk on ``graph`` (no self-loops), each float weight taken
+    exactly: (I - Q) mean = 1 and (I - Q) second = 1 + 2 Q mean (first-step
+    analysis) are solved by Gaussian elimination in Fractions over the
+    sparse rows of I - Q.
+    """
+    weights = [{} for _ in range(graph.node_count)]
     for a, b, w in graph.edges:
-        assert w == 1.0
-        neighbours[a].append(b)
-        neighbours[b].append(a)
+        weights[a][b] = weights[a].get(b, 0) + Fraction(w)
+        weights[b][a] = weights[b].get(a, 0) + Fraction(w)
+    states = [n for n in range(graph.node_count) if n != target]
     index = {n: i for i, n in enumerate(states)}
+    # Q's rows: the step probabilities into every state but the target
+    q = [{index[m]: w / sum(weights[n].values()) for m, w in weights[n].items() if m != target} for n in states]
 
     def q_times(x):
-        return [
-            sum((x[index[m]] for m in neighbours[n] if m != target), Fraction(0)) / len(neighbours[n])
-            for n in states
-        ]
+        return [sum((p * x[j] for j, p in row.items()), Fraction(0)) for row in q]
 
     # I - Q as sparse rows, reduced to upper triangular form once; the
     # recorded multipliers are replayed on each right-hand side
-    rows = [{index[n]: Fraction(1)} for n in states]
-    for n, row in zip(states, rows):
-        for m in neighbours[n]:
-            if m != target:
-                row[index[m]] = row.get(index[m], 0) - Fraction(1, len(neighbours[n]))
+    rows = [{i: Fraction(1)} for i in range(len(states))]
+    for row, q_row in zip(rows, q):
+        for j, p in q_row.items():
+            row[j] = row.get(j, 0) - p
     steps = []
     for k, pivot_row in enumerate(rows):
         for i in range(k + 1, len(rows)):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hitwalk import abelian, cli, ctime, graphs, hitting
 from hitwalk.cli import main
 
-from conftest import UNDERFLOW_EDGES, chang_graph, ehrenfest_pmf, exact_moments, exact_pmf
+from conftest import UNDERFLOW_EDGES, chang_graph, ehrenfest_pmf, exact_moments, exact_pmf, exact_walk_moments
 
 
 def run_cli(capsys, *args):
@@ -154,6 +154,31 @@ def test_moments_match_exact_rationals(capsys, preset, target):
     for start, *values in rows:
         for got, want in zip(values, exact[start]):
             assert abs(Fraction(got) - want) <= Fraction(1e-13) * want, (start, got, float(want))
+
+
+# near-deterministic walks: the 3-node path 0-1-2 with weights 1 and w, and
+# a 41-node path whose edge (k, k+1) weighs r^k, each toward its last node;
+# second - mean^2 loses the variance (at w = 1e20 it printed 0.0 for 4e-20)
+NEAR_DETERMINISTIC = {
+    **{f"path3_w{w:.0e}": (3, [(0, 1, 1.0), (1, 2, w)]) for w in (1e8, 1e12, 1e20)},
+    **{f"drift41_r{r:.0e}": (41, [(k, k + 1, r**k) for k in range(40)]) for r in (1e2, 1e4, 1e6)},
+}
+
+
+@pytest.mark.parametrize("nodes, edges", NEAR_DETERMINISTIC.values(), ids=NEAR_DETERMINISTIC.keys())
+def test_variance_of_a_near_deterministic_walk_keeps_its_digits(capsys, tmp_path, nodes, edges):
+    target = nodes - 1
+    exact = exact_walk_moments(graphs.Graph(nodes, edges), target)
+    graph = _write_graph(tmp_path, nodes, edges)
+    rows = run_json(capsys, "moments", "--graph", graph, "--to", str(target))["payload"]["table"]["rows"]
+    assert [row[0] for row in rows] == sorted(exact)
+    for start, *values in rows:
+        for got, want in zip(values, exact[start]):
+            assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, (start, got, float(want))
+    doc = run_json(capsys, "compare", "--graph", graph, "--from", "0", "--to", str(target),
+                   "--horizon", "5", "--trials", "100")
+    variance = exact[0][2]
+    assert abs(Fraction(doc["payload"]["montecarlo"]["exact_variance"]) - variance) <= Fraction(1e-14) * variance
 
 
 def test_moments_cycle_mean(capsys):
@@ -732,7 +757,7 @@ _HUGE = "100000000000000000000"  # 10^20
         (["pmf", "--horizon", _HUGE, "--engine", "spectral"], "pmf table"),
         (["pmf", "--horizon", _HUGE, "--engine", "fourier"], "fourier table"),
         (["pmf", "--horizon", "1000000000000000000"], "pmf table"),
-        (["gf", "--horizon", _HUGE], "gf series"),
+        (["gf", "--horizon", _HUGE], "pmf table"),
         (["simulate", "--trials", _HUGE], "trial table"),
         (["compare", "--horizon", _HUGE], "pmf table"),
         (["compare", "--trials", _HUGE], "trial table"),
@@ -862,6 +887,28 @@ def test_gf_takes_pair_and_series_from_one_pass(capsys, monkeypatch):
     series = [row[1] for row in doc["payload"]["table"]["rows"]]
     monkeypatch.undo()
     assert series == spectral.gf_series(preset_graph("torus_std", [5]), 3, 0, 60).tolist()
+
+
+def test_gf_reads_the_problems_lumped_chain(capsys, build_counts):
+    # the closed-form quotient gives the series; only the trace powers
+    # read the built graph
+    run_json(capsys, "gf", "--preset", "torus_std:5", "--from", "7", "--to", "0", "--horizon", "20")
+    assert build_counts == {"graph": 1, "kernel": 0, "absorbing": 0, "quotient": 1, "step_law": 0}
+
+
+@pytest.mark.parametrize("graph", ["torus_std:5", "cayley_d8", "PETERSEN"])
+def test_gf_table_is_the_direct_pmf_table(capsys, tmp_path, graph):
+    # bit for bit, after the n = 0 row, on a closed-form quotient, a Cayley
+    # table's and a graph file's refinement
+    source = ["--preset", graph]
+    if graph == "PETERSEN":
+        edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        source = ["--graph", _write_graph(tmp_path, 10, edges)]
+    pair = [*source, "--from", "3", "--to", "0", "--horizon", "70"]
+    gf = run_json(capsys, "gf", *pair)["payload"]["table"]["rows"]
+    pmf = run_json(capsys, "pmf", *pair, "--engine", "direct")["payload"]["table"]["rows"]
+    assert gf == [[0, 0.0], *pmf]
 
 
 # --- auto engine on graph files ---------------------------------------------------------------
@@ -1106,8 +1153,9 @@ PAIR = ["--preset", "torus_std:5", "--from", "7", "--to", "0"]
         (["pmf", *PAIR, "--horizon", "20", "--engine", "fourier"], 0),
         # Monte Carlo's check of the target's reachability
         (["compare", *PAIR, "--horizon", "20", "--trials", "50"], 1),
-        # the dense walk powers' connectivity check, and the lumped chain
-        (["gf", *PAIR, "--horizon", "20"], 2),
+        # the dense walk powers' connectivity check; the series is the
+        # closed-form quotient's
+        (["gf", *PAIR, "--horizon", "20"], 1),
         # graph files, and families without a closed form, lump from the
         # kernel's search (PATH6: an edge-list file of the path on 6 nodes)
         (["pmf", "--graph", "PATH6", "--from", "5", "--to", "0", "--horizon", "20"], 1),

@@ -347,7 +347,7 @@ def test_disconnected_walk_rejected_where_it_is_used():
         "lumped_absorbing": lambda: hw.lumped_absorbing(kernel, 0),
         "simulate": lambda: hw.simulate(kernel, 1, 0, hw.SimConfig(trials=10, master_seed=1, step_cap=50)),
         "gf_series": lambda: hw.gf_series(g, 1, 0, 10),
-        "rational_gf": lambda: hw.rational_gf(g, 1, 0),
+        "rational_gf": lambda: hw.rational_gf(g, np.zeros(2 * g.node_count + 1)),
         "trace_powers": lambda: hw.trace_powers(g, 5),
         "mn_sequence": lambda: hw.mn_sequence(g, 5),
     }

@@ -803,13 +803,29 @@ def test_pmf_matches_brute_on_small_presets():
 # --- moments ---------------------------------------------------------------------
 
 def test_moments_factorise_i_minus_q_twice(monkeypatch):
-    # mean and Q 1 are solved together, then the second moment
+    # the mean, then the variance from its own right-hand side
     calls = []
     real_solve = hitting.solve
     monkeypatch.setattr(hitting, "solve", lambda a, b: calls.append(np.shape(b)) or real_solve(a, b))
     rep = hw.moments(hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(10)), 0))
-    assert calls == [(9, 2), (9,)]
+    assert calls == [(9,), (9,)]
     assert rep.for_state(5)[0] == pytest.approx(25.0, abs=1e-9)
+
+
+def test_negative_variance_from_the_solve_is_a_numerical_failure(monkeypatch):
+    # the variance's right-hand side is a sum of squares, so only a faulty
+    # solve can give a negative v: exit 4, not invalid input
+    real_solve = hitting.solve
+    calls = []
+
+    def negated_second_solve(a, b):
+        calls.append(b)
+        return -real_solve(a, b) if len(calls) == 2 else real_solve(a, b)
+
+    monkeypatch.setattr(hitting, "solve", negated_second_solve)
+    with pytest.raises(NumericalError, match="negative variance"):
+        hw.moments(hw.make_absorbing(hw.simple_walk_kernel(hw.build_cycle(10)), 0))
+    assert np.all(calls[1] >= 0)
 
 
 def test_moments_k4():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import hitwalk as hw
 from hitwalk import montecarlo as mc
 from hitwalk.errors import InvalidParameterError, NotConnectedError
-from hitwalk.montecarlo import GAMMA, mix64, uniform_from_draw
+from hitwalk.montecarlo import GAMMA, mix64
 
 MASK = (1 << 64) - 1
 
@@ -33,6 +33,11 @@ def reference_draws(master_seed: int, trial: int):
     for k in itertools.count(1):
         draw = reference_mix64((state + k * GAMMA) & MASK)
         yield (draw >> 11) * 2.0**-53
+
+
+def uniform_from_draw(draw) -> np.ndarray:
+    """Map a 64-bit draw to a double in [0, 1) using the top 53 bits."""
+    return (np.asarray(draw, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def reference_simulate_trials(kernel_cum, neighbor_table, start, target, master_seed, count, step_cap):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hitwalk as hw
-from hitwalk.errors import HypothesisError
+from hitwalk import hitting, spectral
+from hitwalk.errors import HypothesisError, InvalidParameterError
 from hitwalk.graphs import TransitionKernel
 from hitwalk.spectral import _trim
 
@@ -26,24 +27,24 @@ def vt_graphs():
 def test_trace_t1_vanishes_for_simple_graphs():
     for name, g in vt_graphs().items():
         table = hw.trace_powers(g, 3)
-        assert table.values[0] == 1.0
-        assert table.values[1] == pytest.approx(0.0, abs=1e-15), name
+        assert table[0] == 1.0
+        assert table[1] == pytest.approx(0.0, abs=1e-15), name
 
 
 def test_trace_q3_two_step():
     table = hw.trace_powers(hw.build_hypercube(3), 2)
-    assert table.values[2] == pytest.approx(1 / 3, abs=1e-15)  # 24 / (8 * 9)
+    assert table[2] == pytest.approx(1 / 3, abs=1e-15)  # 24 / (8 * 9)
 
 
 def test_trace_c4_two_step():
     table = hw.trace_powers(hw.build_cycle(4), 2)
-    assert table.values[2] == pytest.approx(0.5, abs=1e-15)  # 8 / (4 * 4)
+    assert table[2] == pytest.approx(0.5, abs=1e-15)  # 8 / (4 * 4)
 
 
 def test_trace_bounded_by_one():
     for name, g in vt_graphs().items():
         table = hw.trace_powers(g, 40)
-        assert np.max(np.abs(table.values)) <= 1.0 + 1e-12, name
+        assert np.max(np.abs(table)) <= 1.0 + 1e-12, name
 
 
 def test_trace_requires_regular():
@@ -92,7 +93,7 @@ def test_cauchy_product_identity():
     # sum_{k=0..n} t_k M_{n-k} = (A/d)^n, the pivot of the trace recursion
     for name, g in vt_graphs().items():
         n = 40
-        traces = hw.trace_powers(g, n).values
+        traces = hw.trace_powers(g, n)
         seq = hw.mn_sequence(g, n)
         b = g.adjacency_matrix() / regular_degree(g)
         power = np.eye(g.node_count)
@@ -246,14 +247,19 @@ def test_gf_series_never_reads_the_dense_kernel(monkeypatch):
 
 # --- rational generating function ---------------------------------------------------
 
+def rational_pair(graph, start, target):
+    """The rational pair of one (start, target) series through degree 2V."""
+    return hw.rational_gf(graph, hw.gf_series(graph, start, target, 2 * graph.node_count))
+
+
 def test_rational_gf_denominator_at_zero_is_node_count():
     for name, g in vt_graphs().items():
-        ratio = hw.rational_gf(g, 0, g.node_count - 1)
+        ratio = rational_pair(g, 0, g.node_count - 1)
         assert ratio.denominator[0] == pytest.approx(g.node_count, rel=1e-8), name
 
 
 def test_rational_gf_k2_is_t():
-    ratio = hw.rational_gf(hw.build_complete(2), 0, 1)
+    ratio = rational_pair(hw.build_complete(2), 0, 1)
     series = ratio.series(4)
     assert np.allclose(series, [0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-10)
 
@@ -261,10 +267,65 @@ def test_rational_gf_k2_is_t():
 def test_rational_gf_expansion_matches_series():
     for g in (hw.build_hypercube(3), hw.build_cycle(8), hw.cayley_s3(), hw.cayley_d8()):
         for target in (1, g.node_count - 1):
-            ratio = hw.rational_gf(g, 0, target)
+            ratio = rational_pair(g, 0, target)
             expanded = ratio.series(30)
             direct = hw.gf_series(g, 0, target, 30)
             assert np.max(np.abs(expanded - direct)) < 1e-8
+
+
+def test_rational_gf_needs_a_series_past_degree_2v():
+    g = hw.build_cycle(6)
+    with pytest.raises(InvalidParameterError, match="more than 2V = 12 terms"):
+        hw.rational_gf(g, hw.gf_series(g, 0, 3, 11))
+    rational_pair(g, 0, 3)  # 2V + 1 terms
+
+
+def test_rational_gf_builds_no_chain_or_search_of_its_own(monkeypatch):
+    # the series is the caller's; the pair reads only the walk powers
+    g = hw.build_torus_standard(5)
+    series = hw.gf_series(g, 7, 0, 50)
+
+    def refuse(*args):
+        raise AssertionError("rational_gf built a chain of its own")
+
+    for name in ("_quotient", "_preset_lumped", "_require_reachable", "pmf"):
+        monkeypatch.setattr(hitting, name, refuse)
+    monkeypatch.setattr(spectral, "gf_series", refuse)
+    assert np.max(np.abs(hw.rational_gf(g, series).series(50) - series)) <= 1e-8
+
+
+def test_rational_gf_reads_no_unwritten_memory(monkeypatch):
+    # every array rational_gf allocates empty is written before it is read:
+    # filled with NaN the pair is the same (char[0] and char[1] are 1 and
+    # -V t_1 = 0, as the trace array's t_0 and t_1 that an empty array may
+    # reuse)
+    g = hw.build_hypercube(3)
+    series = hw.gf_series(g, 0, 7, 16)
+    expected = hw.rational_gf(g, series)
+    empty = np.empty
+
+    def nan_filled(shape, dtype=float, **kwargs):
+        out = empty(shape, dtype, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_filled)
+    ratio = hw.rational_gf(g, series)
+    monkeypatch.setattr(np, "empty", empty)
+    assert np.array_equal(ratio.numerator, expected.numerator)
+    assert np.array_equal(ratio.denominator, expected.denominator)
+
+
+def test_rational_gf_trims_by_the_convolutions_rounding_bound(monkeypatch):
+    # the numerator's bound is V u (|den| * |series|)_k, u = 2^-53
+    g = hw.build_complete(15)
+    series = hw.gf_series(g, 0, 1, 30)
+    calls = []
+    monkeypatch.setattr(spectral, "_trim", lambda *args: calls.append(args) or _trim(*args))
+    hw.rational_gf(g, series)
+    (_, bound), (den,) = calls  # the numerator's, then the denominator's
+    assert np.array_equal(bound, 15 * 2.0**-53 * np.convolve(np.abs(den), np.abs(series[:15]))[:15])
 
 
 def reference_series(ratio, n):
@@ -288,7 +349,7 @@ def test_rational_gf_series_matches_long_division(preset):
     name, *params = preset.split(":")
     g = hw.preset_graph(name, [int(p) for p in params])
     for target in range(1, g.node_count):
-        ratio = hw.rational_gf(g, 0, target)
+        ratio = rational_pair(g, 0, target)
         for n in (0, 1, 3 * g.node_count):
             assert np.max(np.abs(ratio.series(n) - reference_series(ratio, n))) <= 64 * np.finfo(float).eps
 
@@ -298,7 +359,7 @@ def test_rational_gf_interpolation_route_on_q3():
     # = 8 * (-1)^{0+7} * det(minor), is the numerator the series algebra found
     g = hw.build_hypercube(3)
     a = g.adjacency_matrix()
-    ratio = hw.rational_gf(g, 0, 7)
+    ratio = rational_pair(g, 0, 7)
     for t in (-0.9, -0.3, 0.2, 0.7, 1.5):
         m = np.eye(8) - (t / 3) * a
         minor = np.delete(np.delete(m, 7, axis=0), 0, axis=1)
@@ -312,7 +373,7 @@ def test_rational_gf_denominator_is_newton_form():
     # V c(t) - t c'(t) with c(t) = det(I - (t/d)A), degree V-1
     for name, g in vt_graphs().items():
         v = g.node_count
-        ratio = hw.rational_gf(g, 0, v - 1)
+        ratio = rational_pair(g, 0, v - 1)
         b = g.adjacency_matrix() / regular_degree(g)
         for t in (-0.8, 0.3, 1.1):
             c = np.linalg.det(np.eye(v) - t * b)
