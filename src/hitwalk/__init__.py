@@ -62,8 +62,9 @@ from .abelian import (
     inverse_fourier,
     variance_abelian,
 )
-from .spectral import MnSequence, RationalGF, gf_series, mn_sequence, rational_gf, trace_powers
+from .spectral import MnSequence, RationalGF, mn_sequence, rational_gf, trace_powers
 from .ctime import CTimeEvaluation, ct_evaluate, ct_moments
 from .montecarlo import SampleSummary, SimConfig, simulate
+from .problem import ENGINES, Problem, compare_legs, parse_preset
 
 __version__ = "0.1.0"

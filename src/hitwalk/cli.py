@@ -1,14 +1,11 @@
-"""hitwalk command line: graph ingestion, the engine table, comparison.
+"""hitwalk command line: argument parsing, documents and their emission.
 
-Subcommands: pmf, moments, ctime, simulate, compare, gf.  Each reads one
-problem, the graph spec and the (start, target) pair its options name;
-the problem builds the graph, the walk kernel, the lumped absorbing chain
-and the abelian structure only when a subcommand reads them, and then
-once.  On a preset family whose lumped classes are known in closed form,
-the node count and the lumped chain come from the family, so ``pmf``,
-and ``moments`` and ``ctime`` with ``--from``, never build the graph.
-``pmf``, ``compare`` and ``gf`` take their series from one engine table,
-and ``gf`` forms its rational pair from the ``direct`` one.
+Subcommands: pmf, moments, ctime, simulate, compare, gf.  Each builds one
+``hitwalk.problem.Problem`` from the graph spec and the (start, target)
+pair its options name, and reads from it what its document needs.
+``pmf``, ``compare`` and ``gf`` take their series from ``ENGINES``,
+``compare`` its legs from ``compare_legs``, and ``gf`` forms its
+rational pair from the ``direct`` series.
 
 ``--engine auto`` is ``direct``: the absorbing chain forms P(tau = n)
 from sums and products of non-negative numbers only, so every term keeps
@@ -32,8 +29,7 @@ import hashlib
 import itertools
 import json
 import sys
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -43,156 +39,34 @@ from . import hitting as ht
 from . import montecarlo as mc
 from . import spectral as sp
 from .ctime import ct_evaluate
-from .errors import (
-    HitwalkError,
-    HypothesisError,
-    InvalidParameterError,
-    NumericalError,
-)
-from .graphs import (
-    _PRESETS,
-    Graph,
-    _family,
-    _names_preset,
-    _read_spec,
-    _require_array_size,
-    canonical_graph_spec,
-    parse_graph_spec,
-    simple_walk_kernel,
-)
+from .errors import HitwalkError, HypothesisError, InvalidParameterError, NumericalError
+from .graphs import _read_spec, _require_array_size, canonical_graph_spec
 from .linalg import SOLVE_RESIDUAL
+from .problem import ENGINES, Problem, compare_legs, parse_preset
 
 _DEF_HORIZON = 200
 _DEF_TRIALS = 10000
 _DEF_SEED = 20240801
 
 
-def _parse_preset(text: str) -> dict:
-    """The graph spec ``{"preset": name, "params": [...]}`` of ``NAME:ARGS``
-    text, checked later as a preset file's spec is."""
-    name, *args = text.removeprefix("preset:").split(":")
-    try:
-        params = [int(p) for p in args]
-    except ValueError:
-        raise InvalidParameterError(f"non-integer preset parameter in {text!r}") from None
-    return {"preset": name, "params": params}
-
-
-@dataclass(frozen=True)
-class _Problem:
-    """A graph spec and a target, with an optional start node.
-
-    The engines a query gets follow from the spec alone: ``--preset``
-    and a preset file with the same spec are one problem.  The graph is
-    built only when an answer reads it: a preset family with closed-form
-    classes (``graphs._Family``) gives the node count and the lumped chain
-    without it, and the kernel, ``gf``'s trace powers and ``_starts`` build
-    it."""
-
-    spec: dict
-    start: int | None
-    target: int
-
-    @property
-    def preset(self) -> str | None:
-        """The spec's preset name; None for an edge-list spec."""
-        return self.spec.get("preset")
-
-    @property
-    def params(self) -> list[int]:
-        return self.spec.get("params", [])
-
-    @cached_property
-    def family(self):
-        """The spec's preset family, checked; None for an edge-list spec."""
-        return _family(self.preset, self.params) if _names_preset(self.spec) else None
-
-    @cached_property
-    def graph(self) -> Graph:
-        return parse_graph_spec(self.spec)
-
-    @cached_property
-    def node_count(self) -> int:
-        if self.family is not None and self.family.closed:
-            return self.family.closed[0](*self.params)
-        return self.graph.node_count
-
-    @cached_property
-    def kernel(self):
-        return simple_walk_kernel(self.graph)
-
-    @cached_property
-    def lumped(self) -> tuple:
-        """The lumped absorbing chain and ``rows``, where ``rows[node]`` is
-        the row of the node's class: from the family where it has a closed
-        form, else from the kernel."""
-        lumped = ht._preset_lumped(self.family, self.params, self.target) if self.family else None
-        return lumped or ht.lumped_absorbing(self.kernel, self.target)
-
-    @cached_property
-    def abelian(self):
-        """(group, law, start - target) on an abelian Cayley preset, else None."""
-        if self.family is None or self.family.step_law is None:
-            return None
-        group, law = getattr(fr, self.family.step_law)(*self.params)
-        return group, law, group.sub(group.element(self.start), group.element(self.target))
-
-
-def _problem(args) -> _Problem:
-    """The problem the options name, its nodes checked."""
+def _problem(args) -> Problem:
+    """The problem the options name."""
     if args.graph and args.preset:
         raise InvalidParameterError("give either --graph or --preset, not both")
     if args.graph:
         spec = _read_spec(args.graph)
     elif args.preset:
-        spec = _parse_preset(args.preset)
+        spec = parse_preset(args.preset)
     else:
         raise InvalidParameterError("a graph is required: --graph FILE or --preset NAME:ARGS")
-    problem = _Problem(spec, args.start, args.target)
-    for node in (args.start, args.target):
-        if node is not None and not 0 <= node < problem.node_count:
-            raise InvalidParameterError(f"node {node} out of range 0..{problem.node_count - 1}")
-    if args.start == args.target:
-        raise InvalidParameterError("--from must differ from --to")
-    return problem
+    return Problem(spec, args.start, args.target)
 
 
-def _starts(problem: _Problem) -> list[int]:
-    """The --from node, or else every node but the target, counted on the
-    built graph: without --from a preset is built even where its lumped
-    chain has a closed form, and one too large for memory fails in the
-    build, as on the graph path."""
-    if problem.start is not None:
-        return [problem.start]
-    return [n for n in range(problem.graph.node_count) if n != problem.target]
-
-
-# P(tau = n), n = 1..horizon, from the problem's start, by each engine.
-
-def _direct(problem: _Problem, horizon: int) -> np.ndarray:
-    # refuse a horizon whose document table (n and P(tau = n) in each of
-    # horizon rows) is past any array before the one-column pmf allocates
-    _require_array_size(2 * horizon, "pmf table")
-    system, rows = problem.lumped
-    return ht.pmf(system, horizon, rows=[rows[problem.start]]).probs[:, 0]
-
-
-def _fourier(problem: _Problem, horizon: int) -> np.ndarray:
-    if problem.abelian is None:
-        raise HypothesisError(
-            "fourier engine requires an abelian Cayley walk; applicable presets: "
-            + ", ".join(sorted(name for name, family in _PRESETS.items() if family.step_law))
-        )
-    group, law, displacement = problem.abelian
-    return fr.fourier_pmf(group, law, displacement, horizon).probs[:, 0]
-
-
-_ENGINES = {"direct": _direct, "fourier": _fourier}
 # --engine values that name another engine's series
 _ALIASES = {"auto": "direct", "spectral": "direct"}
 
 
-def _metadata(problem: _Problem, command: str, **extra) -> dict:
+def _metadata(problem: Problem, command: str, **extra) -> dict:
     meta = {
         "command": command,
         "graph": problem.spec,
@@ -205,7 +79,7 @@ def _metadata(problem: _Problem, command: str, **extra) -> dict:
     return meta
 
 
-def _simulate(problem: _Problem, args) -> mc.SampleSummary:
+def _simulate(problem: Problem, args) -> mc.SampleSummary:
     config = mc.SimConfig(trials=args.trials, master_seed=args.seed, step_cap=args.step_cap)
     return mc.simulate(problem.kernel, problem.start, problem.target, config)
 
@@ -219,7 +93,7 @@ def _cmd_pmf(args) -> dict:
     if args.horizon < 1:
         raise InvalidParameterError("horizon must be >= 1")
     engine = _ALIASES.get(args.engine, args.engine)
-    series = _ENGINES[engine](problem, args.horizon)
+    series = ENGINES[engine](problem, args.horizon)
     payload = {
         "table": {
             "columns": ["n", "probability"],
@@ -232,7 +106,7 @@ def _cmd_pmf(args) -> dict:
 
 def _cmd_moments(args) -> dict:
     problem = _problem(args)
-    starts = _starts(problem)
+    starts = problem.starts
     system, rows = problem.lumped
     report = ht.moments(system)
     table = np.stack([report.mean, report.second, report.variance], axis=1)[rows[starts]]
@@ -259,7 +133,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _cmd_ctime(args) -> dict:
     problem = _problem(args)
-    starts = _starts(problem)
+    starts = problem.starts
     system, rows = problem.lumped
     # recombine each reported class once, whichever starts share it
     reported, column = np.unique(rows[starts], return_inverse=True)
@@ -303,10 +177,8 @@ def _cmd_simulate(args) -> dict:
 def _cmd_compare(args) -> dict:
     problem = _problem(args)
     horizon = args.horizon
-    # the legs follow the spec: fourier, a character sum independent of the
-    # absorbing chain, on abelian presets, named by --preset or a file alike
-    engines = ["direct"] if problem.abelian is None else ["direct", "fourier"]
-    series = {engine: _ENGINES[engine](problem, horizon) for engine in engines}
+    engines = list(compare_legs(problem))
+    series = {engine: ENGINES[engine](problem, horizon) for engine in engines}
     discrepancies = [
         [ea, eb, float(np.max(np.abs(series[ea] - series[eb])))]
         for ea, eb in itertools.combinations(engines, 2)
@@ -377,7 +249,7 @@ def _cmd_gf(args) -> dict:
         raise InvalidParameterError("need horizon >= 0")
     graph = problem.graph  # a graph too large to build is refused before its series
     # P(tau = n) from n = 0: the direct table, through degree 2V at least
-    series = np.append(0.0, _direct(problem, max(2 * graph.node_count, args.horizon)))
+    series = np.append(0.0, ENGINES["direct"](problem, max(2 * graph.node_count, args.horizon)))
     ratio = sp.rational_gf(graph, series)
     payload = {
         "numerator": ratio.numerator.tolist(),

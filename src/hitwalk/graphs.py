@@ -7,6 +7,7 @@ are immutable after construction and safe to share across threads.
 
 A kernel is a graph's simple walk (``TransitionKernel(g)``): each step
 crosses an incident edge with probability proportional to its weight.
+A graph holds one, built by the first ``simple_walk_kernel(g)``.
 Everything is held per arc, in O(V + E) memory: a graph keeps both
 directions of each edge as sorted (head, tail, weight) columns, the
 preset builders emit their edges as integer columns, and a kernel keeps
@@ -26,7 +27,7 @@ import inspect
 import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -310,6 +311,11 @@ class Graph:
         heads, _, weights = self._arcs
         return np.bincount(heads, weights=weights, minlength=self.node_count)
 
+    @cached_property
+    def _walk(self) -> TransitionKernel:
+        # the graph's one simple walk (see simple_walk_kernel)
+        return TransitionKernel(self)
+
     def label_index(self, label: str) -> int:
         if self.labels is None:
             raise InvalidParameterError("graph has no labels")
@@ -375,9 +381,10 @@ class TransitionKernel:
 
 
 def simple_walk_kernel(g: Graph) -> TransitionKernel:
-    """The simple walk on ``g``, ``TransitionKernel(g)``: the kernel every
-    engine builds, under the name the benchmark's per-layer spans time."""
-    return TransitionKernel(g)
+    """The simple walk on ``g``, ``TransitionKernel(g)``, built on the first
+    call and held by ``g``: every engine on one graph reads one kernel,
+    under the name the benchmark's per-layer spans time."""
+    return g._walk
 
 
 # ---------------------------------------------------------------------------

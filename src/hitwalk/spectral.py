@@ -31,15 +31,13 @@ of I, B, ..., B^{V-1}, so k < V covers every k, and ``rational_gf``
 forms only those powers.  Vertex-transitive graphs are walk-regular, and
 so is every strongly regular graph.
 
-The one-pair series (``gf_series``) is not divided out of walk powers.
-The renewal identity with the target's own returns r_k = (B^k)_{jj}
-holds on every graph, but it holds as well for the path sums of any
-square matrix, so dividing by r_k only gives back the absorbing chain's
-Q^{n-1} P1, with more roundoff.  The series is ``hitting.pmf`` on the
-target's lumped chain, whose terms keep their relative accuracy.
-``rational_gf`` takes such a series from its caller (the CLI passes the
-problem's own ``direct`` table) and forms the rational pair, whose
-denominator comes from the trace power sums alone, checked against it.
+A one-pair series is not divided out of walk powers: the renewal
+identity with the target's own returns r_k = (B^k)_{jj} holds for the
+path sums of any square matrix, so dividing by r_k only gives back the
+absorbing chain's Q^{n-1} P1, with more roundoff.  ``rational_gf`` takes
+the series from its caller (0, then ``problem.ENGINES["direct"]``) and
+forms the rational pair, whose denominator comes from the trace power
+sums alone, checked against it.
 """
 from __future__ import annotations
 
@@ -47,16 +45,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hitting
 from .errors import HypothesisError, InvalidParameterError, NotConnectedError, NumericalError
-from .graphs import Graph, _require_array_size, simple_walk_kernel
+from .graphs import Graph, simple_walk_kernel
 
 __all__ = [
     "MnSequence",
     "RationalGF",
     "trace_powers",
     "mn_sequence",
-    "gf_series",
     "rational_gf",
 ]
 
@@ -154,25 +150,6 @@ def mn_sequence(graph: Graph, n: int) -> MnSequence:
     return MnSequence(matrices=_series_divide(mats, traces), traces=traces, node_count=v)
 
 
-def gf_series(graph: Graph, i: int, j: int, n: int) -> np.ndarray:
-    """Taylor coefficients of sum_n P(tau_{i,j} = n) t^n for n = 0..N: e_0
-    when i == j, else 0 and then ``hitting.pmf`` on the target's lumped
-    chain, so every term keeps its relative accuracy."""
-    v = graph.node_count
-    if not (0 <= i < v and 0 <= j < v):
-        raise InvalidParameterError("node indices out of range")
-    if n < 0:
-        raise InvalidParameterError("need n >= 0")
-    _require_array_size(n + 1, "gf series")
-    system, rows = hitting.lumped_absorbing(simple_walk_kernel(graph), j)
-    series = np.zeros(n + 1)
-    if i == j:
-        series[0] = 1.0
-    elif n:
-        series[1:] = hitting.pmf(system, n, rows=[rows[i]]).probs[:, 0]
-    return series
-
-
 @dataclass(frozen=True)
 class RationalGF:
     """Rational generating function for one (start, target) pair.
@@ -211,7 +188,7 @@ def _trim(coeffs: np.ndarray, bounds=0.0) -> np.ndarray:
 def rational_gf(graph: Graph, series) -> RationalGF:
     """Numerator/denominator polynomials of the hitting generating function
     whose Taylor series, sum_n P(tau_{i,j} = n) t^n for one pair of
-    ``graph``, is given through degree 2V at least (``gf_series``).
+    ``graph``, is given through degree 2V at least.
 
     The power sums p_k = V t_k, k < V, give c(t) = det(I - tB) by
     Newton's identities, k c_k = -sum_{m=1..k} p_m c_{k-m}; forming them

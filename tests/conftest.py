@@ -167,6 +167,18 @@ def coarsest_equitable_partition(kernel, target):
         cells = refined
 
 
+def graph_problem(graph, start, target):
+    """The problem of ``graph``'s simple walk from ``start`` to ``target``,
+    posed through its edge-list spec, so its chain lumps from the kernel."""
+    spec = {"nodes": graph.node_count, "edges": [list(edge) for edge in graph.edges]}
+    return hw.Problem(spec, start, target)
+
+
+def pair_series(problem, n):
+    """P(tau = k), k = 0..n, of one problem: 0, then its direct table."""
+    return np.append(0.0, hw.ENGINES["direct"](problem, n))
+
+
 def chang_graph():
     """A Chang graph: the triangular graph T(8) switched on a perfect matching
     of K_8.  Strongly regular (28, 12, 6, 4), hence walk-regular, but not

@@ -12,7 +12,7 @@ import hitwalk as hw
 from hitwalk import abelian as ab
 from hitwalk.cli import main as cli_main
 
-from conftest import preset_zoo, regular_degree
+from conftest import graph_problem, pair_series, preset_zoo, regular_degree
 
 
 def _report(line: str) -> None:
@@ -22,7 +22,7 @@ def _report(line: str) -> None:
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_hypercube_series():
-    series = hw.gf_series(hw.build_hypercube(3), 0, 7, 12)
+    series = pair_series(graph_problem(hw.build_hypercube(3), 0, 7), 12)
     expected = {3: 2 / 9, 5: 14 / 81, 7: 98 / 729, 9: 686 / 6561, 11: 4802 / 59049}
     for order, value in expected.items():
         assert series[order] == pytest.approx(value, abs=1e-12)
@@ -33,7 +33,7 @@ def test_criterion_01_hypercube_series():
 
 def test_criterion_02_s3_series():
     graph = hw.cayley_s3()
-    series = hw.gf_series(graph, 0, graph.label_index("(1 3)"), 8)
+    series = pair_series(graph_problem(graph, 0, graph.label_index("(1 3)")), 8)
     expected = [1 / 3, 0.0, 4 / 27, 2 / 27, 20 / 243, 44 / 729, 116 / 2187, 280 / 6561]
     for order, value in enumerate(expected, start=1):
         assert series[order] == pytest.approx(value, abs=1e-12), order
@@ -42,7 +42,7 @@ def test_criterion_02_s3_series():
 
 def test_criterion_03_d8_series():
     graph = hw.cayley_d8()
-    series = hw.gf_series(graph, 0, graph.label_index("(1 4)(2 3)"), 11)
+    series = pair_series(graph_problem(graph, 0, graph.label_index("(1 4)(2 3)")), 11)
     odd = [1 / 3, 4 / 27, 28 / 243, 196 / 2187, 1372 / 19683, 9604 / 177147]
     for order, value in zip(range(1, 12, 2), odd):
         assert series[order] == pytest.approx(value, abs=1e-12), order
@@ -246,8 +246,8 @@ def test_criterion_10_trace_recursion_internals():
             assert np.max(np.abs(acc - power)) <= 1e-10, (name, step)
             power = power @ b
         for target in (1, graph.node_count - 1):
-            ratio = hw.rational_gf(graph, hw.gf_series(graph, 0, target, 2 * graph.node_count))
-            gap = np.max(np.abs(ratio.series(30) - hw.gf_series(graph, 0, target, 30)))
+            ratio = hw.rational_gf(graph, pair_series(graph_problem(graph, 0, target), 2 * graph.node_count))
+            gap = np.max(np.abs(ratio.series(30) - pair_series(graph_problem(graph, 0, target), 30)))
             assert gap <= 1e-8, (name, target)
     _report(
         "PASS criterion 10: Cauchy-product trace identity (1e-10) and rational-GF"

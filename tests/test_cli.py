@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import hitwalk as hw
 from hitwalk import abelian, cli, ctime, graphs, hitting
 from hitwalk.cli import main
 
@@ -226,7 +227,7 @@ def test_ctime_without_from_is_the_full_evaluation_at_every_start(capsys):
     # the CLI recombines each class once; the columns are the full
     # evaluation's, each start reading its class's
     doc = run_json(capsys, "ctime", "--preset", "torus_std:5", "--to", "0", "--t-grid", "0:30:7")
-    system, rows = cli._Problem(cli._parse_preset("torus_std:5"), None, 0).lumped
+    system, rows = hw.Problem(hw.parse_preset("torus_std:5"), None, 0).lumped
     full = ctime.ct_evaluate(system, np.linspace(0.0, 30.0, 7), 1e-9)
     starts = list(range(1, 25))
     assert doc["payload"]["table"]["columns"] == ["t", *(f"{f}_{s}" for s in starts for f in ("cdf", "pdf"))]
@@ -238,7 +239,7 @@ def test_ctime_without_from_is_the_full_evaluation_at_every_start(capsys):
 def test_one_start_is_the_all_starts_answer_at_that_start(capsys):
     # torus_std:15 lumps to 35 classes: every class takes column blocks, one
     # start giant steps (rows 0..31 are the loop's in both)
-    system, rows = cli._Problem(cli._parse_preset("torus_std:15"), None, 0).lumped
+    system, rows = hw.Problem(hw.parse_preset("torus_std:15"), None, 0).lumped
     start = 112
     row = rows[start]
     pmf = run_json(capsys, "pmf", "--preset", "torus_std:15", "--from", str(start), "--to", "0", "--horizon", "500")
@@ -350,7 +351,14 @@ def build_counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(graphs, "preset_graph", counted("graph", graphs.preset_graph))
-    monkeypatch.setattr(cli, "simple_walk_kernel", counted("kernel", cli.simple_walk_kernel))
+    kernel_init = graphs.TransitionKernel.__init__
+
+    def counted_kernel(self, graph):
+        kernel_init(self, graph)
+        counts["kernel"] += 1
+
+    # every kernel, wherever it is built
+    monkeypatch.setattr(graphs.TransitionKernel, "__init__", counted_kernel)
     # both builders of an absorbing system from a kernel count as one kind of build
     monkeypatch.setattr(hitting, "make_absorbing", counted("absorbing", hitting.make_absorbing))
     monkeypatch.setattr(hitting, "lumped_absorbing", counted("absorbing", hitting.lumped_absorbing))
@@ -449,14 +457,12 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
 
 
 def test_spectral_pmf_is_gf_series(capsys):
-    from hitwalk import preset_graph, spectral
-
     doc = run_json(
         capsys, "pmf", "--preset", "torus_std:5", "--from", "7", "--to", "0",
         "--horizon", "60", "--engine", "spectral",
     )
     series = [row[1] for row in doc["payload"]["table"]["rows"]]
-    assert series == spectral.gf_series(preset_graph("torus_std", [5]), 7, 0, 60)[1:].tolist()
+    assert series == hw.ENGINES["direct"](hw.Problem(hw.parse_preset("torus_std:5"), 7, 0), 60).tolist()
 
 
 # --- output formats ---------------------------------------------------------------------
@@ -872,7 +878,7 @@ def test_gf_numerator_ends_at_its_last_term_above_roundoff(capsys):
 
 
 def test_gf_takes_pair_and_series_from_one_pass(capsys, monkeypatch):
-    from hitwalk import preset_graph, spectral
+    from hitwalk import spectral
 
     entered = []
     walk_powers = spectral._walk_powers
@@ -886,25 +892,37 @@ def test_gf_takes_pair_and_series_from_one_pass(capsys, monkeypatch):
     assert entered == [24]  # walk-regularity through V - 1
     series = [row[1] for row in doc["payload"]["table"]["rows"]]
     monkeypatch.undo()
-    assert series == spectral.gf_series(preset_graph("torus_std", [5]), 3, 0, 60).tolist()
+    problem = hw.Problem(hw.parse_preset("torus_std:5"), 3, 0)
+    assert series == [0.0, *hw.ENGINES["direct"](problem, 60).tolist()]
 
 
 def test_gf_reads_the_problems_lumped_chain(capsys, build_counts):
     # the closed-form quotient gives the series; only the trace powers
-    # read the built graph
+    # read the built graph and its kernel
     run_json(capsys, "gf", "--preset", "torus_std:5", "--from", "7", "--to", "0", "--horizon", "20")
-    assert build_counts == {"graph": 1, "kernel": 0, "absorbing": 0, "quotient": 1, "step_law": 0}
+    assert build_counts == {"graph": 1, "kernel": 1, "absorbing": 0, "quotient": 1, "step_law": 0}
+
+
+def _petersen_file(tmp_path):
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return _write_graph(tmp_path, 10, edges)
+
+
+@pytest.mark.parametrize("graph", ["torus_std:5", "cayley_d8", "PETERSEN"])
+def test_gf_builds_one_kernel(capsys, tmp_path, build_counts, graph):
+    # the lumped chain, where it comes from the kernel, and the dense walk
+    # powers read the graph's one kernel
+    source = ["--graph", _petersen_file(tmp_path)] if graph == "PETERSEN" else ["--preset", graph]
+    run_json(capsys, "gf", *source, "--from", "3", "--to", "0", "--horizon", "20")
+    assert build_counts["kernel"] == 1
 
 
 @pytest.mark.parametrize("graph", ["torus_std:5", "cayley_d8", "PETERSEN"])
 def test_gf_table_is_the_direct_pmf_table(capsys, tmp_path, graph):
     # bit for bit, after the n = 0 row, on a closed-form quotient, a Cayley
     # table's and a graph file's refinement
-    source = ["--preset", graph]
-    if graph == "PETERSEN":
-        edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        source = ["--graph", _write_graph(tmp_path, 10, edges)]
+    source = ["--graph", _petersen_file(tmp_path)] if graph == "PETERSEN" else ["--preset", graph]
     pair = [*source, "--from", "3", "--to", "0", "--horizon", "70"]
     gf = run_json(capsys, "gf", *pair)["payload"]["table"]["rows"]
     pmf = run_json(capsys, "pmf", *pair, "--engine", "direct")["payload"]["table"]["rows"]

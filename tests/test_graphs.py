@@ -9,7 +9,7 @@ import hitwalk as hw
 from hitwalk.errors import InvalidParameterError, NotConnectedError
 from hitwalk.graphs import PRESET_NAMES, _read_spec, canonical_graph_spec, parse_graph_spec, preset_graph
 
-from conftest import cayley_closure, first_fault_by_edge, preset_zoo, regular_degree
+from conftest import cayley_closure, first_fault_by_edge, graph_problem, preset_zoo, regular_degree
 
 
 # --- construction and validation ------------------------------------------
@@ -346,7 +346,7 @@ def test_disconnected_walk_rejected_where_it_is_used():
         "make_absorbing": lambda: hw.make_absorbing(kernel, 0),
         "lumped_absorbing": lambda: hw.lumped_absorbing(kernel, 0),
         "simulate": lambda: hw.simulate(kernel, 1, 0, hw.SimConfig(trials=10, master_seed=1, step_cap=50)),
-        "gf_series": lambda: hw.gf_series(g, 1, 0, 10),
+        "direct": lambda: hw.ENGINES["direct"](graph_problem(g, 1, 0), 10),
         "rational_gf": lambda: hw.rational_gf(g, np.zeros(2 * g.node_count + 1)),
         "trace_powers": lambda: hw.trace_powers(g, 5),
         "mn_sequence": lambda: hw.mn_sequence(g, 5),

@@ -430,7 +430,7 @@ def test_families_without_a_closed_form_take_the_graph_path(name, tmp_path):
     if name == "path":
         # the path preset lumps in closed form; an edge-list file of the
         # same path has no family, and lumps from its built kernel
-        problem = cli._Problem(_read_spec(_path_file(tmp_path, 5)), None, 0)
+        problem = hw.Problem(_read_spec(_path_file(tmp_path, 5)), None, 0)
         assert problem.family is None
         system, rows = problem.lumped
         want, want_rows = hw.lumped_absorbing(problem.kernel, 0)
@@ -521,7 +521,7 @@ def test_blocked_pmf_matches_the_one_row_loop(nodes, extra, seed, horizon, lump)
 @pytest.mark.parametrize("preset", ["torus_std:31", "cycle:300", "hypercube:10", "bipartite:20:40"])
 def test_blocked_pmf_matches_the_one_row_loop_on_lumped_presets(preset, monkeypatch):
     # up to _BLOCK - 1 reported rows take giant steps
-    system = cli._Problem(cli._parse_preset(preset), None, 0).lumped[0]
+    system = hw.Problem(hw.parse_preset(preset), None, 0).lumped[0]
     rows = list(range(min(system.size, hitting._BLOCK - 1)))
     giant = _spy(monkeypatch, "_giant_steps")
     blocked = hw.pmf(system, 2000, rows=rows)
@@ -600,7 +600,7 @@ def _spy(monkeypatch, name):
 def test_one_start_takes_giant_steps_from_the_measured_crossover(monkeypatch):
     # torus_std:41's quotient has 230 states, so the squarings pay from
     # 230^3 / _GIANT_STEP_RATIO rows on; below that pmf steps every state
-    system = cli._Problem(cli._parse_preset("torus_std:41"), None, 0).lumped[0]
+    system = hw.Problem(hw.parse_preset("torus_std:41"), None, 0).lumped[0]
     crossover = -(-system.size**3 // hitting._GIANT_STEP_RATIO)
     assert 2 * hitting._BLOCK < crossover < 2000
     giant = _spy(monkeypatch, "_giant_steps")
@@ -619,7 +619,7 @@ def test_a_block_of_reported_rows_is_the_one_row_loop(monkeypatch):
     # giant steps cost O(rows * states^2) a block against the loop's
     # O(_BLOCK * states * width), so on torus_std:31's 135 states 31 rows
     # take them, and 32 rows or every row step one row at a time
-    system = cli._Problem(cli._parse_preset("torus_std:31"), None, 0).lumped[0]
+    system = hw.Problem(hw.parse_preset("torus_std:31"), None, 0).lumped[0]
     giant = _spy(monkeypatch, "_giant_steps")
     many = list(range(hitting._BLOCK))
     for horizon in (300, 2000):

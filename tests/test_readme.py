@@ -1,4 +1,4 @@
-"""README's library quick start runs as written and states what it gives."""
+"""README's library quick start runs as written and gives what it states."""
 import ast
 import re
 from pathlib import Path
@@ -16,3 +16,7 @@ def test_library_quick_start_runs_and_gives_its_stated_moments():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["report"].for_state(0) == pytest.approx(stated, rel=1e-12)
+    # the problem's series is the unlumped chain's column, after its n = 0 term
+    series, table = namespace["series"], namespace["table"]
+    assert series[0] == 0.0 and len(series) == 101
+    assert series[1:] == pytest.approx(table.column(0)[:100], rel=1e-12, abs=0.0)

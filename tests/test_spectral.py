@@ -7,7 +7,7 @@ from hitwalk.errors import HypothesisError, InvalidParameterError
 from hitwalk.graphs import TransitionKernel
 from hitwalk.spectral import _trim
 
-from conftest import chang_graph, preset_zoo, regular_degree
+from conftest import chang_graph, graph_problem, pair_series, preset_zoo, regular_degree
 
 
 def vt_graphs():
@@ -130,20 +130,20 @@ def test_mn_rejects_non_walk_regular_graph():
 
 def test_gf_series_d8_benchmark_pair():
     g = hw.cayley_d8()
-    series = hw.gf_series(g, 0, g.label_index("(1 4)(2 3)"), 5)
+    series = pair_series(graph_problem(g, 0, g.label_index("(1 4)(2 3)")), 5)
     assert series[1] == pytest.approx(1 / 3, abs=1e-14)
     assert series[3] == pytest.approx(4 / 27, abs=1e-14)
     assert series[5] == pytest.approx(28 / 243, abs=1e-14)
 
 
 def test_gf_series_hypercube_higher_orders():
-    series = hw.gf_series(hw.build_hypercube(3), 0, 7, 7)
+    series = pair_series(graph_problem(hw.build_hypercube(3), 0, 7), 7)
     assert series[5] == pytest.approx(14 / 81, abs=1e-14)
     assert series[7] == pytest.approx(98 / 729, abs=1e-14)
 
 
 def test_gf_series_zero_constant_term():
-    series = hw.gf_series(hw.build_cycle(5), 2, 0, 4)
+    series = pair_series(graph_problem(hw.build_cycle(5), 2, 0), 4)
     assert series[0] == 0.0
 
 
@@ -157,7 +157,8 @@ def test_gf_series_matches_mn_sequence_entry(graph, n):
     seq = hw.mn_sequence(graph, n)
     for start in (0, graph.node_count - 1):
         for target in range(graph.node_count):
-            series = hw.gf_series(graph, start, target, n)
+            # from the target tau is 0: the series is e_0, and no problem poses it
+            series = np.eye(n + 1)[0] if start == target else pair_series(graph_problem(graph, start, target), n)
             assert np.max(np.abs(series - seq.entry(start, target))) < 1e-14, (start, target)
 
 
@@ -168,9 +169,10 @@ def test_gf_series_peak_memory_is_one_entry():
     import tracemalloc
 
     for g, target in ((hw.build_torus_standard(20), 21), (hw.build_hypercube(10), 1023)):
+        problem = graph_problem(g, 0, target)
         tracemalloc.start()
         try:
-            series = hw.gf_series(g, 0, target, 64)
+            series = pair_series(problem, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -213,7 +215,7 @@ def test_gf_series_matches_dense_column(preset, target, n):
     reference = dense_series(g, target, n)
     for start in (0, 1, g.node_count // 3, g.node_count - 1):
         if start != target:
-            assert np.max(np.abs(hw.gf_series(g, start, target, n) - reference[:, start])) <= 1e-15
+            assert np.max(np.abs(pair_series(graph_problem(g, start, target), n) - reference[:, start])) <= 1e-15
 
 
 @pytest.mark.parametrize("graph", [hw.build_path(30), chang_graph()], ids=["path30", "chang"])
@@ -223,7 +225,7 @@ def test_gf_series_matches_direct(graph):
     for target in (0, 13):
         direct = hw.pmf(hw.make_absorbing(kernel, target), 200)
         for start in direct.states:
-            series = hw.gf_series(graph, start, target, 200)
+            series = pair_series(graph_problem(graph, start, target), 200)
             assert series[0] == 0.0
             assert np.max(np.abs(series[1:] - direct.column(start))) <= 1e-15, (start, target)
 
@@ -231,9 +233,10 @@ def test_gf_series_matches_direct(graph):
 @pytest.mark.parametrize(
     "graph", [hw.build_torus_standard(5), hw.build_path(30), chang_graph()], ids=["torus_std5", "path30", "chang"]
 )
-def test_gf_series_from_the_target_is_e0(graph):
+def test_a_problem_from_its_target_is_refused(graph):
     for target in (0, 13):
-        assert np.array_equal(hw.gf_series(graph, target, target, 50), np.eye(51)[0])
+        with pytest.raises(InvalidParameterError, match="^--from must differ from --to$"):
+            graph_problem(graph, target, target)
 
 
 def test_gf_series_never_reads_the_dense_kernel(monkeypatch):
@@ -242,14 +245,14 @@ def test_gf_series_never_reads_the_dense_kernel(monkeypatch):
 
     monkeypatch.setattr(TransitionKernel, "matrix", property(refuse))
     for graph in (hw.build_torus_standard(7), hw.build_path(9), chang_graph()):
-        assert len(hw.gf_series(graph, 1, 0, 40)) == 41
+        assert len(pair_series(graph_problem(graph, 1, 0), 40)) == 41
 
 
 # --- rational generating function ---------------------------------------------------
 
 def rational_pair(graph, start, target):
     """The rational pair of one (start, target) series through degree 2V."""
-    return hw.rational_gf(graph, hw.gf_series(graph, start, target, 2 * graph.node_count))
+    return hw.rational_gf(graph, pair_series(graph_problem(graph, start, target), 2 * graph.node_count))
 
 
 def test_rational_gf_denominator_at_zero_is_node_count():
@@ -269,28 +272,28 @@ def test_rational_gf_expansion_matches_series():
         for target in (1, g.node_count - 1):
             ratio = rational_pair(g, 0, target)
             expanded = ratio.series(30)
-            direct = hw.gf_series(g, 0, target, 30)
+            direct = pair_series(graph_problem(g, 0, target), 30)
             assert np.max(np.abs(expanded - direct)) < 1e-8
 
 
 def test_rational_gf_needs_a_series_past_degree_2v():
     g = hw.build_cycle(6)
     with pytest.raises(InvalidParameterError, match="more than 2V = 12 terms"):
-        hw.rational_gf(g, hw.gf_series(g, 0, 3, 11))
+        hw.rational_gf(g, pair_series(graph_problem(g, 0, 3), 11))
     rational_pair(g, 0, 3)  # 2V + 1 terms
 
 
 def test_rational_gf_builds_no_chain_or_search_of_its_own(monkeypatch):
     # the series is the caller's; the pair reads only the walk powers
     g = hw.build_torus_standard(5)
-    series = hw.gf_series(g, 7, 0, 50)
+    series = pair_series(graph_problem(g, 7, 0), 50)
 
     def refuse(*args):
         raise AssertionError("rational_gf built a chain of its own")
 
     for name in ("_quotient", "_preset_lumped", "_require_reachable", "pmf"):
         monkeypatch.setattr(hitting, name, refuse)
-    monkeypatch.setattr(spectral, "gf_series", refuse)
+    monkeypatch.setitem(hw.ENGINES, "direct", refuse)
     assert np.max(np.abs(hw.rational_gf(g, series).series(50) - series)) <= 1e-8
 
 
@@ -300,7 +303,7 @@ def test_rational_gf_reads_no_unwritten_memory(monkeypatch):
     # -V t_1 = 0, as the trace array's t_0 and t_1 that an empty array may
     # reuse)
     g = hw.build_hypercube(3)
-    series = hw.gf_series(g, 0, 7, 16)
+    series = pair_series(graph_problem(g, 0, 7), 16)
     expected = hw.rational_gf(g, series)
     empty = np.empty
 
@@ -320,7 +323,7 @@ def test_rational_gf_reads_no_unwritten_memory(monkeypatch):
 def test_rational_gf_trims_by_the_convolutions_rounding_bound(monkeypatch):
     # the numerator's bound is V u (|den| * |series|)_k, u = 2^-53
     g = hw.build_complete(15)
-    series = hw.gf_series(g, 0, 1, 30)
+    series = pair_series(graph_problem(g, 0, 1), 30)
     calls = []
     monkeypatch.setattr(spectral, "_trim", lambda *args: calls.append(args) or _trim(*args))
     hw.rational_gf(g, series)
@@ -386,7 +389,7 @@ def test_rational_gf_denominator_is_newton_form():
 def test_spectral_common_edge_weight_cancels():
     cycle = hw.build_cycle(6)
     halved = hw.Graph(6, tuple((u, v, 0.5) for u, v, _ in cycle.edges))
-    assert np.array_equal(hw.gf_series(halved, 0, 3, 20), hw.gf_series(cycle, 0, 3, 20))
+    assert np.array_equal(pair_series(graph_problem(halved, 0, 3), 20), pair_series(graph_problem(cycle, 0, 3), 20))
 
 
 def test_trim_keeps_every_nonzero_or_nan_term_of_a_denominator():
